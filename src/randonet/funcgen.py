@@ -153,6 +153,23 @@ def eval_d2u(p: RandomFunctionParams, x, growing_exponent: bool = False) -> np.n
     return rbf + 2.0 * p.a2
 
 
+def _u_derivatives(p: RandomFunctionParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, u', u'') at ``x``, sharing one ``dx`` and one ``exp`` per term.
+
+    Uses the expressions of :func:`eval_u`, :func:`eval_du` and
+    :func:`eval_d2u` (decaying convention) in the same operation order, so
+    each result equals its public evaluator's bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    dx = x[..., None] - p.c
+    decay = np.exp(-1.0 * p.s * dx * dx)
+    gauss = p.w * decay
+    u = np.sum(gauss, axis=-1) + p.a0 + x * (p.a1 + p.a2 * x)
+    du = np.sum(-2.0 * p.s * dx * p.w * decay, axis=-1) + p.a1 + 2.0 * p.a2 * x
+    d2u = np.sum(gauss * (4.0 * p.s * p.s * dx * dx + -2.0 * p.s), axis=-1) + 2.0 * p.a2
+    return u, du, d2u
+
+
 def eval_antiderivative(
     p: RandomFunctionParams, x, x0: float = 0.0, growing_exponent: bool = False
 ) -> np.ndarray:

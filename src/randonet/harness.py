@@ -27,7 +27,11 @@ import csv
 import hashlib
 import io
 import json
+import logging
+import os
+import tempfile
 import time
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -50,9 +54,16 @@ __all__ = [
     "write_report_json",
     "clear_dataset_cache",
     "REPORT_CSV_VERSION",
+    "GENERATOR_VERSION",
 ]
 
 REPORT_CSV_VERSION = 1
+
+# Part of every dataset cache key. Bump it whenever a change to the dataset
+# builders changes the generated bits, so no cache serves the old ones.
+GENERATOR_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 _DATASET_CACHE: dict[str, AlignedDataset] = {}
 
@@ -159,13 +170,15 @@ def l2_percentiles(pred, truth) -> tuple[float, float, float]:
     return float(p5), float(p50), float(p95)
 
 
-def _dataset_key(case) -> str:
+def _dataset_key(case, ode: ODESolverConfig) -> str:
     payload = {
+        "generator_version": GENERATOR_VERSION,
         "id": case.id,
         "m": case.m,
         "n": case.n,
         "constants": sorted(case.constants.items()),
         "sampling": asdict(case.sampling),
+        "ode": asdict(ode),
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
@@ -178,24 +191,61 @@ def _dataset_fingerprint(ds: AlignedDataset) -> str:
     return h.hexdigest()[:32]
 
 
+def _load_cached(path: Path) -> AlignedDataset | None:
+    """The dataset stored at ``path``, or None when it is unreadable or
+    does not match the fingerprint stored with it."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            ds = AlignedDataset(x=data["x"], y=data["y"], U=data["U"], V=data["V"])
+            stored = str(data["fingerprint"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        logger.warning("dataset cache file %s is unreadable (%s); rebuilding", path, exc)
+        return None
+    if _dataset_fingerprint(ds) != stored:
+        logger.warning("dataset cache file %s does not match its fingerprint; rebuilding", path)
+        return None
+    return ds
+
+
+def _store_cached(path: Path, ds: AlignedDataset) -> None:
+    """Write ``ds`` with its fingerprint to a temporary file next to
+    ``path``, then move it into place, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, x=ds.x, y=ds.y, U=ds.U, V=ds.V,
+                     fingerprint=np.array(_dataset_fingerprint(ds)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def dataset_for(case, cache_dir=None) -> AlignedDataset:
-    """Build a case dataset, memoized in memory and optionally on disk."""
-    key = _dataset_key(case)
+    """Build a case dataset, memoized in memory and optionally on disk.
+
+    Disk entries are keyed by :data:`GENERATOR_VERSION`, the case
+    configuration and the ODE settings, and carry the content fingerprint
+    of the dataset; an entry that cannot be read or fails its fingerprint
+    is rebuilt and rewritten.
+    """
+    ode = ODESolverConfig()
+    key = _dataset_key(case, ode)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     disk_path = None
     if cache_dir is not None:
         disk_path = Path(cache_dir) / f"dataset-{key}.npz"
         if disk_path.exists():
-            with np.load(disk_path, allow_pickle=False) as data:
-                ds = AlignedDataset(x=data["x"], y=data["y"], U=data["U"], V=data["V"])
-            _DATASET_CACHE[key] = ds
-            return ds
-    ds = build_case(case, ode=ODESolverConfig())
+            ds = _load_cached(disk_path)
+            if ds is not None:
+                _DATASET_CACHE[key] = ds
+                return ds
+    ds = build_case(case, ode=ode)
     _DATASET_CACHE[key] = ds
     if disk_path is not None:
-        disk_path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(disk_path, x=ds.x, y=ds.y, U=ds.U, V=ds.V)
+        _store_cached(disk_path, ds)
     return ds
 
 

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from randonet.funcgen import (
     CaseSamplingConfig,
     RandomFunctionParams,
+    _u_derivatives,
     eval_antiderivative,
     eval_d2u,
     eval_du,
@@ -112,6 +113,16 @@ class TestDerivatives:
             scale2 = np.max(np.abs(fd2))
             assert np.max(np.abs(eval_du(p, xs) - fd1)) / scale1 <= 1e-6
             assert np.max(np.abs(eval_d2u(p, xs) - fd2)) / scale2 <= 1e-6
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_shared_evaluation_equals_evaluators_bitwise(self, case_id):
+        case = case_config(case_id, size=3, seed=65 + case_id)
+        for p in sample_params(case.sampling) + [make_params(a0=0.3, a1=-1.0, a2=2.0)]:
+            for xs in (case.output_grid(), case.domain[1]):
+                u, du, d2u = _u_derivatives(p, xs)
+                np.testing.assert_array_equal(u, eval_u(p, xs))
+                np.testing.assert_array_equal(du, eval_du(p, xs))
+                np.testing.assert_array_equal(d2u, eval_d2u(p, xs))
 
 
 class TestAntiderivative:

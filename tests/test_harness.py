@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import time
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from randonet.harness import (
     write_report_json,
 )
 from randonet.model import AlignedDataset
-from randonet.problems import case_config
+from randonet.problems import ODESolverConfig, case_config
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
 
@@ -182,6 +183,67 @@ class TestRunExperiment:
             ExperimentConfig(case=1, train_fraction=1.5)
         with pytest.raises(ValueError, match="branch_sizes"):
             ExperimentConfig(case=1, branch_sizes=())
+
+
+class TestDatasetCache:
+    case = case_config(1, size=12, seed=54)
+
+    def cached_file(self, tmp_path):
+        harness.clear_dataset_cache()
+        ds = dataset_for(self.case, str(tmp_path))
+        harness.clear_dataset_cache()
+        (path,) = tmp_path.glob("dataset-*.npz")
+        return ds, path
+
+    def assert_rebuilt(self, tmp_path, ds, caplog):
+        with caplog.at_level(logging.WARNING, logger="randonet.harness"):
+            again = dataset_for(self.case, str(tmp_path))
+        assert "rebuilding" in caplog.text
+        np.testing.assert_array_equal(again.U, ds.U)
+        np.testing.assert_array_equal(again.V, ds.V)
+        # The rebuilt entry replaced the bad file and now loads cleanly.
+        harness.clear_dataset_cache()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="randonet.harness"):
+            dataset_for(self.case, str(tmp_path))
+        assert caplog.text == ""
+
+    def test_truncated_file_is_rebuilt(self, tmp_path, caplog):
+        ds, path = self.cached_file(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        self.assert_rebuilt(tmp_path, ds, caplog)
+
+    def test_tampered_file_is_rebuilt(self, tmp_path, caplog):
+        ds, path = self.cached_file(tmp_path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["V"] = arrays["V"] + 1.0
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        self.assert_rebuilt(tmp_path, ds, caplog)
+
+    def test_key_covers_ode_config_and_generator_version(self, monkeypatch):
+        key = harness._dataset_key(self.case, ODESolverConfig())
+        assert key == harness._dataset_key(self.case, ODESolverConfig())
+        assert key != harness._dataset_key(self.case, ODESolverConfig(abs_tol=5e-13))
+        monkeypatch.setattr(harness, "GENERATOR_VERSION", harness.GENERATOR_VERSION + 1)
+        assert key != harness._dataset_key(self.case, ODESolverConfig())
+
+    def test_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        self.cached_file(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"dataset-{harness._dataset_key(self.case, ODESolverConfig())}.npz"
+        ]
+
+        def failing_savez(*args, **kwargs):
+            raise OSError("disk full")
+
+        other = tmp_path / "other"
+        monkeypatch.setattr(harness.np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            dataset_for(self.case, str(other))
+        assert list(other.iterdir()) == []
 
 
 class TestReports:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from randonet import funcgen, problems
 from randonet.acceptance import _fd_rhs_reference
 from randonet.funcgen import CaseSamplingConfig, eval_d2u, eval_du, eval_u, sample_params
+from randonet.odeint import dopri5_batch
 from randonet.problems import (
     CASE_IDS,
     ODESolverConfig,
@@ -20,6 +21,58 @@ from randonet.problems import (
     export_dataset_csv,
 )
 from test_funcgen import make_params
+
+
+def reference_rhs(params, k_const):
+    """Reference pendulum right-hand side: whole-batch numpy expressions
+    that gather (rows x terms) copies of w, s and c on every call. The
+    chunked forcing must reproduce it bit for bit."""
+    w = np.stack([p.w for p in params])
+    s = np.stack([p.s for p in params])
+    c = np.stack([p.c for p in params])
+    a0 = np.array([p.a0 for p in params])
+    a1 = np.array([p.a1 for p in params])
+    a2 = np.array([p.a2 for p in params])
+
+    def rhs(t, y, idx):
+        dt = t[:, None] - c[idx]
+        forcing = np.sum(w[idx] * np.exp(-s[idx] * dt * dt), axis=1)
+        forcing += a0[idx] + t * (a1[idx] + a2[idx] * t)
+        return np.column_stack([y[:, 1], -k_const * np.sin(y[:, 0]) + forcing])
+
+    return rhs
+
+
+def reference_pendulum_solve(params, k_const, y_grid, ode):
+    values, ok = dopri5_batch(
+        reference_rhs(params, k_const),
+        (y_grid[0], y_grid[-1]),
+        np.zeros((len(params), 2)),
+        y_grid,
+        rtol=ode.rel_tol,
+        atol=ode.abs_tol,
+        max_steps=ode.max_steps,
+    )
+    return values[:, :, 0].T, ok
+
+
+def pendulum_rhs_of(params, k_const):
+    """The right-hand side ``_pendulum_solve`` hands to the integrator."""
+    captured = []
+
+    def capture(f, t_span, y0, t_eval, **kwargs):
+        captured.append(f)
+        return np.zeros((len(y0), len(t_eval), 2)), np.ones(len(y0), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "dopri5_batch", capture)
+        problems._pendulum_solve(params, k_const, np.linspace(0, 1, 5), ODESolverConfig())
+    return captured[0]
+
+
+def rhs_case(case_id, p, y):
+    rhs = {3: problems._rhs_case3, 4: problems._rhs_case4, 5: problems._rhs_case5}[case_id]
+    return rhs(*funcgen._u_derivatives(p, y), case_config(case_id).constants)
 
 
 def zero_function_case(case_id, size=1):
@@ -138,10 +191,54 @@ class TestCase2:
         expected = sample_params(case.sampling, start_index=case.sampling.size)[0]
         np.testing.assert_array_equal(params[1].w, expected.w)
 
+    def test_build_equals_reference_forcing_bitwise(self, monkeypatch):
+        case = case_config(2, size=6, seed=72)
+        fast = build_case2(case)
+        monkeypatch.setattr(problems, "_pendulum_solve", reference_pendulum_solve)
+        reference = build_case2(case)
+        np.testing.assert_array_equal(fast.U, reference.U)
+        np.testing.assert_array_equal(fast.V, reference.V)
+
     def test_unrecoverable_failure_raises(self):
         case = case_config(2, size=2, seed=75)
         with pytest.raises(RuntimeError, match="failed"):
             build_case2(case, ODESolverConfig(max_steps=3))
+
+
+CHUNK = problems._FORCING_CHUNK
+
+
+class TestPendulumForcing:
+    batch = 2 * CHUNK + 44
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return sample_params(case_config(2, size=self.batch, seed=81).sampling)
+
+    @pytest.mark.parametrize("rows", [
+        "full", "prefix", "scattered", "single", "chunk-1", "chunk", "chunk+1",
+    ])
+    def test_equals_reference_bitwise(self, params, rows):
+        rng = np.random.default_rng(82)
+        sizes = {"chunk-1": CHUNK - 1, "chunk": CHUNK, "chunk+1": CHUNK + 1}
+        if rows == "full":
+            idx = np.arange(self.batch)
+        elif rows == "prefix":
+            idx = np.arange(self.batch - 3)
+        elif rows == "scattered":
+            idx = np.flatnonzero(rng.random(self.batch) < 0.6)
+        elif rows == "single":
+            idx = np.array([self.batch - 1])
+        else:
+            idx = np.sort(rng.choice(self.batch, sizes[rows], replace=False))
+        t = rng.uniform(0.0, 1.0, idx.size)
+        y = rng.standard_normal((idx.size, 2))
+        k_const = case_config(2).constants["k"]
+        fast = pendulum_rhs_of(params, k_const)
+        # Call twice so stale scratch contents would show.
+        for _ in range(2):
+            got = fast(t, y, idx)
+            np.testing.assert_array_equal(got, reference_rhs(params, k_const)(t, y, idx))
 
 
 class TestRhsCases:
@@ -150,22 +247,14 @@ class TestRhsCases:
         p = make_params(a0=kappa)
         y = np.linspace(-1, 1, 11)
         c3 = case_config(3).constants
-        np.testing.assert_allclose(
-            problems._rhs_case3(p, y, c3), c3["zeta"] * kappa, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            problems._rhs_case4(p, y, case_config(4).constants), 0.0, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            problems._rhs_case5(p, y, case_config(5).constants), kappa - kappa**3, atol=1e-15
-        )
+        np.testing.assert_allclose(rhs_case(3, p, y), c3["zeta"] * kappa, atol=1e-15)
+        np.testing.assert_allclose(rhs_case(4, p, y), 0.0, atol=1e-15)
+        np.testing.assert_allclose(rhs_case(5, p, y), kappa - kappa**3, atol=1e-15)
 
     def test_linear_profile_burgers(self):
         p = make_params(a1=1.0)
         y = np.linspace(-1, 1, 21)
-        np.testing.assert_array_equal(
-            problems._rhs_case4(p, y, case_config(4).constants), -y
-        )
+        np.testing.assert_array_equal(rhs_case(4, p, y), -y)
 
     @pytest.mark.parametrize("case_id,builder", [(3, build_case3), (4, build_case4), (5, build_case5)])
     def test_finite_difference_oracle(self, case_id, builder):
@@ -188,10 +277,21 @@ class TestRhsCases:
             a0=p1.a0 + p2.a0, a1=p1.a1 + p2.a1, a2=p1.a2 + p2.a2,
         )
         y = case.output_grid()
-        c3 = case.constants
-        v = problems._rhs_case3(combined, y, c3)
-        v_sum = problems._rhs_case3(p1, y, c3) + problems._rhs_case3(p2_shared, y, c3)
+        v = rhs_case(3, combined, y)
+        v_sum = rhs_case(3, p1, y) + rhs_case(3, p2_shared, y)
         np.testing.assert_allclose(v, v_sum, atol=1e-10)
+
+    def test_sensor_grid_apart_from_output_grid(self):
+        case = case_config(4, size=3, seed=83)
+        coarse = problems.CaseStudy(
+            id=4, m=37, n=case.n, sampling=case.sampling, constants=case.constants
+        )
+        ds = build_case4(coarse)
+        params = sample_params(case.sampling)
+        np.testing.assert_array_equal(
+            ds.U, np.column_stack([eval_u(p, coarse.input_grid()) for p in params])
+        )
+        np.testing.assert_array_equal(ds.V, build_case4(case).V)
 
     def test_case3_amplitude_bound(self):
         case = case_config(3, size=4, seed=78)
