@@ -139,7 +139,9 @@ class FeatureMap:
     ``weights`` is (feature_dim, input_dim); ``biases`` is (feature_dim,)
     or ``None`` for the bias-free JL map; ``scale`` multiplies the
     activation output. Fields are plain data so tests can build variants
-    with ``dataclasses.replace`` (e.g. forcing biases to zero).
+    with ``dataclasses.replace`` (e.g. forcing biases to zero). The map
+    keeps read-only private copies of the arrays it is given, so the
+    caller's arrays stay writable and later edits to them do not reach it.
     """
 
     spec: EmbeddingSpec
@@ -148,9 +150,12 @@ class FeatureMap:
     scale: float = 1.0
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
-        if self.biases is not None:
-            self.biases.setflags(write=False)
+        for name in ("weights", "biases"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     def apply(self, x) -> np.ndarray:
         """Map input columns to feature columns.

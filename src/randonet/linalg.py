@@ -13,6 +13,19 @@ Three routes to a (regularized) Moore-Penrose pseudo-inverse are provided:
   (:func:`cod_factorize` / :func:`cod_pinv_apply`), which inverts an
   ill-conditioned matrix through orthogonal transforms and one triangular
   back substitution.
+
+The COD takes two stages, as LAPACK's ``xGELSY`` does, but keeps its own
+rank rule. One column-pivoted QR ``A P = Q R`` (``geqp3``) fixes the
+numerical rank r as the count of leading pivots ``|R_ii|`` above the
+tolerance. When r equals the column count, the leading block of R is
+already the triangular core. Otherwise the kept r-by-cols trapezoid is
+compressed from the right, ``R[:r] = [T11 0] Z`` (``tzrzf``), at a cost of
+``4 r^2 (cols - r)`` instead of a second dense QR. Neither orthogonal
+factor is formed: ``Q`` and ``Z`` are stored as their Householder
+reflectors and reach right-hand sides through ``ormqr`` and ``ormrz``.
+Only when the right-hand sides outnumber the rank are the r columns of
+``Q`` and rows of ``Z`` that act on them formed, for one matrix product
+each.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "TruncatedSVDFactors",
@@ -98,18 +112,42 @@ class CODFactors:
     where ``left_orthogonal`` is (rows, r) with orthonormal columns,
     ``middle_triangular`` is the r-by-r nonsingular lower-triangular core,
     and ``right_orthogonal`` is (r, cols) with orthonormal rows.
+
+    The factors are stored once, in the compact form LAPACK leaves them,
+    for ``A[:, perm] = Q1 [T11 0] Z``. ``q_reflectors`` (rows, r) holds
+    below its diagonal the first r Householder vectors of the pivoted QR,
+    with scalars ``q_tau``; they define ``Q1``. ``rz`` is r-by-cols with the
+    upper-triangular ``T11`` in its first r columns and, when r < cols, the
+    ``tzrzf`` reflectors of ``Z`` in the rest, with scalars ``z_tau``
+    (empty when ``Z`` is the identity). The three dense factors above are
+    derived on access, in reversed index order, which turns the
+    upper-triangular ``T11`` into the lower-triangular core.
     """
 
     permutation: np.ndarray
-    left_orthogonal: np.ndarray
-    middle_triangular: np.ndarray
-    right_orthogonal: np.ndarray
+    q_reflectors: np.ndarray
+    q_tau: np.ndarray
+    rz: np.ndarray
+    z_tau: np.ndarray
     numerical_rank: int
     rank_tolerance: float
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.left_orthogonal.shape[0], self.right_orthogonal.shape[1])
+        return (self.q_reflectors.shape[0], self.rz.shape[1])
+
+    @property
+    def left_orthogonal(self) -> np.ndarray:
+        return _leading_q(self)[:, ::-1]
+
+    @property
+    def middle_triangular(self) -> np.ndarray:
+        r = self.numerical_rank
+        return np.triu(self.rz[:, :r])[::-1, ::-1]
+
+    @property
+    def right_orthogonal(self) -> np.ndarray:
+        return _leading_z(self)[:, self.permutation][::-1]
 
     def reconstruct(self) -> np.ndarray:
         """Dense matrix with the permutation folded back in."""
@@ -119,6 +157,67 @@ class CODFactors:
             core = self.left_orthogonal @ self.middle_triangular @ self.right_orthogonal
             out[:, self.permutation] = core
         return out
+
+
+def _lapack_check(name: str, info: int) -> None:
+    if info != 0:
+        raise RuntimeError(f"LAPACK {name} failed with info={info}")
+
+
+def _apply_q(factors: CODFactors, c: np.ndarray, side: str) -> np.ndarray:
+    """``Q.T @ c`` (side 'L') or ``c @ Q.T`` (side 'R') through ``ormqr``.
+
+    ``Q`` is the product of the r stored reflectors and ``c`` may be
+    overwritten. The first r rows of ``Q.T @ c`` are ``Q1.T @ c``; when only
+    the first r columns of ``c`` are nonzero, ``c @ Q.T`` is
+    ``c[:, :r] @ Q1.T``.
+    """
+    _, work, info = lapack.dormqr(side, "T", factors.q_reflectors, factors.q_tau, c, -1)
+    _lapack_check("ormqr", info)
+    out, _, info = lapack.dormqr(
+        side, "T", factors.q_reflectors, factors.q_tau, c, int(work[0]), overwrite_c=1
+    )
+    _lapack_check("ormqr", info)
+    return out
+
+
+def _apply_z(factors: CODFactors, c: np.ndarray, side: str, trans: str) -> np.ndarray:
+    """Products of ``c`` with the stored ``Z`` through ``ormrz``; ``c`` may be overwritten.
+
+    ``side='L'`` gives ``op(Z) @ c``, ``side='R'`` gives ``c @ op(Z)``, with
+    ``op(Z) = Z.T`` for ``trans='T'``. LAPACK's own workspace query sizes
+    the blocked code path.
+    """
+    if factors.z_tau.size == 0:
+        return c
+    work, info = lapack.dormrz_lwork(c.shape[0], c.shape[1], side=side, trans=trans)
+    _lapack_check("ormrz", info)
+    out, info = lapack.dormrz(
+        factors.rz, factors.z_tau, c, side=side, trans=trans, lwork=int(work), overwrite_c=1
+    )
+    _lapack_check("ormrz", info)
+    return out
+
+
+def _leading_q(factors: CODFactors) -> np.ndarray:
+    """``Q1``, the first r columns of the pivoted QR's Q: (rows, r)."""
+    _, work, info = lapack.dorgqr(factors.q_reflectors, factors.q_tau, lwork=-1)
+    _lapack_check("orgqr", info)
+    q1, _, info = lapack.dorgqr(factors.q_reflectors, factors.q_tau, lwork=int(work[0]))
+    _lapack_check("orgqr", info)
+    return q1
+
+
+def _leading_z(factors: CODFactors) -> np.ndarray:
+    """The first r rows of ``Z`` with the permutation folded back in.
+
+    The result ``Zp`` is (r, cols) and satisfies ``A ~= Q1 @ T11 @ Zp``.
+    """
+    r, cols = factors.numerical_rank, factors.shape[1]
+    z = _apply_z(factors, np.eye(r, cols, order="F"), side="R", trans="N")
+    out = np.empty_like(z)
+    out[:, factors.permutation] = z
+    return out
 
 
 def tsvd_factorize(a, tol=None) -> TruncatedSVDFactors:
@@ -228,37 +327,34 @@ def tikhonov_solve(psi, y, lam: float) -> np.ndarray:
 def cod_factorize(a, tol=None) -> CODFactors:
     """Complete orthogonal decomposition with numerical rank detection.
 
-    A column-pivoted QR of ``A`` fixes the numerical rank r (pivot
-    magnitudes above ``tol``); a second pivoted factorization of the kept
-    trapezoidal block compresses it to the nonsingular triangular core.
+    One column-pivoted QR ``A[:, perm] = Q R`` fixes the numerical rank r
+    as the number of leading pivots with ``|R_ii| > tol``; ``Q`` is kept as
+    its Householder reflectors. If r equals the column count, ``R`` is the
+    triangular core and nothing else is factored. Otherwise the kept
+    r-by-cols trapezoid is compressed to ``R[:r] = [T11 0] Z`` by
+    ``tzrzf``, whose cost is ``4 r^2 (cols - r)``; ``Z`` is kept as
+    reflectors too. Neither orthogonal factor is formed here.
     """
     a = _as_matrix(a, "A")
-    rows, cols = a.shape
-    q, r_mat, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    cols = a.shape[1]
+    (qr, q_tau), r_mat, perm = scipy.linalg.qr(a, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r_mat))
     sigma_max = float(diag[0]) if diag.size else 0.0
     tol = _resolve_tol(tol, a.shape, sigma_max)
     keep = diag > tol
     rank = int(diag.size if keep.all() else keep.argmin())
-    if rank == 0:
-        return CODFactors(
-            permutation=perm,
-            left_orthogonal=np.zeros((rows, 0)),
-            middle_triangular=np.zeros((0, 0)),
-            right_orthogonal=np.zeros((0, cols)),
-            numerical_rank=0,
-            rank_tolerance=tol,
-        )
-    # Compress the kept trapezoid R1 (r x cols) from the right:
-    # R1.T[:, perm2] = Z @ Rz  =>  R1 = P2 Rz.T Z.T, with P2 folded into Q.
-    r1 = r_mat[:rank, :]
-    z, rz, perm2 = scipy.linalg.qr(r1.T, mode="economic", pivoting=True)
-    left = np.ascontiguousarray(q[:, :rank][:, perm2])
+    rz, z_tau = r_mat[:rank], np.zeros(0)
+    if 0 < rank < cols:
+        work, info = lapack.dtzrzf_lwork(rank, cols)
+        _lapack_check("tzrzf", info)
+        rz, z_tau, info = lapack.dtzrzf(rz, lwork=int(work))
+        _lapack_check("tzrzf", info)
     return CODFactors(
         permutation=perm,
-        left_orthogonal=left,
-        middle_triangular=np.ascontiguousarray(rz.T),
-        right_orthogonal=np.ascontiguousarray(z.T),
+        q_reflectors=qr[:, :rank],
+        q_tau=q_tau[:rank],
+        rz=rz,
+        z_tau=z_tau,
         numerical_rank=rank,
         rank_tolerance=tol,
     )
@@ -267,25 +363,51 @@ def cod_factorize(a, tol=None) -> CODFactors:
 def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
     """Apply the COD pseudo-inverse: ``A+ @ B`` (left) or ``B @ A+`` (right).
 
-    The action is two orthogonal products and one triangular back
-    substitution on the core; it agrees with the truncated-SVD route on the
+    With ``A[:, perm] = Q1 [T11 0] Z`` the action is a product with ``Q1``,
+    one triangular back substitution on ``T11`` and a product with the
+    leading r rows of ``Z``; it agrees with the truncated-SVD route on the
     same numerical rank.
     """
     b = _as_matrix(b, "B")
     _check_pinv_shapes(factors, b, side)
     rows, cols = factors.shape
-    if factors.numerical_rank == 0:
+    r = factors.numerical_rank
+    if r == 0:
         shape = (cols, b.shape[1]) if side == "left" else (b.shape[0], rows)
         return np.zeros(shape)
-    left, t11, right = factors.left_orthogonal, factors.middle_triangular, factors.right_orthogonal
+    t11 = factors.rz[:, :r]
     perm = factors.permutation
+    # The orthogonal factors reach the right-hand sides as reflectors,
+    # except when those outnumber the rank: forming the r columns of Q and
+    # rows of Z that act then costs no more than applying the reflectors to
+    # r of them, and one matrix product runs about twice as fast as the
+    # blocked reflector updates.
+    formed = (b.shape[1] if side == "left" else b.shape[0]) > r
     if side == "left":
-        core = scipy.linalg.solve_triangular(t11, left.T @ b, lower=True)
+        if formed:
+            core = _leading_q(factors).T @ b
+        else:
+            core = _apply_q(factors, np.array(b, order="F"), "L")[:r]
+        core = scipy.linalg.solve_triangular(t11, core)
+        if formed and factors.z_tau.size:
+            return _leading_z(factors).T @ core
+        if r < cols:
+            padded = np.zeros((cols, b.shape[1]), order="F")
+            padded[:r] = core
+            core = _apply_z(factors, padded, side="L", trans="T")
         out = np.empty((cols, b.shape[1]))
-        out[perm] = right.T @ core
+        out[perm] = core
         return out
-    core = scipy.linalg.solve_triangular(t11, (b[:, perm] @ right.T).T, lower=True, trans="T")
-    return core.T @ left.T
+    if formed and factors.z_tau.size:
+        core = b @ _leading_z(factors).T
+    else:
+        core = _apply_z(factors, b[:, perm], side="R", trans="T")[:, :r]
+    y = scipy.linalg.solve_triangular(t11, core.T, trans="T").T
+    if formed:
+        return y @ _leading_q(factors).T
+    padded = np.zeros((b.shape[0], rows), order="F")
+    padded[:, :r] = y
+    return _apply_q(factors, padded, "R")
 
 
 def dump_factors(factors, path) -> None:

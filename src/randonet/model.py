@@ -117,6 +117,9 @@ class UnalignedDataset:
             raise ValueError(
                 f"sample counts differ: U {u.shape}, Y {y.shape}, V ({v.size},)"
             )
+        for name, arr in (("U", u), ("Y", y), ("V", v)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Y", y)
         object.__setattr__(self, "V", v)
@@ -165,24 +168,33 @@ def _conditioning_note(name: str, mat: np.ndarray) -> str:
     return f"{name}: shape {mat.shape}, sigma_max {smax:.3e}, sigma_min {smin:.3e}"
 
 
-def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float):
-    """Factor ``mat`` once; return (left_apply, right_apply) closures."""
+def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
+    """Factor ``mat`` once; return (left_apply, right_apply, rank_facts).
+
+    ``rank_facts`` holds ``{name}_rank`` and ``{name}_rank_tolerance`` for
+    the 'cod' and 'tsvd' routes and is empty for 'tikhonov', which
+    truncates nothing.
+    """
     if solver == "tsvd":
         factors = linalg.tsvd_factorize(mat, tol)
         return (
             lambda b: linalg.tsvd_pinv_apply(factors, b, side="left"),
             lambda b: linalg.tsvd_pinv_apply(factors, b, side="right"),
+            {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance},
         )
     if solver == "cod":
         factors = linalg.cod_factorize(mat, tol)
         return (
             lambda b: linalg.cod_pinv_apply(factors, b, side="left"),
             lambda b: linalg.cod_pinv_apply(factors, b, side="right"),
+            {f"{name}_rank": factors.numerical_rank,
+             f"{name}_rank_tolerance": factors.rank_tolerance},
         )
     if solver == "tikhonov":
         return (
             lambda b: linalg.tikhonov_solve(mat.T, b.T, reg).T,
             lambda b: linalg.tikhonov_solve(mat, b, reg),
+            {},
         )
     raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
 
@@ -215,6 +227,9 @@ def train_aligned(
     The two pseudo-inverses are each computed once; they are applied to V
     in the cheaper association order (trunk side first when n <= s). Wall
     time of the solve is recorded in ``train_metadata['train_seconds']``.
+    The 'cod' and 'tsvd' routes also record the numerical rank and rank
+    tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
+    ``branch_rank`` and ``branch_rank_tolerance``.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -228,8 +243,8 @@ def train_aligned(
     start = time.perf_counter()
     t_mat = trunk.apply(ds.y[None, :]).T  # (n, N)
     b_mat = branch.apply(ds.U)  # (M, s)
-    trunk_left, _ = _pinv_pair(t_mat, solver, tol, reg)
-    _, branch_right = _pinv_pair(b_mat, solver, tol, reg)
+    trunk_left, _, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
+    _, branch_right, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
     n, s = ds.V.shape
     if n <= s:
         w = branch_right(trunk_left(ds.V))
@@ -252,6 +267,8 @@ def train_aligned(
         "branch_seed": branch.spec.seed,
         "n_train_functions": ds.n_functions,
         "train_seconds": elapsed,
+        **trunk_ranks,
+        **branch_ranks,
     }
     return RandONetModel(
         trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
@@ -275,7 +292,10 @@ def train_unaligned(
 
     The dense collocation solve scales quadratically in both N*M and S, so
     the build refuses instances with ``N*M*S`` above
-    ``max_collocation_entries`` rather than thrash memory.
+    ``max_collocation_entries`` rather than thrash memory. The 'cod' and
+    'tsvd' routes record the numerical rank and rank tolerance of ``Z`` in
+    ``train_metadata`` as ``collocation_rank`` and
+    ``collocation_rank_tolerance``.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -295,15 +315,8 @@ def train_unaligned(
     t_mat = trunk.apply(ds.Y)  # (N, S)
     b_mat = branch.apply(ds.U)  # (M, S)
     z = (b_mat[:, None, :] * t_mat[None, :, :]).reshape(m_feat * n_feat, n_samples)
-    v_row = ds.V[None, :]
-    if solver == "tikhonov":
-        omega = linalg.tikhonov_solve(z, v_row, reg)
-    elif solver == "tsvd":
-        omega = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(z, tol), v_row, side="right")
-    elif solver == "cod":
-        omega = linalg.cod_pinv_apply(linalg.cod_factorize(z, tol), v_row, side="right")
-    else:
-        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    _, collocation_right, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
+    omega = collocation_right(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
     elapsed = time.perf_counter() - start
 
@@ -319,6 +332,7 @@ def train_unaligned(
         "branch_seed": branch.spec.seed,
         "n_train_samples": n_samples,
         "train_seconds": elapsed,
+        **collocation_ranks,
     }
     return RandONetModel(
         trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata

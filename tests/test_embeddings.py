@@ -186,6 +186,18 @@ class TestApply:
         with pytest.raises(ValueError):
             fmap.weights[0, 0] = 1.0
 
+    def test_caller_arrays_stay_writable(self):
+        fmap = sample_rffn(3, 4, seed=26)
+        mine_w = np.ones((4, 3))
+        mine_b = np.zeros(4)
+        variant = dataclasses.replace(fmap, weights=mine_w, biases=mine_b)
+        assert mine_w.flags.writeable and mine_b.flags.writeable
+        assert not variant.weights.flags.writeable and not variant.biases.flags.writeable
+        before = variant.apply(np.ones(3))
+        mine_w[0, 0] = 5.0
+        mine_b[0] = 1.0
+        np.testing.assert_array_equal(variant.apply(np.ones(3)), before)
+
 
 class TestSpecAndSerialization:
     def test_spec_validation(self):

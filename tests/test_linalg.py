@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randonet.linalg import (
     CODFactors,
@@ -241,6 +243,144 @@ class TestCodPinvApply:
         )
         with pytest.raises(ValueError, match="columns"):
             cod_pinv_apply(f, np.ones((4, 4)), side="right")
+
+
+def spectrum_matrix(rows, cols, rank, seed):
+    """``rows x cols`` matrix of exact rank ``rank`` with singular values in [1, 10]."""
+    rng = np.random.default_rng(seed)
+    if rank == 0:
+        return np.zeros((rows, cols))
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rank)))
+    return (u * rng.uniform(1.0, 10.0, rank)) @ v.T
+
+
+def assert_pinv_routes_agree(a, seed):
+    """Left and right COD pseudo-inverse applies match numpy and tsvd to 1e-10.
+
+    One right-hand side and more right-hand sides than the rank reach both
+    ways of applying the orthogonal factors: as reflectors and formed.
+    """
+    rows, cols = a.shape
+    rng = np.random.default_rng(seed)
+    ref = np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
+    cod, svd = cod_factorize(a), tsvd_factorize(a)
+    assert cod.numerical_rank == svd.rank
+    cases = []
+    for nrhs in (1, min(rows, cols) + 1):
+        b_left = rng.standard_normal((rows, nrhs))
+        b_right = rng.standard_normal((nrhs, cols))
+        cases += [
+            (cod_pinv_apply(cod, b_left, side="left"), ref @ b_left,
+             tsvd_pinv_apply(svd, b_left, side="left")),
+            (cod_pinv_apply(cod, b_right, side="right"), b_right @ ref,
+             tsvd_pinv_apply(svd, b_right, side="right")),
+        ]
+    for got, want, alt in cases:
+        scale = max(np.linalg.norm(want), 1e-300)
+        assert np.linalg.norm(got - want) <= 1e-10 * scale
+        assert np.linalg.norm(got - alt) <= 1e-10 * scale
+        if not want.any():
+            np.testing.assert_array_equal(got, 0.0)
+
+
+# (rows, cols, rank): tall full column rank, wide full row rank, square,
+# low rank tall and wide, zero.
+COD_SHAPES = [(12, 5, 5), (5, 12, 5), (7, 7, 7), (10, 8, 3), (6, 11, 2), (4, 6, 0)]
+
+
+class TestCodTwoStage:
+    @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
+    def test_pinv_matches_numpy_and_tsvd(self, rows, cols, rank):
+        assert_pinv_routes_agree(spectrum_matrix(rows, cols, rank, seed=rows * cols), seed=rank)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 14),
+        cols=st.integers(1, 14),
+        rank_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_pinv_property(self, rows, cols, rank_share, seed):
+        rank = int(round(rank_share * min(rows, cols)))
+        assert_pinv_routes_agree(spectrum_matrix(rows, cols, rank, seed), seed)
+
+    @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
+    def test_exactly_one_pivoted_qr(self, rows, cols, rank, monkeypatch):
+        a = spectrum_matrix(rows, cols, rank, seed=3)
+        calls = []
+        qr = scipy.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(kwargs.get("pivoting", False))
+            return qr(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cod_factorize must not run a second dense factorization")
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(scipy.linalg, "svd", forbidden)
+        cod_factorize(a)
+        assert calls == [True]
+
+    def test_few_right_hand_sides_never_form_orthogonal_factors(self, monkeypatch):
+        a = spectrum_matrix(12, 20, 8, seed=9)
+        ref = np.linalg.pinv(a)
+        b_left, b_right = np.ones((12, 8)), np.ones((8, 20))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an orthogonal factor was formed")
+
+        monkeypatch.setattr("randonet.linalg._leading_q", forbidden)
+        monkeypatch.setattr("randonet.linalg._leading_z", forbidden)
+        f = cod_factorize(a)
+        np.testing.assert_allclose(cod_pinv_apply(f, b_left, side="left"), ref @ b_left,
+                                   atol=1e-10)
+        np.testing.assert_allclose(cod_pinv_apply(f, b_right, side="right"), b_right @ ref,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
+    def test_rank_is_pivot_count_above_tolerance(self, rows, cols, rank):
+        a = spectrum_matrix(rows, cols, rank, seed=4)
+        f = cod_factorize(a)
+        _, r_mat, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        assert f.numerical_rank == int(np.count_nonzero(np.abs(np.diag(r_mat)) > f.rank_tolerance))
+        assert f.numerical_rank == rank
+        for tol in (0.5, 5.0, 50.0):
+            f = cod_factorize(a, tol)
+            assert f.numerical_rank == int(np.count_nonzero(np.abs(np.diag(r_mat)) > tol))
+
+    @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
+    def test_repeated_factorizations_are_bit_identical(self, rows, cols, rank):
+        a = spectrum_matrix(rows, cols, rank, seed=5)
+        b = np.random.default_rng(6).standard_normal((3, cols))
+        first = cod_pinv_apply(cod_factorize(a), b, side="right")
+        second = cod_pinv_apply(cod_factorize(a.copy()), b, side="right")
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
+    def test_contract_factors(self, rows, cols, rank):
+        a = spectrum_matrix(rows, cols, rank, seed=7)
+        f = cod_factorize(a)
+        assert f.shape == (rows, cols)
+        assert f.left_orthogonal.shape == (rows, rank)
+        assert f.middle_triangular.shape == (rank, rank)
+        assert f.right_orthogonal.shape == (rank, cols)
+        np.testing.assert_allclose(f.right_orthogonal @ f.right_orthogonal.T, np.eye(rank),
+                                   atol=1e-12)
+        assert np.all(np.abs(np.diag(f.middle_triangular)) >= f.rank_tolerance)
+        np.testing.assert_array_equal(np.triu(f.middle_triangular, k=1), 0.0)
+        assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+
+    def test_input_is_not_modified(self):
+        a = spectrum_matrix(6, 11, 2, seed=8)
+        keep = a.copy()
+        f = cod_factorize(a)
+        cod_pinv_apply(f, np.ones((2, 11)), side="right")
+        cod_pinv_apply(f, np.ones((6, 2)), side="left")
+        np.testing.assert_array_equal(a, keep)
 
 
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (7, 7)])

@@ -3,7 +3,14 @@ import pytest
 
 from randonet import linalg
 from randonet.embeddings import EmbeddingSpec, sample_jl, sample_rffn, sample_tanh_trunk
-from randonet.harness import dataset_for, mse, split
+from randonet.harness import (
+    ExperimentConfig,
+    branch_spec_for,
+    dataset_for,
+    mse,
+    split,
+    trunk_spec_for,
+)
 from randonet.model import (
     AlignedDataset,
     TrainingError,
@@ -44,6 +51,14 @@ class TestDatasetTypes:
     def test_unaligned_validation(self):
         with pytest.raises(ValueError, match="sample counts"):
             UnalignedDataset(U=np.zeros((3, 4)), Y=np.zeros((1, 4)), V=np.zeros(5))
+
+    @pytest.mark.parametrize("field", ["U", "Y", "V"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unaligned_rejects_non_finite(self, field, bad):
+        arrays = {"U": np.zeros((3, 4)), "Y": np.zeros((1, 4)), "V": np.zeros(4)}
+        arrays[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite"):
+            UnalignedDataset(**arrays)
 
 
 class TestTrainAligned:
@@ -129,6 +144,39 @@ class TestTrainAligned:
         assert md["n_train_functions"] == 5
         assert md["train_seconds"] >= 0.0
 
+    @pytest.mark.parametrize("solver", ["cod", "tsvd"])
+    def test_rank_metadata(self, solver):
+        ds = toy_dataset()
+        trunk, branch = toy_maps()
+        md = train_aligned(ds, trunk, branch, solver=solver).train_metadata
+        for name, mat in (("trunk", trunk.apply(ds.y[None, :]).T), ("branch", branch.apply(ds.U))):
+            f = linalg.cod_factorize(mat) if solver == "cod" else linalg.tsvd_factorize(mat)
+            rank = f.numerical_rank if solver == "cod" else f.rank
+            assert md[f"{name}_rank"] == rank
+            assert md[f"{name}_rank_tolerance"] == f.rank_tolerance
+        assert md["branch_rank"] == 5  # 8 features of 5 functions
+
+    def test_tikhonov_records_no_rank(self):
+        md = train_aligned(toy_dataset(), *toy_maps(), solver="tikhonov").train_metadata
+        assert not any(key.endswith("_rank") for key in md)
+
+    @pytest.mark.parametrize(
+        "case_id, branch, m_branch, trunk_rank, branch_rank",
+        [(4, "rffn", 2000, 100, 1600), (4, "jl", 100, 100, 55),
+         (5, "rffn", 2000, 100, 1999), (5, "jl", 100, 100, 55), (2, "jl", 100, 100, 79)],
+    )
+    def test_paper_size_ranks(self, case_id, branch, m_branch, trunk_rank, branch_rank,
+                              cache_dir):
+        # The acceptance suite's data, embedding and split seeds.
+        cfg = ExperimentConfig(case=case_id, branch=branch, seed_data=12, seed_embed=1,
+                               seed_split=7)
+        case = case_config(case_id, seed=12)
+        train, _ = split(dataset_for(case, cache_dir), 0.8, 7)
+        model = train_aligned(train, trunk_spec_for(cfg, case.domain),
+                              branch_spec_for(cfg, m_branch, case.m))
+        assert model.train_metadata["trunk_rank"] == trunk_rank
+        assert model.train_metadata["branch_rank"] == branch_rank
+
 
 class TestEvaluate:
     def test_zero_readout(self):
@@ -210,6 +258,16 @@ class TestUnaligned:
         pred_u = evaluate(unaligned, ds.U, ds.y)
         rel = np.linalg.norm(pred_a - pred_u) / np.linalg.norm(pred_a)
         assert rel <= 1e-6
+
+    @pytest.mark.parametrize("solver", ["cod", "tsvd"])
+    def test_collocation_rank_metadata(self, solver):
+        ds = explode_aligned(toy_dataset())
+        trunk, branch = toy_maps()
+        md = train_unaligned(ds, trunk, branch, solver=solver).train_metadata
+        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(64, -1)
+        f = linalg.tsvd_factorize(z)
+        assert md["collocation_rank"] == f.rank
+        assert md["collocation_rank_tolerance"] > 0.0
 
     def test_memory_guard(self):
         ds = toy_dataset()
