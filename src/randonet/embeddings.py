@@ -23,9 +23,20 @@ kind so maps are reproducible across machines running the same numpy:
   over input axes, so each neuron's tanh transition is centered inside the
   domain; output ``tanh(W @ x + b)``.
 
-Feature application uses a fixed-order contraction (``numpy.einsum``), so
-applying a map to a k-column batch equals k single-column applications
-exactly, not merely to rounding.
+Feature application is batch-invariant: applying a map to a k-column batch
+equals k single-column applications exactly, not merely to rounding. The
+input columns go through BLAS GEMM in blocks of ``BLOCK_COLUMNS`` columns,
+copied into one zero-padded (input_dim, BLOCK_COLUMNS) scratch block, and
+every block, a one-column tail included, is multiplied by the identical
+``matmul`` call of fixed shape and strides. Its kernels accumulate each
+output entry over the input dimension in one order, wherever the entry's
+column sits in the block (the tests check every block position, also with
+two BLAS threads), so a column's products do not depend on the batch size
+or on its place in the batch. Bias, activation and scale then act element
+by element. A single column costs one full block (about 0.3 ms for a
+2000 x 100 RFFN map on one core of a 2-core x86-64 Xeon, against 0.2 ms
+for a fixed-order ``einsum`` contraction), while a large batch runs at
+GEMM speed.
 """
 
 from __future__ import annotations
@@ -50,6 +61,12 @@ __all__ = [
 _KINDS = ("jl", "rffn", "tanh")
 
 FEATURE_MAP_FORMAT_VERSION = 1
+
+# Columns per GEMM call in FeatureMap.apply, chosen by measurement on a
+# 2000 x 100 map: on 600 to 2400 columns the GEMM loop takes about a fifth
+# longer at 16 than at 32 and up to a tenth less at 64, but 64 doubles the
+# cost of a single column. Changing it moves features in their last bits.
+BLOCK_COLUMNS = 32
 
 
 def default_weight_bound(domain: tuple[float, float]) -> float:
@@ -160,6 +177,11 @@ class FeatureMap:
     def apply(self, x) -> np.ndarray:
         """Map input columns to feature columns.
 
+        The columns are multiplied by the weights ``BLOCK_COLUMNS`` at a
+        time through one fixed-shape GEMM call (see the module docstring),
+        so the result for each column is bit-identical to applying the map
+        to that column alone. A call with few columns costs one full block.
+
         Parameters
         ----------
         x : array_like, shape (input_dim, k) or (input_dim,)
@@ -168,6 +190,7 @@ class FeatureMap:
         Returns
         -------
         ndarray, shape (feature_dim, k) or (feature_dim,)
+            C-contiguous.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -177,7 +200,18 @@ class FeatureMap:
             raise ValueError(
                 f"expected input of shape ({self.spec.input_dim}, k), got {x.shape}"
             )
-        z = np.einsum("fm,mc->fc", self.weights, x, optimize=False)
+        k = x.shape[1]
+        block = np.zeros((x.shape[0], BLOCK_COLUMNS))
+        product = np.empty((self.weights.shape[0], BLOCK_COLUMNS))
+        z = np.empty((self.weights.shape[0], k))
+        for start in range(0, k, BLOCK_COLUMNS):
+            width = min(BLOCK_COLUMNS, k - start)
+            block[:, :width] = x[:, start:start + width]
+            block[:, width:] = 0.0
+            np.matmul(self.weights, block, out=product)
+            z[:, start:start + width] = product[:, :width]
+        # The element-wise steps run once over the k real columns, so a
+        # single column pays one padded GEMM block but no padded cosines.
         if self.biases is not None:
             z += self.biases[:, None]
         if self.spec.kind == "jl":

@@ -10,11 +10,6 @@ first and second derivatives, and the antiderivative are evaluated in
 closed form (the antiderivative through ``erf``), so dataset targets carry
 no discretization error.
 
-Every evaluator accepts ``growing_exponent=True`` to flip the exponent
-sign to ``exp(+s (x-c)^2)`` (antiderivative through ``erfi``). That
-convention overflows for the benchmark shape-parameter ranges and exists
-only so the decaying default can be audited against the alternative.
-
 Sampling derives one RNG stream per function from ``(seed, index)`` via
 ``SeedSequence``, so generation can be parallelized over samples without
 changing the output. Within a stream the draw order is w, s, c, then
@@ -26,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfi
+from scipy.special import erf
 
 __all__ = [
     "DEFAULT_TERMS",
@@ -125,31 +120,28 @@ def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> list[RandomF
     return [_draw_one(cfg, start_index + i) for i in range(cfg.size)]
 
 
-def eval_u(p: RandomFunctionParams, x, growing_exponent: bool = False) -> np.ndarray:
+def eval_u(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u(x); ``x`` may be a scalar or an array."""
-    sign = 1.0 if growing_exponent else -1.0
     x = np.asarray(x, dtype=np.float64)
     dx = x[..., None] - p.c
-    rbf = np.sum(p.w * np.exp(sign * p.s * dx * dx), axis=-1)
+    rbf = np.sum(p.w * np.exp(-p.s * dx * dx), axis=-1)
     return rbf + p.a0 + x * (p.a1 + p.a2 * x)
 
 
-def eval_du(p: RandomFunctionParams, x, growing_exponent: bool = False) -> np.ndarray:
+def eval_du(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u'(x)."""
-    sign = 1.0 if growing_exponent else -1.0
     x = np.asarray(x, dtype=np.float64)
     dx = x[..., None] - p.c
-    rbf = np.sum(2.0 * sign * p.s * dx * p.w * np.exp(sign * p.s * dx * dx), axis=-1)
+    rbf = np.sum(-2.0 * p.s * dx * p.w * np.exp(-p.s * dx * dx), axis=-1)
     return rbf + p.a1 + 2.0 * p.a2 * x
 
 
-def eval_d2u(p: RandomFunctionParams, x, growing_exponent: bool = False) -> np.ndarray:
+def eval_d2u(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u''(x)."""
-    sign = 1.0 if growing_exponent else -1.0
     x = np.asarray(x, dtype=np.float64)
     dx = x[..., None] - p.c
-    gauss = p.w * np.exp(sign * p.s * dx * dx)
-    rbf = np.sum(gauss * (4.0 * p.s * p.s * dx * dx + 2.0 * sign * p.s), axis=-1)
+    gauss = p.w * np.exp(-p.s * dx * dx)
+    rbf = np.sum(gauss * (4.0 * p.s * p.s * dx * dx - 2.0 * p.s), axis=-1)
     return rbf + 2.0 * p.a2
 
 
@@ -157,37 +149,34 @@ def _u_derivatives(p: RandomFunctionParams, x) -> tuple[np.ndarray, np.ndarray, 
     """(u, u', u'') at ``x``, sharing one ``dx`` and one ``exp`` per term.
 
     Uses the expressions of :func:`eval_u`, :func:`eval_du` and
-    :func:`eval_d2u` (decaying convention) in the same operation order, so
-    each result equals its public evaluator's bit for bit.
+    :func:`eval_d2u` in the same operation order, so each result equals its
+    public evaluator's bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     dx = x[..., None] - p.c
-    decay = np.exp(-1.0 * p.s * dx * dx)
+    decay = np.exp(-p.s * dx * dx)
     gauss = p.w * decay
     u = np.sum(gauss, axis=-1) + p.a0 + x * (p.a1 + p.a2 * x)
     du = np.sum(-2.0 * p.s * dx * p.w * decay, axis=-1) + p.a1 + 2.0 * p.a2 * x
-    d2u = np.sum(gauss * (4.0 * p.s * p.s * dx * dx + -2.0 * p.s), axis=-1) + 2.0 * p.a2
+    d2u = np.sum(gauss * (4.0 * p.s * p.s * dx * dx - 2.0 * p.s), axis=-1) + 2.0 * p.a2
     return u, du, d2u
 
 
-def eval_antiderivative(
-    p: RandomFunctionParams, x, x0: float = 0.0, growing_exponent: bool = False
-) -> np.ndarray:
+def eval_antiderivative(p: RandomFunctionParams, x, x0: float = 0.0) -> np.ndarray:
     """Evaluate the antiderivative V(x) - V(x0) of u.
 
     Each RBF term integrates to ``w * sqrt(pi) / (2 sqrt(s)) * erf(sqrt(s)
-    (x - c))`` (``erfi`` under the growing-exponent convention); terms with
-    ``s`` below ``1e-12`` use the limiting slope ``w * x``.
+    (x - c))``; terms with ``s`` below ``1e-12`` use the limiting slope
+    ``w * x``.
     """
     x = np.asarray(x, dtype=np.float64)
-    gauss_primitive = erfi if growing_exponent else erf
 
     def primitive(t):
         t = np.asarray(t, dtype=np.float64)
         degenerate = p.s < _DEGENERATE_SHAPE
         root = np.sqrt(np.where(degenerate, 1.0, p.s))
         dt = t[..., None] - p.c
-        gauss_term = 0.5 * np.sqrt(np.pi) / root * gauss_primitive(root * dt)
+        gauss_term = 0.5 * np.sqrt(np.pi) / root * erf(root * dt)
         linear_term = np.broadcast_to(t[..., None], dt.shape)
         terms = np.where(degenerate, linear_term, gauss_term)
         poly = t * (p.a0 + t * (p.a1 / 2.0 + t * p.a2 / 3.0))

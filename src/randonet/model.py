@@ -168,6 +168,19 @@ def _conditioning_note(name: str, mat: np.ndarray) -> str:
     return f"{name}: shape {mat.shape}, sigma_max {smax:.3e}, sigma_min {smin:.3e}"
 
 
+def _stages(start: float, featured: float, factorized: float, end: float) -> dict:
+    """Seconds of the three training stages between four clock readings.
+
+    The readings come from one ``perf_counter`` run and lie close together,
+    so each difference is exact and the stages sum to ``end - start``.
+    """
+    return {
+        "features": featured - start,
+        "factorize": factorized - featured,
+        "solve": end - factorized,
+    }
+
+
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     """Factor ``mat`` once; return (left_apply, right_apply, rank_facts).
 
@@ -226,7 +239,10 @@ def train_aligned(
     -----
     The two pseudo-inverses are each computed once; they are applied to V
     in the cheaper association order (trunk side first when n <= s). Wall
-    time of the solve is recorded in ``train_metadata['train_seconds']``.
+    time of the solve is recorded in ``train_metadata['train_seconds']``
+    and split into ``train_metadata['stages']``, the seconds of
+    ``features`` (trunk and branch matrices), ``factorize`` and ``solve``
+    (applying the pseudo-inverses; all of the Tikhonov work is here).
     The 'cod' and 'tsvd' routes also record the numerical rank and rank
     tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
     ``branch_rank`` and ``branch_rank_tolerance``.
@@ -243,14 +259,16 @@ def train_aligned(
     start = time.perf_counter()
     t_mat = trunk.apply(ds.y[None, :]).T  # (n, N)
     b_mat = branch.apply(ds.U)  # (M, s)
+    featured = time.perf_counter()
     trunk_left, _, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
     _, branch_right, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
+    factorized = time.perf_counter()
     n, s = ds.V.shape
     if n <= s:
         w = branch_right(trunk_left(ds.V))
     else:
         w = trunk_left(branch_right(ds.V))
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
 
     if not np.all(np.isfinite(w)):
         raise TrainingError(
@@ -266,7 +284,8 @@ def train_aligned(
         "trunk_seed": trunk.spec.seed,
         "branch_seed": branch.spec.seed,
         "n_train_functions": ds.n_functions,
-        "train_seconds": elapsed,
+        "train_seconds": end - start,
+        "stages": _stages(start, featured, factorized, end),
         **trunk_ranks,
         **branch_ranks,
     }
@@ -295,7 +314,9 @@ def train_unaligned(
     ``max_collocation_entries`` rather than thrash memory. The 'cod' and
     'tsvd' routes record the numerical rank and rank tolerance of ``Z`` in
     ``train_metadata`` as ``collocation_rank`` and
-    ``collocation_rank_tolerance``.
+    ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
+    ``train_seconds`` as in :func:`train_aligned`, with the build of ``Z``
+    counted under ``features``.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -315,10 +336,12 @@ def train_unaligned(
     t_mat = trunk.apply(ds.Y)  # (N, S)
     b_mat = branch.apply(ds.U)  # (M, S)
     z = (b_mat[:, None, :] * t_mat[None, :, :]).reshape(m_feat * n_feat, n_samples)
+    featured = time.perf_counter()
     _, collocation_right, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
+    factorized = time.perf_counter()
     omega = collocation_right(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
 
     if not np.all(np.isfinite(w)):
         raise TrainingError(
@@ -331,7 +354,8 @@ def train_unaligned(
         "trunk_seed": trunk.spec.seed,
         "branch_seed": branch.spec.seed,
         "n_train_samples": n_samples,
-        "train_seconds": elapsed,
+        "train_seconds": end - start,
+        "stages": _stages(start, featured, factorized, end),
         **collocation_ranks,
     }
     return RandONetModel(

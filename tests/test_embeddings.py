@@ -1,9 +1,18 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import randonet
 from randonet.embeddings import (
+    BLOCK_COLUMNS,
     EmbeddingSpec,
     default_weight_bound,
     build_feature_map,
@@ -168,6 +177,53 @@ class TestApply:
             batch = fmap.apply(x)
             singles = np.column_stack([fmap.apply(x[:, i]) for i in range(13)])
             np.testing.assert_array_equal(batch, singles)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["jl", "rffn", "tanh"]),
+        input_dim=st.sampled_from([1, 2, 7]),
+        feature_dim=st.integers(1, 40),
+        k=st.sampled_from([1, BLOCK_COLUMNS - 1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1,
+                           3 * BLOCK_COLUMNS + 5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_block_boundaries_and_positions(self, kind, input_dim, feature_dim, k, seed):
+        fmap = build_feature_map(EmbeddingSpec(
+            kind=kind, input_dim=input_dim, feature_dim=feature_dim, seed=seed,
+            domain=(0.0, 1.0) if kind == "tanh" else None,
+        ))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 2.0, (input_dim, k))
+        batch = fmap.apply(x)
+        assert batch.shape == (feature_dim, k) and batch.flags.c_contiguous
+        singles = np.column_stack([fmap.apply(x[:, i]) for i in range(k)])
+        np.testing.assert_array_equal(batch, singles)
+        # One column at every position of a block and of the blocks after it.
+        column = x[:, :1]
+        width = 2 * BLOCK_COLUMNS + 1
+        repeated = fmap.apply(np.repeat(column, width, axis=1))
+        np.testing.assert_array_equal(repeated, np.repeat(fmap.apply(column), width, axis=1))
+
+    def test_batch_invariance_under_threaded_blas(self):
+        # OpenBLAS splits one GEMM across its threads; the thread count is
+        # read once at load, so the check needs a fresh interpreter.
+        script = textwrap.dedent("""
+            import numpy as np
+            from randonet.embeddings import BLOCK_COLUMNS, sample_rffn
+            fmap = sample_rffn(100, 2000, seed=31, bandwidth=100.0)
+            x = np.random.default_rng(32).standard_normal((100, 3 * BLOCK_COLUMNS + 5))
+            batch = fmap.apply(x)
+            for i in range(x.shape[1]):
+                assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
+            print("ok")
+        """)
+        src = str(Path(randonet.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_jl_linearity_of_batching(self):
         fmap = sample_jl(4, 6, seed=22)

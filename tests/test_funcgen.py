@@ -160,16 +160,3 @@ class TestAntiderivative:
         p = make_params(w=[3.0], s=[0.0], c=[0.2])
         # s -> 0 term contributes w * x to the primitive.
         assert eval_antiderivative(p, 0.5, 0.0) == pytest.approx(1.5)
-
-    def test_growing_exponent_audit_flag(self):
-        # Tiny shape parameters keep exp(+s dx^2) finite; check against
-        # quadrature of the flipped-sign integrand.
-        p = make_params(w=[0.8, -0.3], s=[2.0, 1.0], c=[0.3, 0.7], a1=0.5)
-        ref, _ = quad(lambda t: float(eval_u(p, t, growing_exponent=True)), 0.0, 0.9,
-                      epsabs=1e-13)
-        got = float(eval_antiderivative(p, 0.9, 0.0, growing_exponent=True))
-        assert got == pytest.approx(ref, abs=1e-12)
-        xs = np.linspace(0.1, 0.9, 33)
-        h = 1e-6
-        fd = (eval_u(p, xs + h, growing_exponent=True) - eval_u(p, xs - h, growing_exponent=True)) / (2 * h)
-        np.testing.assert_allclose(eval_du(p, xs, growing_exponent=True), fd, rtol=1e-7, atol=1e-8)

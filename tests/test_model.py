@@ -1,8 +1,18 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randonet import linalg
-from randonet.embeddings import EmbeddingSpec, sample_jl, sample_rffn, sample_tanh_trunk
+from randonet.embeddings import (
+    BLOCK_COLUMNS,
+    EmbeddingSpec,
+    sample_jl,
+    sample_rffn,
+    sample_tanh_trunk,
+)
 from randonet.harness import (
     ExperimentConfig,
     branch_spec_for,
@@ -143,6 +153,23 @@ class TestTrainAligned:
         assert md["tol"] == 1e-10
         assert md["n_train_functions"] == 5
         assert md["train_seconds"] >= 0.0
+
+    @pytest.mark.parametrize("solver", ["cod", "tsvd", "tikhonov"])
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_stage_timings(self, solver, aligned, tmp_path):
+        ds = toy_dataset()
+        if aligned:
+            model = train_aligned(ds, *toy_maps(), solver=solver, reg=1e-8)
+        else:
+            model = train_unaligned(explode_aligned(ds), *toy_maps(), solver=solver, reg=1e-8)
+        md = model.train_metadata
+        stages = md["stages"]
+        assert set(stages) == {"features", "factorize", "solve"}
+        assert all(value >= 0.0 for value in stages.values())
+        assert sum(stages.values()) <= md["train_seconds"]
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        assert load_model(path).train_metadata["stages"] == stages
 
     @pytest.mark.parametrize("solver", ["cod", "tsvd"])
     def test_rank_metadata(self, solver):
@@ -359,6 +386,30 @@ class TestSaveLoad:
         u = np.random.default_rng(20).standard_normal((10, 3))
         ys = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(evaluate(loaded, u, ys), evaluate(model, u, ys))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.sampled_from([None, 1, BLOCK_COLUMNS - 1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1,
+                           3 * BLOCK_COLUMNS + 5]),
+        q=st.integers(1, 2 * BLOCK_COLUMNS + 3),
+        branch=st.sampled_from(["jl", "rffn"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_evaluate_shapes_and_roundtrip(self, k, q, branch, seed):
+        # k None is a single 1-D input function.
+        ds = toy_dataset(seed=seed % 1000)
+        trunk = sample_tanh_trunk((0.0, 1.0), 8, seed=(seed, 0))
+        sample = sample_jl if branch == "jl" else sample_rffn
+        model = train_aligned(ds, trunk, sample(10, 8, seed=(seed, 1)))
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(10 if k is None else (10, k))
+        ys = rng.uniform(0.0, 1.0, q)
+        pred = evaluate(model, u, ys)
+        assert pred.shape == ((q,) if k is None else (q, k))
+        buf = io.BytesIO()
+        save_model(model, buf)
+        buf.seek(0)
+        np.testing.assert_array_equal(evaluate(load_model(buf), u, ys), pred)
 
     def test_version_check(self, tmp_path):
         ds = toy_dataset(seed=21)
