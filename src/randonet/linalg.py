@@ -26,6 +26,13 @@ reflectors and reach right-hand sides through ``ormqr`` and ``ormrz``.
 Only when the right-hand sides outnumber the rank are the r columns of
 ``Q`` and rows of ``Z`` that act on them formed, for one matrix product
 each.
+
+As in ``xGELSY``, the pivoted QR runs in one Fortran-ordered working
+copy of the input and leaves the ``Q`` reflectors and ``R`` side by side
+in it. Only a rank-deficient trapezoid is copied once more, because the
+``tzrzf`` wrapper takes no leading dimension, so a factorization holds at
+most two matrix-sized buffers. ``cod_factorize`` makes that working copy;
+``inplace_cod_factorize`` uses a Fortran-ordered argument as it.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ __all__ = [
     "tsvd_pinv_apply",
     "tikhonov_solve",
     "cod_factorize",
+    "inplace_cod_factorize",
     "cod_pinv_apply",
     "dump_factors",
 ]
@@ -119,9 +127,12 @@ class CODFactors:
     with scalars ``q_tau``; they define ``Q1``. ``rz`` is r-by-cols with the
     upper-triangular ``T11`` in its first r columns and, when r < cols, the
     ``tzrzf`` reflectors of ``Z`` in the rest, with scalars ``z_tau``
-    (empty when ``Z`` is the identity). The three dense factors above are
-    derived on access, in reversed index order, which turns the
-    upper-triangular ``T11`` into the lower-triangular core.
+    (empty when ``Z`` is the identity). Entries of ``rz`` below the
+    diagonal of ``T11`` are not referenced: ``q_reflectors``, and ``rz``
+    when ``Z`` is the identity, are views of the one working array. The
+    three dense factors above are derived on access, in reversed index
+    order, which turns the upper-triangular ``T11`` into the
+    lower-triangular core.
     """
 
     permutation: np.ndarray
@@ -334,20 +345,47 @@ def cod_factorize(a, tol=None) -> CODFactors:
     r-by-cols trapezoid is compressed to ``R[:r] = [T11 0] Z`` by
     ``tzrzf``, whose cost is ``4 r^2 (cols - r)``; ``Z`` is kept as
     reflectors too. Neither orthogonal factor is formed here.
+
+    The input is not modified: the work runs in one Fortran-ordered copy
+    of it (see the module docstring). :func:`inplace_cod_factorize` skips
+    that copy.
     """
-    a = _as_matrix(a, "A")
-    cols = a.shape[1]
-    (qr, q_tau), r_mat, perm = scipy.linalg.qr(a, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
+    return _cod_factorize(np.array(a, dtype=np.float64, order="F"), tol)
+
+
+def inplace_cod_factorize(a, tol=None) -> CODFactors:
+    """:func:`cod_factorize` that takes over its argument.
+
+    A Fortran-ordered float64 ``a`` is factored in its own storage,
+    without a copy: it is overwritten, the returned factors keep it alive
+    as their reflector storage, and the caller must not read it again.
+    Any other input is converted once, as by ``np.asfortranarray``, and
+    that copy is factored instead, so a caller that holds a C-ordered
+    matrix while the call runs holds two. The factors are bit-identical
+    to those of :func:`cod_factorize`.
+    """
+    return _cod_factorize(np.asfortranarray(a, dtype=np.float64), tol)
+
+
+def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
+    """The shared core: factors the Fortran-ordered float64 ``work`` in place."""
+    work = _as_matrix(work, "A")
+    cols = work.shape[1]
+    (qr, q_tau), r_mat, perm = scipy.linalg.qr(
+        work, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
+    )
+    del r_mat  # scipy's dense copy of R; the pivots are read from qr
+    diag = np.abs(np.diag(qr))
     sigma_max = float(diag[0]) if diag.size else 0.0
-    tol = _resolve_tol(tol, a.shape, sigma_max)
+    tol = _resolve_tol(tol, qr.shape, sigma_max)
     keep = diag > tol
     rank = int(diag.size if keep.all() else keep.argmin())
-    rz, z_tau = r_mat[:rank], np.zeros(0)
+    rz, z_tau = qr[:rank], np.zeros(0)
     if 0 < rank < cols:
-        work, info = lapack.dtzrzf_lwork(rank, cols)
+        lwork, info = lapack.dtzrzf_lwork(rank, cols)
         _lapack_check("tzrzf", info)
-        rz, z_tau, info = lapack.dtzrzf(rz, lwork=int(work))
+        rz, z_tau, info = lapack.dtzrzf(np.array(rz, order="F"), lwork=int(lwork),
+                                        overwrite_a=1)
         _lapack_check("tzrzf", info)
     return CODFactors(
         permutation=perm,
@@ -376,6 +414,11 @@ def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
         shape = (cols, b.shape[1]) if side == "left" else (b.shape[0], rows)
         return np.zeros(shape)
     t11 = factors.rz[:, :r]
+    if not factors.z_tau.size:
+        # T11 is then a view of the QR storage, Fortran-contiguous only for
+        # square inputs. In C order it takes solve_triangular's transposed
+        # LAPACK path for every shape, so tall and square inputs solve alike.
+        t11 = np.ascontiguousarray(t11)
     perm = factors.permutation
     # The orthogonal factors reach the right-hand sides as reflectors,
     # except when those outnumber the rank: forming the r columns of Q and

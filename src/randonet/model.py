@@ -186,7 +186,10 @@ def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
 
     ``rank_facts`` holds ``{name}_rank`` and ``{name}_rank_tolerance`` for
     the 'cod' and 'tsvd' routes and is empty for 'tikhonov', which
-    truncates nothing.
+    truncates nothing. The 'cod' route hands ``mat`` to
+    :func:`linalg.inplace_cod_factorize`, which factors it in its own
+    storage when it is Fortran-ordered, so the caller must not read
+    ``mat`` afterwards.
     """
     if solver == "tsvd":
         factors = linalg.tsvd_factorize(mat, tol)
@@ -196,7 +199,7 @@ def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
             {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance},
         )
     if solver == "cod":
-        factors = linalg.cod_factorize(mat, tol)
+        factors = linalg.inplace_cod_factorize(mat, tol)
         return (
             lambda b: linalg.cod_pinv_apply(factors, b, side="left"),
             lambda b: linalg.cod_pinv_apply(factors, b, side="right"),
@@ -246,6 +249,11 @@ def train_aligned(
     The 'cod' and 'tsvd' routes also record the numerical rank and rank
     tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
     ``branch_rank`` and ``branch_rank_tolerance``.
+
+    The 'cod' route consumes the trunk and branch matrices it builds: each
+    is factored in its own storage, the branch matrix after one conversion
+    to Fortran order, so the fit holds no second copy of either. The
+    diagnostics of a :class:`TrainingError` rebuild them from the maps.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -257,11 +265,16 @@ def train_aligned(
         raise ValueError("trunk input_dim must be 1 for scalar output locations")
 
     start = time.perf_counter()
-    t_mat = trunk.apply(ds.y[None, :]).T  # (n, N)
+    t_mat = trunk.apply(ds.y[None, :]).T  # (n, N), Fortran-ordered
     b_mat = branch.apply(ds.U)  # (M, s)
+    if solver == "cod":
+        # A Fortran-ordered matrix is factored without a copy; converting
+        # here frees the C-ordered one before the QR.
+        b_mat = np.asfortranarray(b_mat)
     featured = time.perf_counter()
     trunk_left, _, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
     _, branch_right, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
+    del t_mat, b_mat
     factorized = time.perf_counter()
     n, s = ds.V.shape
     if n <= s:
@@ -273,9 +286,9 @@ def train_aligned(
     if not np.all(np.isfinite(w)):
         raise TrainingError(
             "solver produced non-finite weights; "
-            + _conditioning_note("trunk matrix", t_mat)
+            + _conditioning_note("trunk matrix", trunk.apply(ds.y[None, :]).T)
             + "; "
-            + _conditioning_note("branch matrix", b_mat)
+            + _conditioning_note("branch matrix", branch.apply(ds.U))
         )
     metadata = {
         "solver": solver,
@@ -292,6 +305,18 @@ def train_aligned(
     return RandONetModel(
         trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
     )
+
+
+def _collocation_matrix(trunk: FeatureMap, branch: FeatureMap, ds: UnalignedDataset):
+    """The (M*N, S) collocation matrix ``Z``, Fortran-ordered.
+
+    Row ``k + i*N`` is the elementwise product of trunk feature row k and
+    branch feature row i.
+    """
+    t_mat = trunk.apply(ds.Y)  # (N, S)
+    b_mat = branch.apply(ds.U)  # (M, S)
+    product = np.multiply(b_mat.T[:, :, None], t_mat.T[:, None, :], order="C")  # (S, M, N)
+    return product.reshape(ds.n_samples, -1).T
 
 
 def train_unaligned(
@@ -317,6 +342,10 @@ def train_unaligned(
     ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
     ``train_seconds`` as in :func:`train_aligned`, with the build of ``Z``
     counted under ``features``.
+
+    ``Z`` is built in Fortran order, as the transpose of a C-ordered
+    (S, M*N) product, and the 'cod' route factors it in its own storage;
+    the diagnostics of a :class:`TrainingError` rebuild it from the maps.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -333,11 +362,10 @@ def train_unaligned(
         )
 
     start = time.perf_counter()
-    t_mat = trunk.apply(ds.Y)  # (N, S)
-    b_mat = branch.apply(ds.U)  # (M, S)
-    z = (b_mat[:, None, :] * t_mat[None, :, :]).reshape(m_feat * n_feat, n_samples)
+    z = _collocation_matrix(trunk, branch, ds)
     featured = time.perf_counter()
     _, collocation_right, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
+    del z
     factorized = time.perf_counter()
     omega = collocation_right(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
@@ -345,7 +373,8 @@ def train_unaligned(
 
     if not np.all(np.isfinite(w)):
         raise TrainingError(
-            "solver produced non-finite weights; " + _conditioning_note("collocation matrix", z)
+            "solver produced non-finite weights; "
+            + _conditioning_note("collocation matrix", _collocation_matrix(trunk, branch, ds))
         )
     metadata = {
         "solver": solver,

@@ -20,15 +20,16 @@ import numpy as np
 
 __all__ = ["dopri5_batch"]
 
-# Dormand & Prince (1980) RK5(4)7M tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand & Prince (1980) RK5(4)7M tableau, stages 2 to 6. The seventh
+# stage sits at (t + h, y_new): its row of A is _B5, so it is the FSAL
+# evaluation of the accepted 5th-order solution.
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _A = [
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded error estimate.
@@ -150,17 +151,18 @@ def dopri5_batch(
         ha = np.minimum(h[active], t1 - ta)
         last = ha >= (t1 - ta) - 1e-14 * span
 
-        # Stage evaluations (k1 carried over via FSAL).
+        # Stages k2..k6 (k1 carried over via FSAL); k7 = f(t_new, y_new)
+        # is evaluated once and becomes the next step's k1.
         stages = [k1a]
-        for stage in range(6):
+        for stage in range(5):
             incr = sum(coeff * stages[j] for j, coeff in enumerate(_A[stage]))
             ys = ya + ha[:, None] * incr
             ts = ta + _C[stage + 1] * ha
             stages.append(f_all(ts, ys, active))
-        y_new = ya + ha[:, None] * sum(b * k for b, k in zip(_B5[:6], stages[:6]))
+        y_new = ya + ha[:, None] * sum(b * k for b, k in zip(_B5[:6], stages))
         t_new = np.where(last, t1, ta + ha)
         k7 = f_all(t_new, y_new, active)
-        stages[6] = k7
+        stages.append(k7)
 
         err = ha[:, None] * sum(e * k for e, k in zip(_E, stages))
         scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y_new))

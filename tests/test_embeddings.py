@@ -225,6 +225,19 @@ class TestApply:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
 
+    @pytest.mark.parametrize("kind", ["jl", "rffn", "tanh"])
+    def test_peak_memory_is_one_result_plus_block_scratch(self, kind, traced_peak):
+        # An 8 MB result over 32 GEMM blocks; bias, activation and scale
+        # must not add a second full-size array.
+        fmap = build_feature_map(EmbeddingSpec(
+            kind=kind, input_dim=50, feature_dim=1000, seed=33,
+            domain=(0.0, 1.0) if kind == "tanh" else None,
+        ))
+        x = np.random.default_rng(34).uniform(-1.0, 2.0, (50, 1000))
+        out, peak = traced_peak(lambda: fmap.apply(x))
+        scratch = (50 + 1000) * BLOCK_COLUMNS * x.itemsize
+        assert peak <= out.nbytes + scratch + 0.05 * out.nbytes
+
     def test_jl_linearity_of_batching(self):
         fmap = sample_jl(4, 6, seed=22)
         x = np.random.default_rng(23).standard_normal((4, 2))

@@ -9,6 +9,7 @@ from randonet import linalg
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
+    build_feature_map,
     sample_jl,
     sample_rffn,
     sample_tanh_trunk,
@@ -301,6 +302,105 @@ class TestUnaligned:
         trunk, branch = toy_maps()
         with pytest.raises(ValueError, match="budget"):
             train_unaligned(explode_aligned(ds), trunk, branch, max_collocation_entries=10)
+
+    def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
+        ds = explode_aligned(toy_dataset())
+        trunk, branch = toy_maps()
+
+        def poisoned(*args, **kwargs):
+            return np.full((1, 64), np.inf)
+
+        monkeypatch.setattr("randonet.model.linalg.cod_pinv_apply", poisoned)
+        with pytest.raises(TrainingError, match="sigma_max") as err:
+            train_unaligned(ds, trunk, branch, solver="cod")
+        # The note describes Z itself, not the QR storage it was factored in.
+        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(64, -1)
+        sigma = np.linalg.svd(z, compute_uv=False)
+        assert f"sigma_max {sigma[0]:.3e}, sigma_min {sigma[-1]:.3e}" in str(err.value)
+
+
+def scattered_dataset(m=10, s=40, seed=0):
+    rng = np.random.default_rng(seed)
+    return UnalignedDataset(U=rng.standard_normal((m, s)), Y=rng.uniform(0.0, 1.0, (1, s)),
+                            V=rng.standard_normal(s))
+
+
+class TestInPlaceCod:
+    """The 'cod' route factors the matrices it builds in their own storage."""
+
+    @pytest.mark.parametrize("branch_kind, m_feat", [("rffn", 60), ("jl", 8)])
+    def test_aligned_readout_matches_public_solve(self, branch_kind, m_feat):
+        # RFFN(60) on 40 functions has full column rank (no tzrzf), JL(8)
+        # and the 12 x 16 trunk matrix are wide (tzrzf runs).
+        ds = toy_dataset(m=10, n=12, s=40, seed=21)
+        trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
+        branch = build_feature_map(EmbeddingSpec(kind=branch_kind, input_dim=10,
+                                                 feature_dim=m_feat, seed=(22, 1)))
+        kept = {name: getattr(ds, name).copy() for name in ("x", "y", "U", "V")}
+        model = train_aligned(ds, trunk, branch, solver="cod")
+        for name, arr in kept.items():
+            np.testing.assert_array_equal(getattr(ds, name), arr)
+        t_fac = linalg.cod_factorize(trunk.apply(ds.y[None, :]).T.copy())
+        b_fac = linalg.cod_factorize(branch.apply(ds.U).copy())
+        assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == 12
+        want = linalg.cod_pinv_apply(
+            b_fac, linalg.cod_pinv_apply(t_fac, ds.V, side="left"), side="right")
+        np.testing.assert_array_equal(model.readout, want)
+
+    def test_unaligned_readout_matches_public_solve(self):
+        ds = scattered_dataset()
+        trunk = sample_tanh_trunk((0.0, 1.0), 6, seed=(23, 0))
+        branch = sample_jl(10, 5, seed=(23, 1))
+        kept = {name: getattr(ds, name).copy() for name in ("U", "Y", "V")}
+        model = train_unaligned(ds, trunk, branch, solver="cod")
+        for name, arr in kept.items():
+            np.testing.assert_array_equal(getattr(ds, name), arr)
+        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(30, -1)
+        factors = linalg.cod_factorize(z.copy())
+        assert model.train_metadata["collocation_rank"] == factors.numerical_rank
+        omega = linalg.cod_pinv_apply(factors, ds.V[None, :], side="right")
+        np.testing.assert_array_equal(model.readout, omega.reshape(5, 6).T)
+
+    def test_factors_through_the_public_in_place_entry(self, monkeypatch):
+        # The traced benchmark records every public linalg '*_factorize'
+        # call, so the 'cod' route must reach the QR through one of them.
+        assert "inplace_cod_factorize" in linalg.__all__
+        seen = []
+        original = linalg.inplace_cod_factorize
+
+        def counting(mat, tol=None):
+            seen.append((mat.shape, mat.flags.f_contiguous))
+            return original(mat, tol)
+
+        monkeypatch.setattr(linalg, "inplace_cod_factorize", counting)
+        ds = toy_dataset(m=10, n=12, s=40, seed=21)
+        trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
+        branch = sample_jl(10, 8, seed=(22, 1))
+        train_aligned(ds, trunk, branch, solver="cod")
+        assert seen == [((12, 16), True), ((8, 40), True)]
+        seen.clear()
+        train_unaligned(scattered_dataset(), trunk, branch, solver="cod")
+        assert len(seen) == 1 and seen[0][1]
+
+    def test_aligned_peak_memory(self, traced_peak):
+        # A 9.6 MB RFFN branch matrix: its Fortran copy replaces the C one,
+        # and the QR runs in that copy.
+        ds = toy_dataset(m=50, n=20, s=1200, seed=24)
+        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(25, 0))
+        branch = sample_rffn(50, 1000, seed=(25, 1), bandwidth=5.0)
+        model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
+        assert model.train_metadata["branch_rank"] == 1000
+        assert peak <= 2.5 * 1000 * 1200 * 8
+
+    def test_unaligned_peak_memory(self, traced_peak):
+        # A 9.6 MB collocation matrix, built in Fortran order and factored
+        # in its own storage.
+        ds = scattered_dataset(m=50, s=1200, seed=26)
+        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(27, 0))
+        branch = sample_jl(50, 50, seed=(27, 1))
+        model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
+        assert model.train_metadata["collocation_rank"] == 1000
+        assert peak <= 2.5 * 1000 * 1200 * 8
 
 
 class TestExplodeAligned:

@@ -102,3 +102,19 @@ def test_rejects_bad_span_and_outside_eval():
         dopri5_batch(lambda t, y, i: y, (1.0, 0.0), np.zeros((1, 1)), np.array([0.5]))
     with pytest.raises(ValueError, match="inside"):
         dopri5_batch(lambda t, y, i: y, (0.0, 1.0), np.zeros((1, 1)), np.array([2.0]))
+
+
+def test_no_right_hand_side_evaluation_repeats_the_one_before():
+    forcings = [lambda t: np.sin(7 * t), lambda t: 0.3, lambda t: np.cos(2 * t)]
+    rhs = pendulum_rhs(forcings)
+    calls = []
+
+    def recording(t, y, idx):
+        calls.append((t.copy(), y.copy()))
+        return rhs(t, y, idx)
+
+    _, ok = dopri5_batch(recording, (0.0, 1.0), np.full((3, 2), 0.1), np.linspace(0, 1, 11))
+    assert ok.all()
+    assert len(calls) > 10
+    for (t_prev, y_prev), (t_next, y_next) in zip(calls, calls[1:]):
+        assert not (np.array_equal(t_prev, t_next) and np.array_equal(y_prev, y_next))
