@@ -196,9 +196,16 @@ class FeatureMap:
             C-contiguous.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
+        if x.ndim == 1:
+            return self._apply(x[:, None], "C")[:, 0]
+        return self._apply(x, "C")
+
+    def _apply(self, x: np.ndarray, order: str) -> np.ndarray:
+        """:meth:`apply` on 2-D float64 ``x``, into a result of ``order``.
+
+        Every element gets the same bits in either order. Training asks
+        for Fortran order to factor the branch matrix in its own storage.
+        """
         if x.ndim != 2 or x.shape[0] != self.spec.input_dim:
             raise ValueError(
                 f"expected input of shape ({self.spec.input_dim}, k), got {x.shape}"
@@ -206,7 +213,7 @@ class FeatureMap:
         k = x.shape[1]
         block = np.zeros((x.shape[0], BLOCK_COLUMNS))
         product = np.empty((self.weights.shape[0], BLOCK_COLUMNS))
-        z = np.empty((self.weights.shape[0], k))
+        z = np.empty((self.weights.shape[0], k), order=order)
         for start in range(0, k, BLOCK_COLUMNS):
             width = min(BLOCK_COLUMNS, k - start)
             block[:, :width] = x[:, start:start + width]
@@ -224,7 +231,7 @@ class FeatureMap:
             if self.spec.kind == "rffn":
                 np.cos(z, out=z)
             z *= self.scale
-        return z[:, 0] if single else z
+        return z
 
 
 def sample_jl(input_dim: int, feature_dim: int, seed=0) -> FeatureMap:

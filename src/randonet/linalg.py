@@ -2,8 +2,9 @@
 
 Everything in this module operates on plain 2-D float64 ``numpy`` arrays.
 Inputs are validated to be finite on entry; factorizations are pure
-functions of their inputs, so results are deterministic and safe to share
-across threads.
+functions of their inputs, so results are deterministic. One set of COD
+factors should be applied from one thread at a time: LAPACK's unblocked
+``ormqr`` loop may write to the factor storage and restore it as it runs.
 
 Three routes to a (regularized) Moore-Penrose pseudo-inverse are provided:
 
@@ -27,21 +28,25 @@ Only when the right-hand sides outnumber the rank are the r columns of
 ``Q`` and rows of ``Z`` that act on them formed, for one matrix product
 each.
 
-As in ``xGELSY``, the pivoted QR runs in one Fortran-ordered working
-copy of the input and leaves the ``Q`` reflectors and ``R`` side by side
-in it. Only a rank-deficient trapezoid is copied once more, because the
-``tzrzf`` wrapper takes no leading dimension, so a factorization holds at
-most two matrix-sized buffers. ``cod_factorize`` makes that working copy;
-``inplace_cod_factorize`` uses a Fortran-ordered argument as it.
+As in ``xGELSY``, a factorization holds one matrix-sized buffer: the
+pivoted QR runs in one Fortran-ordered working copy of the input, leaves
+the ``Q`` reflectors and ``R`` side by side in it, and ``tzrzf``
+compresses the trapezoid in the top r rows of that same array.
+``cod_factorize`` makes the working copy; ``inplace_cod_factorize`` uses
+a Fortran-ordered argument as it. The routines that read the factors in
+place (``tzrzf``, ``ormrz``, ``ormqr`` and ``trtrs``) take the working
+array's leading dimension, which scipy's f2py wrappers cannot pass, so
+they are called through the capsules of ``scipy.linalg.cython_lapack``:
+the same LAPACK build, without the copies of strided views.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 __all__ = [
     "TruncatedSVDFactors",
@@ -65,7 +70,8 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and reach +-inf, with no boolean temporary.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -127,10 +133,12 @@ class CODFactors:
     with scalars ``q_tau``; they define ``Q1``. ``rz`` is r-by-cols with the
     upper-triangular ``T11`` in its first r columns and, when r < cols, the
     ``tzrzf`` reflectors of ``Z`` in the rest, with scalars ``z_tau``
-    (empty when ``Z`` is the identity). Entries of ``rz`` below the
-    diagonal of ``T11`` are not referenced: ``q_reflectors``, and ``rz``
-    when ``Z`` is the identity, are views of the one working array. The
-    three dense factors above are derived on access, in reversed index
+    (empty when ``Z`` is the identity). Both are views of the one working
+    array: ``q_reflectors`` its first r columns, ``rz`` its top r rows, a
+    strided view whose leading dimension is the row count. Entries of
+    ``rz`` below the diagonal of ``T11`` therefore belong to the ``Q``
+    reflectors and are not referenced as part of ``T11``. The three dense
+    factors above are derived on access, in reversed index
     order, which turns the upper-triangular ``T11`` into the
     lower-triangular core.
     """
@@ -175,39 +183,107 @@ def _lapack_check(name: str, info: int) -> None:
         raise RuntimeError(f"LAPACK {name} failed with info={info}")
 
 
-def _apply_q(factors: CODFactors, c: np.ndarray, side: str) -> np.ndarray:
-    """``Q.T @ c`` (side 'L') or ``c @ Q.T`` (side 'R') through ``ormqr``.
+def _capsule_function(name: str, nargs: int):
+    """The ``cython_lapack`` routine ``name``, callable through ``ctypes``.
 
-    ``Q`` is the product of the r stored reflectors and ``c`` may be
-    overwritten. The first r rows of ``Q.T @ c`` are ``Q1.T @ c``; when only
-    the first r columns of ``c`` are nonzero, ``c @ Q.T`` is
-    ``c[:, :r] @ Q1.T``.
+    Every argument is passed by address, as in Fortran; the capsules wrap
+    the LAPACK that scipy itself links, so results are those of scipy's
+    own wrappers.
     """
-    _, work, info = lapack.dormqr(side, "T", factors.q_reflectors, factors.q_tau, c, -1)
-    _lapack_check("ormqr", info)
-    out, _, info = lapack.dormqr(
-        side, "T", factors.q_reflectors, factors.q_tau, c, int(work[0]), overwrite_c=1
-    )
-    _lapack_check("ormqr", info)
-    return out
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
 
 
-def _apply_z(factors: CODFactors, c: np.ndarray, side: str, trans: str) -> np.ndarray:
-    """Products of ``c`` with the stored ``Z`` through ``ormrz``; ``c`` may be overwritten.
+# Argument counts, the trailing info included.
+_LAPACK = {
+    name: _capsule_function(name, nargs)
+    for name, nargs in (("dtzrzf", 8), ("dormqr", 13), ("dormrz", 14), ("dtrtrs", 10))
+}
 
-    ``side='L'`` gives ``op(Z) @ c``, ``side='R'`` gives ``c @ op(Z)``, with
-    ``op(Z) = Z.T`` for ``trans='T'``. LAPACK's own workspace query sizes
-    the blocked code path.
+
+def _ld(mat: np.ndarray) -> int:
+    """Leading dimension of a float64 matrix stored by columns, or a view of one."""
+    rows, cols = mat.shape
+    ld = mat.strides[1] // mat.itemsize if cols > 1 else rows
+    if mat.dtype != np.float64 or (rows > 1 and mat.strides[0] != mat.itemsize) or ld < rows:
+        raise ValueError(f"LAPACK operand must be float64 in column layout, got {mat.strides}")
+    return max(ld, 1)
+
+
+def _lapack(name: str, *args) -> None:
+    """Call ``name`` with ``args`` (bytes, ints, arrays) and check its info."""
+    info = ctypes.c_int(0)
+    refs = []
+    for arg in args:
+        if isinstance(arg, bytes):
+            refs.append(ctypes.c_char_p(arg))
+        elif isinstance(arg, np.ndarray):
+            refs.append(ctypes.c_void_p(arg.ctypes.data))
+        else:
+            refs.append(ctypes.byref(ctypes.c_int(arg)))
+    _LAPACK[name](*refs, ctypes.byref(info))
+    _lapack_check(name, info.value)
+
+
+def _lapack_with_work(name: str, *args, lwork: int | None = None) -> None:
+    """Call ``name``, whose last arguments are ``work, lwork, info``.
+
+    ``lwork=None`` takes the size from LAPACK's own workspace query, as
+    scipy's wrappers do, and that size selects the blocked code path.
+    """
+    if lwork is None:
+        query = np.empty(1)
+        _lapack(name, *args, query, -1)
+        lwork = int(query[0])
+    _lapack(name, *args, np.empty(max(lwork, 1)), lwork)
+
+
+def _reflector_lwork(c: np.ndarray, side: bytes) -> int | None:
+    # With one right-hand side, the minimal workspace makes ormqr/ormrz
+    # take their unblocked loop; the blocked one would form a triangular
+    # block factor per 32 reflectors to update a single column.
+    nrhs = c.shape[1] if side == b"L" else c.shape[0]
+    return 1 if nrhs == 1 else None
+
+
+def _apply_q(factors: CODFactors, c: np.ndarray, trans: bytes) -> None:
+    """``c = op(Q) @ c`` in place through ``ormqr``; ``c`` is (rows, k).
+
+    ``Q`` is the product of the r stored reflectors, ``op(Q) = Q.T`` for
+    ``trans=b'T'``. The first r rows of ``Q.T @ c`` are ``Q1.T @ c``; when
+    only the first r rows of ``c`` are nonzero, ``Q @ c`` is ``Q1 @ c[:r]``.
+    """
+    qr = factors.q_reflectors
+    _lapack_with_work("dormqr", b"L", trans, *c.shape, factors.numerical_rank,
+                      qr, _ld(qr), factors.q_tau, c, _ld(c),
+                      lwork=_reflector_lwork(c, b"L"))
+
+
+def _apply_z(factors: CODFactors, c: np.ndarray, side: bytes, trans: bytes) -> None:
+    """Product of ``c`` with the stored ``Z``, in place through ``ormrz``.
+
+    ``side=b'L'`` gives ``op(Z) @ c``, ``side=b'R'`` gives ``c @ op(Z)``,
+    with ``op(Z) = Z.T`` for ``trans=b'T'``. Nothing happens when ``Z`` is
+    the identity.
     """
     if factors.z_tau.size == 0:
-        return c
-    work, info = lapack.dormrz_lwork(c.shape[0], c.shape[1], side=side, trans=trans)
-    _lapack_check("ormrz", info)
-    out, info = lapack.dormrz(
-        factors.rz, factors.z_tau, c, side=side, trans=trans, lwork=int(work), overwrite_c=1
-    )
-    _lapack_check("ormrz", info)
-    return out
+        return
+    rz = factors.rz
+    r, cols = rz.shape
+    _lapack_with_work("dormrz", side, trans, *c.shape, r, cols - r, rz, _ld(rz),
+                      factors.z_tau, c, _ld(c), lwork=_reflector_lwork(c, side))
+
+
+def _solve_t11(factors: CODFactors, c: np.ndarray, trans: bytes) -> None:
+    """Solve ``op(T11) x = c`` in place; ``T11`` is read in the factor storage."""
+    rz = factors.rz
+    _lapack("dtrtrs", b"U", trans, b"N", factors.numerical_rank, c.shape[1],
+            rz, _ld(rz), c, _ld(c))
 
 
 def _leading_q(factors: CODFactors) -> np.ndarray:
@@ -225,7 +301,8 @@ def _leading_z(factors: CODFactors) -> np.ndarray:
     The result ``Zp`` is (r, cols) and satisfies ``A ~= Q1 @ T11 @ Zp``.
     """
     r, cols = factors.numerical_rank, factors.shape[1]
-    z = _apply_z(factors, np.eye(r, cols, order="F"), side="R", trans="N")
+    z = np.eye(r, cols, order="F")
+    _apply_z(factors, z, side=b"R", trans=b"N")
     out = np.empty_like(z)
     out[:, factors.permutation] = z
     return out
@@ -371,10 +448,11 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
     """The shared core: factors the Fortran-ordered float64 ``work`` in place."""
     work = _as_matrix(work, "A")
     cols = work.shape[1]
-    (qr, q_tau), r_mat, perm = scipy.linalg.qr(
-        work, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
-    )
-    del r_mat  # scipy's dense copy of R; the pivots are read from qr
+    # overwrite_a on the query too, or f2py copies the matrix for it.
+    lwork = int(lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+    qr, jpvt, q_tau, scratch, info = lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
+    del scratch  # geqp3's workspace, not to be held through tzrzf
+    _lapack_check("geqp3", info)
     diag = np.abs(np.diag(qr))
     sigma_max = float(diag[0]) if diag.size else 0.0
     tol = _resolve_tol(tol, qr.shape, sigma_max)
@@ -382,13 +460,10 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
     rank = int(diag.size if keep.all() else keep.argmin())
     rz, z_tau = qr[:rank], np.zeros(0)
     if 0 < rank < cols:
-        lwork, info = lapack.dtzrzf_lwork(rank, cols)
-        _lapack_check("tzrzf", info)
-        rz, z_tau, info = lapack.dtzrzf(np.array(rz, order="F"), lwork=int(lwork),
-                                        overwrite_a=1)
-        _lapack_check("tzrzf", info)
+        z_tau = np.empty(rank)
+        _lapack_with_work("dtzrzf", rank, cols, rz, _ld(rz), z_tau)
     return CODFactors(
-        permutation=perm,
+        permutation=jpvt - 1,
         q_reflectors=qr[:, :rank],
         q_tau=q_tau[:rank],
         rz=rz,
@@ -404,53 +479,56 @@ def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
     With ``A[:, perm] = Q1 [T11 0] Z`` the action is a product with ``Q1``,
     one triangular back substitution on ``T11`` and a product with the
     leading r rows of ``Z``; it agrees with the truncated-SVD route on the
-    same numerical rank.
+    same numerical rank. The right apply runs as the transposed left
+    problem ``(B A+).T = Q1 T11^-T [I 0] Z P.T B.T``, so both sides work in
+    one Fortran-ordered (max(rows, cols), k) buffer and read the factors
+    where they lie.
     """
     b = _as_matrix(b, "B")
     _check_pinv_shapes(factors, b, side)
     rows, cols = factors.shape
     r = factors.numerical_rank
+    nrhs = b.shape[1] if side == "left" else b.shape[0]
     if r == 0:
-        shape = (cols, b.shape[1]) if side == "left" else (b.shape[0], rows)
-        return np.zeros(shape)
-    t11 = factors.rz[:, :r]
-    if not factors.z_tau.size:
-        # T11 is then a view of the QR storage, Fortran-contiguous only for
-        # square inputs. In C order it takes solve_triangular's transposed
-        # LAPACK path for every shape, so tall and square inputs solve alike.
-        t11 = np.ascontiguousarray(t11)
+        return np.zeros((cols, nrhs) if side == "left" else (nrhs, rows))
     perm = factors.permutation
     # The orthogonal factors reach the right-hand sides as reflectors,
     # except when those outnumber the rank: forming the r columns of Q and
     # rows of Z that act then costs no more than applying the reflectors to
     # r of them, and one matrix product runs about twice as fast as the
     # blocked reflector updates.
-    formed = (b.shape[1] if side == "left" else b.shape[0]) > r
+    formed = nrhs > r
     if side == "left":
         if formed:
-            core = _leading_q(factors).T @ b
+            core = np.asfortranarray(_leading_q(factors).T @ b)
+            _solve_t11(factors, core, b"N")
+            if factors.z_tau.size:
+                return _leading_z(factors).T @ core
         else:
-            core = _apply_q(factors, np.array(b, order="F"), "L")[:r]
-        core = scipy.linalg.solve_triangular(t11, core)
-        if formed and factors.z_tau.size:
-            return _leading_z(factors).T @ core
-        if r < cols:
-            padded = np.zeros((cols, b.shape[1]), order="F")
-            padded[:r] = core
-            core = _apply_z(factors, padded, side="L", trans="T")
-        out = np.empty((cols, b.shape[1]))
+            buf = np.empty((max(rows, cols), nrhs), order="F")
+            buf[:rows] = b
+            _apply_q(factors, buf[:rows], b"T")
+            _solve_t11(factors, buf[:r], b"N")
+            buf[r:cols] = 0.0
+            _apply_z(factors, buf[:cols], side=b"L", trans=b"T")
+            core = buf[:cols]
+        out = np.empty((cols, nrhs))
         out[perm] = core
         return out
-    if formed and factors.z_tau.size:
-        core = b @ _leading_z(factors).T
-    else:
-        core = _apply_z(factors, b[:, perm], side="R", trans="T")[:, :r]
-    y = scipy.linalg.solve_triangular(t11, core.T, trans="T").T
     if formed:
-        return y @ _leading_q(factors).T
-    padded = np.zeros((b.shape[0], rows), order="F")
-    padded[:, :r] = y
-    return _apply_q(factors, padded, "R")
+        core = b @ _leading_z(factors).T if factors.z_tau.size else b[:, perm]
+        y = np.asfortranarray(core.T)
+        _solve_t11(factors, y, b"T")
+        return y.T @ _leading_q(factors).T
+    buf = np.empty((max(rows, cols), nrhs), order="F")
+    # perm is in range; mode="clip" skips numpy's buffered bounds check, so
+    # the gather goes straight into the buffer when rows <= cols.
+    np.take(b, perm, axis=1, out=buf[:cols].T, mode="clip")
+    _apply_z(factors, buf[:cols], side=b"L", trans=b"N")
+    _solve_t11(factors, buf[:r], b"T")
+    buf[r:rows] = 0.0
+    _apply_q(factors, buf[:rows], b"N")
+    return np.ascontiguousarray(buf[:rows].T)
 
 
 def dump_factors(factors, path) -> None:

@@ -250,10 +250,10 @@ def train_aligned(
     tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
     ``branch_rank`` and ``branch_rank_tolerance``.
 
-    The 'cod' route consumes the trunk and branch matrices it builds: each
-    is factored in its own storage, the branch matrix after one conversion
-    to Fortran order, so the fit holds no second copy of either. The
-    diagnostics of a :class:`TrainingError` rebuild them from the maps.
+    The 'cod' route consumes the trunk and branch matrices it builds: both
+    are built in Fortran order and factored in their own storage, so the
+    fit holds each once. The diagnostics of a :class:`TrainingError`
+    rebuild them from the maps.
     """
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
@@ -266,11 +266,7 @@ def train_aligned(
 
     start = time.perf_counter()
     t_mat = trunk.apply(ds.y[None, :]).T  # (n, N), Fortran-ordered
-    b_mat = branch.apply(ds.U)  # (M, s)
-    if solver == "cod":
-        # A Fortran-ordered matrix is factored without a copy; converting
-        # here frees the C-ordered one before the QR.
-        b_mat = np.asfortranarray(b_mat)
+    b_mat = branch._apply(ds.U, "F")  # (M, s), Fortran-ordered for the in-place COD
     featured = time.perf_counter()
     trunk_left, _, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
     _, branch_right, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")

@@ -178,6 +178,19 @@ class TestApply:
             singles = np.column_stack([fmap.apply(x[:, i]) for i in range(13)])
             np.testing.assert_array_equal(batch, singles)
 
+    def test_fortran_ordered_result_has_the_same_bits(self):
+        # Training builds the branch matrix in Fortran order to factor it in
+        # place; its features must be those that apply returns.
+        for fmap in (
+            sample_jl(100, 37, seed=18),
+            sample_rffn(100, 2000, seed=19, bandwidth=500.0),
+            sample_tanh_trunk((0.0, 1.0), 33, seed=20, input_dim=100),
+        ):
+            x = np.random.default_rng(22).uniform(-1.0, 2.0, (100, 101))
+            got = fmap._apply(x, "F")
+            assert got.flags.f_contiguous
+            np.testing.assert_array_equal(got, fmap.apply(x))
+
     @settings(max_examples=30, deadline=None)
     @given(
         kind=st.sampled_from(["jl", "rffn", "tanh"]),

@@ -310,21 +310,23 @@ class TestCodTwoStage:
     def test_exactly_one_pivoted_qr(self, rows, cols, rank, monkeypatch):
         a = spectrum_matrix(rows, cols, rank, seed=3)
         calls = []
-        qr = scipy.linalg.qr
+        geqp3 = scipy.linalg.lapack.dgeqp3
 
-        def counting_qr(*args, **kwargs):
-            calls.append(kwargs.get("pivoting", False))
-            return qr(*args, **kwargs)
+        def counting_geqp3(*args, **kwargs):
+            if kwargs.get("lwork") != -1:  # workspace queries factor nothing
+                calls.append(args[0].shape)
+            return geqp3(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("cod_factorize must not run a second dense factorization")
 
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3", counting_geqp3)
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
         monkeypatch.setattr(np.linalg, "qr", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         monkeypatch.setattr(scipy.linalg, "svd", forbidden)
         cod_factorize(a)
-        assert calls == [True]
+        assert calls == [(rows, cols)]
 
     def test_few_right_hand_sides_never_form_orthogonal_factors(self, monkeypatch):
         a = spectrum_matrix(12, 20, 8, seed=9)
@@ -376,17 +378,71 @@ class TestCodTwoStage:
         assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
 
     def test_peak_memory_is_one_working_copy(self, traced_peak):
-        # Wide and rank-deficient, so tzrzf runs: besides the working copy
-        # the call holds either scipy's transient R (with the 1/8-size mask
-        # np.triu builds for it) or the trapezoid copy, never both. The
-        # peak measures 2.14x: 1x is the working copy, the other 1.14x is
-        # scipy.linalg.qr's own R = np.triu(qr) and its mask, which exist
-        # only until the call returns. If this bound fails after a scipy
-        # upgrade, check how scipy.linalg.qr builds R before this module.
+        # Wide and rank-deficient, so tzrzf runs. This bound dates from
+        # when scipy.linalg.qr's dense R and its mask sat beside the working
+        # copy (2.14x); the next test holds the tighter one (1.09x now).
         a = spectrum_matrix(600, 1000, 500, seed=10)
         f, peak = traced_peak(lambda: cod_factorize(a))
         assert f.numerical_rank == 500
         assert peak <= 2.2 * a.nbytes
+
+    def test_peak_memory_is_the_working_copy_alone(self, traced_peak):
+        # geqp3 and tzrzf run in the working copy, with the leading
+        # dimension passed: no dense R, mask or trapezoid copy beside it.
+        a = spectrum_matrix(600, 1000, 500, seed=10)
+        f, peak = traced_peak(lambda: cod_factorize(a))
+        assert f.numerical_rank == 500
+        assert peak <= 1.2 * a.nbytes
+
+    def test_inplace_peak_memory_is_workspace_only(self, traced_peak):
+        # What remains is LAPACK workspace, geqp3's 2 n + (n + 1) * 32
+        # doubles the largest (0.034x here), and no finiteness mask.
+        a = np.asfortranarray(spectrum_matrix(1000, 1200, 600, seed=13))
+        nbytes = a.nbytes
+        f, peak = traced_peak(lambda: inplace_cod_factorize(a))
+        assert f.numerical_rank == 600 and f.z_tau.size == 600
+        assert peak <= 0.05 * nbytes
+
+    def test_right_apply_holds_no_matrix_sized_temporary(self, traced_peak):
+        # One (max(rows, cols), k) buffer and the (k, rows) result; a copy of
+        # B[:, perm], of T11 (2 MB here) or of the factors would exceed it.
+        a = spectrum_matrix(600, 1000, 500, seed=10)
+        f = cod_factorize(a)
+        b = np.random.default_rng(14).standard_normal((40, 1000))
+        x, peak = traced_peak(lambda: cod_pinv_apply(f, b, side="right"))
+        assert x.shape == (40, 600) and x.flags.c_contiguous
+        assert peak <= 2 * b.nbytes
+
+    @pytest.mark.parametrize("rows, cols, rank", [(6, 11, 2), (150, 220, 140)])
+    def test_trapezoid_compressed_in_the_working_array(self, rows, cols, rank):
+        # rank < rows < cols: tzrzf runs on the top rank rows of the QR
+        # storage (blocked at rank 140), whose leading dimension is rows.
+        a = spectrum_matrix(rows, cols, rank, seed=15)
+        f = cod_factorize(a)
+        assert f.numerical_rank == rank and f.z_tau.size == rank
+        assert np.shares_memory(f.rz, f.q_reflectors)
+        ref = np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
+        rng = np.random.default_rng(rank)
+        for nrhs in (1, 2, rank, rank + 1):
+            b_left = rng.standard_normal((rows, nrhs))
+            b_right = rng.standard_normal((nrhs, cols))
+            np.testing.assert_allclose(cod_pinv_apply(f, b_left, side="left"), ref @ b_left,
+                                       rtol=0, atol=1e-10 * np.abs(ref @ b_left).max())
+            np.testing.assert_allclose(cod_pinv_apply(f, b_right, side="right"),
+                                       b_right @ ref,
+                                       rtol=0, atol=1e-10 * np.abs(b_right @ ref).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        a = np.full((3, 4), 1e308)
+        a[0, 0] = -1e308  # finite extremes pass
+        f = inplace_cod_factorize(np.asfortranarray(a))
+        a[2, 1] = bad
+        for call in (lambda: cod_factorize(a),
+                     lambda: inplace_cod_factorize(np.asfortranarray(a)),
+                     lambda: cod_pinv_apply(f, a[:, :3].T.copy(), side="left")):
+            with pytest.raises(ValueError, match="contains non-finite entries"):
+                call()
 
     @pytest.mark.parametrize("shape, rank", [((9, 5), 5), ((5, 9), 3), ((7, 7), 7)])
     def test_inplace_takes_over_a_fortran_input(self, shape, rank):

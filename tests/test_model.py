@@ -402,6 +402,24 @@ class TestInPlaceCod:
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 2.5 * 1000 * 1200 * 8
 
+    def test_aligned_peak_memory_is_one_branch_matrix(self, traced_peak):
+        # The branch matrix is built in Fortran order and factored where it
+        # lies; the rest is workspace, the trunk side and the readout.
+        ds = toy_dataset(m=50, n=20, s=1200, seed=24)
+        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(25, 0))
+        branch = sample_rffn(50, 1000, seed=(25, 1), bandwidth=5.0)
+        model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
+        assert model.train_metadata["branch_rank"] == 1000
+        assert peak <= 1.3 * 1000 * 1200 * 8
+
+    def test_unaligned_peak_memory_is_one_collocation_matrix(self, traced_peak):
+        ds = scattered_dataset(m=50, s=1200, seed=26)
+        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(27, 0))
+        branch = sample_jl(50, 50, seed=(27, 1))
+        model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
+        assert model.train_metadata["collocation_rank"] == 1000
+        assert peak <= 1.3 * 1000 * 1200 * 8
+
 
 class TestExplodeAligned:
     def test_single_function_three_locations(self):
