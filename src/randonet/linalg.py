@@ -521,9 +521,12 @@ def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
         _solve_t11(factors, y, b"T")
         return y.T @ _leading_q(factors).T
     buf = np.empty((max(rows, cols), nrhs), order="F")
-    # perm is in range; mode="clip" skips numpy's buffered bounds check, so
-    # the gather goes straight into the buffer when rows <= cols.
-    np.take(b, perm, axis=1, out=buf[:cols].T, mode="clip")
+    # Each right-hand side goes to its own contiguous column: buf[:cols].T
+    # is not contiguous when rows > cols, and np.take would then gather
+    # into a B-sized copy first. perm is in range; mode="clip" skips
+    # numpy's buffered bounds check.
+    for i in range(nrhs):
+        np.take(b[i], perm, out=buf[:cols, i], mode="clip")
     _apply_z(factors, buf[:cols], side=b"L", trans=b"N")
     _solve_t11(factors, buf[:r], b"T")
     buf[r:rows] = 0.0

@@ -92,7 +92,12 @@ def dopri5_batch(
     f : callable
         ``f(t, y, idx) -> dydt`` with ``t`` of shape (k,), ``y`` of shape
         (k, dim) and ``idx`` the (k,) indices of the samples being
-        evaluated, so sample-specific data can be gathered.
+        evaluated, so sample-specific data can be gathered. ``idx`` is
+        increasing, and the active set it names never grows: a sample
+        that finished or failed is not passed again. Each step ends with
+        the first-same-as-last call at (t + h, y_new), whose ``t`` repeats
+        the sixth stage's bit for bit (c6 = 1), except on a final step
+        clipped to ``t1``, where it is ``t1``.
     t_span : (float, float)
         Common integration interval (t0 < t1).
     y0 : ndarray, shape (batch, dim)

@@ -13,12 +13,17 @@ integrated with an adaptive Dormand-Prince 5(4) scheme at tight
 tolerances and the forcing is evaluated analytically inside the
 integrator (the sensor grid is only the network's view of u).
 
-The pendulum forcing walks the rows the integrator asks for in chunks of
-``_FORCING_CHUNK`` rows through scratch buffers allocated once per solve
-(row slices when every sample is asked for), so a right-hand-side call
-allocates no (rows x terms) array. Each row's terms go through the same
-operations in the same order as a whole-batch evaluation, so the chunking
-changes no output bit. Cases 3-5 evaluate u, u' and u'' of a function
+The pendulum forcing keeps the parameter rows of the samples still being
+integrated contiguous at the top of its tables: when the integrator drops
+samples, the remaining rows move down in place, so every pass reads plain
+row slices. It walks the rows in chunks of ``_FORCING_CHUNK`` rows through
+two scratch buffers allocated once per solve, so a right-hand-side call
+allocates no (rows x terms) array. The forcing depends on t alone, and
+Dormand-Prince evaluates its last stage and the first-same-as-last stage at
+the same t, so a call whose samples and times equal the previous call's
+bit for bit reuses that call's forcing. Each row's terms go through the
+same operations in the same order as a whole-batch evaluation, so none of
+this changes an output bit. Cases 3-5 evaluate u, u' and u'' of a function
 from one shared exponential, again bit for bit equal to the separate
 evaluators.
 """
@@ -66,7 +71,8 @@ DATASET_CSV_VERSION = 1
 _GRID_POINTS = 100
 
 # Rows of the pendulum forcing evaluated per pass: 128 rows x 200 terms
-# keeps the five scratch buffers of the forcing (1 MB) inside a 2 MB L2.
+# keeps one pass's parameter slices and two scratch buffers (1 MB) inside
+# a 2 MB L2.
 _FORCING_CHUNK = 128
 
 
@@ -207,6 +213,38 @@ def build_case1(case: CaseStudy) -> AlignedDataset:
     return _case1_full(case)[0]
 
 
+def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
+    """Write ``sum_j w_ij exp(neg_s_ij (t_i - c_ij)^2)`` of each row i to ``out``.
+
+    ``w``, ``neg_s`` and ``c`` hold at least ``t.size`` rows; the rows go
+    through ``dt_buf`` and ``terms_buf`` in ``_FORCING_CHUNK`` blocks.
+    """
+    for lo in range(0, t.size, _FORCING_CHUNK):
+        hi = min(lo + _FORCING_CHUNK, t.size)
+        dt, terms = dt_buf[: hi - lo], terms_buf[: hi - lo]
+        np.subtract(t[lo:hi, None], c[lo:hi], out=dt)
+        np.multiply(neg_s[lo:hi], dt, out=terms)
+        np.multiply(terms, dt, out=terms)
+        np.exp(terms, out=terms)
+        np.multiply(w[lo:hi], terms, out=terms)
+        np.add.reduce(terms, axis=1, out=out[lo:hi])
+
+
+def _keep_rows(tables, rows, scratch):
+    """Move ``rows`` of each table to its top, in place and in order.
+
+    ``rows`` must be increasing, so ``rows[j] >= j``: a block's
+    destination lies below every source row of the blocks after it. Each
+    block passes through ``scratch`` (``_FORCING_CHUNK`` rows).
+    """
+    for table in tables:
+        for lo in range(0, rows.size, _FORCING_CHUNK):
+            hi = min(lo + _FORCING_CHUNK, rows.size)
+            block = scratch[: hi - lo]
+            np.take(table, rows[lo:hi], axis=0, out=block, mode="clip")
+            table[lo:hi] = block
+
+
 def _pendulum_solve(
     params: list[RandomFunctionParams],
     k_const: float,
@@ -223,32 +261,34 @@ def _pendulum_solve(
     a0 = np.array([p.a0 for p in params])
     a1 = np.array([p.a1 for p in params])
     a2 = np.array([p.a2 for p in params])
-    rows = np.arange(len(params))
-    chunk_shape = (_FORCING_CHUNK, w.shape[1])
-    w_buf, s_buf, c_buf, dt_buf, terms_buf = (np.empty(chunk_shape) for _ in range(5))
+    dt_buf, terms_buf = (np.empty((_FORCING_CHUNK, w.shape[1])) for _ in range(2))
+    # live[i] is the sample whose parameters sit in row i of w, neg_s and
+    # c; slot maps a sample to that row, or to -1 once it was dropped.
+    live = np.arange(len(params))
+    slot = live.copy()
+    last_t, forcing = None, None
 
     def rhs(t, y, idx):
-        full = idx.size == rows.size and np.array_equal(idx, rows)
-        forcing = np.empty(idx.size)
-        for lo in range(0, idx.size, _FORCING_CHUNK):
-            hi = min(lo + _FORCING_CHUNK, idx.size)
-            n = hi - lo
-            if full:
-                wk, sk, ck = w[lo:hi], neg_s[lo:hi], c[lo:hi]
-            else:
-                wk, sk, ck = w_buf[:n], s_buf[:n], c_buf[:n]
-                part = idx[lo:hi]
-                np.take(w, part, axis=0, out=wk, mode="clip")
-                np.take(neg_s, part, axis=0, out=sk, mode="clip")
-                np.take(c, part, axis=0, out=ck, mode="clip")
-            dt, terms = dt_buf[:n], terms_buf[:n]
-            np.subtract(t[lo:hi, None], ck, out=dt)
-            np.multiply(sk, dt, out=terms)
-            np.multiply(terms, dt, out=terms)
-            np.exp(terms, out=terms)
-            np.multiply(wk, terms, out=terms)
-            np.sum(terms, axis=1, out=forcing[lo:hi])
-        forcing += a0[idx] + t * (a1[idx] + a2[idx] * t)
+        nonlocal live, last_t, forcing
+        if not np.array_equal(idx, live):
+            rows = slot[idx]
+            if not (np.all(rows >= 0) and np.all(np.diff(rows) > 0)):
+                raise ValueError(
+                    "pendulum forcing: idx must list, in increasing order, samples "
+                    "not dropped by an earlier call (the active set never grows)"
+                )
+            _keep_rows((w, neg_s, c), rows, dt_buf)
+            slot[live] = -1
+            slot[idx] = np.arange(idx.size)
+            live = idx.copy()
+            last_t = None
+        # Compared as bytes, so a time of -0.0 never reuses the sum at 0.0.
+        t_bytes = t.tobytes()
+        if t_bytes != last_t:
+            forcing = np.empty(idx.size)
+            _gaussian_sums(t, w, neg_s, c, forcing, dt_buf, terms_buf)
+            forcing += a0[idx] + t * (a1[idx] + a2[idx] * t)
+            last_t = t_bytes
         return np.column_stack([y[:, 1], -k_const * np.sin(y[:, 0]) + forcing])
 
     y0 = np.zeros((len(params), 2))

@@ -413,6 +413,19 @@ class TestCodTwoStage:
         assert x.shape == (40, 600) and x.flags.c_contiguous
         assert peak <= 2 * b.nbytes
 
+    def test_tall_right_apply_holds_no_matrix_sized_temporary(self, traced_peak):
+        # rows > cols: the (rows, k) buffer, 1.25x B here, becomes the
+        # result. Gathering B[:, perm] through its non-contiguous leading
+        # columns made numpy add a B-sized copy (2.26x).
+        a = spectrum_matrix(1000, 800, 500, seed=10)
+        f = cod_factorize(a)
+        b = np.random.default_rng(16).standard_normal((200, 800))
+        x, peak = traced_peak(lambda: cod_pinv_apply(f, b, side="right"))
+        assert x.shape == (200, 1000) and x.flags.c_contiguous
+        assert peak <= 1.5 * b.nbytes
+        ref = b @ np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
     @pytest.mark.parametrize("rows, cols, rank", [(6, 11, 2), (150, 220, 140)])
     def test_trapezoid_compressed_in_the_working_array(self, rows, cols, rank):
         # rank < rows < cols: tzrzf runs on the top rank rows of the QR

@@ -118,3 +118,30 @@ def test_no_right_hand_side_evaluation_repeats_the_one_before():
     assert len(calls) > 10
     for (t_prev, y_prev), (t_next, y_next) in zip(calls, calls[1:]):
         assert not (np.array_equal(t_prev, t_next) and np.array_equal(y_prev, y_next))
+
+
+def test_active_set_shrinks_and_fsal_call_repeats_the_sixth_stage_time():
+    # Forcings of different speed finish after different step counts.
+    forcings = [lambda t: np.sin(40 * t), lambda t: 0.3, lambda t: np.cos(9 * t), lambda t: 0.0]
+    rhs = pendulum_rhs(forcings)
+    calls = []
+
+    def recording(t, y, idx):
+        calls.append((t.copy(), idx.copy()))
+        return rhs(t, y, idx)
+
+    _, ok = dopri5_batch(recording, (0.0, 1.0), np.full((4, 2), 0.1), np.linspace(0, 1, 11))
+    assert ok.all()
+    # One call at t0 and one for the initial step, then six per step:
+    # stages 2-6 and the first-same-as-last stage at (t + h, y_new).
+    steps = [calls[i:i + 6] for i in range(2, len(calls), 6)]
+    assert len(calls) == 2 + 6 * len(steps)
+    previous = np.arange(4)
+    for step in steps:
+        idx = step[0][1]
+        assert all(np.array_equal(i, idx) for _, i in step)
+        assert np.all(np.diff(idx) > 0) and np.isin(idx, previous).all()
+        previous = idx
+        (t_six, _), (t_fsal, _) = step[4], step[5]
+        assert np.all(t_fsal[t_fsal != t_six] == 1.0)
+    assert previous.size < 4

@@ -235,10 +235,64 @@ class TestPendulumForcing:
         y = rng.standard_normal((idx.size, 2))
         k_const = case_config(2).constants["k"]
         fast = pendulum_rhs_of(params, k_const)
-        # Call twice so stale scratch contents would show.
-        for _ in range(2):
-            got = fast(t, y, idx)
-            np.testing.assert_array_equal(got, reference_rhs(params, k_const)(t, y, idx))
+        # A call at other times between two at t, so that the second one
+        # evaluates again over stale scratch contents instead of reusing.
+        t_other = rng.uniform(0.0, 1.0, idx.size)
+        for times in (t, t_other, t):
+            got = fast(times, y, idx)
+            np.testing.assert_array_equal(got, reference_rhs(params, k_const)(times, y, idx))
+
+    def test_repeated_call_evaluates_no_gaussian_rows(self, params, monkeypatch):
+        evaluated = []
+        kernel = problems._gaussian_sums
+
+        def counting(t, *args):
+            evaluated.append(t.size)
+            return kernel(t, *args)
+
+        monkeypatch.setattr(problems, "_gaussian_sums", counting)
+        rng = np.random.default_rng(84)
+        idx = np.flatnonzero(rng.random(self.batch) < 0.7)
+        t = rng.uniform(0.0, 1.0, idx.size)
+        y, y_next = rng.standard_normal((2, idx.size, 2))
+        k_const = case_config(2).constants["k"]
+        fast = pendulum_rhs_of(params, k_const)
+        reference = reference_rhs(params, k_const)
+        fast(t, y, idx)
+        # Equal samples and times in new arrays, at other states.
+        got = fast(t.copy(), y_next, idx.copy())
+        assert evaluated == [idx.size]
+        np.testing.assert_array_equal(got, reference(t, y_next, idx))
+        # One time one ulp away: the whole call evaluates again.
+        t_moved = t.copy()
+        t_moved[-1] = np.nextafter(t_moved[-1], 2.0)
+        got = fast(t_moved, y, idx)
+        assert evaluated == [idx.size, idx.size]
+        np.testing.assert_array_equal(got, reference(t_moved, y, idx))
+
+    def test_shrinking_scattered_subsets_equal_reference_bitwise(self, params):
+        # Each call keeps a scattered subset of the last one, so the kept
+        # parameter rows move down past chunk boundaries.
+        rng = np.random.default_rng(85)
+        k_const = case_config(2).constants["k"]
+        fast = pendulum_rhs_of(params, k_const)
+        reference = reference_rhs(params, k_const)
+        idx = np.arange(self.batch)
+        for size in (2 * CHUNK + 1, CHUNK + 1, CHUNK, CHUNK - 1, 3, 1):
+            idx = np.sort(rng.choice(idx, size, replace=False))
+            for _ in range(2):
+                t = rng.uniform(0.0, 1.0, size)
+                y = rng.standard_normal((size, 2))
+                np.testing.assert_array_equal(fast(t, y, idx), reference(t, y, idx))
+
+    @pytest.mark.parametrize("idx", [[0, 1], [4, 2], [2, 2]], ids=["dropped", "unordered", "repeated"])
+    def test_rows_outside_the_active_set_raise(self, params, idx):
+        fast = pendulum_rhs_of(params, case_config(2).constants["k"])
+        kept = np.arange(0, self.batch, 2)
+        fast(np.full(kept.size, 0.5), np.zeros((kept.size, 2)), kept)
+        idx = np.array(idx)
+        with pytest.raises(ValueError, match="never grows"):
+            fast(np.full(idx.size, 0.25), np.zeros((idx.size, 2)), idx)
 
 
 class TestRhsCases:
