@@ -45,7 +45,6 @@ from .linalg import (
     TruncatedSVDFactors,
     cod_factorize,
     cod_pinv_apply,
-    tikhonov_solve,
     tsvd_factorize,
     tsvd_pinv_apply,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "save_model",
     "split",
     "sweep",
-    "tikhonov_solve",
     "train_aligned",
     "train_unaligned",
     "tsvd_factorize",

@@ -72,43 +72,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "case": "case",
-    "branch": "branch",
-    "m": "m",
-    "n": "n",
-    "train_frac": "train_frac",
-    "solver": "solver",
-    "lambda": "reg",
-    "tol": "tol",
-    "bandwidth": "bandwidth",
-    "trunk_bound": "trunk_bound",
-    "seed_data": "seed_data",
-    "seed_embed": "seed_embed",
-    "seed_split": "seed_split",
-    "size": "size",
-    "cache_dir": "cache_dir",
-    "out": "out",
-    "json": "json",
-}
+def _config_value(key: str, action: argparse.Action, value):
+    """A config file value, checked and converted as its flag's would be."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if key == "m" and isinstance(value, list):
+        value = ",".join(map(str, value))
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a string or number, got {value!r}")
+    text = str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
 
 
 def _merge_config_file(args: argparse.Namespace) -> None:
+    """Fill unset flags from the ``--config`` JSON object.
+
+    Its keys are the flag names (``train_frac``, ``lambda``); ``m`` may be a list.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
         data = json.load(fh)
-    for key, attr in _CONFIG_KEYS.items():
-        if key in data and getattr(args, attr, None) in (None, False):
-            value = data[key]
-            if attr == "m" and not isinstance(value, (list, tuple)):
-                value = [value]
-            if attr == "m":
-                value = tuple(int(v) for v in value)
-            setattr(args, attr, value)
-    unknown = set(data) - set(_CONFIG_KEYS)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(data).__name__}")
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_experiment_flags(flags)
+    actions = {action.option_strings[0][2:].replace("-", "_"): action
+               for action in flags._actions if action.dest != "config"}
+    unknown = set(data) - set(actions)
     if unknown:
         raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+    for key, value in data.items():
+        action = actions[key]
+        if value is not None:
+            value = _config_value(key, action, value)
+            if getattr(args, action.dest) in (None, False):
+                setattr(args, action.dest, value)
 
 
 def _experiment_config(args: argparse.Namespace) -> harness.ExperimentConfig:

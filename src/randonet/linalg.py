@@ -6,11 +6,13 @@ functions of their inputs, so results are deterministic. One set of COD
 factors should be applied from one thread at a time: LAPACK's unblocked
 ``ormqr`` loop may write to the factor storage and restore it as it runs.
 
-Three routes to a (regularized) Moore-Penrose pseudo-inverse are provided:
+Two factorizations give a (regularized) Moore-Penrose pseudo-inverse:
 
-* truncated SVD (:func:`tsvd_factorize` / :func:`tsvd_pinv_apply`),
-* Tikhonov regularization in filtered-SVD form (:func:`tikhonov_solve`),
-* complete orthogonal decomposition built from column-pivoted QR
+* the SVD (:func:`tsvd_factorize` / :func:`tsvd_pinv_apply`), applied as
+  ``V diag(f(sigma)) U^T`` with one of two filters: ``1 / sigma`` on the
+  singular values above a rank cutoff (truncated SVD), or the Tikhonov
+  filter ``sigma / (sigma^2 + reg^2)`` on all of them;
+* the complete orthogonal decomposition built from column-pivoted QR
   (:func:`cod_factorize` / :func:`cod_pinv_apply`), which inverts an
   ill-conditioned matrix through orthogonal transforms and one triangular
   back substitution.
@@ -54,11 +56,9 @@ __all__ = [
     "auto_tolerance",
     "tsvd_factorize",
     "tsvd_pinv_apply",
-    "tikhonov_solve",
     "cod_factorize",
     "inplace_cod_factorize",
     "cod_pinv_apply",
-    "dump_factors",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -92,17 +92,19 @@ def _resolve_tol(tol, shape, sigma_max) -> float:
 
 @dataclass(frozen=True)
 class TruncatedSVDFactors:
-    """Rank-truncated SVD ``A ~= left @ diag(singular_values) @ right.T``.
+    """SVD factors ``A ~= left @ diag(singular_values) @ right.T`` and their filter.
 
     ``left_vectors`` is (rows, r) and ``right_vectors`` is (cols, r), both
-    with orthonormal columns; ``singular_values`` holds the r retained
-    values, all strictly above ``rank_tolerance`` and non-increasing.
+    with orthonormal columns; ``singular_values`` holds the r kept values,
+    non-increasing. :func:`tsvd_factorize` documents which triplets are
+    kept and the filter that ``regularization`` selects.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
     rank_tolerance: float
+    regularization: float
 
     @property
     def rank(self) -> int:
@@ -112,20 +114,10 @@ class TruncatedSVDFactors:
     def shape(self) -> tuple[int, int]:
         return (self.left_vectors.shape[0], self.right_vectors.shape[0])
 
-    def reconstruct(self) -> np.ndarray:
-        """Dense ``left @ diag(s) @ right.T`` (zeros for rank 0)."""
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
 
 @dataclass(frozen=True)
 class CODFactors:
     """Complete orthogonal decomposition of a dense matrix.
-
-    With ``perm = permutation`` the factors satisfy
-    ``A[:, perm] ~= left_orthogonal @ middle_triangular @ right_orthogonal``
-    where ``left_orthogonal`` is (rows, r) with orthonormal columns,
-    ``middle_triangular`` is the r-by-r nonsingular lower-triangular core,
-    and ``right_orthogonal`` is (r, cols) with orthonormal rows.
 
     The factors are stored once, in the compact form LAPACK leaves them,
     for ``A[:, perm] = Q1 [T11 0] Z``. ``q_reflectors`` (rows, r) holds
@@ -137,10 +129,7 @@ class CODFactors:
     array: ``q_reflectors`` its first r columns, ``rz`` its top r rows, a
     strided view whose leading dimension is the row count. Entries of
     ``rz`` below the diagonal of ``T11`` therefore belong to the ``Q``
-    reflectors and are not referenced as part of ``T11``. The three dense
-    factors above are derived on access, in reversed index
-    order, which turns the upper-triangular ``T11`` into the
-    lower-triangular core.
+    reflectors and are not referenced as part of ``T11``.
     """
 
     permutation: np.ndarray
@@ -154,28 +143,6 @@ class CODFactors:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.q_reflectors.shape[0], self.rz.shape[1])
-
-    @property
-    def left_orthogonal(self) -> np.ndarray:
-        return _leading_q(self)[:, ::-1]
-
-    @property
-    def middle_triangular(self) -> np.ndarray:
-        r = self.numerical_rank
-        return np.triu(self.rz[:, :r])[::-1, ::-1]
-
-    @property
-    def right_orthogonal(self) -> np.ndarray:
-        return _leading_z(self)[:, self.permutation][::-1]
-
-    def reconstruct(self) -> np.ndarray:
-        """Dense matrix with the permutation folded back in."""
-        rows, cols = self.shape
-        out = np.zeros((rows, cols))
-        if self.numerical_rank:
-            core = self.left_orthogonal @ self.middle_triangular @ self.right_orthogonal
-            out[:, self.permutation] = core
-        return out
 
 
 def _lapack_check(name: str, info: int) -> None:
@@ -308,8 +275,8 @@ def _leading_z(factors: CODFactors) -> np.ndarray:
     return out
 
 
-def tsvd_factorize(a, tol=None) -> TruncatedSVDFactors:
-    """Truncated SVD keeping exactly the singular values above ``tol``.
+def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
+    """SVD of ``a`` with the truncated or the Tikhonov filter.
 
     Parameters
     ----------
@@ -317,48 +284,53 @@ def tsvd_factorize(a, tol=None) -> TruncatedSVDFactors:
         Finite dense matrix.
     tol : float, optional
         Rank cutoff. ``None`` selects :func:`auto_tolerance`.
+    reg : float
+        Tikhonov weight, >= 0. At 0 the factors keep exactly the singular
+        values above ``tol``, filtered by ``1 / sigma``. Above 0 they keep
+        every triplet, filtered by ``sigma / (sigma^2 + reg^2)``: the apply
+        then minimizes ``||A X - B||^2 + reg^2 ||X||^2`` (left side) or
+        ``||X A - B||^2 + reg^2 ||X||^2`` (right). Note the squared ``reg``:
+        for ``reg != 1`` this differs from the ``sigma / (sigma^2 + reg)``
+        convention.
 
     Returns
     -------
     TruncatedSVDFactors
-        An all-zero matrix yields rank-0 factors, not an error.
+        An all-zero matrix is no error: at ``reg = 0`` it yields rank 0.
     """
     a = _as_matrix(a, "A")
+    if not reg >= 0:
+        raise ValueError(f"regularization weight must be >= 0, got {reg}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
     tol = _resolve_tol(tol, a.shape, sigma_max)
-    r = int(np.count_nonzero(s > tol))
-    return TruncatedSVDFactors(
-        left_vectors=np.ascontiguousarray(u[:, :r]),
-        singular_values=s[:r].copy(),
-        right_vectors=np.ascontiguousarray(vt[:r].T),
-        rank_tolerance=tol,
-    )
+    v = vt.T
+    if reg == 0:
+        r = int(np.count_nonzero(s > tol))
+        # Contiguous copies of the kept triplets: products with views of the
+        # full factors round differently.
+        u, s, v = np.ascontiguousarray(u[:, :r]), s[:r].copy(), np.ascontiguousarray(v[:, :r])
+    return TruncatedSVDFactors(u, s, v, tol, float(reg))
 
 
 def _check_pinv_shapes(factors, b: np.ndarray, side: str) -> None:
-    rows, cols = factors.shape
-    if side == "left":
-        if b.shape[0] != rows:
-            raise ValueError(
-                f"left pseudo-inverse apply needs B with {rows} rows to match "
-                f"factors of shape {(rows, cols)}, got B of shape {b.shape}"
-            )
-    elif side == "right":
-        if b.shape[1] != cols:
-            raise ValueError(
-                f"right pseudo-inverse apply needs B with {cols} columns to match "
-                f"factors of shape {(rows, cols)}, got B of shape {b.shape}"
-            )
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    rows, cols = factors.shape
+    axis, need, what = (0, rows, "rows") if side == "left" else (1, cols, "columns")
+    if b.shape[axis] != need:
+        raise ValueError(
+            f"{side} pseudo-inverse apply needs B with {need} {what} to match "
+            f"factors of shape {(rows, cols)}, got B of shape {b.shape}"
+        )
 
 
 def tsvd_pinv_apply(factors: TruncatedSVDFactors, b, side: str = "left") -> np.ndarray:
-    """Apply the truncated pseudo-inverse: ``A+ @ B`` (left) or ``B @ A+`` (right).
+    """Apply the filtered pseudo-inverse: ``A+ @ B`` (left) or ``B @ A+`` (right).
 
-    Only the retained singular triplets contribute; rank-0 factors return
-    the least-norm solution of an all-zero system, i.e. zeros.
+    ``A+ = V diag(f(sigma)) U^T`` over the kept triplets, with the filter
+    of the factors (see :func:`tsvd_factorize`); rank-0 factors return the
+    least-norm solution of an all-zero system, i.e. zeros.
     """
     b = _as_matrix(b, "B")
     _check_pinv_shapes(factors, b, side)
@@ -367,49 +339,15 @@ def tsvd_pinv_apply(factors: TruncatedSVDFactors, b, side: str = "left") -> np.n
         shape = (cols, b.shape[1]) if side == "left" else (b.shape[0], rows)
         return np.zeros(shape)
     u, s, v = factors.left_vectors, factors.singular_values, factors.right_vectors
+    reg = factors.regularization
+
+    def filtered(core, sigma):
+        # A division, not a product with 1 / sigma, keeps the truncated bits.
+        return core / sigma if reg == 0.0 else core * (sigma / (sigma * sigma + reg * reg))
+
     if side == "left":
-        return v @ ((u.T @ b) / s[:, None])
-    return ((b @ v) / s[None, :]) @ u.T
-
-
-def tikhonov_solve(psi, y, lam: float) -> np.ndarray:
-    """Solve ``min_W ||W Psi - Y||^2`` with Tikhonov regularization.
-
-    Parameters
-    ----------
-    psi : array_like, shape (N, m)
-        Feature matrix (features in rows, samples in columns).
-    y : array_like, shape (k, m)
-        Targets, one row per output component.
-    lam : float
-        Regularization weight, >= 0.
-
-    Returns
-    -------
-    ndarray, shape (k, N)
-        ``W = Y Psi^T (Psi Psi^T + reg)^-1`` evaluated through the SVD of
-        ``Psi`` with filter factors ``sigma^2 / (sigma^2 + lam^2)``. Note the
-        squared ``lam`` in the filter: for ``lam != 1`` this differs from the
-        ``sigma^2 / (sigma^2 + lam)`` convention. ``lam = 0`` reduces to the
-        plain truncated pseudo-inverse solution at the auto tolerance.
-    """
-    psi = _as_matrix(psi, "Psi")
-    y = _as_matrix(y, "Y")
-    if lam < 0:
-        raise ValueError(f"regularization weight must be >= 0, got {lam}")
-    if y.shape[1] != psi.shape[1]:
-        raise ValueError(
-            f"Psi of shape {psi.shape} and Y of shape {y.shape} must share the sample axis"
-        )
-    u, s, vt = np.linalg.svd(psi, full_matrices=False)
-    if lam == 0.0:
-        cutoff = auto_tolerance(psi.shape, float(s[0]) if s.size else 0.0)
-        mask = s > cutoff
-        coeff = np.zeros_like(s)
-        coeff[mask] = 1.0 / s[mask]
-    else:
-        coeff = s / (s * s + lam * lam)
-    return ((y @ vt.T) * coeff) @ u.T
+        return v @ filtered(u.T @ b, s[:, None])
+    return filtered(b @ v, s[None, :]) @ u.T
 
 
 def cod_factorize(a, tol=None) -> CODFactors:
@@ -533,25 +471,3 @@ def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
     _apply_q(factors, buf[:rows], b"N")
     return np.ascontiguousarray(buf[:rows].T)
 
-
-def dump_factors(factors, path) -> None:
-    """Write a small human-readable diagnostic dump of a factorization."""
-    lines = []
-    if isinstance(factors, TruncatedSVDFactors):
-        lines.append("kind: tsvd")
-        lines.append(f"shape: {factors.shape[0]} {factors.shape[1]}")
-        lines.append(f"rank: {factors.rank}")
-        lines.append(f"rank_tolerance: {factors.rank_tolerance!r}")
-        lines.append("singular_values: " + " ".join(repr(v) for v in factors.singular_values))
-    elif isinstance(factors, CODFactors):
-        lines.append("kind: cod")
-        lines.append(f"shape: {factors.shape[0]} {factors.shape[1]}")
-        lines.append(f"rank: {factors.numerical_rank}")
-        lines.append(f"rank_tolerance: {factors.rank_tolerance!r}")
-        diag = np.diag(factors.middle_triangular)
-        lines.append("core_diagonal: " + " ".join(repr(v) for v in diag))
-        lines.append("permutation: " + " ".join(str(int(p)) for p in factors.permutation))
-    else:
-        raise TypeError(f"unsupported factor type {type(factors).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

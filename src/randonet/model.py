@@ -168,51 +168,60 @@ def _conditioning_note(name: str, mat: np.ndarray) -> str:
     return f"{name}: shape {mat.shape}, sigma_max {smax:.3e}, sigma_min {smin:.3e}"
 
 
-def _stages(start: float, featured: float, factorized: float, end: float) -> dict:
-    """Seconds of the three training stages between four clock readings.
+def _metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end) -> dict:
+    """The ``train_metadata`` entries that both solves record.
 
-    The readings come from one ``perf_counter`` run and lie close together,
-    so each difference is exact and the stages sum to ``end - start``.
+    ``stages`` holds the seconds of the three training stages between four
+    clock readings. The readings come from one ``perf_counter`` run and lie
+    close together, so each difference is exact and the stages sum to
+    ``train_seconds``.
     """
     return {
-        "features": featured - start,
-        "factorize": factorized - featured,
-        "solve": end - factorized,
+        "solver": solver,
+        "tol": tol,
+        "reg": reg,
+        "trunk_seed": trunk.spec.seed,
+        "branch_seed": branch.spec.seed,
+        "train_seconds": end - start,
+        "stages": {
+            "features": featured - start,
+            "factorize": factorized - featured,
+            "solve": end - factorized,
+        },
     }
+
+
+def _check_solver(solver: str, reg: float) -> None:
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if not reg >= 0:
+        raise ValueError(f"regularization weight must be >= 0, got {reg}")
 
 
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     """Factor ``mat`` once; return (left_apply, right_apply, rank_facts).
 
-    ``rank_facts`` holds ``{name}_rank`` and ``{name}_rank_tolerance`` for
-    the 'cod' and 'tsvd' routes and is empty for 'tikhonov', which
-    truncates nothing. The 'cod' route hands ``mat`` to
-    :func:`linalg.inplace_cod_factorize`, which factors it in its own
-    storage when it is Fortran-ordered, so the caller must not read
-    ``mat`` afterwards.
+    The 'cod' route hands ``mat`` to :func:`linalg.inplace_cod_factorize`,
+    which factors it in its own storage when it is Fortran-ordered, so the
+    caller must not read ``mat`` afterwards. 'tsvd' and 'tikhonov' take one
+    SVD, truncated at ``tol`` or filtered with weight ``reg`` at the auto
+    tolerance. ``rank_facts`` holds ``{name}_rank`` and
+    ``{name}_rank_tolerance`` for 'cod' and 'tsvd', and is empty for
+    'tikhonov', which truncates nothing.
     """
-    if solver == "tsvd":
-        factors = linalg.tsvd_factorize(mat, tol)
-        return (
-            lambda b: linalg.tsvd_pinv_apply(factors, b, side="left"),
-            lambda b: linalg.tsvd_pinv_apply(factors, b, side="right"),
-            {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance},
-        )
     if solver == "cod":
         factors = linalg.inplace_cod_factorize(mat, tol)
-        return (
-            lambda b: linalg.cod_pinv_apply(factors, b, side="left"),
-            lambda b: linalg.cod_pinv_apply(factors, b, side="right"),
-            {f"{name}_rank": factors.numerical_rank,
-             f"{name}_rank_tolerance": factors.rank_tolerance},
-        )
-    if solver == "tikhonov":
-        return (
-            lambda b: linalg.tikhonov_solve(mat.T, b.T, reg).T,
-            lambda b: linalg.tikhonov_solve(mat, b, reg),
-            {},
-        )
-    raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+        apply_, rank = linalg.cod_pinv_apply, factors.numerical_rank
+    else:
+        tol, reg = (tol, 0.0) if solver == "tsvd" else (None, reg)
+        factors = linalg.tsvd_factorize(mat, tol, reg)
+        apply_, rank = linalg.tsvd_pinv_apply, factors.rank
+    ranks = {f"{name}_rank": rank, f"{name}_rank_tolerance": factors.rank_tolerance}
+    return (
+        lambda b: apply_(factors, b, side="left"),
+        lambda b: apply_(factors, b, side="right"),
+        {} if solver == "tikhonov" else ranks,
+    )
 
 
 def train_aligned(
@@ -236,17 +245,19 @@ def train_aligned(
     tol : float, optional
         Rank tolerance for 'cod'/'tsvd' (None = auto).
     reg : float
-        Tikhonov weight (used by 'tikhonov' only).
+        Tikhonov weight, >= 0 (used by 'tikhonov' only).
 
     Notes
     -----
-    The two pseudo-inverses are each computed once; they are applied to V
-    in the cheaper association order (trunk side first when n <= s). Wall
-    time of the solve is recorded in ``train_metadata['train_seconds']``
-    and split into ``train_metadata['stages']``, the seconds of
-    ``features`` (trunk and branch matrices), ``factorize`` and ``solve``
-    (applying the pseudo-inverses; all of the Tikhonov work is here).
-    The 'cod' and 'tsvd' routes also record the numerical rank and rank
+    An unknown solver or a negative ``reg`` is rejected before any feature
+    is built. The two pseudo-inverses are each computed once; they are
+    applied to V in the cheaper association order (trunk side first when
+    n <= s). Wall time of the solve is recorded in
+    ``train_metadata['train_seconds']`` and split into
+    ``train_metadata['stages']``, the seconds of ``features`` (trunk and
+    branch matrices), ``factorize`` (the COD or the SVD of each matrix,
+    Tikhonov's included) and ``solve`` (applying the pseudo-inverses). The
+    'cod' and 'tsvd' routes also record the numerical rank and rank
     tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
     ``branch_rank`` and ``branch_rank_tolerance``.
 
@@ -255,6 +266,7 @@ def train_aligned(
     fit holds each once. The diagnostics of a :class:`TrainingError`
     rebuild them from the maps.
     """
+    _check_solver(solver, reg)
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
     if branch.spec.input_dim != ds.x.size:
@@ -286,18 +298,8 @@ def train_aligned(
             + "; "
             + _conditioning_note("branch matrix", branch.apply(ds.U))
         )
-    metadata = {
-        "solver": solver,
-        "tol": tol,
-        "reg": reg,
-        "trunk_seed": trunk.spec.seed,
-        "branch_seed": branch.spec.seed,
-        "n_train_functions": ds.n_functions,
-        "train_seconds": end - start,
-        "stages": _stages(start, featured, factorized, end),
-        **trunk_ranks,
-        **branch_ranks,
-    }
+    metadata = {**_metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end),
+                "n_train_functions": ds.n_functions, **trunk_ranks, **branch_ranks}
     return RandONetModel(
         trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
     )
@@ -342,7 +344,9 @@ def train_unaligned(
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage;
     the diagnostics of a :class:`TrainingError` rebuild it from the maps.
+    An unknown solver or a negative ``reg`` is rejected first.
     """
+    _check_solver(solver, reg)
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
     n_feat = trunk.spec.feature_dim
@@ -372,17 +376,8 @@ def train_unaligned(
             "solver produced non-finite weights; "
             + _conditioning_note("collocation matrix", _collocation_matrix(trunk, branch, ds))
         )
-    metadata = {
-        "solver": solver,
-        "tol": tol,
-        "reg": reg,
-        "trunk_seed": trunk.spec.seed,
-        "branch_seed": branch.spec.seed,
-        "n_train_samples": n_samples,
-        "train_seconds": end - start,
-        "stages": _stages(start, featured, factorized, end),
-        **collocation_ranks,
-    }
+    metadata = {**_metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end),
+                "n_train_samples": n_samples, **collocation_ranks}
     return RandONetModel(
         trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
     )

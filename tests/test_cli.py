@@ -94,6 +94,34 @@ def test_unknown_config_key_fails_with_error_record(capsys, tmp_path):
     assert "bogus" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"case": 1, "json": "no"}, "config key 'json' must be true or false"),
+    ({"case": 1, "train_frac": "half"}, "config key 'train_frac'"),
+    ({"case": "9"}, "config key 'case' must be one of [1, 2, 3, 4, 5], got 9"),
+    ({"case": 1, "n": True}, "config key 'n' must be a string or number"),
+    ({"case": 1, "m": [4, "x"]}, "config key 'm': bad branch size list"),
+    (7, "config file must hold a JSON object, got int"),
+])
+def test_bad_config_value_fails_with_error_record(capsys, tmp_path, payload, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg_path))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert message in json.loads(err)["error"]["message"]
+
+
+def test_config_strings_convert_as_flags_do(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"case": "1", "train_frac": "0.5", "m": 4, "size": 30,
+                                    "json": True}))
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out_path))
+    assert code == 0
+    config = json.loads(out_path.read_text())["config"]
+    assert (config["case"], config["train_fraction"], config["branch_sizes"]) == (1, 0.5, [4])
+
+
 def test_missing_case_is_machine_readable_error(capsys):
     code, _, err = run_cli(capsys, "run", "--m", "4")
     assert code == 2

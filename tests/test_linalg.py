@@ -4,14 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randonet import linalg
 from randonet.linalg import (
     CODFactors,
     auto_tolerance,
     cod_factorize,
     cod_pinv_apply,
-    dump_factors,
     inplace_cod_factorize,
-    tikhonov_solve,
     tsvd_factorize,
     tsvd_pinv_apply,
 )
@@ -62,7 +61,8 @@ class TestTsvdFactorize:
         f = tsvd_factorize(a, tol=ref[-1] / 2)
         assert f.rank == 7
         np.testing.assert_allclose(f.singular_values, ref, rtol=1e-12)
-        err = np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a)
+        dense = (f.left_vectors * f.singular_values) @ f.right_vectors.T
+        err = np.linalg.norm(dense - a) / np.linalg.norm(a)
         assert err <= 1e-12
 
     def test_zero_matrix_gives_rank_zero(self):
@@ -130,14 +130,21 @@ class TestTsvdPinvApply:
         np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
+def tikhonov_right(psi, y, reg):
+    """``W`` minimizing ``||W Psi - Y||^2 + reg^2 ||W||^2``, through the SVD factors."""
+    return tsvd_pinv_apply(tsvd_factorize(psi, reg=reg), y, side="right")
+
+
 class TestTikhonovSolve:
+    """The Tikhonov filter of :func:`tsvd_factorize`, applied from the right."""
+
     def test_identity_zero_lambda(self):
         y = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(tikhonov_solve(np.eye(3), y, 0.0), y)
+        np.testing.assert_allclose(tikhonov_right(np.eye(3), y, 0.0), y)
 
     def test_scalar_filter_factor(self):
         # sigma=1, lambda=1: filter 1/(1+1) applied to exact solution 2.
-        w = tikhonov_solve(np.array([[1.0]]), np.array([[2.0]]), 1.0)
+        w = tikhonov_right(np.array([[1.0]]), np.array([[2.0]]), 1.0)
         np.testing.assert_allclose(w, [[1.0]])
 
     def test_matches_direct_symmetric_solve(self):
@@ -145,7 +152,7 @@ class TestTikhonovSolve:
         psi = rng.standard_normal((50, 200))
         y = rng.standard_normal((4, 200))
         lam = 1e-8
-        w = tikhonov_solve(psi, y, lam)
+        w = tikhonov_right(psi, y, lam)
         ref = np.linalg.solve(psi @ psi.T + lam * np.eye(50), psi @ y.T).T
         assert np.linalg.norm(w - ref) / np.linalg.norm(ref) <= 1e-8
 
@@ -153,24 +160,39 @@ class TestTikhonovSolve:
         rng = np.random.default_rng(9)
         psi = rng.standard_normal((30, 90))
         y = rng.standard_normal((2, 90))
-        w0 = tikhonov_solve(psi, y, 0.0)
-        w = tikhonov_solve(psi, y, 1e-14)
+        w0 = tikhonov_right(psi, y, 0.0)
+        w = tikhonov_right(psi, y, 1e-14)
         assert np.linalg.norm(w - w0) / np.linalg.norm(w0) <= 1e-6
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            tikhonov_solve(np.eye(2), np.eye(2), -0.5)
+        for reg in (-0.5, np.nan):
+            with pytest.raises(ValueError, match=">= 0"):
+                tsvd_factorize(np.eye(2), reg=reg)
 
     def test_sample_axis_mismatch(self):
-        with pytest.raises(ValueError, match="sample axis"):
-            tikhonov_solve(np.eye(3), np.ones((2, 4)), 0.0)
+        with pytest.raises(ValueError, match="needs B with 3 columns"):
+            tikhonov_right(np.eye(3), np.ones((2, 4)), 0.0)
+
+
+def assert_moore_penrose(a, x, bound):
+    """The four Moore-Penrose identities for ``x ~= pinv(a)``, each relative to its norm."""
+    ax, xa = a @ x, x @ a
+    for got, want in ((ax @ a, a), (x @ ax, x), (ax, ax.T), (xa, xa.T)):
+        assert np.linalg.norm(got - want) <= bound * (np.linalg.norm(want) or 1.0)
+
+
+def assert_cod_moore_penrose(a, f, bound):
+    """:func:`assert_moore_penrose` for the COD pseudo-inverse, applied from each side."""
+    rows, cols = a.shape
+    assert_moore_penrose(a, cod_pinv_apply(f, np.eye(rows), side="left"), bound)
+    assert_moore_penrose(a, cod_pinv_apply(f, np.eye(cols), side="right"), bound)
 
 
 class TestCodFactorize:
     def test_identity(self):
         f = cod_factorize(np.eye(4))
         assert f.numerical_rank == 4
-        np.testing.assert_allclose(np.abs(np.diag(f.middle_triangular)), np.ones(4))
+        np.testing.assert_allclose(np.abs(np.diag(f.rz)), np.ones(4))
 
     def test_outer_product_rank_one(self):
         u = np.array([1.0, -2.0, 0.5])
@@ -185,25 +207,22 @@ class TestCodFactorize:
         # Oracle: count of singular values above the same tolerance.
         sv = np.linalg.svd(a, compute_uv=False)
         assert f.numerical_rank == int(np.count_nonzero(sv > f.rank_tolerance)) == 3
-        err = np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a)
-        assert err <= 1e-10
+        assert_cod_moore_penrose(a, f, 1e-10)
 
     def test_orthogonal_factors_and_core(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((7, 5))
         f = cod_factorize(a)
-        r = f.numerical_rank
-        np.testing.assert_allclose(f.left_orthogonal.T @ f.left_orthogonal, np.eye(r), atol=1e-10)
-        np.testing.assert_allclose(f.right_orthogonal @ f.right_orthogonal.T, np.eye(r), atol=1e-10)
-        core_diag = np.abs(np.diag(f.middle_triangular))
+        assert_cod_moore_penrose(a, f, 1e-10)
+        # The diagonal of the triangular core T11, the first r columns of rz.
+        core_diag = np.abs(np.diag(f.rz))
+        assert core_diag.size == f.numerical_rank
         assert np.all(core_diag >= f.rank_tolerance)
-        # Lower-triangular core: strictly-upper part vanishes.
-        assert np.allclose(np.triu(f.middle_triangular, k=1), 0.0)
 
     def test_zero_matrix(self):
         f = cod_factorize(np.zeros((3, 4)))
         assert f.numerical_rank == 0
-        np.testing.assert_array_equal(f.reconstruct(), np.zeros((3, 4)))
+        np.testing.assert_array_equal(cod_pinv_apply(f, np.eye(3), side="left"), np.zeros((4, 3)))
 
 
 class TestCodPinvApply:
@@ -368,14 +387,10 @@ class TestCodTwoStage:
         a = spectrum_matrix(rows, cols, rank, seed=7)
         f = cod_factorize(a)
         assert f.shape == (rows, cols)
-        assert f.left_orthogonal.shape == (rows, rank)
-        assert f.middle_triangular.shape == (rank, rank)
-        assert f.right_orthogonal.shape == (rank, cols)
-        np.testing.assert_allclose(f.right_orthogonal @ f.right_orthogonal.T, np.eye(rank),
-                                   atol=1e-12)
-        assert np.all(np.abs(np.diag(f.middle_triangular)) >= f.rank_tolerance)
-        np.testing.assert_array_equal(np.triu(f.middle_triangular, k=1), 0.0)
-        assert np.linalg.norm(f.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+        assert f.q_reflectors.shape == (rows, rank)
+        assert f.rz.shape == (rank, cols)
+        assert np.all(np.abs(np.diag(f.rz)) >= f.rank_tolerance)
+        assert_cod_moore_penrose(a, f, 1e-12)
 
     def test_peak_memory_is_one_working_copy(self, traced_peak):
         # Wide and rank-deficient, so tzrzf runs. This bound dates from
@@ -495,14 +510,87 @@ class TestCodTwoStage:
 class TestMoorePenroseIdentities:
     def test_both_routes(self, shape, seed):
         a = np.random.default_rng(seed).standard_normal(shape)
-        nrm = np.linalg.norm(a)
         for factorize, apply_ in (
             (tsvd_factorize, tsvd_pinv_apply),
             (cod_factorize, cod_pinv_apply),
         ):
-            pinv = apply_(factorize(a), np.eye(shape[0]), side="left")
-            assert np.linalg.norm(a @ pinv @ a - a) / nrm <= 1e-10
-            assert np.linalg.norm(pinv @ a @ pinv - pinv) / np.linalg.norm(pinv) <= 1e-10
+            assert_moore_penrose(a, apply_(factorize(a), np.eye(shape[0]), side="left"), 1e-10)
+
+
+def gapped_matrix(rows, cols, rank, seed):
+    """``rank`` singular values in [1, 10], the others in [0, 1e-9]."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    sing = np.concatenate([rng.uniform(1.0, 10.0, rank), rng.uniform(0.0, 1e-9, k - rank)])
+    return (u * sing) @ v.T
+
+
+def assert_close_or_zero(got, want, bound):
+    scale = max(np.linalg.norm(want), 1e-300)
+    assert np.linalg.norm(got - want) <= bound * scale
+    if not want.any():
+        np.testing.assert_array_equal(got, 0.0)
+
+
+SHAPES = dict(rows=st.integers(1, 14), cols=st.integers(1, 14), rank_share=st.floats(0.0, 1.0),
+              seed=st.integers(0, 2**31 - 1))
+
+
+class TestSpectralFilters:
+    @settings(max_examples=40, deadline=None)
+    @given(**SHAPES)
+    def test_truncated_matches_numpy_pinv_across_gap(self, rows, cols, rank_share, seed):
+        rank = int(round(rank_share * min(rows, cols)))
+        a = gapped_matrix(rows, cols, rank, seed)
+        tol = 1e-5  # four decades from both sides of the gap
+        rng = np.random.default_rng(seed)
+        b_left, b_right = rng.standard_normal((rows, 3)), rng.standard_normal((3, cols))
+        ref = np.linalg.pinv(a, rcond=tol / max(np.linalg.norm(a, 2), tol))
+        f = tsvd_factorize(a, tol)
+        assert f.rank == rank
+        assert_close_or_zero(tsvd_pinv_apply(f, b_left, side="left"), ref @ b_left, 1e-10)
+        assert_close_or_zero(tsvd_pinv_apply(f, b_right, side="right"), b_right @ ref, 1e-10)
+        # reg = 0 is the truncated solve at the auto tolerance, bit for bit.
+        auto, zero = tsvd_factorize(a), tsvd_factorize(a, reg=0.0)
+        assert zero.rank_tolerance == auto.rank_tolerance and zero.rank == auto.rank
+        for b, side in ((b_left, "left"), (b_right, "right")):
+            np.testing.assert_array_equal(tsvd_pinv_apply(zero, b, side=side),
+                                          tsvd_pinv_apply(auto, b, side=side))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SHAPES, reg=st.floats(0.05, 10.0))
+    def test_tikhonov_matches_stacked_least_squares(self, rows, cols, rank_share, seed, reg):
+        # The oracle's error grows as (sigma_max / reg)^2 on rank-deficient
+        # input, hence reg >= 0.05 for sigma_max <= 10.
+        a = spectrum_matrix(rows, cols, int(round(rank_share * min(rows, cols))), seed)
+        rng = np.random.default_rng(seed)
+        b_left, b_right = rng.standard_normal((rows, 3)), rng.standard_normal((3, cols))
+        f = tsvd_factorize(a, reg=reg)
+        assert f.rank == min(rows, cols)
+        # [A; reg I] X = [B; 0] from the left, [A^T; reg I] X^T = [B^T; 0] from the right.
+        want_left = np.linalg.lstsq(np.vstack([a, reg * np.eye(cols)]),
+                                    np.vstack([b_left, np.zeros((cols, 3))]), rcond=None)[0]
+        want_right = np.linalg.lstsq(np.vstack([a.T, reg * np.eye(rows)]),
+                                     np.vstack([b_right.T, np.zeros((rows, 3))]), rcond=None)[0]
+        assert_close_or_zero(tsvd_pinv_apply(f, b_left, side="left"), want_left, 1e-9)
+        assert_close_or_zero(tsvd_pinv_apply(f, b_right, side="right"), want_right.T, 1e-9)
+
+
+def test_factorizations_carry_the_traced_attributes():
+    # perfbench/tracing.py wraps every *_factorize in linalg.__all__, reads
+    # shape and numerical_rank or rank from its result, and counts flops
+    # for results whose class is named CODFactors.
+    a = spectrum_matrix(6, 9, 4, seed=17)
+    names = [name for name in linalg.__all__ if name.endswith("_factorize")]
+    assert {"tsvd_factorize", "cod_factorize", "inplace_cod_factorize"} <= set(names)
+    for name in names:
+        out = getattr(linalg, name)(a.copy())
+        assert tuple(out.shape) == a.shape
+        assert getattr(out, "numerical_rank", getattr(out, "rank", None)) == 4
+    for factorize in (cod_factorize, inplace_cod_factorize):
+        assert type(factorize(a)).__name__ == "CODFactors"
 
 
 class TestTruncationAndAgreement:
@@ -531,16 +619,3 @@ class TestTruncationAndAgreement:
     def test_auto_tolerance_rule(self):
         assert auto_tolerance((3, 7), 2.0) == 7 * np.finfo(np.float64).eps * 2.0
 
-
-def test_dump_factors(tmp_path):
-    a = np.random.default_rng(15).standard_normal((5, 4))
-    svd_path = tmp_path / "svd.txt"
-    cod_path = tmp_path / "cod.txt"
-    dump_factors(tsvd_factorize(a), svd_path)
-    dump_factors(cod_factorize(a), cod_path)
-    svd_text = svd_path.read_text()
-    assert "kind: tsvd" in svd_text and "rank: 4" in svd_text
-    cod_text = cod_path.read_text()
-    assert "kind: cod" in cod_text and "permutation:" in cod_text
-    with pytest.raises(TypeError):
-        dump_factors(np.eye(2), tmp_path / "bad.txt")

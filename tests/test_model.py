@@ -9,6 +9,7 @@ from randonet import linalg
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
+    FeatureMap,
     build_feature_map,
     sample_jl,
     sample_rffn,
@@ -146,6 +147,22 @@ class TestTrainAligned:
         monkeypatch.setattr("randonet.model.linalg.cod_pinv_apply", poisoned)
         with pytest.raises(TrainingError, match="sigma_max"):
             train_aligned(ds, trunk, branch, solver="cod")
+
+    @pytest.mark.parametrize("train", [train_aligned, train_unaligned])
+    def test_bad_solver_or_reg_fails_before_features(self, train, monkeypatch):
+        ds = toy_dataset() if train is train_aligned else explode_aligned(toy_dataset())
+        maps = toy_maps()
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("a feature matrix was built")
+
+        monkeypatch.setattr(FeatureMap, "apply", no_features)
+        monkeypatch.setattr(FeatureMap, "_apply", no_features)
+        with pytest.raises(ValueError, match="solver must be one of"):
+            train(ds, *maps, solver="qr")
+        for reg in (-1e-8, np.nan):
+            with pytest.raises(ValueError, match=">= 0"):
+                train(ds, *maps, solver="tikhonov", reg=reg)
 
     def test_metadata_recorded(self):
         model = train_aligned(toy_dataset(), *toy_maps(), solver="tsvd", tol=1e-10)
