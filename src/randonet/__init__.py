@@ -36,7 +36,6 @@ from .harness import (
     mse,
     run_experiment,
     split,
-    sweep,
     write_report_csv,
     write_report_json,
 )
@@ -64,11 +63,6 @@ from .problems import (
     CaseStudy,
     ODESolverConfig,
     build_case,
-    build_case1,
-    build_case2,
-    build_case3,
-    build_case4,
-    build_case5,
     case_config,
     export_dataset_csv,
 )
@@ -92,11 +86,6 @@ __all__ = [
     "TruncatedSVDFactors",
     "UnalignedDataset",
     "build_case",
-    "build_case1",
-    "build_case2",
-    "build_case3",
-    "build_case4",
-    "build_case5",
     "build_feature_map",
     "case_config",
     "cod_factorize",
@@ -121,7 +110,6 @@ __all__ = [
     "save_feature_map",
     "save_model",
     "split",
-    "sweep",
     "train_aligned",
     "train_unaligned",
     "tsvd_factorize",

@@ -156,7 +156,7 @@ def _prop_moore_penrose() -> tuple[bool, dict]:
         ("cod", linalg.cod_factorize, linalg.cod_pinv_apply),
     ):
         f = factorize(a, None)
-        pinv = apply_(f, np.eye(40), side="left")
+        pinv = apply_(f, np.eye(25))  # I @ A+
         res1 = np.linalg.norm(a @ pinv @ a - a) / np.linalg.norm(a)
         res2 = np.linalg.norm(pinv @ a @ pinv - pinv) / np.linalg.norm(pinv)
         worst = max(worst, res1, res2)
@@ -172,8 +172,9 @@ def _prop_solver_agreement() -> tuple[bool, dict]:
     a = (u[:, :20] * sing) @ v.T
     b = rng.standard_normal((30, 4))
     tol = 1e-6
-    x_tsvd = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(a, tol), b, side="left")
-    x_cod = linalg.cod_pinv_apply(linalg.cod_factorize(a, tol), b, side="left")
+    # A+ b as (b.T (A.T)+).T
+    x_tsvd = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(a.T, tol), b.T).T
+    x_cod = linalg.cod_pinv_apply(linalg.cod_factorize(a.T, tol), b.T).T
     rel = np.linalg.norm(x_tsvd - x_cod) / np.linalg.norm(x_tsvd)
     return rel <= 1e-8, {"solver_agreement": rel}
 
@@ -182,8 +183,8 @@ def _prop_tikhonov_limit() -> tuple[bool, dict]:
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((30, 80))
     y = rng.standard_normal((3, 80))
-    w0 = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(psi), y, side="right")
-    w_small = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(psi, reg=1e-14), y, side="right")
+    w0 = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(psi), y)
+    w_small = linalg.tsvd_pinv_apply(linalg.tsvd_factorize(psi, reg=1e-14), y)
     rel = np.linalg.norm(w_small - w0) / np.linalg.norm(w0)
     return rel <= 1e-6, {"tikhonov_limit": rel}
 

@@ -1,4 +1,4 @@
-"""Command line interface: run, sweep, gen-data, verify.
+"""Command line interface: run (alias sweep), gen-data, verify.
 
 Flags can also be supplied through a JSON config file (``--config``);
 explicit flags win over file values. On failure the process exits nonzero
@@ -8,10 +8,11 @@ after printing a one-line JSON error record to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from . import acceptance, harness, problems
+from . import acceptance, harness, model, problems
 
 __all__ = ["main", "build_parser"]
 
@@ -27,23 +28,29 @@ def _parse_m_list(text: str) -> tuple[int, ...]:
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
+    # An experiment flag stores to the harness.ExperimentConfig field of its dest.
     sub.add_argument("--case", type=int, choices=problems.CASE_IDS, help="case study id")
     sub.add_argument("--branch", choices=("jl", "rffn"), help="branch embedding kind")
-    sub.add_argument("--m", type=_parse_m_list, dest="m",
+    sub.add_argument("--m", type=_parse_m_list, dest="branch_sizes", metavar="M",
                      help="branch width M, or comma-separated list for sweeps")
-    sub.add_argument("--n", type=int, dest="n", help="trunk width N (default 200)")
-    sub.add_argument("--train-frac", type=float, help="training fraction in (0, 1)")
-    sub.add_argument("--solver", choices=("cod", "tsvd", "tikhonov"), help="least-squares route")
-    sub.add_argument("--lambda", type=float, dest="reg", help="Tikhonov regularization weight")
+    sub.add_argument("--n", type=int, dest="trunk_size", metavar="N",
+                     help="trunk width N (default 200)")
+    sub.add_argument("--train-frac", type=float, dest="train_fraction", metavar="TRAIN_FRAC",
+                     help="training fraction in (0, 1)")
+    sub.add_argument("--solver", choices=model.SOLVERS, help="least-squares route")
+    sub.add_argument("--lambda", type=float, dest="reg", metavar="LAMBDA",
+                     help="Tikhonov regularization weight (tikhonov only)")
     sub.add_argument("--tol", type=float, help="rank tolerance for cod/tsvd (default auto)")
-    sub.add_argument("--bandwidth", type=float, dest="bandwidth",
+    sub.add_argument("--bandwidth", type=float, dest="rffn_bandwidth", metavar="BANDWIDTH",
                      help="RFFN kernel bandwidth (default: 5x sensor count)")
-    sub.add_argument("--trunk-bound", type=float, dest="trunk_bound",
+    sub.add_argument("--trunk-bound", type=float, dest="trunk_weight_bound",
+                     metavar="TRUNK_BOUND",
                      help="tanh trunk weight bound (default: 25 / domain half-width)")
     sub.add_argument("--seed-data", type=int, help="dataset generation seed")
     sub.add_argument("--seed-embed", type=int, help="embedding sampling seed")
     sub.add_argument("--seed-split", type=int, help="train/test split seed")
-    sub.add_argument("--size", type=int, help="dataset size override (default per case)")
+    sub.add_argument("--size", type=int, dest="dataset_size", metavar="SIZE",
+                     help="dataset size override (default per case)")
     sub.add_argument("--cache-dir", help="directory for cached datasets")
     sub.add_argument("--out", help="output CSV path")
     sub.add_argument("--json", action="store_true", help="write JSON instead of CSV")
@@ -54,11 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randonet", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="train on one case and report test metrics")
+    run = subs.add_parser("run", aliases=["sweep"],
+                          help="train one model per branch width and report test metrics")
     _add_experiment_flags(run)
-
-    swp = subs.add_parser("sweep", help="branch-width sweep with a convergence CSV")
-    _add_experiment_flags(swp)
 
     gen = subs.add_parser("gen-data", help="export a case dataset to CSV")
     gen.add_argument("--case", type=int, choices=problems.CASE_IDS, required=True)
@@ -120,25 +125,12 @@ def _merge_config_file(args: argparse.Namespace) -> None:
 
 
 def _experiment_config(args: argparse.Namespace) -> harness.ExperimentConfig:
+    """The config of the flags that were set; the others keep the field defaults."""
     if args.case is None:
         raise ValueError("--case is required (flag or config file)")
-    return harness.ExperimentConfig(
-        case=args.case,
-        branch=args.branch or "jl",
-        branch_sizes=args.m or (100,),
-        trunk_size=args.n or 200,
-        train_fraction=0.8 if args.train_frac is None else args.train_frac,
-        solver=args.solver or "cod",
-        reg=0.0 if args.reg is None else args.reg,
-        tol=args.tol,
-        seed_data=0 if args.seed_data is None else args.seed_data,
-        seed_embed=1 if args.seed_embed is None else args.seed_embed,
-        seed_split=2 if args.seed_split is None else args.seed_split,
-        dataset_size=args.size,
-        trunk_weight_bound=args.trunk_bound,
-        rffn_bandwidth=args.bandwidth,
-        cache_dir=args.cache_dir,
-    )
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(harness.ExperimentConfig)}
+    return harness.ExperimentConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _emit_report(report, args) -> None:
@@ -160,13 +152,6 @@ def _emit_report(report, args) -> None:
 def _cmd_run(args) -> int:
     _merge_config_file(args)
     report = harness.run_experiment(_experiment_config(args))
-    _emit_report(report, args)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    _merge_config_file(args)
-    report = harness.sweep(_experiment_config(args), args.out)
     _emit_report(report, args)
     return 0
 
@@ -194,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
-        "sweep": _cmd_sweep,
+        "sweep": _cmd_run,
         "gen-data": _cmd_gen_data,
         "verify": _cmd_verify,
     }

@@ -48,7 +48,6 @@ __all__ = [
     "mse",
     "l2_percentiles",
     "run_experiment",
-    "sweep",
     "write_report_csv",
     "write_report_json",
     "clear_dataset_cache",
@@ -354,10 +353,3 @@ def write_report_json(report: BenchmarkReport, path) -> None:
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
-
-def sweep(cfg: ExperimentConfig, out_path=None) -> BenchmarkReport:
-    """Run a branch-width sweep and optionally write the convergence CSV."""
-    report = run_experiment(cfg)
-    if out_path is not None:
-        write_report_csv(report, out_path)
-    return report

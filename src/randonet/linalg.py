@@ -17,6 +17,11 @@ Two factorizations give a (regularized) Moore-Penrose pseudo-inverse:
   ill-conditioned matrix through orthogonal transforms and one triangular
   back substitution.
 
+Both applies compute ``B @ A+``. The readout solves only need that side:
+a features x samples matrix ``A`` is inverted against targets that share
+its sample axis. A left solve ``A+ @ B`` is ``(B.T @ (A.T)+).T``, with the
+transposed matrix factored instead.
+
 The COD takes two stages, as LAPACK's ``xGELSY`` does, but keeps its own
 rank rule. One column-pivoted QR ``A P = Q R`` (``geqp3``) fixes the
 numerical rank r as the count of leading pivots ``|R_ii|`` above the
@@ -210,46 +215,39 @@ def _lapack_with_work(name: str, *args, lwork: int | None = None) -> None:
     _lapack(name, *args, np.empty(max(lwork, 1)), lwork)
 
 
-def _reflector_lwork(c: np.ndarray, side: bytes) -> int | None:
+def _reflector_lwork(nrhs: int) -> int | None:
     # With one right-hand side, the minimal workspace makes ormqr/ormrz
     # take their unblocked loop; the blocked one would form a triangular
     # block factor per 32 reflectors to update a single column.
-    nrhs = c.shape[1] if side == b"L" else c.shape[0]
     return 1 if nrhs == 1 else None
 
 
-def _apply_q(factors: CODFactors, c: np.ndarray, trans: bytes) -> None:
-    """``c = op(Q) @ c`` in place through ``ormqr``; ``c`` is (rows, k).
+def _apply_q(factors: CODFactors, c: np.ndarray) -> None:
+    """``c = Q @ c`` in place through ``ormqr``; ``c`` is (rows, k).
 
-    ``Q`` is the product of the r stored reflectors, ``op(Q) = Q.T`` for
-    ``trans=b'T'``. The first r rows of ``Q.T @ c`` are ``Q1.T @ c``; when
-    only the first r rows of ``c`` are nonzero, ``Q @ c`` is ``Q1 @ c[:r]``.
+    ``Q`` is the product of the r stored reflectors. When only the first r
+    rows of ``c`` are nonzero, ``Q @ c`` is ``Q1 @ c[:r]``.
     """
     qr = factors.q_reflectors
-    _lapack_with_work("dormqr", b"L", trans, *c.shape, factors.numerical_rank,
+    _lapack_with_work("dormqr", b"L", b"N", *c.shape, factors.numerical_rank,
                       qr, _ld(qr), factors.q_tau, c, _ld(c),
-                      lwork=_reflector_lwork(c, b"L"))
+                      lwork=_reflector_lwork(c.shape[1]))
 
 
-def _apply_z(factors: CODFactors, c: np.ndarray, side: bytes, trans: bytes) -> None:
-    """Product of ``c`` with the stored ``Z``, in place through ``ormrz``.
-
-    ``side=b'L'`` gives ``op(Z) @ c``, ``side=b'R'`` gives ``c @ op(Z)``,
-    with ``op(Z) = Z.T`` for ``trans=b'T'``. Nothing happens when ``Z`` is
-    the identity.
-    """
+def _apply_z(factors: CODFactors, c: np.ndarray) -> None:
+    """``c = Z @ c`` in place through ``ormrz``; nothing when ``Z`` is the identity."""
     if factors.z_tau.size == 0:
         return
     rz = factors.rz
     r, cols = rz.shape
-    _lapack_with_work("dormrz", side, trans, *c.shape, r, cols - r, rz, _ld(rz),
-                      factors.z_tau, c, _ld(c), lwork=_reflector_lwork(c, side))
+    _lapack_with_work("dormrz", b"L", b"N", *c.shape, r, cols - r, rz, _ld(rz),
+                      factors.z_tau, c, _ld(c), lwork=_reflector_lwork(c.shape[1]))
 
 
-def _solve_t11(factors: CODFactors, c: np.ndarray, trans: bytes) -> None:
-    """Solve ``op(T11) x = c`` in place; ``T11`` is read in the factor storage."""
+def _solve_t11(factors: CODFactors, c: np.ndarray) -> None:
+    """Solve ``T11.T x = c`` in place; ``T11`` is read in the factor storage."""
     rz = factors.rz
-    _lapack("dtrtrs", b"U", trans, b"N", factors.numerical_rank, c.shape[1],
+    _lapack("dtrtrs", b"U", b"T", b"N", factors.numerical_rank, c.shape[1],
             rz, _ld(rz), c, _ld(c))
 
 
@@ -263,13 +261,16 @@ def _leading_q(factors: CODFactors) -> np.ndarray:
 
 
 def _leading_z(factors: CODFactors) -> np.ndarray:
-    """The first r rows of ``Z`` with the permutation folded back in.
+    """The first r rows of a nontrivial ``Z`` with the permutation folded back in.
 
     The result ``Zp`` is (r, cols) and satisfies ``A ~= Q1 @ T11 @ Zp``.
+    ``ormrz`` forms it as ``[I 0] @ Z``, applying ``Z`` from the right.
     """
-    r, cols = factors.numerical_rank, factors.shape[1]
+    rz = factors.rz
+    r, cols = rz.shape
     z = np.eye(r, cols, order="F")
-    _apply_z(factors, z, side=b"R", trans=b"N")
+    _lapack_with_work("dormrz", b"R", b"N", r, cols, r, cols - r, rz, _ld(rz),
+                      factors.z_tau, z, _ld(z), lwork=_reflector_lwork(r))
     out = np.empty_like(z)
     out[:, factors.permutation] = z
     return out
@@ -288,8 +289,7 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
         Tikhonov weight, >= 0. At 0 the factors keep exactly the singular
         values above ``tol``, filtered by ``1 / sigma``. Above 0 they keep
         every triplet, filtered by ``sigma / (sigma^2 + reg^2)``: the apply
-        then minimizes ``||A X - B||^2 + reg^2 ||X||^2`` (left side) or
-        ``||X A - B||^2 + reg^2 ||X||^2`` (right). Note the squared ``reg``:
+        then minimizes ``||X A - B||^2 + reg^2 ||X||^2``. Note the squared ``reg``:
         for ``reg != 1`` this differs from the ``sigma / (sigma^2 + reg)``
         convention.
 
@@ -313,41 +313,31 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
     return TruncatedSVDFactors(u, s, v, tol, float(reg))
 
 
-def _check_pinv_shapes(factors, b: np.ndarray, side: str) -> None:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def _check_pinv_shapes(factors, b: np.ndarray) -> None:
     rows, cols = factors.shape
-    axis, need, what = (0, rows, "rows") if side == "left" else (1, cols, "columns")
-    if b.shape[axis] != need:
+    if b.shape[1] != cols:
         raise ValueError(
-            f"{side} pseudo-inverse apply needs B with {need} {what} to match "
+            f"pseudo-inverse apply needs B with {cols} columns to match "
             f"factors of shape {(rows, cols)}, got B of shape {b.shape}"
         )
 
 
-def tsvd_pinv_apply(factors: TruncatedSVDFactors, b, side: str = "left") -> np.ndarray:
-    """Apply the filtered pseudo-inverse: ``A+ @ B`` (left) or ``B @ A+`` (right).
+def tsvd_pinv_apply(factors: TruncatedSVDFactors, b) -> np.ndarray:
+    """Apply the filtered pseudo-inverse from the right: ``B @ A+``.
 
     ``A+ = V diag(f(sigma)) U^T`` over the kept triplets, with the filter
     of the factors (see :func:`tsvd_factorize`); rank-0 factors return the
     least-norm solution of an all-zero system, i.e. zeros.
     """
     b = _as_matrix(b, "B")
-    _check_pinv_shapes(factors, b, side)
-    rows, cols = factors.shape
+    _check_pinv_shapes(factors, b)
     if factors.rank == 0:
-        shape = (cols, b.shape[1]) if side == "left" else (b.shape[0], rows)
-        return np.zeros(shape)
-    u, s, v = factors.left_vectors, factors.singular_values, factors.right_vectors
-    reg = factors.regularization
-
-    def filtered(core, sigma):
-        # A division, not a product with 1 / sigma, keeps the truncated bits.
-        return core / sigma if reg == 0.0 else core * (sigma / (sigma * sigma + reg * reg))
-
-    if side == "left":
-        return v @ filtered(u.T @ b, s[:, None])
-    return filtered(b @ v, s[None, :]) @ u.T
+        return np.zeros((b.shape[0], factors.shape[0]))
+    s, reg = factors.singular_values, factors.regularization
+    core = b @ factors.right_vectors
+    # A division, not a product with 1 / sigma, keeps the truncated bits.
+    core = core / s if reg == 0.0 else core * (s / (s * s + reg * reg))
+    return core @ factors.left_vectors.T
 
 
 def cod_factorize(a, tol=None) -> CODFactors:
@@ -411,52 +401,38 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
     )
 
 
-def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
-    """Apply the COD pseudo-inverse: ``A+ @ B`` (left) or ``B @ A+`` (right).
+def cod_pinv_apply(factors: CODFactors, b) -> np.ndarray:
+    """Apply the COD pseudo-inverse from the right: ``B @ A+``.
 
-    With ``A[:, perm] = Q1 [T11 0] Z`` the action is a product with ``Q1``,
-    one triangular back substitution on ``T11`` and a product with the
-    leading r rows of ``Z``; it agrees with the truncated-SVD route on the
-    same numerical rank. The right apply runs as the transposed left
-    problem ``(B A+).T = Q1 T11^-T [I 0] Z P.T B.T``, so both sides work in
-    one Fortran-ordered (max(rows, cols), k) buffer and read the factors
-    where they lie.
+    With ``A[:, perm] = Q1 [T11 0] Z`` the action is a product with the
+    leading r rows of ``Z``, one triangular back substitution on ``T11``
+    and a product with ``Q1``; it agrees with the truncated-SVD route on
+    the same numerical rank. It runs as the transposed problem
+    ``(B A+).T = Q1 T11^-T [I 0] Z P.T B.T``, in one Fortran-ordered
+    (max(rows, cols), k) buffer, and reads the factors where they lie.
     """
     b = _as_matrix(b, "B")
-    _check_pinv_shapes(factors, b, side)
+    _check_pinv_shapes(factors, b)
     rows, cols = factors.shape
     r = factors.numerical_rank
-    nrhs = b.shape[1] if side == "left" else b.shape[0]
+    nrhs = b.shape[0]
     if r == 0:
-        return np.zeros((cols, nrhs) if side == "left" else (nrhs, rows))
+        return np.zeros((nrhs, rows))
     perm = factors.permutation
     # The orthogonal factors reach the right-hand sides as reflectors,
     # except when those outnumber the rank: forming the r columns of Q and
     # rows of Z that act then costs no more than applying the reflectors to
     # r of them, and one matrix product runs about twice as fast as the
     # blocked reflector updates.
-    formed = nrhs > r
-    if side == "left":
-        if formed:
-            core = np.asfortranarray(_leading_q(factors).T @ b)
-            _solve_t11(factors, core, b"N")
-            if factors.z_tau.size:
-                return _leading_z(factors).T @ core
+    if nrhs > r:
+        if factors.z_tau.size:
+            y = np.asfortranarray((b @ _leading_z(factors).T).T)
         else:
-            buf = np.empty((max(rows, cols), nrhs), order="F")
-            buf[:rows] = b
-            _apply_q(factors, buf[:rows], b"T")
-            _solve_t11(factors, buf[:r], b"N")
-            buf[r:cols] = 0.0
-            _apply_z(factors, buf[:cols], side=b"L", trans=b"T")
-            core = buf[:cols]
-        out = np.empty((cols, nrhs))
-        out[perm] = core
-        return out
-    if formed:
-        core = b @ _leading_z(factors).T if factors.z_tau.size else b[:, perm]
-        y = np.asfortranarray(core.T)
-        _solve_t11(factors, y, b"T")
+            # Gathered straight into Fortran order: b[:, perm] of a
+            # Fortran-ordered B (the trunk solve's V.T) would need a copy.
+            y = np.empty((cols, nrhs), order="F")
+            np.take(b.T, perm, axis=0, out=y, mode="clip")
+        _solve_t11(factors, y)
         return y.T @ _leading_q(factors).T
     buf = np.empty((max(rows, cols), nrhs), order="F")
     # Each right-hand side goes to its own contiguous column: buf[:cols].T
@@ -465,9 +441,8 @@ def cod_pinv_apply(factors: CODFactors, b, side: str = "left") -> np.ndarray:
     # numpy's buffered bounds check.
     for i in range(nrhs):
         np.take(b[i], perm, out=buf[:cols, i], mode="clip")
-    _apply_z(factors, buf[:cols], side=b"L", trans=b"N")
-    _solve_t11(factors, buf[:r], b"T")
+    _apply_z(factors, buf[:cols])
+    _solve_t11(factors, buf[:r])
     buf[r:rows] = 0.0
-    _apply_q(factors, buf[:rows], b"N")
+    _apply_q(factors, buf[:rows])
     return np.ascontiguousarray(buf[:rows].T)
-

@@ -16,6 +16,10 @@ truncated SVD, or Tikhonov regularization. For unaligned data (one output
 location per sample) the same unknowns are solved through a collocation
 matrix whose rows are elementwise products of trunk and branch feature
 rows.
+
+Every matrix that training factors is feature-major, features x samples
+(the trunk is built as ``T.T``), and every solve applies a pseudo-inverse
+from the right, ``X @ pinv(A)``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ __all__ = [
 SOLVERS = ("cod", "tsvd", "tikhonov")
 
 MODEL_FORMAT_VERSION = 1
+
+# Largest N*M*S for which train_unaligned builds its collocation matrix.
+MAX_COLLOCATION_ENTRIES = 5_000_000
 
 
 class TrainingError(RuntimeError):
@@ -191,21 +198,27 @@ def _metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end)
     }
 
 
-def _check_solver(solver: str, reg: float) -> None:
+def _check_solver(solver: str, tol, reg: float) -> None:
+    """Reject an unknown solver, a bad ``reg`` and a setting the solver would ignore."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not reg >= 0:
         raise ValueError(f"regularization weight must be >= 0, got {reg}")
+    if solver == "tikhonov" and tol is not None:
+        raise ValueError(f"solver 'tikhonov' truncates nothing and takes no tol, got {tol}")
+    if solver != "tikhonov" and reg != 0:
+        raise ValueError(f"solver {solver!r} takes no regularization weight, got {reg}")
 
 
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
-    """Factor ``mat`` once; return (left_apply, right_apply, rank_facts).
+    """Factor ``mat`` once; return (apply, rank_facts), ``apply(b) = b @ pinv(mat)``.
 
     The 'cod' route hands ``mat`` to :func:`linalg.inplace_cod_factorize`,
     which factors it in its own storage when it is Fortran-ordered, so the
     caller must not read ``mat`` afterwards. 'tsvd' and 'tikhonov' take one
     SVD, truncated at ``tol`` or filtered with weight ``reg`` at the auto
-    tolerance. ``rank_facts`` holds ``{name}_rank`` and
+    tolerance (:func:`_check_solver` leaves each route only its own
+    setting). ``rank_facts`` holds ``{name}_rank`` and
     ``{name}_rank_tolerance`` for 'cod' and 'tsvd', and is empty for
     'tikhonov', which truncates nothing.
     """
@@ -213,15 +226,10 @@ def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
         factors = linalg.inplace_cod_factorize(mat, tol)
         apply_, rank = linalg.cod_pinv_apply, factors.numerical_rank
     else:
-        tol, reg = (tol, 0.0) if solver == "tsvd" else (None, reg)
         factors = linalg.tsvd_factorize(mat, tol, reg)
         apply_, rank = linalg.tsvd_pinv_apply, factors.rank
     ranks = {f"{name}_rank": rank, f"{name}_rank_tolerance": factors.rank_tolerance}
-    return (
-        lambda b: apply_(factors, b, side="left"),
-        lambda b: apply_(factors, b, side="right"),
-        {} if solver == "tikhonov" else ranks,
-    )
+    return (lambda b: apply_(factors, b)), ({} if solver == "tikhonov" else ranks)
 
 
 def train_aligned(
@@ -243,16 +251,18 @@ def train_aligned(
     solver : {'cod', 'tsvd', 'tikhonov'}
         Pseudo-inversion route for both matrices.
     tol : float, optional
-        Rank tolerance for 'cod'/'tsvd' (None = auto).
+        Rank tolerance for 'cod'/'tsvd' (None = auto); 'tikhonov' takes none.
     reg : float
-        Tikhonov weight, >= 0 (used by 'tikhonov' only).
+        Tikhonov weight, >= 0; 'cod' and 'tsvd' take 0 only.
 
     Notes
     -----
-    An unknown solver or a negative ``reg`` is rejected before any feature
-    is built. The two pseudo-inverses are each computed once; they are
-    applied to V in the cheaper association order (trunk side first when
-    n <= s). Wall time of the solve is recorded in
+    An unknown solver, a negative ``reg`` or a setting the solver would
+    ignore is rejected before any feature is built. The trunk matrix is
+    built feature-major, as ``T.T`` (N, n), so both solves are right
+    applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
+    each computed once; they are applied to V in the cheaper association
+    order (trunk first when n <= s). Wall time of the solve is recorded in
     ``train_metadata['train_seconds']`` and split into
     ``train_metadata['stages']``, the seconds of ``features`` (trunk and
     branch matrices), ``factorize`` (the COD or the SVD of each matrix,
@@ -266,7 +276,7 @@ def train_aligned(
     fit holds each once. The diagnostics of a :class:`TrainingError`
     rebuild them from the maps.
     """
-    _check_solver(solver, reg)
+    _check_solver(solver, tol, reg)
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
     if branch.spec.input_dim != ds.x.size:
@@ -277,24 +287,25 @@ def train_aligned(
         raise ValueError("trunk input_dim must be 1 for scalar output locations")
 
     start = time.perf_counter()
-    t_mat = trunk.apply(ds.y[None, :]).T  # (n, N), Fortran-ordered
-    b_mat = branch._apply(ds.U, "F")  # (M, s), Fortran-ordered for the in-place COD
+    # (N, n) and (M, s), Fortran-ordered for the in-place COD.
+    t_mat = trunk._apply(ds.y[None, :], "F")
+    b_mat = branch._apply(ds.U, "F")
     featured = time.perf_counter()
-    trunk_left, _, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
-    _, branch_right, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
+    trunk_apply, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
+    branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
     del t_mat, b_mat
     factorized = time.perf_counter()
     n, s = ds.V.shape
     if n <= s:
-        w = branch_right(trunk_left(ds.V))
+        w = branch_apply(trunk_apply(ds.V.T).T)
     else:
-        w = trunk_left(branch_right(ds.V))
+        w = trunk_apply(branch_apply(ds.V).T).T
     end = time.perf_counter()
 
     if not np.all(np.isfinite(w)):
         raise TrainingError(
             "solver produced non-finite weights; "
-            + _conditioning_note("trunk matrix", trunk.apply(ds.y[None, :]).T)
+            + _conditioning_note("trunk matrix", trunk.apply(ds.y[None, :]))
             + "; "
             + _conditioning_note("branch matrix", branch.apply(ds.U))
         )
@@ -324,7 +335,6 @@ def train_unaligned(
     solver: str = "cod",
     tol: float | None = None,
     reg: float = 0.0,
-    max_collocation_entries: int = 5_000_000,
 ) -> RandONetModel:
     """Solve the readout from per-sample collocation rows.
 
@@ -334,7 +344,7 @@ def train_unaligned(
 
     The dense collocation solve scales quadratically in both N*M and S, so
     the build refuses instances with ``N*M*S`` above
-    ``max_collocation_entries`` rather than thrash memory. The 'cod' and
+    :data:`MAX_COLLOCATION_ENTRIES` rather than thrash memory. The 'cod' and
     'tsvd' routes record the numerical rank and rank tolerance of ``Z`` in
     ``train_metadata`` as ``collocation_rank`` and
     ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
@@ -344,30 +354,30 @@ def train_unaligned(
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage;
     the diagnostics of a :class:`TrainingError` rebuild it from the maps.
-    An unknown solver or a negative ``reg`` is rejected first.
+    Bad solver settings are rejected first, as by :func:`train_aligned`.
     """
-    _check_solver(solver, reg)
+    _check_solver(solver, tol, reg)
     trunk = _ensure_map(trunk_spec)
     branch = _ensure_map(branch_spec)
     n_feat = trunk.spec.feature_dim
     m_feat = branch.spec.feature_dim
     n_samples = ds.n_samples
     entries = n_feat * m_feat * n_samples
-    if entries > max_collocation_entries:
+    if entries > MAX_COLLOCATION_ENTRIES:
         raise ValueError(
             f"collocation matrix would hold {entries} entries "
             f"(N={n_feat}, M={m_feat}, S={n_samples}), above the budget of "
-            f"{max_collocation_entries}; the unaligned solve costs "
+            f"{MAX_COLLOCATION_ENTRIES}; the unaligned solve costs "
             "O((N S)^2 M N + (M N)^2 N S) and is meant for sparse outputs only"
         )
 
     start = time.perf_counter()
     z = _collocation_matrix(trunk, branch, ds)
     featured = time.perf_counter()
-    _, collocation_right, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
+    collocation_apply, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
     del z
     factorized = time.perf_counter()
-    omega = collocation_right(ds.V[None, :])
+    omega = collocation_apply(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
     end = time.perf_counter()
 

@@ -53,11 +53,6 @@ __all__ = [
     "CASE_IDS",
     "case_config",
     "build_case",
-    "build_case1",
-    "build_case2",
-    "build_case3",
-    "build_case4",
-    "build_case5",
     "export_dataset_csv",
     "DATASET_CSV_VERSION",
 ]
@@ -208,11 +203,6 @@ def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, list[RandomFunctionPar
     return _assemble(case, params, v_cols), params
 
 
-def build_case1(case: CaseStudy) -> AlignedDataset:
-    """Antiderivative operator: v(t) = integral of u from 0 to t."""
-    return _case1_full(case)[0]
-
-
 def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
     """Write ``sum_j w_ij exp(neg_s_ij (t_i - c_ij)^2)`` of each row i to ``out``.
 
@@ -336,11 +326,6 @@ def _case2_full(
     return _assemble(case, params, list(v_mat.T)), params
 
 
-def build_case2(case: CaseStudy, ode: ODESolverConfig = ODESolverConfig()) -> AlignedDataset:
-    """Forced pendulum solution operator (zero initial angle and velocity)."""
-    return _case2_full(case, ode)[0]
-
-
 def _rhs_case3(u, du, d2u, constants):
     return constants["nu"] * d2u + constants["gamma"] * du + constants["zeta"] * u
 
@@ -369,39 +354,20 @@ def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, list[RandomFu
     return AlignedDataset(x=x, y=y, U=U, V=V), params
 
 
-def build_case3(case: CaseStudy) -> AlignedDataset:
-    """Linear diffusion-advection-reaction right-hand side."""
-    return _build_rhs_case(case, _rhs_case3)[0]
-
-
-def build_case4(case: CaseStudy) -> AlignedDataset:
-    """Viscous Burgers right-hand side."""
-    return _build_rhs_case(case, _rhs_case4)[0]
-
-
-def build_case5(case: CaseStudy) -> AlignedDataset:
-    """Allen-Cahn right-hand side."""
-    return _build_rhs_case(case, _rhs_case5)[0]
-
-
-def _case_full(case: CaseStudy, ode: ODESolverConfig | None = None):
-    if case.id == 1:
-        return _case1_full(case)
-    if case.id == 2:
-        return _case2_full(case, ode or ODESolverConfig())
-    rhs = {3: _rhs_case3, 4: _rhs_case4, 5: _rhs_case5}[case.id]
-    return _build_rhs_case(case, rhs)
-
-
 def build_case(
     case: CaseStudy, with_params: bool = False, ode: ODESolverConfig | None = None
 ):
     """Build the aligned dataset for a case study.
 
     Returns the dataset, or ``(dataset, params)`` when ``with_params`` is
-    true (needed by the CSV export).
+    true (needed by the CSV export). ``ode`` sets the case-2 integrator.
     """
-    result = _case_full(case, ode)
+    if case.id == 1:
+        result = _case1_full(case)
+    elif case.id == 2:
+        result = _case2_full(case, ode or ODESolverConfig())
+    else:
+        result = _build_rhs_case(case, {3: _rhs_case3, 4: _rhs_case4, 5: _rhs_case5}[case.id])
     return result if with_params else result[0]
 
 

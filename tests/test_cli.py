@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from randonet import harness
 from randonet.cli import main
+from randonet.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +41,43 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert lines[0] == "# randonet-report v1"
     data_rows = [l for l in lines if l and not l.startswith("#") and not l.startswith("case")]
     assert len(data_rows) == 2
+
+
+def test_sweep_json_writes_the_report_once(capsys, tmp_path, monkeypatch):
+    # sweep is another name for run: with --json no CSV is written first.
+    def no_csv(*args, **kwargs):
+        raise AssertionError("a CSV report was written")
+
+    monkeypatch.setattr(harness, "write_report_csv", no_csv)
+    out_path = tmp_path / "sweep.json"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--case", "1", "--m", "4,8", "--size", "30", "--out", str(out_path), "--json",
+    )
+    assert code == 0
+    assert [row["m_branch"] for row in json.loads(out_path.read_text())["rows"]] == [4, 8]
+
+
+def test_setting_the_solver_ignores_fails_with_error_record(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--case", "1", "--size", "30", "--solver", "cod", "--lambda", "0.5"
+    )
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"]["type"] == "ValueError"
+    assert "'cod' takes no regularization weight" in record["error"]["message"]
+
+
+def test_unset_flags_keep_the_config_defaults(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "run", "--case", "1", "--size", "30", "--m", "4",
+                         "--out", str(out_path), "--json")
+    assert code == 0
+    config = json.loads(out_path.read_text())["config"]
+    defaults = dataclasses.asdict(ExperimentConfig(case=1, branch_sizes=(4,), dataset_size=30))
+    defaults["branch_sizes"] = [4]
+    assert config == defaults
 
 
 def test_run_json_output(capsys, tmp_path):

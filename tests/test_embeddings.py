@@ -147,7 +147,7 @@ class TestSampleTanhTrunk:
         y = np.linspace(-1, 1, 100)
         feats = fmap.apply(y[None, :])
         target = np.sin(np.pi * y)[None, :]
-        w = tsvd_pinv_apply(tsvd_factorize(feats, reg=0.0), target, side="right")
+        w = tsvd_pinv_apply(tsvd_factorize(feats, reg=0.0), target)
         rel = np.linalg.norm(w @ feats - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 

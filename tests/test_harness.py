@@ -18,7 +18,6 @@ from randonet.harness import (
     mse,
     run_experiment,
     split,
-    sweep,
     write_report_csv,
     write_report_json,
 )
@@ -275,7 +274,7 @@ class TestReports:
         Timing column and config echo are environment-dependent and skipped;
         all metric fields must agree to 1e-12 relative.
         """
-        report = sweep(tiny_cfg(branch_sizes=(4, 8)), tmp_path / "sweep.csv")
+        write_report_csv(run_experiment(tiny_cfg(branch_sizes=(4, 8))), tmp_path / "sweep.csv")
         got = _parse_report_csv(tmp_path / "sweep.csv")
         want = _parse_report_csv(GOLDEN_SWEEP)
         assert [r[:3] for r in got] == [r[:3] for r in want]

@@ -94,19 +94,19 @@ class TestTsvdFactorize:
 class TestTsvdPinvApply:
     def test_identity_factors_return_input(self):
         f = tsvd_factorize(np.eye(3))
-        b = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_allclose(tsvd_pinv_apply(f, b, side="left"), b)
+        b = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_allclose(tsvd_pinv_apply(f, b), b)
 
     def test_exact_diagonal_inverse(self):
         f = tsvd_factorize(np.diag([2.0, 4.0]))
-        out = tsvd_pinv_apply(f, np.array([[2.0], [4.0]]), side="left")
-        np.testing.assert_allclose(out, [[1.0], [1.0]])
+        out = tsvd_pinv_apply(f, np.array([[2.0, 4.0]]))
+        np.testing.assert_allclose(out, [[1.0, 1.0]])
 
     def test_overdetermined_matches_cholesky_normal_equations(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((50, 8))
         b = rng.standard_normal((50, 3))
-        x = tsvd_pinv_apply(tsvd_factorize(a), b, side="left")
+        x = tsvd_pinv_apply(tsvd_factorize(a.T), b.T).T  # A+ b
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a.T @ a), a.T @ b)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-10
 
@@ -114,25 +114,23 @@ class TestTsvdPinvApply:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 9))
         b = rng.standard_normal((4, 9))
-        out = tsvd_pinv_apply(tsvd_factorize(a), b, side="right")
+        out = tsvd_pinv_apply(tsvd_factorize(a), b)
         np.testing.assert_allclose(out, b @ np.linalg.pinv(a), atol=1e-12)
 
     def test_shape_mismatch_reports_both_shapes(self):
         f = tsvd_factorize(np.eye(3))
         with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
-            tsvd_pinv_apply(f, np.eye(2), side="left")
-        with pytest.raises(ValueError, match="side"):
-            tsvd_pinv_apply(f, np.eye(3), side="up")
+            tsvd_pinv_apply(f, np.eye(2))
 
     def test_rank_zero_returns_zeros(self):
-        f = tsvd_factorize(np.zeros((3, 5)))
-        out = tsvd_pinv_apply(f, np.ones((3, 2)), side="left")
-        np.testing.assert_array_equal(out, np.zeros((5, 2)))
+        f = tsvd_factorize(np.zeros((5, 3)))
+        out = tsvd_pinv_apply(f, np.ones((2, 3)))
+        np.testing.assert_array_equal(out, np.zeros((2, 5)))
 
 
 def tikhonov_right(psi, y, reg):
     """``W`` minimizing ``||W Psi - Y||^2 + reg^2 ||W||^2``, through the SVD factors."""
-    return tsvd_pinv_apply(tsvd_factorize(psi, reg=reg), y, side="right")
+    return tsvd_pinv_apply(tsvd_factorize(psi, reg=reg), y)
 
 
 class TestTikhonovSolve:
@@ -146,15 +144,18 @@ class TestTikhonovSolve:
         # sigma=1, lambda=1: filter 1/(1+1) applied to exact solution 2.
         w = tikhonov_right(np.array([[1.0]]), np.array([[2.0]]), 1.0)
         np.testing.assert_allclose(w, [[1.0]])
+        # sigma=2, lambda=0.5: filter 2/(4+0.25) tells lambda^2 from lambda.
+        w = tikhonov_right(np.array([[2.0]]), np.array([[2.0]]), 0.5)
+        np.testing.assert_allclose(w, [[2.0 * 2.0 / (4.0 + 0.25)]])
 
     def test_matches_direct_symmetric_solve(self):
         rng = np.random.default_rng(8)
         psi = rng.standard_normal((50, 200))
         y = rng.standard_normal((4, 200))
-        lam = 1e-8
-        w = tikhonov_right(psi, y, lam)
-        ref = np.linalg.solve(psi @ psi.T + lam * np.eye(50), psi @ y.T).T
-        assert np.linalg.norm(w - ref) / np.linalg.norm(ref) <= 1e-8
+        for lam in (1e-8, 0.3):
+            w = tikhonov_right(psi, y, lam)
+            ref = np.linalg.solve(psi @ psi.T + lam**2 * np.eye(50), psi @ y.T).T
+            assert np.linalg.norm(w - ref) / np.linalg.norm(ref) <= 1e-8
 
     def test_lambda_to_zero_limit(self):
         rng = np.random.default_rng(9)
@@ -182,10 +183,8 @@ def assert_moore_penrose(a, x, bound):
 
 
 def assert_cod_moore_penrose(a, f, bound):
-    """:func:`assert_moore_penrose` for the COD pseudo-inverse, applied from each side."""
-    rows, cols = a.shape
-    assert_moore_penrose(a, cod_pinv_apply(f, np.eye(rows), side="left"), bound)
-    assert_moore_penrose(a, cod_pinv_apply(f, np.eye(cols), side="right"), bound)
+    """:func:`assert_moore_penrose` for the COD pseudo-inverse ``I @ A+``."""
+    assert_moore_penrose(a, cod_pinv_apply(f, np.eye(a.shape[1])), bound)
 
 
 class TestCodFactorize:
@@ -222,23 +221,23 @@ class TestCodFactorize:
     def test_zero_matrix(self):
         f = cod_factorize(np.zeros((3, 4)))
         assert f.numerical_rank == 0
-        np.testing.assert_array_equal(cod_pinv_apply(f, np.eye(3), side="left"), np.zeros((4, 3)))
+        np.testing.assert_array_equal(cod_pinv_apply(f, np.eye(4)), np.zeros((4, 3)))
 
 
 class TestCodPinvApply:
     def test_identity_factors(self):
         f = cod_factorize(np.eye(3))
-        b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(cod_pinv_apply(f, b, side="left"), b, atol=1e-14)
+        b = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_allclose(cod_pinv_apply(f, b), b, atol=1e-14)
 
     def test_least_norm_solution_on_rank_deficient_system(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 8))
         b = a @ rng.standard_normal((8, 2))  # inside range(A)
-        f = cod_factorize(a)
-        x = cod_pinv_apply(f, b, side="left")
+        f = cod_factorize(a.T)
+        x = cod_pinv_apply(f, b.T).T  # A+ b
         assert np.linalg.norm(a @ x - b) <= 1e-10
-        ref = tsvd_pinv_apply(tsvd_factorize(a), b, side="left")
+        ref = tsvd_pinv_apply(tsvd_factorize(a.T), b.T).T
         np.testing.assert_allclose(x, ref, atol=1e-10)
 
     def test_wide_cosine_feature_matrix_both_routes(self):
@@ -252,17 +251,17 @@ class TestCodPinvApply:
         u_mat = np.column_stack([eval_u(p, xg) for p in sample_params(case.sampling)])
         b_mat = sample_rffn(100, 2000, seed=34).apply(u_mat).T  # (100, 2000)
         targets = np.random.default_rng(35).standard_normal((3, 2000))
-        w_cod = cod_pinv_apply(cod_factorize(b_mat), targets, side="right")
-        w_svd = tsvd_pinv_apply(tsvd_factorize(b_mat), targets, side="right")
+        w_cod = cod_pinv_apply(cod_factorize(b_mat), targets)
+        w_svd = tsvd_pinv_apply(tsvd_factorize(b_mat), targets)
         assert np.linalg.norm(w_cod - w_svd) / np.linalg.norm(w_svd) <= 1e-6
 
     def test_rank_zero_and_shape_errors(self):
         f = cod_factorize(np.zeros((2, 5)))
         np.testing.assert_array_equal(
-            cod_pinv_apply(f, np.ones((4, 5)), side="right"), np.zeros((4, 2))
+            cod_pinv_apply(f, np.ones((4, 5))), np.zeros((4, 2))
         )
         with pytest.raises(ValueError, match="columns"):
-            cod_pinv_apply(f, np.ones((4, 4)), side="right")
+            cod_pinv_apply(f, np.ones((4, 4)))
 
 
 def spectrum_matrix(rows, cols, rank, seed):
@@ -276,7 +275,7 @@ def spectrum_matrix(rows, cols, rank, seed):
 
 
 def assert_pinv_routes_agree(a, seed):
-    """Left and right COD pseudo-inverse applies match numpy and tsvd to 1e-10.
+    """COD pseudo-inverse applies ``B @ A+`` match numpy and tsvd to 1e-10.
 
     One right-hand side and more right-hand sides than the rank reach both
     ways of applying the orthogonal factors: as reflectors and formed.
@@ -286,17 +285,9 @@ def assert_pinv_routes_agree(a, seed):
     ref = np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
     cod, svd = cod_factorize(a), tsvd_factorize(a)
     assert cod.numerical_rank == svd.rank
-    cases = []
     for nrhs in (1, min(rows, cols) + 1):
-        b_left = rng.standard_normal((rows, nrhs))
-        b_right = rng.standard_normal((nrhs, cols))
-        cases += [
-            (cod_pinv_apply(cod, b_left, side="left"), ref @ b_left,
-             tsvd_pinv_apply(svd, b_left, side="left")),
-            (cod_pinv_apply(cod, b_right, side="right"), b_right @ ref,
-             tsvd_pinv_apply(svd, b_right, side="right")),
-        ]
-    for got, want, alt in cases:
+        b = rng.standard_normal((nrhs, cols))
+        got, want, alt = cod_pinv_apply(cod, b), b @ ref, tsvd_pinv_apply(svd, b)
         scale = max(np.linalg.norm(want), 1e-300)
         assert np.linalg.norm(got - want) <= 1e-10 * scale
         assert np.linalg.norm(got - alt) <= 1e-10 * scale
@@ -350,7 +341,7 @@ class TestCodTwoStage:
     def test_few_right_hand_sides_never_form_orthogonal_factors(self, monkeypatch):
         a = spectrum_matrix(12, 20, 8, seed=9)
         ref = np.linalg.pinv(a)
-        b_left, b_right = np.ones((12, 8)), np.ones((8, 20))
+        b_right = np.ones((8, 20))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an orthogonal factor was formed")
@@ -358,10 +349,7 @@ class TestCodTwoStage:
         monkeypatch.setattr("randonet.linalg._leading_q", forbidden)
         monkeypatch.setattr("randonet.linalg._leading_z", forbidden)
         f = cod_factorize(a)
-        np.testing.assert_allclose(cod_pinv_apply(f, b_left, side="left"), ref @ b_left,
-                                   atol=1e-10)
-        np.testing.assert_allclose(cod_pinv_apply(f, b_right, side="right"), b_right @ ref,
-                                   atol=1e-10)
+        np.testing.assert_allclose(cod_pinv_apply(f, b_right), b_right @ ref, atol=1e-10)
 
     @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
     def test_rank_is_pivot_count_above_tolerance(self, rows, cols, rank):
@@ -378,8 +366,8 @@ class TestCodTwoStage:
     def test_repeated_factorizations_are_bit_identical(self, rows, cols, rank):
         a = spectrum_matrix(rows, cols, rank, seed=5)
         b = np.random.default_rng(6).standard_normal((3, cols))
-        first = cod_pinv_apply(cod_factorize(a), b, side="right")
-        second = cod_pinv_apply(cod_factorize(a.copy()), b, side="right")
+        first = cod_pinv_apply(cod_factorize(a), b)
+        second = cod_pinv_apply(cod_factorize(a.copy()), b)
         np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("rows, cols, rank", COD_SHAPES)
@@ -424,7 +412,7 @@ class TestCodTwoStage:
         a = spectrum_matrix(600, 1000, 500, seed=10)
         f = cod_factorize(a)
         b = np.random.default_rng(14).standard_normal((40, 1000))
-        x, peak = traced_peak(lambda: cod_pinv_apply(f, b, side="right"))
+        x, peak = traced_peak(lambda: cod_pinv_apply(f, b))
         assert x.shape == (40, 600) and x.flags.c_contiguous
         assert peak <= 2 * b.nbytes
 
@@ -435,9 +423,24 @@ class TestCodTwoStage:
         a = spectrum_matrix(1000, 800, 500, seed=10)
         f = cod_factorize(a)
         b = np.random.default_rng(16).standard_normal((200, 800))
-        x, peak = traced_peak(lambda: cod_pinv_apply(f, b, side="right"))
+        x, peak = traced_peak(lambda: cod_pinv_apply(f, b))
         assert x.shape == (200, 1000) and x.flags.c_contiguous
         assert peak <= 1.5 * b.nbytes
+        ref = b @ np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_formed_apply_holds_one_gathered_copy(self, traced_peak, layout):
+        # The trunk solve: tall full-rank factors, more right-hand sides
+        # than the rank, B = V.T in Fortran order. It holds the gathered
+        # (cols, k) copy of B (1x B) and the (k, rows) result (2x B); a
+        # second copy of B, from gathering B[:, perm] first, made it 4.1x.
+        a = spectrum_matrix(200, 100, 100, seed=18)
+        f = cod_factorize(a)
+        v = np.random.default_rng(19).standard_normal((100, 2400))
+        b = v.T if layout == "F" else np.ascontiguousarray(v.T)
+        x, peak = traced_peak(lambda: cod_pinv_apply(f, b))
+        assert peak <= 3.2 * b.nbytes
         ref = b @ np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
@@ -452,12 +455,8 @@ class TestCodTwoStage:
         ref = np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
         rng = np.random.default_rng(rank)
         for nrhs in (1, 2, rank, rank + 1):
-            b_left = rng.standard_normal((rows, nrhs))
             b_right = rng.standard_normal((nrhs, cols))
-            np.testing.assert_allclose(cod_pinv_apply(f, b_left, side="left"), ref @ b_left,
-                                       rtol=0, atol=1e-10 * np.abs(ref @ b_left).max())
-            np.testing.assert_allclose(cod_pinv_apply(f, b_right, side="right"),
-                                       b_right @ ref,
+            np.testing.assert_allclose(cod_pinv_apply(f, b_right), b_right @ ref,
                                        rtol=0, atol=1e-10 * np.abs(b_right @ ref).max())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -468,7 +467,7 @@ class TestCodTwoStage:
         a[2, 1] = bad
         for call in (lambda: cod_factorize(a),
                      lambda: inplace_cod_factorize(np.asfortranarray(a)),
-                     lambda: cod_pinv_apply(f, a[:, :3].T.copy(), side="left")):
+                     lambda: cod_pinv_apply(f, a.copy())):
             with pytest.raises(ValueError, match="contains non-finite entries"):
                 call()
 
@@ -485,8 +484,7 @@ class TestCodTwoStage:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert got.numerical_rank == want.numerical_rank == rank
         b = np.arange(3.0 * shape[1]).reshape(3, shape[1])
-        np.testing.assert_array_equal(cod_pinv_apply(got, b, side="right"),
-                                      cod_pinv_apply(want, b, side="right"))
+        np.testing.assert_array_equal(cod_pinv_apply(got, b), cod_pinv_apply(want, b))
 
     def test_inplace_copies_other_layouts_once(self):
         a = spectrum_matrix(6, 11, 2, seed=12)
@@ -500,8 +498,7 @@ class TestCodTwoStage:
         a = spectrum_matrix(6, 11, 2, seed=8)
         keep = a.copy()
         f = cod_factorize(a)
-        cod_pinv_apply(f, np.ones((2, 11)), side="right")
-        cod_pinv_apply(f, np.ones((6, 2)), side="left")
+        cod_pinv_apply(f, np.ones((2, 11)))
         np.testing.assert_array_equal(a, keep)
 
 
@@ -514,7 +511,7 @@ class TestMoorePenroseIdentities:
             (tsvd_factorize, tsvd_pinv_apply),
             (cod_factorize, cod_pinv_apply),
         ):
-            assert_moore_penrose(a, apply_(factorize(a), np.eye(shape[0]), side="left"), 1e-10)
+            assert_moore_penrose(a, apply_(factorize(a), np.eye(shape[1])), 1e-10)
 
 
 def gapped_matrix(rows, cols, rank, seed):
@@ -546,18 +543,15 @@ class TestSpectralFilters:
         a = gapped_matrix(rows, cols, rank, seed)
         tol = 1e-5  # four decades from both sides of the gap
         rng = np.random.default_rng(seed)
-        b_left, b_right = rng.standard_normal((rows, 3)), rng.standard_normal((3, cols))
+        b = rng.standard_normal((3, cols))
         ref = np.linalg.pinv(a, rcond=tol / max(np.linalg.norm(a, 2), tol))
         f = tsvd_factorize(a, tol)
         assert f.rank == rank
-        assert_close_or_zero(tsvd_pinv_apply(f, b_left, side="left"), ref @ b_left, 1e-10)
-        assert_close_or_zero(tsvd_pinv_apply(f, b_right, side="right"), b_right @ ref, 1e-10)
+        assert_close_or_zero(tsvd_pinv_apply(f, b), b @ ref, 1e-10)
         # reg = 0 is the truncated solve at the auto tolerance, bit for bit.
         auto, zero = tsvd_factorize(a), tsvd_factorize(a, reg=0.0)
         assert zero.rank_tolerance == auto.rank_tolerance and zero.rank == auto.rank
-        for b, side in ((b_left, "left"), (b_right, "right")):
-            np.testing.assert_array_equal(tsvd_pinv_apply(zero, b, side=side),
-                                          tsvd_pinv_apply(auto, b, side=side))
+        np.testing.assert_array_equal(tsvd_pinv_apply(zero, b), tsvd_pinv_apply(auto, b))
 
     @settings(max_examples=40, deadline=None)
     @given(**SHAPES, reg=st.floats(0.05, 10.0))
@@ -565,17 +559,13 @@ class TestSpectralFilters:
         # The oracle's error grows as (sigma_max / reg)^2 on rank-deficient
         # input, hence reg >= 0.05 for sigma_max <= 10.
         a = spectrum_matrix(rows, cols, int(round(rank_share * min(rows, cols))), seed)
-        rng = np.random.default_rng(seed)
-        b_left, b_right = rng.standard_normal((rows, 3)), rng.standard_normal((3, cols))
+        b = np.random.default_rng(seed).standard_normal((3, cols))
         f = tsvd_factorize(a, reg=reg)
         assert f.rank == min(rows, cols)
-        # [A; reg I] X = [B; 0] from the left, [A^T; reg I] X^T = [B^T; 0] from the right.
-        want_left = np.linalg.lstsq(np.vstack([a, reg * np.eye(cols)]),
-                                    np.vstack([b_left, np.zeros((cols, 3))]), rcond=None)[0]
-        want_right = np.linalg.lstsq(np.vstack([a.T, reg * np.eye(rows)]),
-                                     np.vstack([b_right.T, np.zeros((rows, 3))]), rcond=None)[0]
-        assert_close_or_zero(tsvd_pinv_apply(f, b_left, side="left"), want_left, 1e-9)
-        assert_close_or_zero(tsvd_pinv_apply(f, b_right, side="right"), want_right.T, 1e-9)
+        # X A ~= B is [A^T; reg I] X^T = [B^T; 0] in the least-squares sense.
+        want = np.linalg.lstsq(np.vstack([a.T, reg * np.eye(rows)]),
+                               np.vstack([b.T, np.zeros((rows, 3))]), rcond=None)[0]
+        assert_close_or_zero(tsvd_pinv_apply(f, b), want.T, 1e-9)
 
 
 def test_factorizations_carry_the_traced_attributes():
@@ -612,8 +602,9 @@ class TestTruncationAndAgreement:
         a = (u[:, :20] * sing) @ v.T
         b = rng.standard_normal((30, 4))
         tol = 1e-6
-        x_svd = tsvd_pinv_apply(tsvd_factorize(a, tol), b, side="left")
-        x_cod = cod_pinv_apply(cod_factorize(a, tol), b, side="left")
+        # A+ b as (b.T (A.T)+).T
+        x_svd = tsvd_pinv_apply(tsvd_factorize(a.T, tol), b.T).T
+        x_cod = cod_pinv_apply(cod_factorize(a.T, tol), b.T).T
         assert np.linalg.norm(x_svd - x_cod) / np.linalg.norm(x_svd) <= 1e-8
 
     def test_auto_tolerance_rule(self):

@@ -124,16 +124,12 @@ class TestTrainAligned:
         tall = toy_dataset(s=4, seed=7)
         for ds in (wide, tall):
             model = train_aligned(ds, trunk, branch, solver="tsvd")
-            t_mat = trunk.apply(ds.y[None, :]).T
+            t_mat = trunk.apply(ds.y[None, :])  # (N, n): pinv(T) V = (V.T pinv(t_mat)).T
             b_mat = branch.apply(ds.U)
             ft = linalg.tsvd_factorize(t_mat)
             fb = linalg.tsvd_factorize(b_mat)
-            w_to = linalg.tsvd_pinv_apply(
-                fb, linalg.tsvd_pinv_apply(ft, ds.V, side="left"), side="right"
-            )
-            w_ot = linalg.tsvd_pinv_apply(
-                ft, linalg.tsvd_pinv_apply(fb, ds.V, side="right"), side="left"
-            )
+            w_to = linalg.tsvd_pinv_apply(fb, linalg.tsvd_pinv_apply(ft, ds.V.T).T)
+            w_ot = linalg.tsvd_pinv_apply(ft, linalg.tsvd_pinv_apply(fb, ds.V).T).T
             assert np.linalg.norm(w_to - w_ot) / np.linalg.norm(w_to) <= 1e-10
             assert np.linalg.norm(model.readout - w_to) / np.linalg.norm(w_to) <= 1e-10
 
@@ -163,6 +159,14 @@ class TestTrainAligned:
         for reg in (-1e-8, np.nan):
             with pytest.raises(ValueError, match=">= 0"):
                 train(ds, *maps, solver="tikhonov", reg=reg)
+        # Settings the solver would ignore.
+        for solver, tol, reg, message in (
+            ("cod", None, 0.5, "'cod' takes no regularization weight"),
+            ("tsvd", 1e-10, 1e-8, "'tsvd' takes no regularization weight"),
+            ("tikhonov", 1e-10, 0.5, "'tikhonov' truncates nothing and takes no tol"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                train(ds, *maps, solver=solver, tol=tol, reg=reg)
 
     def test_metadata_recorded(self):
         model = train_aligned(toy_dataset(), *toy_maps(), solver="tsvd", tol=1e-10)
@@ -176,10 +180,11 @@ class TestTrainAligned:
     @pytest.mark.parametrize("aligned", [True, False])
     def test_stage_timings(self, solver, aligned, tmp_path):
         ds = toy_dataset()
+        reg = 1e-8 if solver == "tikhonov" else 0.0
         if aligned:
-            model = train_aligned(ds, *toy_maps(), solver=solver, reg=1e-8)
+            model = train_aligned(ds, *toy_maps(), solver=solver, reg=reg)
         else:
-            model = train_unaligned(explode_aligned(ds), *toy_maps(), solver=solver, reg=1e-8)
+            model = train_unaligned(explode_aligned(ds), *toy_maps(), solver=solver, reg=reg)
         md = model.train_metadata
         stages = md["stages"]
         assert set(stages) == {"features", "factorize", "solve"}
@@ -194,7 +199,7 @@ class TestTrainAligned:
         ds = toy_dataset()
         trunk, branch = toy_maps()
         md = train_aligned(ds, trunk, branch, solver=solver).train_metadata
-        for name, mat in (("trunk", trunk.apply(ds.y[None, :]).T), ("branch", branch.apply(ds.U))):
+        for name, mat in (("trunk", trunk.apply(ds.y[None, :])), ("branch", branch.apply(ds.U))):
             f = linalg.cod_factorize(mat) if solver == "cod" else linalg.tsvd_factorize(mat)
             rank = f.numerical_rank if solver == "cod" else f.rank
             assert md[f"{name}_rank"] == rank
@@ -314,11 +319,18 @@ class TestUnaligned:
         assert md["collocation_rank"] == f.rank
         assert md["collocation_rank_tolerance"] > 0.0
 
-    def test_memory_guard(self):
-        ds = toy_dataset()
-        trunk, branch = toy_maps()
-        with pytest.raises(ValueError, match="budget"):
-            train_unaligned(explode_aligned(ds), trunk, branch, max_collocation_entries=10)
+    def test_memory_guard(self, monkeypatch):
+        # N * M * S = 50 * 40 * 2501 is just above the 5e6 budget; the guard
+        # fires before any feature is built.
+        def no_features(*args, **kwargs):
+            raise AssertionError("a feature matrix was built")
+
+        trunk = sample_tanh_trunk((0.0, 1.0), 50, seed=(11, 0))
+        branch = sample_jl(10, 40, seed=(11, 1))
+        monkeypatch.setattr(FeatureMap, "apply", no_features)
+        monkeypatch.setattr(FeatureMap, "_apply", no_features)
+        with pytest.raises(ValueError, match="5002000 entries .* above the budget of 5000000"):
+            train_unaligned(scattered_dataset(s=2501), trunk, branch)
 
     def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
         ds = explode_aligned(toy_dataset())
@@ -347,8 +359,8 @@ class TestInPlaceCod:
 
     @pytest.mark.parametrize("branch_kind, m_feat", [("rffn", 60), ("jl", 8)])
     def test_aligned_readout_matches_public_solve(self, branch_kind, m_feat):
-        # RFFN(60) on 40 functions has full column rank (no tzrzf), JL(8)
-        # and the 12 x 16 trunk matrix are wide (tzrzf runs).
+        # RFFN(60) on 40 functions and the 16 x 12 trunk matrix have full
+        # column rank (no tzrzf), JL(8) is wide (tzrzf runs).
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
         trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
         branch = build_feature_map(EmbeddingSpec(kind=branch_kind, input_dim=10,
@@ -357,11 +369,10 @@ class TestInPlaceCod:
         model = train_aligned(ds, trunk, branch, solver="cod")
         for name, arr in kept.items():
             np.testing.assert_array_equal(getattr(ds, name), arr)
-        t_fac = linalg.cod_factorize(trunk.apply(ds.y[None, :]).T.copy())
+        t_fac = linalg.cod_factorize(trunk.apply(ds.y[None, :]).copy())
         b_fac = linalg.cod_factorize(branch.apply(ds.U).copy())
         assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == 12
-        want = linalg.cod_pinv_apply(
-            b_fac, linalg.cod_pinv_apply(t_fac, ds.V, side="left"), side="right")
+        want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
         np.testing.assert_array_equal(model.readout, want)
 
     def test_unaligned_readout_matches_public_solve(self):
@@ -375,7 +386,7 @@ class TestInPlaceCod:
         z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(30, -1)
         factors = linalg.cod_factorize(z.copy())
         assert model.train_metadata["collocation_rank"] == factors.numerical_rank
-        omega = linalg.cod_pinv_apply(factors, ds.V[None, :], side="right")
+        omega = linalg.cod_pinv_apply(factors, ds.V[None, :])
         np.testing.assert_array_equal(model.readout, omega.reshape(5, 6).T)
 
     def test_factors_through_the_public_in_place_entry(self, monkeypatch):
@@ -394,7 +405,7 @@ class TestInPlaceCod:
         trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
         branch = sample_jl(10, 8, seed=(22, 1))
         train_aligned(ds, trunk, branch, solver="cod")
-        assert seen == [((12, 16), True), ((8, 40), True)]
+        assert seen == [((16, 12), True), ((8, 40), True)]
         seen.clear()
         train_unaligned(scattered_dataset(), trunk, branch, solver="cod")
         assert len(seen) == 1 and seen[0][1]
@@ -466,18 +477,16 @@ class TestInvariants:
         # predictor unchanged: trunk features depend on the y values only.
         ds = toy_dataset(m=10, n=10, s=6, seed=14)
         trunk, branch = toy_maps(seed=15)
-        t_mat = trunk.apply(ds.y[None, :]).T
+        t_mat = trunk.apply(ds.y[None, :])  # (N, n)
         b_mat = branch.apply(ds.U)
         perm = np.random.default_rng(16).permutation(10)
         w_ref = linalg.tsvd_pinv_apply(
             linalg.tsvd_factorize(b_mat),
-            linalg.tsvd_pinv_apply(linalg.tsvd_factorize(t_mat), ds.V, side="left"),
-            side="right",
+            linalg.tsvd_pinv_apply(linalg.tsvd_factorize(t_mat), ds.V.T).T,
         )
         w_perm = linalg.tsvd_pinv_apply(
             linalg.tsvd_factorize(b_mat),
-            linalg.tsvd_pinv_apply(linalg.tsvd_factorize(t_mat[perm]), ds.V[perm], side="left"),
-            side="right",
+            linalg.tsvd_pinv_apply(linalg.tsvd_factorize(t_mat[:, perm]), ds.V[perm].T).T,
         )
         probe_t = trunk.apply(np.array([[0.37]]))
         pred_ref = probe_t.T @ w_ref @ b_mat

@@ -12,11 +12,6 @@ from randonet.problems import (
     CASE_IDS,
     ODESolverConfig,
     build_case,
-    build_case1,
-    build_case2,
-    build_case3,
-    build_case4,
-    build_case5,
     case_config,
     export_dataset_csv,
 )
@@ -113,7 +108,7 @@ class TestCaseConfig:
 
 class TestCase1:
     def test_zero_function_gives_zero_column(self):
-        ds = build_case1(zero_function_case(1))
+        ds = build_case(zero_function_case(1))
         np.testing.assert_array_equal(ds.V, np.zeros_like(ds.V))
 
     def test_constant_one_integrates_to_t(self):
@@ -152,21 +147,21 @@ class TestCase1:
 
 class TestCase2:
     def test_zero_forcing_equilibrium(self):
-        ds = build_case2(zero_function_case(2))
+        ds = build_case(zero_function_case(2))
         np.testing.assert_array_equal(ds.V, np.zeros_like(ds.V))
 
     def test_small_build_is_finite_and_deterministic(self):
         case = case_config(2, size=6, seed=72)
-        a = build_case2(case)
-        b = build_case2(case)
+        a = build_case(case)
+        b = build_case(case)
         assert np.all(np.isfinite(a.V))
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.U, b.U)
 
     def test_halving_tolerances_changes_little(self):
         case = case_config(2, size=10, seed=73)
-        coarse = build_case2(case, ODESolverConfig(abs_tol=1e-12, rel_tol=1e-10))
-        fine = build_case2(case, ODESolverConfig(abs_tol=5e-13, rel_tol=5e-11))
+        coarse = build_case(case, ode=ODESolverConfig(abs_tol=1e-12, rel_tol=1e-10))
+        fine = build_case(case, ode=ODESolverConfig(abs_tol=5e-13, rel_tol=5e-11))
         assert np.max(np.abs(coarse.V - fine.V)) < 1e-9
 
     def test_failed_samples_are_resampled_and_logged(self, monkeypatch, caplog):
@@ -193,16 +188,16 @@ class TestCase2:
 
     def test_build_equals_reference_forcing_bitwise(self, monkeypatch):
         case = case_config(2, size=6, seed=72)
-        fast = build_case2(case)
+        fast = build_case(case)
         monkeypatch.setattr(problems, "_pendulum_solve", reference_pendulum_solve)
-        reference = build_case2(case)
+        reference = build_case(case)
         np.testing.assert_array_equal(fast.U, reference.U)
         np.testing.assert_array_equal(fast.V, reference.V)
 
     def test_unrecoverable_failure_raises(self):
         case = case_config(2, size=2, seed=75)
         with pytest.raises(RuntimeError, match="failed"):
-            build_case2(case, ODESolverConfig(max_steps=3))
+            build_case(case, ode=ODESolverConfig(max_steps=3))
 
 
 CHUNK = problems._FORCING_CHUNK
@@ -310,10 +305,10 @@ class TestRhsCases:
         y = np.linspace(-1, 1, 21)
         np.testing.assert_array_equal(rhs_case(4, p, y), -y)
 
-    @pytest.mark.parametrize("case_id,builder", [(3, build_case3), (4, build_case4), (5, build_case5)])
-    def test_finite_difference_oracle(self, case_id, builder):
+    @pytest.mark.parametrize("case_id", [3, 4, 5])
+    def test_finite_difference_oracle(self, case_id):
         case = case_config(case_id, size=3, seed=76)
-        ds = builder(case)
+        ds = build_case(case)
         params = sample_params(case.sampling)
         for j, p in enumerate(params):
             ref = _fd_rhs_reference(case, p)
@@ -340,16 +335,16 @@ class TestRhsCases:
         coarse = problems.CaseStudy(
             id=4, m=37, n=case.n, sampling=case.sampling, constants=case.constants
         )
-        ds = build_case4(coarse)
+        ds = build_case(coarse)
         params = sample_params(case.sampling)
         np.testing.assert_array_equal(
             ds.U, np.column_stack([eval_u(p, coarse.input_grid()) for p in params])
         )
-        np.testing.assert_array_equal(ds.V, build_case4(case).V)
+        np.testing.assert_array_equal(ds.V, build_case(case).V)
 
     def test_case3_amplitude_bound(self):
         case = case_config(3, size=4, seed=78)
-        ds = build_case3(case)
+        ds = build_case(case)
         params = sample_params(case.sampling)
         fine = np.linspace(-1, 1, 4001)
         c3 = case.constants
