@@ -13,11 +13,6 @@ from .embeddings import (
     FeatureMap,
     build_feature_map,
     default_weight_bound,
-    load_feature_map,
-    sample_jl,
-    sample_rffn,
-    sample_tanh_trunk,
-    save_feature_map,
 )
 from .funcgen import (
     CaseSamplingConfig,
@@ -99,15 +94,10 @@ __all__ = [
     "explode_aligned",
     "export_dataset_csv",
     "l2_percentiles",
-    "load_feature_map",
     "load_model",
     "mse",
     "run_experiment",
-    "sample_jl",
     "sample_params",
-    "sample_rffn",
-    "sample_tanh_trunk",
-    "save_feature_map",
     "save_model",
     "split",
     "train_aligned",

@@ -19,12 +19,12 @@ import time
 import numpy as np
 
 from . import funcgen, linalg, problems
-from .embeddings import EmbeddingSpec, sample_rffn, sample_tanh_trunk
+from .embeddings import EmbeddingSpec, build_feature_map
 from .harness import ExperimentConfig, run_experiment
 from .model import AlignedDataset, evaluate, explode_aligned, train_aligned, train_unaligned
 from .odeint import dopri5_batch
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_criteria"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
 
 _SEEDS = dict(seed_data=12, seed_embed=1, seed_split=7)
 
@@ -190,7 +190,9 @@ def _prop_tikhonov_limit() -> tuple[bool, dict]:
 
 
 def _prop_rffn_kernel() -> tuple[bool, dict]:
-    fmap = sample_rffn(2, 4000, seed=11, input_scale=False)
+    fmap = build_feature_map(
+        EmbeddingSpec(kind="rffn", input_dim=2, feature_dim=4000, seed=11, input_scale=False)
+    )
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(60):
@@ -290,7 +292,7 @@ def _prop_aligned_unaligned() -> tuple[bool, dict]:
     u_mat = rng.standard_normal((10, 5))
     v_mat = rng.standard_normal((10, 5))
     ds = AlignedDataset(x=x, y=x, U=u_mat, V=v_mat)
-    trunk = sample_tanh_trunk((0.0, 1.0), 8, seed=31)
+    trunk = EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=8, seed=31, domain=(0.0, 1.0))
     branch = EmbeddingSpec(kind="jl", input_dim=10, feature_dim=8, seed=32)
     aligned = train_aligned(ds, trunk, branch, solver="tsvd")
     unaligned = train_unaligned(explode_aligned(ds), trunk, branch, solver="tsvd")
@@ -348,10 +350,6 @@ CRITERIA = {
     "7": criterion_7,
     "8": criterion_8,
 }
-
-
-def run_criterion(cid: str, cache_dir=None) -> CriterionResult:
-    return CRITERIA[cid](cache_dir)
 
 
 def run_criteria(cids=None, cache_dir=None, echo=print) -> list[CriterionResult]:

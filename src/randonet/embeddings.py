@@ -1,13 +1,16 @@
 """Frozen random feature maps: linear JL, random Fourier, and tanh layers.
 
-Each map is sampled once from a seeded generator and never mutated;
-identical ``(kind, dims, hyperparameters, seed)`` reproduce the map
-bit-for-bit. Randomness comes from ``numpy.random.default_rng`` (PCG64,
-seeded through ``SeedSequence``), with a fixed, documented draw order per
-kind so maps are reproducible across machines running the same numpy:
+A map is fully described by its :class:`EmbeddingSpec` (kind, dims,
+hyperparameters, seed), and :func:`build_feature_map` is the one sampler
+that turns a spec into a :class:`FeatureMap`; the map is never mutated,
+and the same spec reproduces it bit-for-bit. Randomness comes from
+``numpy.random.default_rng(spec.seed)`` (PCG64, seeded through
+``SeedSequence``), with a fixed, documented draw order per kind so maps are
+reproducible across machines running the same numpy:
 
 * ``jl``:   weights (feature_dim, input_dim) standard normal; no biases;
-  output ``(1/sqrt(feature_dim)) * W @ x``.
+  output ``(1/sqrt(feature_dim)) * W @ x``, which approximately preserves
+  Euclidean norms.
 * ``rffn``: weights standard normal divided by ``bandwidth``, then biases
   uniform on [0, 2*pi); output ``scale * cos(W @ x + b)`` with
   ``scale = (1/input_dim) * sqrt(2/feature_dim)`` (the ``1/input_dim``
@@ -18,10 +21,11 @@ kind so maps are reproducible across machines running the same numpy:
   embeddings over discretized functions need ``B`` proportional to the
   sensor count, since the Euclidean distance of sampled functions grows
   with the grid resolution (see :mod:`randonet.harness`).
-* ``tanh``: weights uniform on [-weight_bound, weight_bound], then centers
-  uniform on the domain interval; biases are ``-(weights * centers)`` summed
-  over input axes, so each neuron's tanh transition is centered inside the
-  domain; output ``tanh(W @ x + b)``.
+* ``tanh``: weights uniform on [-weight_bound, weight_bound] (default
+  :func:`default_weight_bound`), then centers uniform on the domain
+  interval; biases are ``-(weights * centers)`` summed over input axes, so
+  each neuron's tanh transition is centered inside the domain; output
+  ``tanh(W @ x + b)``.
 
 Feature application is batch-invariant: applying a map to a k-column batch
 equals k single-column applications exactly, not merely to rounding. The
@@ -43,7 +47,6 @@ GEMM speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +55,10 @@ __all__ = [
     "EmbeddingSpec",
     "FeatureMap",
     "default_weight_bound",
-    "sample_jl",
-    "sample_rffn",
-    "sample_tanh_trunk",
     "build_feature_map",
-    "save_feature_map",
-    "load_feature_map",
 ]
 
 _KINDS = ("jl", "rffn", "tanh")
-
-FEATURE_MAP_FORMAT_VERSION = 1
 
 # Columns per GEMM call in FeatureMap.apply, chosen by measurement on a
 # 2000 x 100 map: on 600 to 2400 columns the GEMM loop takes about a fifth
@@ -234,126 +230,33 @@ class FeatureMap:
         return z
 
 
-def sample_jl(input_dim: int, feature_dim: int, seed=0) -> FeatureMap:
-    """Sample a linear random projection with Gaussian weights.
-
-    Weights are i.i.d. standard normal and the output carries the
-    ``1/sqrt(feature_dim)`` prefactor, so the embedding approximately
-    preserves Euclidean norms.
-    """
-    spec = EmbeddingSpec(kind="jl", input_dim=input_dim, feature_dim=feature_dim, seed=seed)
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((feature_dim, input_dim))
-    return FeatureMap(spec=spec, weights=weights, biases=None, scale=1.0 / np.sqrt(feature_dim))
-
-
-def sample_rffn(
-    input_dim: int,
-    feature_dim: int,
-    seed=0,
-    input_scale: bool = True,
-    bandwidth: float = 1.0,
-) -> FeatureMap:
-    """Sample cosine random Fourier features for a Gaussian kernel.
-
-    Weights are i.i.d. standard normal divided by ``bandwidth``, biases
-    uniform on [0, 2*pi); the feature inner product (after undoing the
-    input_dim prefactor) approximates ``exp(-||u - v||^2 / (2 bandwidth^2))``.
-    """
-    spec = EmbeddingSpec(
-        kind="rffn",
-        input_dim=input_dim,
-        feature_dim=feature_dim,
-        seed=seed,
-        input_scale=input_scale,
-        bandwidth=float(bandwidth),
-    )
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((feature_dim, input_dim)) / spec.bandwidth
-    biases = rng.uniform(0.0, 2.0 * np.pi, feature_dim)
-    scale = np.sqrt(2.0 / feature_dim)
-    if input_scale:
-        scale /= input_dim
-    return FeatureMap(spec=spec, weights=weights, biases=biases, scale=scale)
-
-
-def sample_tanh_trunk(
-    domain: tuple[float, float],
-    feature_dim: int,
-    weight_bound: float | None = None,
-    seed=0,
-    input_dim: int = 1,
-) -> FeatureMap:
-    """Sample a tanh hidden layer over a box domain.
-
-    Weights are uniform on [-weight_bound, weight_bound] (default
-    :func:`default_weight_bound`); each neuron's bias places its transition
-    at a center drawn uniformly from the domain, i.e.
-    ``tanh(w . (x - center))``.
-    """
-    bound = default_weight_bound(domain) if weight_bound is None else float(weight_bound)
-    spec = EmbeddingSpec(
-        kind="tanh",
-        input_dim=input_dim,
-        feature_dim=feature_dim,
-        seed=seed,
-        weight_bound=bound,
-        domain=(float(domain[0]), float(domain[1])),
-    )
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-bound, bound, (feature_dim, input_dim))
-    centers = rng.uniform(domain[0], domain[1], (feature_dim, input_dim))
-    biases = -np.sum(weights * centers, axis=1)
-    return FeatureMap(spec=spec, weights=weights, biases=biases, scale=1.0)
-
-
 def build_feature_map(spec: EmbeddingSpec) -> FeatureMap:
-    """Re-sample the map described by ``spec`` (bitwise reproducible)."""
-    if spec.kind == "jl":
-        return sample_jl(spec.input_dim, spec.feature_dim, seed=spec.seed)
-    if spec.kind == "rffn":
-        return sample_rffn(
-            spec.input_dim,
-            spec.feature_dim,
-            seed=spec.seed,
-            input_scale=spec.input_scale,
-            bandwidth=spec.bandwidth,
-        )
-    return sample_tanh_trunk(
-        spec.domain,
-        spec.feature_dim,
-        weight_bound=spec.weight_bound,
-        seed=spec.seed,
-        input_dim=spec.input_dim,
-    )
+    """Sample the map that ``spec`` describes (bitwise reproducible).
 
-
-def save_feature_map(fmap: FeatureMap, path) -> None:
-    """Serialize a feature map (its ``EmbeddingSpec`` plus arrays) to ``.npz``.
-
-    The embedding spec alone reconstructs the map; the weights are stored
-    so the file can be checked against independent implementations.
+    The one sampler: training and :func:`randonet.model.load_model` build
+    every map from its spec here, drawing in the order the module docstring
+    documents. The map's spec keeps only the fields its kind reads; a tanh
+    spec records its resolved ``weight_bound`` and a float domain.
     """
-    biases = fmap.biases if fmap.biases is not None else np.zeros(0)
-    np.savez(
-        path,
-        format_version=FEATURE_MAP_FORMAT_VERSION,
-        spec=json.dumps(fmap.spec.to_dict()),
-        weights=fmap.weights,
-        biases=biases,
-        has_biases=fmap.biases is not None,
-        scale=fmap.scale,
-    )
-
-
-def load_feature_map(path) -> FeatureMap:
-    """Load a feature map saved by :func:`save_feature_map`."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != FEATURE_MAP_FORMAT_VERSION:
-            raise ValueError(f"unsupported feature map format version {version}")
-        spec = EmbeddingSpec.from_dict(json.loads(str(data["spec"])))
-        weights = data["weights"]
-        biases = data["biases"] if bool(data["has_biases"]) else None
-        scale = float(data["scale"])
-    return FeatureMap(spec=spec, weights=weights, biases=biases, scale=scale)
+    rng = np.random.default_rng(spec.seed)
+    shape = (spec.feature_dim, spec.input_dim)
+    dims = dict(input_dim=spec.input_dim, feature_dim=spec.feature_dim, seed=spec.seed)
+    if spec.kind == "jl":
+        weights = rng.standard_normal(shape)
+        scale = 1.0 / np.sqrt(spec.feature_dim)
+        return FeatureMap(EmbeddingSpec("jl", **dims), weights, None, scale)
+    if spec.kind == "rffn":
+        bandwidth = float(spec.bandwidth)
+        weights = rng.standard_normal(shape) / bandwidth
+        biases = rng.uniform(0.0, 2.0 * np.pi, spec.feature_dim)
+        scale = np.sqrt(2.0 / spec.feature_dim)
+        if spec.input_scale:
+            scale /= spec.input_dim
+        spec = EmbeddingSpec("rffn", **dims, input_scale=spec.input_scale, bandwidth=bandwidth)
+        return FeatureMap(spec, weights, biases, scale)
+    a, b = float(spec.domain[0]), float(spec.domain[1])
+    bound = default_weight_bound((a, b)) if spec.weight_bound is None else float(spec.weight_bound)
+    weights = rng.uniform(-bound, bound, shape)
+    centers = rng.uniform(a, b, shape)
+    spec = EmbeddingSpec("tanh", **dims, weight_bound=bound, domain=(a, b))
+    return FeatureMap(spec, weights, -np.sum(weights * centers, axis=1))

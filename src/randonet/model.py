@@ -156,9 +156,6 @@ class RandONetModel:
         w.setflags(write=False)
         object.__setattr__(self, "readout", w)
 
-    def predict(self, u_samples, y_points) -> np.ndarray:
-        return evaluate(self, u_samples, y_points)
-
 
 def _ensure_map(spec_or_map) -> FeatureMap:
     if isinstance(spec_or_map, FeatureMap):

@@ -16,29 +16,28 @@ from randonet.embeddings import (
     EmbeddingSpec,
     default_weight_bound,
     build_feature_map,
-    load_feature_map,
-    sample_jl,
-    sample_rffn,
-    sample_tanh_trunk,
-    save_feature_map,
 )
 from randonet.linalg import tsvd_factorize, tsvd_pinv_apply
 
 
+def make_map(kind, input_dim, feature_dim, seed, **fields):
+    return build_feature_map(EmbeddingSpec(kind, input_dim, feature_dim, seed, **fields))
+
+
 class TestSampleJL:
     def test_single_weight(self):
-        fmap = sample_jl(1, 1, seed=0)
+        fmap = make_map("jl", 1, 1, 0)
         assert fmap.weights.shape == (1, 1)
         assert fmap.scale == 1.0
         assert fmap.biases is None
 
     def test_deterministic(self):
-        a = sample_jl(7, 5, seed=123)
-        b = sample_jl(7, 5, seed=123)
+        a = make_map("jl", 7, 5, 123)
+        b = make_map("jl", 7, 5, 123)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_norm_preservation_monte_carlo(self):
-        fmap = sample_jl(100, 400, seed=1)
+        fmap = make_map("jl", 100, 400, 1)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((100, 1000))
         x /= np.linalg.norm(x, axis=0)
@@ -51,7 +50,7 @@ class TestSampleJL:
         n_points = 100
         m_feat = int(np.ceil(8 * np.log(n_points) / eps**2))
         for seed in (0, 1, 2):
-            fmap = sample_jl(40, m_feat, seed=seed)
+            fmap = make_map("jl", 40, m_feat, seed)
             x = np.random.default_rng(100 + seed).standard_normal((40, n_points))
             z = fmap.apply(x)
             d_x = np.linalg.norm(x[:, :, None] - x[:, None, :], axis=0) ** 2
@@ -63,20 +62,20 @@ class TestSampleJL:
 
 class TestSampleRFFN:
     def test_zero_input_with_forced_zero_biases(self):
-        fmap = sample_rffn(4, 16, seed=3)
+        fmap = make_map("rffn", 4, 16, 3)
         forced = dataclasses.replace(fmap, biases=np.zeros(16))
         out = forced.apply(np.zeros(4))
         np.testing.assert_allclose(out, np.full(16, fmap.scale))
 
     def test_deterministic(self):
-        a = sample_rffn(5, 9, seed=4)
-        b = sample_rffn(5, 9, seed=4)
+        a = make_map("rffn", 5, 9, 4)
+        b = make_map("rffn", 5, 9, 4)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
 
     def test_gaussian_kernel_approximation(self):
         m = 2
-        fmap = sample_rffn(m, 4000, seed=5)
+        fmap = make_map("rffn", m, 4000, 5)
         rng = np.random.default_rng(6)
         worst = 0.0
         for _ in range(50):
@@ -91,7 +90,7 @@ class TestSampleRFFN:
 
     def test_bandwidth_widens_kernel(self):
         m = 2
-        fmap = sample_rffn(m, 4000, seed=5, input_scale=False, bandwidth=3.0)
+        fmap = make_map("rffn", m, 4000, 5, input_scale=False, bandwidth=3.0)
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = rng.uniform(-2.0, 2.0, m)
@@ -101,8 +100,8 @@ class TestSampleRFFN:
             assert abs(approx - exact) <= 0.05
 
     def test_scale_value_and_switch(self):
-        with_factor = sample_rffn(10, 8, seed=0)
-        without = sample_rffn(10, 8, seed=0, input_scale=False)
+        with_factor = make_map("rffn", 10, 8, 0)
+        without = make_map("rffn", 10, 8, 0, input_scale=False)
         assert with_factor.scale == pytest.approx(np.sqrt(2 / 8) / 10)
         assert without.scale == pytest.approx(np.sqrt(2 / 8))
         # The switch only rescales features.
@@ -110,7 +109,7 @@ class TestSampleRFFN:
         np.testing.assert_allclose(without.apply(x), 10 * with_factor.apply(x))
 
     def test_features_bounded_by_scale(self):
-        fmap = sample_rffn(6, 32, seed=8)
+        fmap = make_map("rffn", 6, 32, 8)
         x = np.random.default_rng(9).standard_normal((6, 100_000)) * 50
         out = fmap.apply(x)
         assert np.all(np.abs(out) <= fmap.scale + 1e-15)
@@ -118,7 +117,7 @@ class TestSampleRFFN:
 
 class TestSampleTanhTrunk:
     def test_feature_vanishes_at_its_center(self):
-        fmap = sample_tanh_trunk((0.0, 1.0), 50, seed=10)
+        fmap = make_map("tanh", 1, 50, 10, domain=(0.0, 1.0))
         centers = -fmap.biases / fmap.weights[:, 0]
         for k in (0, 17, 49):
             out = fmap.apply(np.array([centers[k]]))
@@ -126,8 +125,8 @@ class TestSampleTanhTrunk:
 
     def test_deterministic_feature_vector(self):
         y = np.array([[0.3]])
-        a = sample_tanh_trunk((0.0, 1.0), 200, seed=11).apply(y)
-        b = sample_tanh_trunk((0.0, 1.0), 200, seed=11).apply(y)
+        a = make_map("tanh", 1, 200, 11, domain=(0.0, 1.0)).apply(y)
+        b = make_map("tanh", 1, 200, 11, domain=(0.0, 1.0)).apply(y)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (200, 1)
 
@@ -138,12 +137,12 @@ class TestSampleTanhTrunk:
             default_weight_bound((1.0, 1.0))
 
     def test_centers_inside_domain(self):
-        fmap = sample_tanh_trunk((-2.0, 3.0), 100, seed=12)
+        fmap = make_map("tanh", 1, 100, 12, domain=(-2.0, 3.0))
         centers = -fmap.biases / fmap.weights[:, 0]
         assert np.all(centers >= -2.0) and np.all(centers <= 3.0)
 
     def test_fits_sine_through_least_squares(self):
-        fmap = sample_tanh_trunk((-1.0, 1.0), 200, weight_bound=25.0, seed=13)
+        fmap = make_map("tanh", 1, 200, 13, domain=(-1.0, 1.0), weight_bound=25.0)
         y = np.linspace(-1, 1, 100)
         feats = fmap.apply(y[None, :])
         target = np.sin(np.pi * y)[None, :]
@@ -154,7 +153,7 @@ class TestSampleTanhTrunk:
     def test_outputs_bounded_by_one(self):
         # Mathematically tanh stays inside (-1, 1); in float64 it rounds to
         # exactly +-1.0 once |z| exceeds ~19, so the attainable bound is <=.
-        fmap = sample_tanh_trunk((0.0, 1.0), 64, seed=14)
+        fmap = make_map("tanh", 1, 64, 14, domain=(0.0, 1.0))
         out = fmap.apply(np.random.default_rng(15).uniform(0, 1, (1, 10_000)))
         assert np.all(np.abs(out) <= 1.0)
         inner = fmap.apply(np.linspace(0.4, 0.6, 101)[None, :])
@@ -163,15 +162,15 @@ class TestSampleTanhTrunk:
 
 class TestApply:
     def test_single_column_and_vector_agree(self):
-        fmap = sample_jl(5, 7, seed=16)
+        fmap = make_map("jl", 5, 7, 16)
         x = np.random.default_rng(17).standard_normal(5)
         np.testing.assert_array_equal(fmap.apply(x), fmap.apply(x[:, None])[:, 0])
 
     def test_batch_equals_per_column_exactly(self):
         for fmap in (
-            sample_jl(20, 33, seed=18),
-            sample_rffn(20, 33, seed=19),
-            sample_tanh_trunk((0.0, 1.0), 33, seed=20, input_dim=20),
+            make_map("jl", 20, 33, 18),
+            make_map("rffn", 20, 33, 19),
+            make_map("tanh", 20, 33, 20, domain=(0.0, 1.0)),
         ):
             x = np.random.default_rng(21).standard_normal((20, 13))
             batch = fmap.apply(x)
@@ -182,9 +181,9 @@ class TestApply:
         # Training builds the branch matrix in Fortran order to factor it in
         # place; its features must be those that apply returns.
         for fmap in (
-            sample_jl(100, 37, seed=18),
-            sample_rffn(100, 2000, seed=19, bandwidth=500.0),
-            sample_tanh_trunk((0.0, 1.0), 33, seed=20, input_dim=100),
+            make_map("jl", 100, 37, 18),
+            make_map("rffn", 100, 2000, 19, bandwidth=500.0),
+            make_map("tanh", 100, 33, 20, domain=(0.0, 1.0)),
         ):
             x = np.random.default_rng(22).uniform(-1.0, 2.0, (100, 101))
             got = fmap._apply(x, "F")
@@ -222,8 +221,8 @@ class TestApply:
         # read once at load, so the check needs a fresh interpreter.
         script = textwrap.dedent("""
             import numpy as np
-            from randonet.embeddings import BLOCK_COLUMNS, sample_rffn
-            fmap = sample_rffn(100, 2000, seed=31, bandwidth=100.0)
+            from randonet.embeddings import BLOCK_COLUMNS, EmbeddingSpec, build_feature_map
+            fmap = build_feature_map(EmbeddingSpec("rffn", 100, 2000, 31, bandwidth=100.0))
             x = np.random.default_rng(32).standard_normal((100, 3 * BLOCK_COLUMNS + 5))
             batch = fmap.apply(x)
             for i in range(x.shape[1]):
@@ -252,24 +251,24 @@ class TestApply:
         assert peak <= out.nbytes + scratch + 0.05 * out.nbytes
 
     def test_jl_linearity_of_batching(self):
-        fmap = sample_jl(4, 6, seed=22)
+        fmap = make_map("jl", 4, 6, 22)
         x = np.random.default_rng(23).standard_normal((4, 2))
         both = fmap.apply(x)
         np.testing.assert_array_equal(both[:, 0], fmap.apply(x[:, 0]))
         np.testing.assert_array_equal(both[:, 1], fmap.apply(x[:, 1]))
 
     def test_dimension_mismatch(self):
-        fmap = sample_jl(4, 6, seed=24)
+        fmap = make_map("jl", 4, 6, 24)
         with pytest.raises(ValueError, match=r"\(4, k\)"):
             fmap.apply(np.ones((5, 2)))
 
     def test_weights_frozen(self):
-        fmap = sample_jl(3, 3, seed=25)
+        fmap = make_map("jl", 3, 3, 25)
         with pytest.raises(ValueError):
             fmap.weights[0, 0] = 1.0
 
     def test_caller_arrays_stay_writable(self):
-        fmap = sample_rffn(3, 4, seed=26)
+        fmap = make_map("rffn", 3, 4, 26)
         mine_w = np.ones((4, 3))
         mine_b = np.zeros(4)
         variant = dataclasses.replace(fmap, weights=mine_w, biases=mine_b)
@@ -299,24 +298,38 @@ class TestSpecAndSerialization:
         )
         assert EmbeddingSpec.from_dict(spec.to_dict()) == spec
 
-    def test_build_from_spec_reproduces_sampling(self):
-        spec = EmbeddingSpec(kind="rffn", input_dim=6, feature_dim=11, seed=77, bandwidth=2.5)
-        a = build_feature_map(spec)
-        b = sample_rffn(6, 11, seed=77, bandwidth=2.5)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        for fmap in (sample_jl(4, 5, seed=26), sample_tanh_trunk((0.0, 2.0), 6, seed=27)):
-            path = tmp_path / f"{fmap.spec.kind}.npz"
-            save_feature_map(fmap, path)
-            loaded = load_feature_map(path)
-            assert loaded.spec == fmap.spec
-            assert loaded.scale == fmap.scale
-            np.testing.assert_array_equal(loaded.weights, fmap.weights)
-            if fmap.biases is None:
-                assert loaded.biases is None
-            else:
-                np.testing.assert_array_equal(loaded.biases, fmap.biases)
-            x = np.random.default_rng(28).standard_normal((fmap.spec.input_dim, 4))
-            np.testing.assert_array_equal(loaded.apply(x), fmap.apply(x))
+class TestDocumentedDrawOrder:
+    """Each kind draws from ``default_rng(seed)`` in the module docstring's order."""
+
+    def test_jl(self):
+        fmap = make_map("jl", 7, 5, (3, 1))
+        rng = np.random.default_rng((3, 1))
+        np.testing.assert_array_equal(fmap.weights, rng.standard_normal((5, 7)))
+        assert fmap.biases is None
+        assert fmap.scale == 1.0 / np.sqrt(5)
+
+    @pytest.mark.parametrize("input_scale", [True, False])
+    def test_rffn(self, input_scale):
+        fmap = make_map("rffn", 6, 11, 77, bandwidth=2.5, input_scale=input_scale)
+        rng = np.random.default_rng(77)
+        np.testing.assert_array_equal(fmap.weights, rng.standard_normal((11, 6)) / 2.5)
+        np.testing.assert_array_equal(fmap.biases, rng.uniform(0.0, 2.0 * np.pi, 11))
+        scale = np.sqrt(2.0 / 11)
+        assert fmap.scale == (scale / 6 if input_scale else scale)
+
+    @pytest.mark.parametrize("weight_bound", [None, 4.0])
+    def test_tanh(self, weight_bound):
+        # An integer domain is recorded as floats, and a missing bound as
+        # the default 25 / half-width = 10.
+        fmap = make_map("tanh", 2, 9, 5, domain=(-2, 3), weight_bound=weight_bound)
+        bound = 10.0 if weight_bound is None else weight_bound
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(-bound, bound, (9, 2))
+        centers = rng.uniform(-2.0, 3.0, (9, 2))
+        np.testing.assert_array_equal(fmap.weights, weights)
+        np.testing.assert_array_equal(fmap.biases, -np.sum(weights * centers, axis=1))
+        assert fmap.scale == 1.0
+        assert fmap.spec == EmbeddingSpec("tanh", 2, 9, 5, weight_bound=bound, domain=(-2.0, 3.0))
+        assert type(fmap.spec.weight_bound) is float
+        assert all(type(v) is float for v in fmap.spec.domain)

@@ -11,9 +11,6 @@ from randonet.embeddings import (
     EmbeddingSpec,
     FeatureMap,
     build_feature_map,
-    sample_jl,
-    sample_rffn,
-    sample_tanh_trunk,
 )
 from randonet.harness import (
     ExperimentConfig,
@@ -44,9 +41,13 @@ def toy_dataset(m=10, n=10, s=5, seed=0):
     return AlignedDataset(x=x, y=y, U=rng.standard_normal((m, s)), V=rng.standard_normal((n, s)))
 
 
+def make_map(kind, input_dim, feature_dim, seed, **fields):
+    return build_feature_map(EmbeddingSpec(kind, input_dim, feature_dim, seed, **fields))
+
+
 def toy_maps(m=10, n_feat=8, m_feat=8, seed=1):
-    trunk = sample_tanh_trunk((0.0, 1.0), n_feat, seed=(seed, 0))
-    branch = sample_jl(m, m_feat, seed=(seed, 1))
+    trunk = make_map("tanh", 1, n_feat, (seed, 0), domain=(0.0, 1.0))
+    branch = make_map("jl", m, m_feat, (seed, 1))
     return trunk, branch
 
 
@@ -89,8 +90,8 @@ class TestTrainAligned:
         x = np.linspace(0, 1, m)
         u_mat = rng.standard_normal((m, 30))
         ds = AlignedDataset(x=x, y=x, U=u_mat, V=u_mat)
-        trunk = sample_tanh_trunk((0.0, 1.0), 40, seed=(3, 0))
-        branch = sample_jl(m, m, seed=(3, 1))
+        trunk = make_map("tanh", 1, 40, (3, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", m, m, (3, 1))
         model = train_aligned(ds, trunk, branch, solver="cod")
         probe = u_mat[:, 7]
         pred = evaluate(model, probe, x)
@@ -110,10 +111,10 @@ class TestTrainAligned:
     def test_input_dim_checks(self):
         ds = toy_dataset()
         trunk, branch = toy_maps()
-        bad_branch = sample_jl(9, 8, seed=5)
+        bad_branch = make_map("jl", 9, 8, 5)
         with pytest.raises(ValueError, match="sensor count"):
             train_aligned(ds, trunk, bad_branch)
-        bad_trunk = sample_tanh_trunk((0.0, 1.0), 8, seed=5, input_dim=2)
+        bad_trunk = make_map("tanh", 2, 8, 5, domain=(0.0, 1.0))
         with pytest.raises(ValueError, match="trunk input_dim"):
             train_aligned(ds, bad_trunk, branch)
 
@@ -280,8 +281,8 @@ class TestEvaluate:
 
 class TestUnaligned:
     def test_single_sample_scalar_weight(self):
-        trunk = sample_tanh_trunk((0.0, 1.0), 1, seed=(11, 0))
-        branch = sample_jl(3, 1, seed=(11, 1))
+        trunk = make_map("tanh", 1, 1, (11, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 3, 1, (11, 1))
         u = np.array([[0.4], [1.0], [-0.2]])
         yq = np.array([[0.3]])
         v = np.array([2.0])
@@ -325,8 +326,8 @@ class TestUnaligned:
         def no_features(*args, **kwargs):
             raise AssertionError("a feature matrix was built")
 
-        trunk = sample_tanh_trunk((0.0, 1.0), 50, seed=(11, 0))
-        branch = sample_jl(10, 40, seed=(11, 1))
+        trunk = make_map("tanh", 1, 50, (11, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 10, 40, (11, 1))
         monkeypatch.setattr(FeatureMap, "apply", no_features)
         monkeypatch.setattr(FeatureMap, "_apply", no_features)
         with pytest.raises(ValueError, match="5002000 entries .* above the budget of 5000000"):
@@ -362,7 +363,7 @@ class TestInPlaceCod:
         # RFFN(60) on 40 functions and the 16 x 12 trunk matrix have full
         # column rank (no tzrzf), JL(8) is wide (tzrzf runs).
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
-        trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
+        trunk = make_map("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
         branch = build_feature_map(EmbeddingSpec(kind=branch_kind, input_dim=10,
                                                  feature_dim=m_feat, seed=(22, 1)))
         kept = {name: getattr(ds, name).copy() for name in ("x", "y", "U", "V")}
@@ -377,8 +378,8 @@ class TestInPlaceCod:
 
     def test_unaligned_readout_matches_public_solve(self):
         ds = scattered_dataset()
-        trunk = sample_tanh_trunk((0.0, 1.0), 6, seed=(23, 0))
-        branch = sample_jl(10, 5, seed=(23, 1))
+        trunk = make_map("tanh", 1, 6, (23, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 10, 5, (23, 1))
         kept = {name: getattr(ds, name).copy() for name in ("U", "Y", "V")}
         model = train_unaligned(ds, trunk, branch, solver="cod")
         for name, arr in kept.items():
@@ -402,8 +403,8 @@ class TestInPlaceCod:
 
         monkeypatch.setattr(linalg, "inplace_cod_factorize", counting)
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
-        trunk = sample_tanh_trunk((0.0, 1.0), 16, seed=(22, 0))
-        branch = sample_jl(10, 8, seed=(22, 1))
+        trunk = make_map("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 10, 8, (22, 1))
         train_aligned(ds, trunk, branch, solver="cod")
         assert seen == [((16, 12), True), ((8, 40), True)]
         seen.clear()
@@ -414,8 +415,8 @@ class TestInPlaceCod:
         # A 9.6 MB RFFN branch matrix: its Fortran copy replaces the C one,
         # and the QR runs in that copy.
         ds = toy_dataset(m=50, n=20, s=1200, seed=24)
-        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(25, 0))
-        branch = sample_rffn(50, 1000, seed=(25, 1), bandwidth=5.0)
+        trunk = make_map("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
+        branch = make_map("rffn", 50, 1000, (25, 1), bandwidth=5.0)
         model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["branch_rank"] == 1000
         assert peak <= 2.5 * 1000 * 1200 * 8
@@ -424,8 +425,8 @@ class TestInPlaceCod:
         # A 9.6 MB collocation matrix, built in Fortran order and factored
         # in its own storage.
         ds = scattered_dataset(m=50, s=1200, seed=26)
-        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(27, 0))
-        branch = sample_jl(50, 50, seed=(27, 1))
+        trunk = make_map("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 50, 50, (27, 1))
         model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 2.5 * 1000 * 1200 * 8
@@ -434,16 +435,16 @@ class TestInPlaceCod:
         # The branch matrix is built in Fortran order and factored where it
         # lies; the rest is workspace, the trunk side and the readout.
         ds = toy_dataset(m=50, n=20, s=1200, seed=24)
-        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(25, 0))
-        branch = sample_rffn(50, 1000, seed=(25, 1), bandwidth=5.0)
+        trunk = make_map("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
+        branch = make_map("rffn", 50, 1000, (25, 1), bandwidth=5.0)
         model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["branch_rank"] == 1000
         assert peak <= 1.3 * 1000 * 1200 * 8
 
     def test_unaligned_peak_memory_is_one_collocation_matrix(self, traced_peak):
         ds = scattered_dataset(m=50, s=1200, seed=26)
-        trunk = sample_tanh_trunk((0.0, 1.0), 20, seed=(27, 0))
-        branch = sample_jl(50, 50, seed=(27, 1))
+        trunk = make_map("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
+        branch = make_map("jl", 50, 50, (27, 1))
         model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 1.3 * 1000 * 1200 * 8
@@ -501,11 +502,11 @@ class TestInvariants:
         case = case_config(case_id, size=size, seed=90 + case_id)
         ds = dataset_for(case, cache_dir)
         train, test = split(ds, 0.8, 2)
-        trunk = sample_tanh_trunk(case.domain, 100, seed=(17, 0))
+        trunk = make_map("tanh", 1, 100, (17, 0), domain=case.domain)
         if case_id in (1, 3):
-            branch = sample_jl(100, 60, seed=(17, 1))
+            branch = make_map("jl", 100, 60, (17, 1))
         else:
-            branch = sample_rffn(100, 200, seed=(17, 1), bandwidth=500.0)
+            branch = make_map("rffn", 100, 200, (17, 1), bandwidth=500.0)
         preds = {}
         errs = {}
         for solver in ("cod", "tsvd"):
@@ -542,9 +543,8 @@ class TestSaveLoad:
     def test_evaluate_shapes_and_roundtrip(self, k, q, branch, seed):
         # k None is a single 1-D input function.
         ds = toy_dataset(seed=seed % 1000)
-        trunk = sample_tanh_trunk((0.0, 1.0), 8, seed=(seed, 0))
-        sample = sample_jl if branch == "jl" else sample_rffn
-        model = train_aligned(ds, trunk, sample(10, 8, seed=(seed, 1)))
+        trunk = make_map("tanh", 1, 8, (seed, 0), domain=(0.0, 1.0))
+        model = train_aligned(ds, trunk, make_map(branch, 10, 8, (seed, 1)))
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(10 if k is None else (10, k))
         ys = rng.uniform(0.0, 1.0, q)
