@@ -294,8 +294,8 @@ def _prop_aligned_unaligned() -> tuple[bool, dict]:
     ds = AlignedDataset(x=x, y=x, U=u_mat, V=v_mat)
     trunk = EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=8, seed=31, domain=(0.0, 1.0))
     branch = EmbeddingSpec(kind="jl", input_dim=10, feature_dim=8, seed=32)
-    aligned = train_aligned(ds, trunk, branch, solver="tsvd")
-    unaligned = train_unaligned(explode_aligned(ds), trunk, branch, solver="tsvd")
+    aligned = train_aligned(ds, trunk, branch, solver="tikhonov")
+    unaligned = train_unaligned(explode_aligned(ds), trunk, branch, solver="tikhonov")
     pred_a = evaluate(aligned, u_mat, x)
     pred_u = evaluate(unaligned, u_mat, x)
     rel = np.linalg.norm(pred_a - pred_u) / np.linalg.norm(pred_a)

@@ -40,7 +40,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solver", choices=model.SOLVERS, help="least-squares route")
     sub.add_argument("--lambda", type=float, dest="reg", metavar="LAMBDA",
                      help="Tikhonov regularization weight (tikhonov only)")
-    sub.add_argument("--tol", type=float, help="rank tolerance for cod/tsvd (default auto)")
+    sub.add_argument("--tol", type=float, help="rank tolerance for cod (default auto)")
     sub.add_argument("--bandwidth", type=float, dest="rffn_bandwidth", metavar="BANDWIDTH",
                      help="RFFN kernel bandwidth (default: 5x sensor count)")
     sub.add_argument("--trunk-bound", type=float, dest="trunk_weight_bound",

@@ -17,6 +17,12 @@ Two factorizations give a (regularized) Moore-Penrose pseudo-inverse:
   ill-conditioned matrix through orthogonal transforms and one triangular
   back substitution.
 
+Without a given tolerance both cut at :func:`auto_tolerance`, each on its
+own scale: the SVD on the largest singular value sigma_1, the COD on the
+first pivot ``|R_11|`` of its column-pivoted QR (the largest column
+norm). On one matrix the two auto cutoffs can differ by up to a factor
+sqrt(cols).
+
 Both applies compute ``B @ A+``. The readout solves only need that side:
 a features x samples matrix ``A`` is inverted against targets that share
 its sample axis. A left solve ``A+ @ B`` is ``(B.T @ (A.T)+).T``, with the
@@ -82,7 +88,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def auto_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
-    """Default rank cutoff ``max(rows, cols) * eps * sigma_max``."""
+    """Default rank cutoff ``max(rows, cols) * eps * sigma_max``.
+
+    :func:`tsvd_factorize` passes the largest singular value sigma_1 as
+    ``sigma_max``, :func:`cod_factorize` the first pivot ``|R_11|`` of its
+    column-pivoted QR, the largest column norm, which lies in
+    [sigma_1 / sqrt(cols), sigma_1]: on one matrix the two auto cutoffs
+    differ by up to a factor sqrt(cols).
+    """
     return max(shape) * _EPS * sigma_max
 
 

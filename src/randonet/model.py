@@ -11,11 +11,11 @@ shot from regularized linear least squares.
 
 For aligned data (all functions share one output grid) the double-sided
 system ``V = T W B`` is solved as ``W = pinv(T) V pinv(B)`` with the
-pseudo-inverses taken by complete orthogonal decomposition (default),
-truncated SVD, or Tikhonov regularization. For unaligned data (one output
-location per sample) the same unknowns are solved through a collocation
-matrix whose rows are elementwise products of trunk and branch feature
-rows.
+pseudo-inverses taken by complete orthogonal decomposition (default) or
+Tikhonov regularization, the paper's two solvers. For unaligned data (one
+output location per sample) the same unknowns are solved through a
+collocation matrix whose rows are elementwise products of trunk and
+branch feature rows.
 
 Every matrix that training factors is feature-major, features x samples
 (the trunk is built as ``T.T``), and every solve applies a pseudo-inverse
@@ -48,7 +48,7 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
 ]
 
-SOLVERS = ("cod", "tsvd", "tikhonov")
+SOLVERS = ("cod", "tikhonov")
 
 MODEL_FORMAT_VERSION = 1
 
@@ -143,7 +143,6 @@ class RandONetModel:
     trunk: FeatureMap
     branch: FeatureMap
     readout: np.ndarray
-    solver_used: str
     train_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -157,22 +156,8 @@ class RandONetModel:
         object.__setattr__(self, "readout", w)
 
 
-def _ensure_map(spec_or_map) -> FeatureMap:
-    if isinstance(spec_or_map, FeatureMap):
-        return spec_or_map
-    if isinstance(spec_or_map, EmbeddingSpec):
-        return build_feature_map(spec_or_map)
-    raise TypeError(f"expected EmbeddingSpec or FeatureMap, got {type(spec_or_map).__name__}")
-
-
-def _conditioning_note(name: str, mat: np.ndarray) -> str:
-    s = np.linalg.svd(mat, compute_uv=False)
-    smin = s[-1] if s.size else 0.0
-    smax = s[0] if s.size else 0.0
-    return f"{name}: shape {mat.shape}, sigma_max {smax:.3e}, sigma_min {smin:.3e}"
-
-
-def _metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end) -> dict:
+def _metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured, factorized,
+              end) -> dict:
     """The ``train_metadata`` entries that both solves record.
 
     ``stages`` holds the seconds of the three training stages between four
@@ -184,8 +169,8 @@ def _metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end)
         "solver": solver,
         "tol": tol,
         "reg": reg,
-        "trunk_seed": trunk.spec.seed,
-        "branch_seed": branch.spec.seed,
+        "trunk_seed": trunk_spec.seed,
+        "branch_seed": branch_spec.seed,
         "train_seconds": end - start,
         "stages": {
             "features": featured - start,
@@ -195,44 +180,58 @@ def _metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end)
     }
 
 
-def _check_solver(solver: str, tol, reg: float) -> None:
-    """Reject an unknown solver, a bad ``reg`` and a setting the solver would ignore."""
+def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float) -> None:
+    """Reject an unknown solver, a bad ``reg``, a setting the solver would
+    ignore and a map given as anything but an :class:`EmbeddingSpec`."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not reg >= 0:
         raise ValueError(f"regularization weight must be >= 0, got {reg}")
     if solver == "tikhonov" and tol is not None:
-        raise ValueError(f"solver 'tikhonov' truncates nothing and takes no tol, got {tol}")
-    if solver != "tikhonov" and reg != 0:
-        raise ValueError(f"solver {solver!r} takes no regularization weight, got {reg}")
+        raise ValueError(f"solver 'tikhonov' takes no tol, got {tol}")
+    if solver == "cod" and reg != 0:
+        raise ValueError(f"solver 'cod' takes no regularization weight, got {reg}")
+    for spec in (trunk_spec, branch_spec):
+        if not isinstance(spec, EmbeddingSpec):
+            raise TypeError(f"expected an EmbeddingSpec, got {type(spec).__name__}")
 
 
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     """Factor ``mat`` once; return (apply, rank_facts), ``apply(b) = b @ pinv(mat)``.
 
-    The 'cod' route hands ``mat`` to :func:`linalg.inplace_cod_factorize`,
-    which factors it in its own storage when it is Fortran-ordered, so the
-    caller must not read ``mat`` afterwards. 'tsvd' and 'tikhonov' take one
-    SVD, truncated at ``tol`` or filtered with weight ``reg`` at the auto
-    tolerance (:func:`_check_solver` leaves each route only its own
-    setting). ``rank_facts`` holds ``{name}_rank`` and
-    ``{name}_rank_tolerance`` for 'cod' and 'tsvd', and is empty for
-    'tikhonov', which truncates nothing.
+    'cod' hands ``mat`` to :func:`linalg.inplace_cod_factorize`, which
+    factors it in its own storage when it is Fortran-ordered, so the
+    caller must not read ``mat`` afterwards. 'tikhonov' takes one SVD,
+    filtered with weight ``reg``; at ``reg = 0`` that is the SVD truncated
+    at the auto tolerance. ``rank_facts`` holds ``{name}_rank`` and
+    ``{name}_rank_tolerance`` whenever ``reg = 0``, that is, whenever the
+    factorization truncates.
     """
     if solver == "cod":
         factors = linalg.inplace_cod_factorize(mat, tol)
         apply_, rank = linalg.cod_pinv_apply, factors.numerical_rank
     else:
-        factors = linalg.tsvd_factorize(mat, tol, reg)
+        factors = linalg.tsvd_factorize(mat, reg=reg)
         apply_, rank = linalg.tsvd_pinv_apply, factors.rank
     ranks = {f"{name}_rank": rank, f"{name}_rank_tolerance": factors.rank_tolerance}
-    return (lambda b: apply_(factors, b)), ({} if solver == "tikhonov" else ranks)
+    return (lambda b: apply_(factors, b)), (ranks if reg == 0 else {})
+
+
+def _trained_model(trunk: FeatureMap, branch: FeatureMap, w: np.ndarray,
+                   metadata: dict) -> RandONetModel:
+    """The model, or a :class:`TrainingError` quoting the solver settings
+    and rank facts of ``metadata`` when ``w`` is not finite."""
+    if not np.all(np.isfinite(w)):
+        facts = ", ".join(f"{key}={value!r}" for key, value in metadata.items()
+                          if key in ("solver", "tol", "reg") or "_rank" in key)
+        raise TrainingError(f"solver produced non-finite weights ({facts})")
+    return RandONetModel(trunk=trunk, branch=branch, readout=w, train_metadata=metadata)
 
 
 def train_aligned(
     ds: AlignedDataset,
-    trunk_spec,
-    branch_spec,
+    trunk_spec: EmbeddingSpec,
+    branch_spec: EmbeddingSpec,
     solver: str = "cod",
     tol: float | None = None,
     reg: float = 0.0,
@@ -242,20 +241,22 @@ def train_aligned(
     Parameters
     ----------
     ds : AlignedDataset
-    trunk_spec, branch_spec : EmbeddingSpec or FeatureMap
-        The trunk must accept 1-D locations; the branch input dimension
-        must equal the sensor count of ``ds``.
-    solver : {'cod', 'tsvd', 'tikhonov'}
+    trunk_spec, branch_spec : EmbeddingSpec
+        The maps are ``build_feature_map`` of these specs. The trunk must
+        accept 1-D locations; the branch input dimension must equal the
+        sensor count of ``ds``.
+    solver : {'cod', 'tikhonov'}
         Pseudo-inversion route for both matrices.
     tol : float, optional
-        Rank tolerance for 'cod'/'tsvd' (None = auto); 'tikhonov' takes none.
+        Rank tolerance for 'cod' (None = auto); 'tikhonov' takes none.
     reg : float
-        Tikhonov weight, >= 0; 'cod' and 'tsvd' take 0 only.
+        Tikhonov weight, >= 0; 'cod' takes 0 only.
 
     Notes
     -----
-    An unknown solver, a negative ``reg`` or a setting the solver would
-    ignore is rejected before any feature is built. The trunk matrix is
+    A map that is not an :class:`EmbeddingSpec`, an unknown solver, a
+    negative ``reg`` or a setting the solver would ignore is rejected
+    before any feature is built. The trunk matrix is
     built feature-major, as ``T.T`` (N, n), so both solves are right
     applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
     each computed once; they are applied to V in the cheaper association
@@ -263,25 +264,24 @@ def train_aligned(
     ``train_metadata['train_seconds']`` and split into
     ``train_metadata['stages']``, the seconds of ``features`` (trunk and
     branch matrices), ``factorize`` (the COD or the SVD of each matrix,
-    Tikhonov's included) and ``solve`` (applying the pseudo-inverses). The
-    'cod' and 'tsvd' routes also record the numerical rank and rank
-    tolerance of each matrix as ``trunk_rank``, ``trunk_rank_tolerance``,
-    ``branch_rank`` and ``branch_rank_tolerance``.
+    Tikhonov's included) and ``solve`` (applying the pseudo-inverses). A
+    truncating fit ('cod', or 'tikhonov' at ``reg = 0``) also records the
+    numerical rank and rank tolerance of each matrix as ``trunk_rank``,
+    ``trunk_rank_tolerance``, ``branch_rank`` and ``branch_rank_tolerance``;
+    a :class:`TrainingError` quotes them with the solver settings.
 
     The 'cod' route consumes the trunk and branch matrices it builds: both
     are built in Fortran order and factored in their own storage, so the
-    fit holds each once. The diagnostics of a :class:`TrainingError`
-    rebuild them from the maps.
+    fit holds each once.
     """
-    _check_solver(solver, tol, reg)
-    trunk = _ensure_map(trunk_spec)
-    branch = _ensure_map(branch_spec)
-    if branch.spec.input_dim != ds.x.size:
+    _check_inputs(trunk_spec, branch_spec, solver, tol, reg)
+    if branch_spec.input_dim != ds.x.size:
         raise ValueError(
-            f"branch input_dim {branch.spec.input_dim} does not match sensor count {ds.x.size}"
+            f"branch input_dim {branch_spec.input_dim} does not match sensor count {ds.x.size}"
         )
-    if trunk.spec.input_dim != 1:
+    if trunk_spec.input_dim != 1:
         raise ValueError("trunk input_dim must be 1 for scalar output locations")
+    trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
 
     start = time.perf_counter()
     # (N, n) and (M, s), Fortran-ordered for the in-place COD.
@@ -298,19 +298,10 @@ def train_aligned(
     else:
         w = trunk_apply(branch_apply(ds.V).T).T
     end = time.perf_counter()
-
-    if not np.all(np.isfinite(w)):
-        raise TrainingError(
-            "solver produced non-finite weights; "
-            + _conditioning_note("trunk matrix", trunk.apply(ds.y[None, :]))
-            + "; "
-            + _conditioning_note("branch matrix", branch.apply(ds.U))
-        )
-    metadata = {**_metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end),
+    metadata = {**_metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured,
+                            factorized, end),
                 "n_train_functions": ds.n_functions, **trunk_ranks, **branch_ranks}
-    return RandONetModel(
-        trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
-    )
+    return _trained_model(trunk, branch, w, metadata)
 
 
 def _collocation_matrix(trunk: FeatureMap, branch: FeatureMap, ds: UnalignedDataset):
@@ -327,8 +318,8 @@ def _collocation_matrix(trunk: FeatureMap, branch: FeatureMap, ds: UnalignedData
 
 def train_unaligned(
     ds: UnalignedDataset,
-    trunk_spec,
-    branch_spec,
+    trunk_spec: EmbeddingSpec,
+    branch_spec: EmbeddingSpec,
     solver: str = "cod",
     tol: float | None = None,
     reg: float = 0.0,
@@ -341,23 +332,21 @@ def train_unaligned(
 
     The dense collocation solve scales quadratically in both N*M and S, so
     the build refuses instances with ``N*M*S`` above
-    :data:`MAX_COLLOCATION_ENTRIES` rather than thrash memory. The 'cod' and
-    'tsvd' routes record the numerical rank and rank tolerance of ``Z`` in
+    :data:`MAX_COLLOCATION_ENTRIES` rather than thrash memory. A truncating
+    fit records the numerical rank and rank tolerance of ``Z`` in
     ``train_metadata`` as ``collocation_rank`` and
     ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
     ``train_seconds`` as in :func:`train_aligned`, with the build of ``Z``
     counted under ``features``.
 
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
-    (S, M*N) product, and the 'cod' route factors it in its own storage;
-    the diagnostics of a :class:`TrainingError` rebuild it from the maps.
-    Bad solver settings are rejected first, as by :func:`train_aligned`.
+    (S, M*N) product, and the 'cod' route factors it in its own storage.
+    Bad maps and solver settings are rejected first, as by
+    :func:`train_aligned`.
     """
-    _check_solver(solver, tol, reg)
-    trunk = _ensure_map(trunk_spec)
-    branch = _ensure_map(branch_spec)
-    n_feat = trunk.spec.feature_dim
-    m_feat = branch.spec.feature_dim
+    _check_inputs(trunk_spec, branch_spec, solver, tol, reg)
+    n_feat = trunk_spec.feature_dim
+    m_feat = branch_spec.feature_dim
     n_samples = ds.n_samples
     entries = n_feat * m_feat * n_samples
     if entries > MAX_COLLOCATION_ENTRIES:
@@ -368,6 +357,8 @@ def train_unaligned(
             "O((N S)^2 M N + (M N)^2 N S) and is meant for sparse outputs only"
         )
 
+    trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
+
     start = time.perf_counter()
     z = _collocation_matrix(trunk, branch, ds)
     featured = time.perf_counter()
@@ -377,17 +368,10 @@ def train_unaligned(
     omega = collocation_apply(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
     end = time.perf_counter()
-
-    if not np.all(np.isfinite(w)):
-        raise TrainingError(
-            "solver produced non-finite weights; "
-            + _conditioning_note("collocation matrix", _collocation_matrix(trunk, branch, ds))
-        )
-    metadata = {**_metadata(solver, tol, reg, trunk, branch, start, featured, factorized, end),
+    metadata = {**_metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured,
+                            factorized, end),
                 "n_train_samples": n_samples, **collocation_ranks}
-    return RandONetModel(
-        trunk=trunk, branch=branch, readout=w, solver_used=solver, train_metadata=metadata
-    )
+    return _trained_model(trunk, branch, w, metadata)
 
 
 def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
@@ -433,14 +417,13 @@ def explode_aligned(ds: AlignedDataset) -> UnalignedDataset:
 
 
 def save_model(model: RandONetModel, path) -> None:
-    """Serialize a trained model (embedding specs, solver metadata, W)."""
+    """Serialize a trained model (embedding specs, training metadata, W)."""
     np.savez(
         path,
         format_version=MODEL_FORMAT_VERSION,
         trunk_spec=json.dumps(model.trunk.spec.to_dict()),
         branch_spec=json.dumps(model.branch.spec.to_dict()),
         readout=model.readout,
-        solver_used=model.solver_used,
         metadata=json.dumps(model.train_metadata),
     )
 
@@ -450,7 +433,8 @@ def load_model(path) -> RandONetModel:
 
     Feature maps are re-sampled from their stored specs (seed, dims, kind),
     which reproduces the saved model's predictions bit-for-bit on the same
-    platform.
+    platform. The ``solver_used`` entry of older files repeats
+    ``train_metadata['solver']`` and is not read.
     """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
@@ -459,9 +443,5 @@ def load_model(path) -> RandONetModel:
         trunk = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["trunk_spec"]))))
         branch = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["branch_spec"]))))
         readout = data["readout"]
-        solver_used = str(data["solver_used"])
         metadata = json.loads(str(data["metadata"]))
-    return RandONetModel(
-        trunk=trunk, branch=branch, readout=readout, solver_used=solver_used,
-        train_metadata=metadata,
-    )
+    return RandONetModel(trunk=trunk, branch=branch, readout=readout, train_metadata=metadata)

@@ -73,16 +73,13 @@ _FORCING_CHUNK = 128
 
 @dataclass(frozen=True)
 class ODESolverConfig:
-    """Adaptive Runge-Kutta 4(5) settings for the pendulum ground truth."""
+    """Adaptive Dormand-Prince 5(4) settings for the pendulum ground truth."""
 
-    method: str = "dopri5"
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.method != "dopri5":
-            raise ValueError(f"unsupported ODE method {self.method!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
 

@@ -611,3 +611,21 @@ class TestTruncationAndAgreement:
     def test_auto_tolerance_rule(self):
         assert auto_tolerance((3, 7), 2.0) == 7 * np.finfo(np.float64).eps * 2.0
 
+
+    def test_each_route_scales_its_auto_tolerance(self):
+        # Cosine features of nearly equal inputs share a common mode, which
+        # puts sigma_1 about sqrt(cols) = 17 times above the largest column
+        # norm |R_11|. The SVD cuts on sigma_1, the COD on |R_11|.
+        rng = np.random.default_rng(40)
+        w = rng.standard_normal((40, 1))
+        b = rng.uniform(0.0, 2 * np.pi, (40, 1))
+        a = np.cos(w * (1e-2 * rng.standard_normal((1, 300))) + b)
+        sigma_1 = np.linalg.svd(a, compute_uv=False)[0]
+        # |R_11| from scipy's pivoted QR: tzrzf rewrites the diagonal the
+        # COD keeps.
+        r_11 = abs(scipy.linalg.qr(a, mode="r", pivoting=True)[0][0, 0])
+        assert sigma_1 > 10 * r_11
+        assert tsvd_factorize(a).rank_tolerance == pytest.approx(
+            auto_tolerance(a.shape, sigma_1), rel=1e-12)
+        assert cod_factorize(a).rank_tolerance == pytest.approx(
+            auto_tolerance(a.shape, r_11), rel=1e-12)

@@ -21,6 +21,7 @@ from randonet.harness import (
     trunk_spec_for,
 )
 from randonet.model import (
+    SOLVERS,
     AlignedDataset,
     TrainingError,
     UnalignedDataset,
@@ -41,14 +42,41 @@ def toy_dataset(m=10, n=10, s=5, seed=0):
     return AlignedDataset(x=x, y=y, U=rng.standard_normal((m, s)), V=rng.standard_normal((n, s)))
 
 
-def make_map(kind, input_dim, feature_dim, seed, **fields):
-    return build_feature_map(EmbeddingSpec(kind, input_dim, feature_dim, seed, **fields))
-
-
-def toy_maps(m=10, n_feat=8, m_feat=8, seed=1):
-    trunk = make_map("tanh", 1, n_feat, (seed, 0), domain=(0.0, 1.0))
-    branch = make_map("jl", m, m_feat, (seed, 1))
+def toy_specs(m=10, n_feat=8, m_feat=8, seed=1):
+    trunk = EmbeddingSpec("tanh", 1, n_feat, (seed, 0), domain=(0.0, 1.0))
+    branch = EmbeddingSpec("jl", m, m_feat, (seed, 1))
     return trunk, branch
+
+
+def features(spec, x):
+    """The feature matrix of input columns ``x`` under the map of ``spec``."""
+    return build_feature_map(spec).apply(x)
+
+
+def fail_on_features(monkeypatch):
+    def no_features(*args, **kwargs):
+        raise AssertionError("a feature matrix was built")
+
+    monkeypatch.setattr(FeatureMap, "apply", no_features)
+    monkeypatch.setattr(FeatureMap, "_apply", no_features)
+
+
+def count_feature_builds_without_svd(monkeypatch):
+    """Count ``FeatureMap._apply`` calls (``apply`` goes through it) and
+    fail any ``np.linalg.svd`` call."""
+    calls = []
+    original = FeatureMap._apply
+
+    def counting(self, x, order):
+        calls.append(self.spec.kind)
+        return original(self, x, order)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(FeatureMap, "_apply", counting)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    return calls
 
 
 class TestDatasetTypes:
@@ -78,8 +106,8 @@ class TestTrainAligned:
     def test_zero_targets_give_zero_readout(self):
         ds = toy_dataset()
         ds = AlignedDataset(x=ds.x, y=ds.y, U=ds.U, V=np.zeros_like(ds.V))
-        trunk, branch = toy_maps()
-        for solver in ("cod", "tsvd", "tikhonov"):
+        trunk, branch = toy_specs()
+        for solver in SOLVERS:
             model = train_aligned(ds, trunk, branch, solver=solver)
             np.testing.assert_array_equal(model.readout, np.zeros((8, 8)))
 
@@ -90,43 +118,50 @@ class TestTrainAligned:
         x = np.linspace(0, 1, m)
         u_mat = rng.standard_normal((m, 30))
         ds = AlignedDataset(x=x, y=x, U=u_mat, V=u_mat)
-        trunk = make_map("tanh", 1, 40, (3, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", m, m, (3, 1))
+        trunk = EmbeddingSpec("tanh", 1, 40, (3, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", m, m, (3, 1))
         model = train_aligned(ds, trunk, branch, solver="cod")
         probe = u_mat[:, 7]
         pred = evaluate(model, probe, x)
         assert np.linalg.norm(pred - probe) <= 1e-8
 
-    def test_accepts_specs_and_maps(self):
+    def test_takes_specs_only(self, monkeypatch):
+        # A built map is rejected before any feature is built, so every
+        # trained model's maps are build_feature_map of their specs.
         ds = toy_dataset()
-        trunk_spec = EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=8, seed=(4, 0),
-                                   domain=(0.0, 1.0))
-        branch_spec = EmbeddingSpec(kind="jl", input_dim=10, feature_dim=8, seed=(4, 1))
-        a = train_aligned(ds, trunk_spec, branch_spec)
-        b = train_aligned(ds, *toy_maps(seed=4))
-        np.testing.assert_array_equal(a.readout, b.readout)
-        with pytest.raises(TypeError):
-            train_aligned(ds, "trunk", branch_spec)
+        trunk, branch = toy_specs(seed=4)
+        model = train_aligned(ds, trunk, branch)
+        for fmap, spec in ((model.trunk, trunk), (model.branch, branch)):
+            rebuilt = build_feature_map(spec)
+            assert fmap.spec == rebuilt.spec and fmap.scale == rebuilt.scale
+            for name in ("weights", "biases"):
+                np.testing.assert_array_equal(getattr(fmap, name), getattr(rebuilt, name))
+        built = (build_feature_map(trunk), build_feature_map(branch))
+        fail_on_features(monkeypatch)
+        for train, data in ((train_aligned, ds), (train_unaligned, explode_aligned(ds))):
+            for maps in ((built[0], branch), (trunk, built[1]), ("trunk", branch)):
+                with pytest.raises(TypeError, match="expected an EmbeddingSpec"):
+                    train(data, *maps)
 
     def test_input_dim_checks(self):
         ds = toy_dataset()
-        trunk, branch = toy_maps()
-        bad_branch = make_map("jl", 9, 8, 5)
+        trunk, branch = toy_specs()
+        bad_branch = EmbeddingSpec("jl", 9, 8, 5)
         with pytest.raises(ValueError, match="sensor count"):
             train_aligned(ds, trunk, bad_branch)
-        bad_trunk = make_map("tanh", 2, 8, 5, domain=(0.0, 1.0))
+        bad_trunk = EmbeddingSpec("tanh", 2, 8, 5, domain=(0.0, 1.0))
         with pytest.raises(ValueError, match="trunk input_dim"):
             train_aligned(ds, bad_trunk, branch)
 
     def test_association_orders_agree(self):
         # n <= s and n > s take different association orders.
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         wide = toy_dataset(s=25, seed=6)
         tall = toy_dataset(s=4, seed=7)
         for ds in (wide, tall):
-            model = train_aligned(ds, trunk, branch, solver="tsvd")
-            t_mat = trunk.apply(ds.y[None, :])  # (N, n): pinv(T) V = (V.T pinv(t_mat)).T
-            b_mat = branch.apply(ds.U)
+            model = train_aligned(ds, trunk, branch, solver="tikhonov")
+            t_mat = features(trunk, ds.y[None, :])  # (N, n): pinv(T) V = (V.T pinv(t_mat)).T
+            b_mat = features(branch, ds.U)
             ft = linalg.tsvd_factorize(t_mat)
             fb = linalg.tsvd_factorize(b_mat)
             w_to = linalg.tsvd_pinv_apply(fb, linalg.tsvd_pinv_apply(ft, ds.V.T).T)
@@ -135,57 +170,75 @@ class TestTrainAligned:
             assert np.linalg.norm(model.readout - w_to) / np.linalg.norm(w_to) <= 1e-10
 
     def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
+        # The error quotes the settings and ranks the fit holds; it builds
+        # no feature matrix beyond the trunk and branch and runs no SVD.
         ds = toy_dataset()
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
+        md = train_aligned(ds, trunk, branch, solver="cod").train_metadata
 
         def poisoned(*args, **kwargs):
             return np.full((8, 5), np.inf)
 
         monkeypatch.setattr("randonet.model.linalg.cod_pinv_apply", poisoned)
-        with pytest.raises(TrainingError, match="sigma_max"):
+        built = count_feature_builds_without_svd(monkeypatch)
+        with pytest.raises(TrainingError) as err:
             train_aligned(ds, trunk, branch, solver="cod")
+        assert built == ["tanh", "jl"]
+        message = str(err.value)
+        assert "solver='cod', tol=None, reg=0.0" in message
+        for name in ("trunk", "branch"):
+            assert f"{name}_rank={md[f'{name}_rank']}" in message
+            assert f"{name}_rank_tolerance={md[f'{name}_rank_tolerance']!r}" in message
+
+    def test_non_finite_tikhonov_solve_quotes_its_settings(self, monkeypatch):
+        # Above reg = 0 no rank is cut, so the error quotes the settings only.
+        def poisoned(*args, **kwargs):
+            return np.full((8, 5), np.inf)
+
+        monkeypatch.setattr("randonet.model.linalg.tsvd_pinv_apply", poisoned)
+        with pytest.raises(TrainingError) as err:
+            train_aligned(toy_dataset(), *toy_specs(), solver="tikhonov", reg=1e-8)
+        assert str(err.value) == (
+            "solver produced non-finite weights (solver='tikhonov', tol=None, reg=1e-08)"
+        )
 
     @pytest.mark.parametrize("train", [train_aligned, train_unaligned])
     def test_bad_solver_or_reg_fails_before_features(self, train, monkeypatch):
         ds = toy_dataset() if train is train_aligned else explode_aligned(toy_dataset())
-        maps = toy_maps()
-
-        def no_features(*args, **kwargs):
-            raise AssertionError("a feature matrix was built")
-
-        monkeypatch.setattr(FeatureMap, "apply", no_features)
-        monkeypatch.setattr(FeatureMap, "_apply", no_features)
+        maps = toy_specs()
+        fail_on_features(monkeypatch)
         with pytest.raises(ValueError, match="solver must be one of"):
-            train(ds, *maps, solver="qr")
+            train(ds, *maps, solver="tsvd")
         for reg in (-1e-8, np.nan):
             with pytest.raises(ValueError, match=">= 0"):
                 train(ds, *maps, solver="tikhonov", reg=reg)
         # Settings the solver would ignore.
         for solver, tol, reg, message in (
             ("cod", None, 0.5, "'cod' takes no regularization weight"),
-            ("tsvd", 1e-10, 1e-8, "'tsvd' takes no regularization weight"),
-            ("tikhonov", 1e-10, 0.5, "'tikhonov' truncates nothing and takes no tol"),
+            ("cod", 1e-10, 1e-8, "'cod' takes no regularization weight"),
+            ("tikhonov", 1e-10, 0.0, "'tikhonov' takes no tol"),
+            ("tikhonov", 1e-10, 0.5, "'tikhonov' takes no tol"),
         ):
             with pytest.raises(ValueError, match=message):
                 train(ds, *maps, solver=solver, tol=tol, reg=reg)
 
     def test_metadata_recorded(self):
-        model = train_aligned(toy_dataset(), *toy_maps(), solver="tsvd", tol=1e-10)
+        model = train_aligned(toy_dataset(), *toy_specs(), solver="cod", tol=1e-10)
         md = model.train_metadata
-        assert md["solver"] == "tsvd"
+        assert md["solver"] == "cod"
         assert md["tol"] == 1e-10
         assert md["n_train_functions"] == 5
         assert md["train_seconds"] >= 0.0
 
-    @pytest.mark.parametrize("solver", ["cod", "tsvd", "tikhonov"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("aligned", [True, False])
     def test_stage_timings(self, solver, aligned, tmp_path):
         ds = toy_dataset()
         reg = 1e-8 if solver == "tikhonov" else 0.0
         if aligned:
-            model = train_aligned(ds, *toy_maps(), solver=solver, reg=reg)
+            model = train_aligned(ds, *toy_specs(), solver=solver, reg=reg)
         else:
-            model = train_unaligned(explode_aligned(ds), *toy_maps(), solver=solver, reg=reg)
+            model = train_unaligned(explode_aligned(ds), *toy_specs(), solver=solver, reg=reg)
         md = model.train_metadata
         stages = md["stages"]
         assert set(stages) == {"features", "factorize", "solve"}
@@ -195,12 +248,14 @@ class TestTrainAligned:
         save_model(model, path)
         assert load_model(path).train_metadata["stages"] == stages
 
-    @pytest.mark.parametrize("solver", ["cod", "tsvd"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_rank_metadata(self, solver):
+        # Tikhonov at reg = 0 truncates at the SVD's auto tolerance.
         ds = toy_dataset()
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         md = train_aligned(ds, trunk, branch, solver=solver).train_metadata
-        for name, mat in (("trunk", trunk.apply(ds.y[None, :])), ("branch", branch.apply(ds.U))):
+        for name, mat in (("trunk", features(trunk, ds.y[None, :])),
+                          ("branch", features(branch, ds.U))):
             f = linalg.cod_factorize(mat) if solver == "cod" else linalg.tsvd_factorize(mat)
             rank = f.numerical_rank if solver == "cod" else f.rank
             assert md[f"{name}_rank"] == rank
@@ -208,8 +263,10 @@ class TestTrainAligned:
         assert md["branch_rank"] == 5  # 8 features of 5 functions
 
     def test_tikhonov_records_no_rank(self):
-        md = train_aligned(toy_dataset(), *toy_maps(), solver="tikhonov").train_metadata
-        assert not any(key.endswith("_rank") for key in md)
+        # Above reg = 0 Tikhonov keeps every triplet: there is no rank cut.
+        md = train_aligned(toy_dataset(), *toy_specs(), solver="tikhonov",
+                           reg=1e-8).train_metadata
+        assert not any("_rank" in key for key in md)
 
     @pytest.mark.parametrize(
         "case_id, branch, m_branch, trunk_rank, branch_rank",
@@ -232,7 +289,7 @@ class TestTrainAligned:
 class TestEvaluate:
     def test_zero_readout(self):
         ds = toy_dataset()
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         model = train_aligned(
             AlignedDataset(x=ds.x, y=ds.y, U=ds.U, V=np.zeros_like(ds.V)), trunk, branch
         )
@@ -242,21 +299,20 @@ class TestEvaluate:
     def test_one_hot_readout_decomposes_exactly(self):
         from dataclasses import replace
 
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         model = train_aligned(toy_dataset(), trunk, branch)
         w = np.zeros((8, 8))
         w[3, 5] = 1.0
         model = replace(model, readout=w)
         u = np.random.default_rng(8).standard_normal(10)
         ys = np.array([0.2, 0.7])
-        expected = trunk.apply(ys[None, :])[3] * branch.apply(u)[5]
+        expected = features(trunk, ys[None, :])[3] * features(branch, u)[5]
         np.testing.assert_array_equal(evaluate(model, u, ys), expected)
 
     def test_bilinearity_in_readout(self):
         from dataclasses import replace
 
-        trunk, branch = toy_maps()
-        base = train_aligned(toy_dataset(), trunk, branch)
+        base = train_aligned(toy_dataset(), *toy_specs())
         rng = np.random.default_rng(9)
         w1 = rng.standard_normal((8, 8))
         w2 = rng.standard_normal((8, 8))
@@ -268,8 +324,7 @@ class TestEvaluate:
         np.testing.assert_allclose(p_sum, p1 + p2, rtol=1e-12, atol=1e-13)
 
     def test_batched_matches_single(self):
-        trunk, branch = toy_maps()
-        model = train_aligned(toy_dataset(), trunk, branch)
+        model = train_aligned(toy_dataset(), *toy_specs())
         u = np.random.default_rng(10).standard_normal((10, 4))
         ys = np.linspace(0, 1, 5)
         batch = evaluate(model, u, ys)
@@ -281,13 +336,13 @@ class TestEvaluate:
 
 class TestUnaligned:
     def test_single_sample_scalar_weight(self):
-        trunk = make_map("tanh", 1, 1, (11, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 3, 1, (11, 1))
+        trunk = EmbeddingSpec("tanh", 1, 1, (11, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 3, 1, (11, 1))
         u = np.array([[0.4], [1.0], [-0.2]])
         yq = np.array([[0.3]])
         v = np.array([2.0])
-        t_val = trunk.apply(yq).item()
-        b_val = branch.apply(u).item()
+        t_val = features(trunk, yq).item()
+        b_val = features(branch, u).item()
         assert t_val * b_val != 0.0
         model = train_unaligned(UnalignedDataset(U=u, Y=yq, V=v), trunk, branch)
         assert model.readout[0, 0] == pytest.approx(2.0 / (t_val * b_val))
@@ -295,14 +350,14 @@ class TestUnaligned:
     def test_zero_outputs_give_zero_readout(self):
         ds = toy_dataset()
         ex = explode_aligned(AlignedDataset(x=ds.x, y=ds.y, U=ds.U, V=np.zeros_like(ds.V)))
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         model = train_unaligned(ex, trunk, branch)
         np.testing.assert_array_equal(model.readout, np.zeros((8, 8)))
 
-    @pytest.mark.parametrize("solver", ["cod", "tsvd", "tikhonov"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_matches_aligned_training_on_tiny_instance(self, solver):
         ds = toy_dataset(m=10, n=10, s=5, seed=12)
-        trunk, branch = toy_maps(seed=13)
+        trunk, branch = toy_specs(seed=13)
         aligned = train_aligned(ds, trunk, branch, solver=solver)
         unaligned = train_unaligned(explode_aligned(ds), trunk, branch, solver=solver)
         pred_a = evaluate(aligned, ds.U, ds.y)
@@ -310,12 +365,13 @@ class TestUnaligned:
         rel = np.linalg.norm(pred_a - pred_u) / np.linalg.norm(pred_a)
         assert rel <= 1e-6
 
-    @pytest.mark.parametrize("solver", ["cod", "tsvd"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_collocation_rank_metadata(self, solver):
         ds = explode_aligned(toy_dataset())
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
         md = train_unaligned(ds, trunk, branch, solver=solver).train_metadata
-        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(64, -1)
+        z = features(branch, ds.U)[:, None, :] * features(trunk, ds.Y)[None, :, :]
+        z = z.reshape(64, -1)
         f = linalg.tsvd_factorize(z)
         assert md["collocation_rank"] == f.rank
         assert md["collocation_rank_tolerance"] > 0.0
@@ -323,30 +379,31 @@ class TestUnaligned:
     def test_memory_guard(self, monkeypatch):
         # N * M * S = 50 * 40 * 2501 is just above the 5e6 budget; the guard
         # fires before any feature is built.
-        def no_features(*args, **kwargs):
-            raise AssertionError("a feature matrix was built")
-
-        trunk = make_map("tanh", 1, 50, (11, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 10, 40, (11, 1))
-        monkeypatch.setattr(FeatureMap, "apply", no_features)
-        monkeypatch.setattr(FeatureMap, "_apply", no_features)
+        trunk = EmbeddingSpec("tanh", 1, 50, (11, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 10, 40, (11, 1))
+        fail_on_features(monkeypatch)
         with pytest.raises(ValueError, match="5002000 entries .* above the budget of 5000000"):
             train_unaligned(scattered_dataset(s=2501), trunk, branch)
 
     def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
+        # The error quotes the rank facts of Z from its one factorization:
+        # Z is not rebuilt and no SVD runs.
         ds = explode_aligned(toy_dataset())
-        trunk, branch = toy_maps()
+        trunk, branch = toy_specs()
+        md = train_unaligned(ds, trunk, branch, solver="cod").train_metadata
 
         def poisoned(*args, **kwargs):
             return np.full((1, 64), np.inf)
 
         monkeypatch.setattr("randonet.model.linalg.cod_pinv_apply", poisoned)
-        with pytest.raises(TrainingError, match="sigma_max") as err:
+        built = count_feature_builds_without_svd(monkeypatch)
+        with pytest.raises(TrainingError) as err:
             train_unaligned(ds, trunk, branch, solver="cod")
-        # The note describes Z itself, not the QR storage it was factored in.
-        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(64, -1)
-        sigma = np.linalg.svd(z, compute_uv=False)
-        assert f"sigma_max {sigma[0]:.3e}, sigma_min {sigma[-1]:.3e}" in str(err.value)
+        assert built == ["tanh", "jl"]
+        message = str(err.value)
+        assert "solver='cod', tol=None, reg=0.0" in message
+        assert f"collocation_rank={md['collocation_rank']}," in message
+        assert f"collocation_rank_tolerance={md['collocation_rank_tolerance']!r}" in message
 
 
 def scattered_dataset(m=10, s=40, seed=0):
@@ -363,29 +420,29 @@ class TestInPlaceCod:
         # RFFN(60) on 40 functions and the 16 x 12 trunk matrix have full
         # column rank (no tzrzf), JL(8) is wide (tzrzf runs).
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
-        trunk = make_map("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
-        branch = build_feature_map(EmbeddingSpec(kind=branch_kind, input_dim=10,
-                                                 feature_dim=m_feat, seed=(22, 1)))
+        trunk = EmbeddingSpec("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec(kind=branch_kind, input_dim=10, feature_dim=m_feat, seed=(22, 1))
         kept = {name: getattr(ds, name).copy() for name in ("x", "y", "U", "V")}
         model = train_aligned(ds, trunk, branch, solver="cod")
         for name, arr in kept.items():
             np.testing.assert_array_equal(getattr(ds, name), arr)
-        t_fac = linalg.cod_factorize(trunk.apply(ds.y[None, :]).copy())
-        b_fac = linalg.cod_factorize(branch.apply(ds.U).copy())
+        t_fac = linalg.cod_factorize(features(trunk, ds.y[None, :]))
+        b_fac = linalg.cod_factorize(features(branch, ds.U))
         assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == 12
         want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
         np.testing.assert_array_equal(model.readout, want)
 
     def test_unaligned_readout_matches_public_solve(self):
         ds = scattered_dataset()
-        trunk = make_map("tanh", 1, 6, (23, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 10, 5, (23, 1))
+        trunk = EmbeddingSpec("tanh", 1, 6, (23, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 10, 5, (23, 1))
         kept = {name: getattr(ds, name).copy() for name in ("U", "Y", "V")}
         model = train_unaligned(ds, trunk, branch, solver="cod")
         for name, arr in kept.items():
             np.testing.assert_array_equal(getattr(ds, name), arr)
-        z = (branch.apply(ds.U)[:, None, :] * trunk.apply(ds.Y)[None, :, :]).reshape(30, -1)
-        factors = linalg.cod_factorize(z.copy())
+        z = features(branch, ds.U)[:, None, :] * features(trunk, ds.Y)[None, :, :]
+        z = z.reshape(30, -1)
+        factors = linalg.cod_factorize(z)
         assert model.train_metadata["collocation_rank"] == factors.numerical_rank
         omega = linalg.cod_pinv_apply(factors, ds.V[None, :])
         np.testing.assert_array_equal(model.readout, omega.reshape(5, 6).T)
@@ -403,8 +460,8 @@ class TestInPlaceCod:
 
         monkeypatch.setattr(linalg, "inplace_cod_factorize", counting)
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
-        trunk = make_map("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 10, 8, (22, 1))
+        trunk = EmbeddingSpec("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 10, 8, (22, 1))
         train_aligned(ds, trunk, branch, solver="cod")
         assert seen == [((16, 12), True), ((8, 40), True)]
         seen.clear()
@@ -415,8 +472,8 @@ class TestInPlaceCod:
         # A 9.6 MB RFFN branch matrix: its Fortran copy replaces the C one,
         # and the QR runs in that copy.
         ds = toy_dataset(m=50, n=20, s=1200, seed=24)
-        trunk = make_map("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
-        branch = make_map("rffn", 50, 1000, (25, 1), bandwidth=5.0)
+        trunk = EmbeddingSpec("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("rffn", 50, 1000, (25, 1), bandwidth=5.0)
         model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["branch_rank"] == 1000
         assert peak <= 2.5 * 1000 * 1200 * 8
@@ -425,8 +482,8 @@ class TestInPlaceCod:
         # A 9.6 MB collocation matrix, built in Fortran order and factored
         # in its own storage.
         ds = scattered_dataset(m=50, s=1200, seed=26)
-        trunk = make_map("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 50, 50, (27, 1))
+        trunk = EmbeddingSpec("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 50, 50, (27, 1))
         model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 2.5 * 1000 * 1200 * 8
@@ -435,16 +492,16 @@ class TestInPlaceCod:
         # The branch matrix is built in Fortran order and factored where it
         # lies; the rest is workspace, the trunk side and the readout.
         ds = toy_dataset(m=50, n=20, s=1200, seed=24)
-        trunk = make_map("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
-        branch = make_map("rffn", 50, 1000, (25, 1), bandwidth=5.0)
+        trunk = EmbeddingSpec("tanh", 1, 20, (25, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("rffn", 50, 1000, (25, 1), bandwidth=5.0)
         model, peak = traced_peak(lambda: train_aligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["branch_rank"] == 1000
         assert peak <= 1.3 * 1000 * 1200 * 8
 
     def test_unaligned_peak_memory_is_one_collocation_matrix(self, traced_peak):
         ds = scattered_dataset(m=50, s=1200, seed=26)
-        trunk = make_map("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
-        branch = make_map("jl", 50, 50, (27, 1))
+        trunk = EmbeddingSpec("tanh", 1, 20, (27, 0), domain=(0.0, 1.0))
+        branch = EmbeddingSpec("jl", 50, 50, (27, 1))
         model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 1.3 * 1000 * 1200 * 8
@@ -477,9 +534,9 @@ class TestInvariants:
         # Permuting output-grid rows of T and V together leaves the trained
         # predictor unchanged: trunk features depend on the y values only.
         ds = toy_dataset(m=10, n=10, s=6, seed=14)
-        trunk, branch = toy_maps(seed=15)
-        t_mat = trunk.apply(ds.y[None, :])  # (N, n)
-        b_mat = branch.apply(ds.U)
+        trunk, branch = toy_specs(seed=15)
+        t_mat = features(trunk, ds.y[None, :])  # (N, n)
+        b_mat = features(branch, ds.U)
         perm = np.random.default_rng(16).permutation(10)
         w_ref = linalg.tsvd_pinv_apply(
             linalg.tsvd_factorize(b_mat),
@@ -489,7 +546,7 @@ class TestInvariants:
             linalg.tsvd_factorize(b_mat),
             linalg.tsvd_pinv_apply(linalg.tsvd_factorize(t_mat[:, perm]), ds.V[perm].T).T,
         )
-        probe_t = trunk.apply(np.array([[0.37]]))
+        probe_t = features(trunk, np.array([[0.37]]))
         pred_ref = probe_t.T @ w_ref @ b_mat
         pred_perm = probe_t.T @ w_perm @ b_mat
         assert np.max(np.abs(pred_ref - pred_perm)) <= 1e-10
@@ -502,31 +559,30 @@ class TestInvariants:
         case = case_config(case_id, size=size, seed=90 + case_id)
         ds = dataset_for(case, cache_dir)
         train, test = split(ds, 0.8, 2)
-        trunk = make_map("tanh", 1, 100, (17, 0), domain=case.domain)
+        trunk = EmbeddingSpec("tanh", 1, 100, (17, 0), domain=case.domain)
         if case_id in (1, 3):
-            branch = make_map("jl", 100, 60, (17, 1))
+            branch = EmbeddingSpec("jl", 100, 60, (17, 1))
         else:
-            branch = make_map("rffn", 100, 200, (17, 1), bandwidth=500.0)
+            branch = EmbeddingSpec("rffn", 100, 200, (17, 1), bandwidth=500.0)
         preds = {}
         errs = {}
-        for solver in ("cod", "tsvd"):
+        for solver in SOLVERS:  # Tikhonov at reg = 0: the truncated SVD
             model = train_aligned(train, trunk, branch, solver=solver)
             pred = evaluate(model, test.U, test.y)
             preds[solver] = pred
             errs[solver] = np.linalg.norm(pred - test.V) / max(np.linalg.norm(test.V), 1e-30)
-        rel = np.linalg.norm(preds["cod"] - preds["tsvd"]) / np.linalg.norm(preds["tsvd"])
-        assert rel <= max(1e-6, 10 * (errs["cod"] + errs["tsvd"]))
+        rel = np.linalg.norm(preds["cod"] - preds["tikhonov"]) / np.linalg.norm(preds["tikhonov"])
+        assert rel <= max(1e-6, 10 * (errs["cod"] + errs["tikhonov"]))
 
 
 class TestSaveLoad:
     def test_roundtrip_reproduces_predictions_bitwise(self, tmp_path):
         ds = toy_dataset(seed=18)
-        trunk, branch = toy_maps(seed=19)
-        model = train_aligned(ds, trunk, branch, solver="cod")
+        model = train_aligned(ds, *toy_specs(seed=19), solver="cod")
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.solver_used == "cod"
+        assert loaded.train_metadata["solver"] == "cod"
         np.testing.assert_array_equal(loaded.readout, model.readout)
         u = np.random.default_rng(20).standard_normal((10, 3))
         ys = np.linspace(0, 1, 7)
@@ -543,8 +599,8 @@ class TestSaveLoad:
     def test_evaluate_shapes_and_roundtrip(self, k, q, branch, seed):
         # k None is a single 1-D input function.
         ds = toy_dataset(seed=seed % 1000)
-        trunk = make_map("tanh", 1, 8, (seed, 0), domain=(0.0, 1.0))
-        model = train_aligned(ds, trunk, make_map(branch, 10, 8, (seed, 1)))
+        trunk = EmbeddingSpec("tanh", 1, 8, (seed, 0), domain=(0.0, 1.0))
+        model = train_aligned(ds, trunk, EmbeddingSpec(branch, 10, 8, (seed, 1)))
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(10 if k is None else (10, k))
         ys = rng.uniform(0.0, 1.0, q)
@@ -557,7 +613,7 @@ class TestSaveLoad:
 
     def test_version_check(self, tmp_path):
         ds = toy_dataset(seed=21)
-        model = train_aligned(ds, *toy_maps(seed=21))
+        model = train_aligned(ds, *toy_specs(seed=21))
         path = tmp_path / "model.npz"
         save_model(model, path)
         import numpy as np_mod
@@ -568,3 +624,19 @@ class TestSaveLoad:
         np_mod.savez(path, **payload)
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_loads_files_that_carry_solver_used(self, tmp_path):
+        # Files written before the entry was dropped repeat the solver in a
+        # 'solver_used' entry; it is ignored.
+        model = train_aligned(toy_dataset(seed=22), *toy_specs(seed=22), solver="tikhonov")
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        current = load_model(path)
+        with np.load(path) as data:
+            payload = dict(data)
+        assert "solver_used" not in payload
+        np.savez(path, solver_used="tikhonov", **payload)
+        loaded = load_model(path)
+        assert loaded.train_metadata == current.train_metadata
+        assert loaded.train_metadata["solver"] == "tikhonov"
+        np.testing.assert_array_equal(loaded.readout, model.readout)
