@@ -30,19 +30,22 @@ reproducible across machines running the same numpy:
 Feature application is batch-invariant: applying a map to a k-column batch
 equals k single-column applications exactly, not merely to rounding. The
 input columns go through BLAS GEMM in blocks of ``BLOCK_COLUMNS`` columns,
-copied into one zero-padded (input_dim, BLOCK_COLUMNS) scratch block, and
-every block, a one-column tail included, is multiplied by the identical
-``matmul`` call of fixed shape and strides. Its kernels accumulate each
+and every block is the same (feature_dim, input_dim) x (input_dim,
+BLOCK_COLUMNS) product. One stacked ``matmul`` call takes all full blocks:
+it reads them from the input and writes their products into the result in
+place, through (blocks, ., BLOCK_COLUMNS) views of both. A partial tail
+block, a one-column call included, is copied into one zero-padded
+(input_dim, BLOCK_COLUMNS) scratch block. The GEMM kernels accumulate each
 output entry over the input dimension in one order, wherever the entry's
-column sits in the block (the tests check every block position, also with
+column sits in its block (the tests check every block position, also with
 two BLAS threads), so a column's products do not depend on the batch size
 or on its place in the batch. Bias, activation and scale then act element
 by element and in place on the (feature_dim, k) result, so one call holds
-one full-size array besides its (feature_dim, BLOCK_COLUMNS) GEMM scratch.
-A single column costs one full block (about 0.3 ms for a
-2000 x 100 RFFN map on one core of a 2-core x86-64 Xeon, against 0.2 ms
-for a fixed-order ``einsum`` contraction), while a large batch runs at
-GEMM speed.
+one full-size array besides the tail's scratch (and a C-contiguous copy of
+an input that is not C-contiguous). A single column still costs one full
+block (about 0.3 ms for a 2000 x 100 RFFN map on one core of a 2-core
+x86-64 Xeon, against 0.2 ms for a fixed-order ``einsum`` contraction),
+while a large batch runs at GEMM speed.
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ __all__ = [
 
 _KINDS = ("jl", "rffn", "tanh")
 
-# Columns per GEMM call in FeatureMap.apply, chosen by measurement on a
-# 2000 x 100 map: on 600 to 2400 columns the GEMM loop takes about a fifth
-# longer at 16 than at 32 and up to a tenth less at 64, but 64 doubles the
-# cost of a single column. Changing it moves features in their last bits.
+# Columns per GEMM block in FeatureMap.apply. Full blocks go through one
+# stacked matmul call, read and written in place; a partial tail goes
+# through one zero-padded block, so a single column costs one full block.
+# Chosen by measurement on a 2000 x 100 map with one GEMM call per block:
+# on 600 to 2400 columns the GEMMs took about a fifth longer at 16 than at
+# 32 and up to a tenth less at 64, but 64 doubles the cost of a single
+# column. Changing it moves features in their last bits.
 BLOCK_COLUMNS = 32
 
 
@@ -176,10 +182,13 @@ class FeatureMap:
         """Map input columns to feature columns.
 
         The columns are multiplied by the weights ``BLOCK_COLUMNS`` at a
-        time through one fixed-shape GEMM call (see the module docstring),
-        so the result for each column is bit-identical to applying the map
-        to that column alone. A call with few columns costs one full block.
-        Bias, activation and scale then act in place on the result.
+        time, every block through the same fixed-shape GEMM (see the module
+        docstring), so the result for each column is bit-identical to
+        applying the map to that column alone. One stacked ``matmul`` call
+        reads all full blocks from ``x`` and writes them into the result in
+        place; one zero-padded block takes a partial tail, so a single
+        column still costs one full block. Bias, activation and scale then
+        act in place on the result.
 
         Parameters
         ----------
@@ -206,16 +215,28 @@ class FeatureMap:
             raise ValueError(
                 f"expected input of shape ({self.spec.input_dim}, k), got {x.shape}"
             )
-        k = x.shape[1]
-        block = np.zeros((x.shape[0], BLOCK_COLUMNS))
-        product = np.empty((self.weights.shape[0], BLOCK_COLUMNS))
-        z = np.empty((self.weights.shape[0], k), order=order)
-        for start in range(0, k, BLOCK_COLUMNS):
-            width = min(BLOCK_COLUMNS, k - start)
-            block[:, :width] = x[:, start:start + width]
-            block[:, width:] = 0.0
+        # Every full block must reach BLAS with one operand layout: a
+        # transposed operand rounds differently.
+        x = np.ascontiguousarray(x)
+        rows, k = self.weights.shape[0], x.shape[1]
+        full = k - k % BLOCK_COLUMNS
+        z = np.empty((rows, k), order=order)
+        # All full blocks in one stacked matmul over (blocks, ., BLOCK_COLUMNS)
+        # views of x and z. Into a Fortran-ordered output numpy runs the
+        # transposed product blocksᵀ @ Wᵀ on the contiguous row blocks of
+        # z.T, so training still builds its matrices in their own storage.
+        np.matmul(
+            self.weights,
+            x[:, :full].reshape(x.shape[0], -1, BLOCK_COLUMNS).transpose(1, 0, 2),
+            out=z[:, :full].reshape(rows, -1, BLOCK_COLUMNS).transpose(1, 0, 2),
+        )
+        if full < k:
+            block = np.zeros((x.shape[0], BLOCK_COLUMNS))
+            block[:, :k - full] = x[:, full:]
+            # In the result's order, so the tail runs the full blocks' GEMM.
+            product = np.empty((rows, BLOCK_COLUMNS), order=order)
             np.matmul(self.weights, block, out=product)
-            z[:, start:start + width] = product[:, :width]
+            z[:, full:] = product[:, :k - full]
         # The element-wise steps run in place, once over the k real
         # columns, so a single column pays one padded GEMM block but no
         # padded cosines.

@@ -77,7 +77,9 @@ class AlignedDataset:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        u = np.asarray(self.U, dtype=np.float64)
+        # C order is the layout feature maps read, so applying one to U (a
+        # column subset from split included) copies nothing.
+        u = np.ascontiguousarray(self.U, dtype=np.float64)
         v = np.asarray(self.V, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("grids must be 1-D")
@@ -389,12 +391,25 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     -------
     ndarray
         Shape (q,) for a single input function, else (q, k).
+
+    Raises
+    ------
+    ValueError
+        If ``y_points`` has more than one dimension, or either argument
+        holds a NaN or an infinity; checked before any feature is built.
     """
     u = np.asarray(u_samples, dtype=np.float64)
+    y = np.asarray(y_points, dtype=np.float64)
+    if y.ndim > 1:
+        raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
+    for name, arr in (("u_samples", u), ("y_points", y)):
+        # min and max propagate NaN and reach +-inf, with no boolean temporary.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise ValueError(f"{name} contains non-finite entries")
     single = u.ndim == 1
     if single:
         u = u[:, None]
-    y = np.atleast_1d(np.asarray(y_points, dtype=np.float64))
+    y = np.atleast_1d(y)
     t_mat = model.trunk.apply(y[None, :]).T  # (q, N)
     b_mat = model.branch.apply(u)  # (M, k)
     out = t_mat @ model.readout @ b_mat

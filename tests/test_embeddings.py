@@ -24,6 +24,29 @@ def make_map(kind, input_dim, feature_dim, seed, **fields):
     return build_feature_map(EmbeddingSpec(kind, input_dim, feature_dim, seed, **fields))
 
 
+def per_block_apply(fmap, x, order):
+    """Reference ``_apply``: one zero-padded scratch block per GEMM call."""
+    k = x.shape[1]
+    block = np.zeros((x.shape[0], BLOCK_COLUMNS))
+    product = np.empty((fmap.weights.shape[0], BLOCK_COLUMNS))
+    z = np.empty((fmap.weights.shape[0], k), order=order)
+    for start in range(0, k, BLOCK_COLUMNS):
+        width = min(BLOCK_COLUMNS, k - start)
+        block[:, :width] = x[:, start:start + width]
+        block[:, width:] = 0.0
+        np.matmul(fmap.weights, block, out=product)
+        z[:, start:start + width] = product[:, :width]
+    if fmap.biases is not None:
+        z += fmap.biases[:, None]
+    if fmap.spec.kind == "tanh":
+        np.tanh(z, out=z)
+    else:
+        if fmap.spec.kind == "rffn":
+            np.cos(z, out=z)
+        z *= fmap.scale
+    return z
+
+
 class TestSampleJL:
     def test_single_weight(self):
         fmap = make_map("jl", 1, 1, 0)
@@ -190,6 +213,23 @@ class TestApply:
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got, fmap.apply(x))
 
+    @pytest.mark.parametrize("layout", ["F", "column slice"])
+    @pytest.mark.parametrize("k", [1, BLOCK_COLUMNS - 1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1,
+                                   3 * BLOCK_COLUMNS + 5])
+    @pytest.mark.parametrize("input_dim", [1, 2, 100])
+    @pytest.mark.parametrize("kind", ["jl", "rffn", "tanh"])
+    def test_stacked_blocks_match_per_block_loop(self, kind, input_dim, k, layout):
+        # The stacked GEMM must give the bits of one padded GEMM per block,
+        # in both result orders and whatever the layout of the input.
+        fmap = make_map(kind, input_dim, 37, 40, domain=(0.0, 1.0) if kind == "tanh" else None)
+        wide = np.random.default_rng(41).uniform(-1.0, 2.0, (input_dim, k + 2))
+        x = np.asfortranarray(wide[:, :k]) if layout == "F" else wide[:, 1:k + 1]
+        assert not x.flags.c_contiguous or min(x.shape) == 1
+        for order in "CF":
+            got = fmap._apply(x, order)
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, per_block_apply(fmap, x, order))
+
     @settings(max_examples=30, deadline=None)
     @given(
         kind=st.sampled_from(["jl", "rffn", "tanh"]),
@@ -227,6 +267,8 @@ class TestApply:
             batch = fmap.apply(x)
             for i in range(x.shape[1]):
                 assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
+            # The Fortran-ordered result runs the transposed GEMM.
+            assert np.array_equal(fmap._apply(x, "F"), batch)
             print("ok")
         """)
         src = str(Path(randonet.__file__).resolve().parents[1])

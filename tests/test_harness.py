@@ -62,6 +62,12 @@ class TestSplit:
         assert {tuple(row) for row in merged} == original
         assert train.n_functions + test.n_functions == 13
 
+    def test_parts_hold_u_in_c_order(self):
+        # Feature maps read C-ordered columns; any other layout is copied
+        # on every apply, so every evaluate of a test set would pay it.
+        for part in split(toy_dataset(s=13), 0.6, 3):
+            assert part.U.flags.c_contiguous
+
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             split(toy_dataset(s=10), 0.01, 0)

@@ -323,6 +323,22 @@ class TestEvaluate:
         p2 = evaluate(replace(base, readout=w2), u, ys)
         np.testing.assert_allclose(p_sum, p1 + p2, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["u_samples", "y_points"])
+    def test_rejects_non_finite_inputs_before_features(self, monkeypatch, name, bad):
+        model = train_aligned(toy_dataset(), *toy_specs())
+        args = {"u_samples": np.ones((10, 3)), "y_points": np.linspace(0.0, 1.0, 4)}
+        args[name][1] = bad
+        fail_on_features(monkeypatch)
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            evaluate(model, **args)
+
+    def test_rejects_multi_dimensional_y_points(self, monkeypatch):
+        model = train_aligned(toy_dataset(), *toy_specs())
+        fail_on_features(monkeypatch)
+        with pytest.raises(ValueError, match=r"y_points must be 1-D, got shape \(1, 4\)"):
+            evaluate(model, np.ones(10), np.linspace(0.0, 1.0, 4)[None, :])
+
     def test_batched_matches_single(self):
         model = train_aligned(toy_dataset(), *toy_specs())
         u = np.random.default_rng(10).standard_normal((10, 4))
