@@ -212,7 +212,7 @@ def _prop_derivative_oracles() -> tuple[bool, dict]:
     for case_id in problems.CASE_IDS:
         case = problems.case_config(case_id, size=3, seed=21)
         xs = np.linspace(case.domain[0] + 0.01, case.domain[1] - 0.01, 40)
-        for p in funcgen.sample_params(case.sampling):
+        for p in map(funcgen.RandomFunctionParams.from_row, funcgen.sample_params(case.sampling)):
             du = funcgen.eval_du(p, xs)
             d2u = funcgen.eval_d2u(p, xs)
             fd1 = (funcgen.eval_u(p, xs + h) - funcgen.eval_u(p, xs - h)) / (2 * h)
@@ -251,9 +251,9 @@ def _prop_rhs_oracles() -> tuple[bool, dict]:
     worst = 0.0
     for case_id in (3, 4, 5):
         case = problems.case_config(case_id, size=4, seed=22)
-        ds, params = problems.build_case(case, with_params=True)
-        for j, p in enumerate(params):
-            rhs = _fd_rhs_reference(case, p)
+        ds, table = problems.build_case(case, with_params=True)
+        for j, row in enumerate(table):
+            rhs = _fd_rhs_reference(case, funcgen.RandomFunctionParams.from_row(row))
             err = np.max(np.abs(ds.V[:, j] - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
             worst = max(worst, err)
     return worst <= 1e-5, {"rhs_fd_rel": worst}
@@ -264,7 +264,7 @@ def _prop_antiderivative_quadrature() -> tuple[bool, dict]:
 
     case = problems.case_config(1, size=2, seed=23)
     worst = 0.0
-    for p in funcgen.sample_params(case.sampling):
+    for p in map(funcgen.RandomFunctionParams.from_row, funcgen.sample_params(case.sampling)):
         for x in (0.13, 0.5, 0.97):
             ref, _ = quad(lambda t: funcgen.eval_u(p, t), 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=400)
             got = float(funcgen.eval_antiderivative(p, x, 0.0))

@@ -10,10 +10,13 @@ first and second derivatives, and the antiderivative are evaluated in
 closed form (the antiderivative through ``erf``), so dataset targets carry
 no discretization error.
 
-Sampling derives one RNG stream per function from ``(seed, index)`` via
-``SeedSequence``, so generation can be parallelized over samples without
-changing the output. Within a stream the draw order is w, s, c, then
-(a0, a1, a2).
+A dataset's parameters form one table laid out as the CSV's parameter
+columns (``w_0..w_{J-1}, s_.., c_.., a0, a1, a2``). Row i is one
+``random(3J + 3)`` call on stream ``SeedSequence((seed, i))``, so samples
+can be drawn in parallel; each block is then scaled in place to
+``lo + (hi - lo) * draw``, the values ``Generator.uniform`` gives drawing
+w, s, c, then (a0, a1, a2). Builds and the public evaluators run the same
+kernels, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ DEFAULT_TERMS = 200
 _DEGENERATE_SHAPE = 1e-12
 
 
+def _blocks(row: np.ndarray):
+    """Views of w, s and c and the scalars a0, a1, a2 of one table row."""
+    j = (row.size - 3) // 3
+    return (row[:j], row[j : 2 * j], row[2 * j : 3 * j], *row[3 * j :])
+
+
 @dataclass(frozen=True)
 class RandomFunctionParams:
     """Parameters of one analytic input function."""
@@ -53,9 +62,7 @@ class RandomFunctionParams:
     a2: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        s = np.asarray(self.s, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
+        w, s, c = (np.asarray(v, dtype=np.float64) for v in (self.w, self.s, self.c))
         if not (w.shape == s.shape == c.shape and w.ndim == 1):
             raise ValueError(
                 f"w, s, c must be equal-length 1-D arrays, got {w.shape}, {s.shape}, {c.shape}"
@@ -63,13 +70,21 @@ class RandomFunctionParams:
         for name, arr in (("w", w), ("s", s), ("c", c)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, arr)
         if np.any(s < 0):
             raise ValueError("shape parameters s must be >= 0")
         if not all(np.isfinite(v) for v in (self.a0, self.a1, self.a2)):
             raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_row(cls, row) -> RandomFunctionParams:
+        """The function in one row of a :func:`sample_params` table."""
+        return cls(*_blocks(np.asarray(row, dtype=np.float64)))
+
+    @property
+    def row(self) -> np.ndarray:
+        """The parameters as one :func:`sample_params` table row."""
+        return np.concatenate([self.w, self.s, self.c, [self.a0, self.a1, self.a2]])
 
 
 @dataclass(frozen=True)
@@ -92,74 +107,103 @@ class CaseSamplingConfig:
     def __post_init__(self):
         for name in ("w_range", "s_range", "c_range", "a_range"):
             lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} must satisfy low <= high, got ({lo}, {hi})")
-        if not self.domain[0] < self.domain[1]:
-            raise ValueError(f"domain must satisfy a < b, got {self.domain}")
+            if not (np.isfinite(hi - lo) and lo <= hi):
+                raise ValueError(f"{name} needs low <= high and a finite width, got ({lo}, {hi})")
+        if self.s_range[0] < 0:
+            raise ValueError(f"s_range must have a lower bound >= 0, got {self.s_range}")
+        if not (np.all(np.isfinite(self.domain)) and self.domain[0] < self.domain[1]):
+            raise ValueError(f"domain must be finite with a < b, got {self.domain}")
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
 
 
-def _draw_one(cfg: CaseSamplingConfig, index: int) -> RandomFunctionParams:
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
-    w = rng.uniform(cfg.w_range[0], cfg.w_range[1], cfg.n_terms)
-    s = rng.uniform(cfg.s_range[0], cfg.s_range[1], cfg.n_terms)
-    c = rng.uniform(cfg.c_range[0], cfg.c_range[1], cfg.n_terms)
-    a0, a1, a2 = rng.uniform(cfg.a_range[0], cfg.a_range[1], 3)
-    return RandomFunctionParams(w=w, s=s, c=c, a0=float(a0), a1=float(a1), a2=float(a2))
+def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:
+    """Draw the (``cfg.size``, 3 ``n_terms`` + 3) parameter table; row i
+    comes from stream ``start_index + i`` (builders draw replacements
+    deterministically from indices past ``cfg.size``)."""
+    j = cfg.n_terms
+    table = np.empty((cfg.size, 3 * j + 3))
+    for i, row in enumerate(table):
+        np.random.default_rng(np.random.SeedSequence((cfg.seed, start_index + i))).random(out=row)
+    for k, (lo, hi) in enumerate((cfg.w_range, cfg.s_range, cfg.c_range, cfg.a_range)):
+        block = table[:, k * j : (k + 1) * j if k < 3 else None]
+        block *= hi - lo
+        block += lo
+    if not np.all(np.isfinite(table)) or np.any(table[:, j : 2 * j] < 0):
+        raise ValueError("sampled parameters must be finite with shape parameters s >= 0")
+    return table
 
 
-def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> list[RandomFunctionParams]:
-    """Draw ``cfg.size`` function parameter sets.
+def _derivatives(row, x, dx, ws, out) -> None:
+    """Write u, u', u'' (as many as ``out`` has rows) at the 1-D points ``x``.
 
-    ``start_index`` shifts the per-sample stream indices; dataset builders
-    use indices past ``cfg.size`` to draw replacements deterministically.
+    ``dx`` holds ``x - c``; ``ws`` holds one buffer of its shape for u alone,
+    three with derivatives. Terms run in the order of ``w exp(-s dx dx)``,
+    ``-2 s dx w exp(..)`` and ``w exp(..) (4 s s dx dx - 2 s)``.
     """
-    return [_draw_one(cfg, start_index + i) for i in range(cfg.size)]
+    w, s, _, a0, a1, a2 = _blocks(row)
+    decay = np.multiply(-s, dx, out=ws[0])
+    decay *= dx
+    np.exp(decay, out=decay)
+    gauss = np.multiply(w, decay, out=ws[1] if len(out) > 1 else decay)
+    np.add.reduce(gauss, axis=1, out=out[0])
+    out[0] += a0
+    out[0] += x * (a1 + a2 * x)
+    if len(out) > 1:
+        terms = np.multiply(-2.0 * s, dx, out=ws[2])
+        terms *= w
+        terms *= decay
+        np.add.reduce(terms, axis=1, out=out[1])
+        out[1] += a1
+        out[1] += 2.0 * a2 * x
+    if len(out) > 2:
+        np.multiply(4.0 * s * s, dx, out=terms)
+        terms *= dx
+        terms -= 2.0 * s
+        terms *= gauss
+        np.add.reduce(terms, axis=1, out=out[2])
+        out[2] += 2.0 * a2
+
+
+def _primitive(row, t, dx, terms, out) -> None:
+    """Write a primitive of u (see :func:`eval_antiderivative`) at the 1-D
+    points ``t`` to ``out``; ``dx`` holds ``t - c``, ``terms`` is its size."""
+    w, s, _, a0, a1, a2 = _blocks(row)
+    degenerate = s < _DEGENERATE_SHAPE
+    root = np.sqrt(np.where(degenerate, 1.0, s))
+    np.multiply(root, dx, out=terms)
+    erf(terms, out=terms)
+    terms *= 0.5 * np.sqrt(np.pi) / root
+    if degenerate.any():
+        terms[:, degenerate] = t[:, None]
+    terms *= w
+    np.add.reduce(terms, axis=1, out=out)
+    out += t * (a0 + t * (a1 / 2.0 + t * a2 / 3.0))
+
+
+def _evaluate(p: RandomFunctionParams, x, order: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    dx = np.subtract(x.reshape(-1, 1), p.c)
+    out = np.empty((order + 1, x.size))
+    _derivatives(p.row, x.reshape(-1), dx, np.empty((3 if order else 1,) + dx.shape), out)
+    return out[order].reshape(x.shape)[()]
 
 
 def eval_u(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u(x); ``x`` may be a scalar or an array."""
-    x = np.asarray(x, dtype=np.float64)
-    dx = x[..., None] - p.c
-    rbf = np.sum(p.w * np.exp(-p.s * dx * dx), axis=-1)
-    return rbf + p.a0 + x * (p.a1 + p.a2 * x)
+    return _evaluate(p, x, 0)
 
 
 def eval_du(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u'(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    dx = x[..., None] - p.c
-    rbf = np.sum(-2.0 * p.s * dx * p.w * np.exp(-p.s * dx * dx), axis=-1)
-    return rbf + p.a1 + 2.0 * p.a2 * x
+    return _evaluate(p, x, 1)
 
 
 def eval_d2u(p: RandomFunctionParams, x) -> np.ndarray:
     """Evaluate u''(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    dx = x[..., None] - p.c
-    gauss = p.w * np.exp(-p.s * dx * dx)
-    rbf = np.sum(gauss * (4.0 * p.s * p.s * dx * dx - 2.0 * p.s), axis=-1)
-    return rbf + 2.0 * p.a2
-
-
-def _u_derivatives(p: RandomFunctionParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, u', u'') at ``x``, sharing one ``dx`` and one ``exp`` per term.
-
-    Uses the expressions of :func:`eval_u`, :func:`eval_du` and
-    :func:`eval_d2u` in the same operation order, so each result equals its
-    public evaluator's bit for bit.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    dx = x[..., None] - p.c
-    decay = np.exp(-p.s * dx * dx)
-    gauss = p.w * decay
-    u = np.sum(gauss, axis=-1) + p.a0 + x * (p.a1 + p.a2 * x)
-    du = np.sum(-2.0 * p.s * dx * p.w * decay, axis=-1) + p.a1 + 2.0 * p.a2 * x
-    d2u = np.sum(gauss * (4.0 * p.s * p.s * dx * dx - 2.0 * p.s), axis=-1) + 2.0 * p.a2
-    return u, du, d2u
+    return _evaluate(p, x, 2)
 
 
 def eval_antiderivative(p: RandomFunctionParams, x, x0: float = 0.0) -> np.ndarray:
@@ -167,19 +211,11 @@ def eval_antiderivative(p: RandomFunctionParams, x, x0: float = 0.0) -> np.ndarr
 
     Each RBF term integrates to ``w * sqrt(pi) / (2 sqrt(s)) * erf(sqrt(s)
     (x - c))``; terms with ``s`` below ``1e-12`` use the limiting slope
-    ``w * x``.
+    ``w * x``. ``x0`` is evaluated as one more point of the same pass.
     """
     x = np.asarray(x, dtype=np.float64)
-
-    def primitive(t):
-        t = np.asarray(t, dtype=np.float64)
-        degenerate = p.s < _DEGENERATE_SHAPE
-        root = np.sqrt(np.where(degenerate, 1.0, p.s))
-        dt = t[..., None] - p.c
-        gauss_term = 0.5 * np.sqrt(np.pi) / root * erf(root * dt)
-        linear_term = np.broadcast_to(t[..., None], dt.shape)
-        terms = np.where(degenerate, linear_term, gauss_term)
-        poly = t * (p.a0 + t * (p.a1 / 2.0 + t * p.a2 / 3.0))
-        return np.sum(p.w * terms, axis=-1) + poly
-
-    return primitive(x) - primitive(np.float64(x0))
+    t = np.append(x.reshape(-1), x0)
+    dx = np.subtract(t[:, None], p.c)
+    out = np.empty(t.size)
+    _primitive(p.row, t, dx, np.empty_like(dx), out)
+    return (out[:-1] - out[-1]).reshape(x.shape)[()]

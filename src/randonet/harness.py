@@ -30,6 +30,7 @@ import json
 import logging
 import os
 import tempfile
+import time
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -226,21 +227,26 @@ def dataset_for(case, cache_dir=None) -> AlignedDataset:
     Disk entries are keyed by :data:`GENERATOR_VERSION`, the case
     configuration and the ODE settings, and carry the content fingerprint
     of the dataset; an entry that cannot be read or fails its fingerprint
-    is rebuilt and rewritten.
+    is rebuilt and rewritten. Each call logs at DEBUG which path served it.
     """
     ode = ODESolverConfig()
     key = _dataset_key(case, ode)
     if key in _DATASET_CACHE:
+        logger.debug("case %d dataset %s: memory hit", case.id, key)
         return _DATASET_CACHE[key]
-    disk_path = None
+    disk_path, served = None, "built on a miss"
     if cache_dir is not None:
         disk_path = Path(cache_dir) / f"dataset-{key}.npz"
         if disk_path.exists():
             ds = _load_cached(disk_path)
             if ds is not None:
                 _DATASET_CACHE[key] = ds
+                logger.debug("case %d dataset %s: disk hit", case.id, key)
                 return ds
+            served = "rebuilt after a bad entry"
+    t0 = time.perf_counter()
     ds = build_case(case, ode=ode)
+    logger.debug("case %d dataset %s: %s in %.3f s", case.id, key, served, time.perf_counter() - t0)
     _DATASET_CACHE[key] = ds
     if disk_path is not None:
         _store_cached(disk_path, ds)

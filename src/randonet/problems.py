@@ -23,9 +23,12 @@ Dormand-Prince evaluates its last stage and the first-same-as-last stage at
 the same t, so a call whose samples and times equal the previous call's
 bit for bit reuses that call's forcing. Each row's terms go through the
 same operations in the same order as a whole-batch evaluation, so none of
-this changes an output bit. Cases 3-5 evaluate u, u' and u'' of a function
-from one shared exponential, again bit for bit equal to the separate
-evaluators.
+this changes an output bit.
+
+Every builder draws one :func:`~randonet.funcgen.sample_params` table and
+walks its rows through buffers allocated once per build (a grid tile and a
+few points x terms arrays) with the in-place funcgen kernels; case 1 adds
+the base point x0 as one more row and shares ``x - c`` between U and V.
 """
 
 from __future__ import annotations
@@ -36,14 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .funcgen import (
-    CaseSamplingConfig,
-    RandomFunctionParams,
-    _u_derivatives,
-    eval_antiderivative,
-    eval_u,
-    sample_params,
-)
+from .funcgen import CaseSamplingConfig, _blocks, _derivatives, _primitive, sample_params
 from .model import AlignedDataset
 from .odeint import dopri5_batch
 
@@ -183,21 +179,39 @@ def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStu
     )
 
 
-def _input_matrix(params: list[RandomFunctionParams], x: np.ndarray) -> np.ndarray:
-    return np.column_stack([eval_u(p, x) for p in params])
+def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
+    """``count`` (points x terms) buffers, the first ``x`` in every column."""
+    ws = np.empty((count, x.size, (table.shape[1] - 3) // 3))
+    ws[0] = x[:, None]
+    return ws
 
 
-def _assemble(case: CaseStudy, params, v_columns) -> AlignedDataset:
-    x = case.input_grid()
-    y = case.output_grid()
-    return AlignedDataset(x=x, y=y, U=_input_matrix(params, x), V=np.column_stack(v_columns))
+def _derivative_columns(table: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """u, ..., u^(order) of every table row at ``x``, as (points, functions) views."""
+    out = np.empty((order + 1, len(table), x.size))
+    points, dx, *ws = _workspace(x, table, 5 if order else 3)
+    for j, row in enumerate(table):
+        np.subtract(points, _blocks(row)[2], out=dx)
+        _derivatives(row, x, dx, ws, out[:, j])
+    return out.transpose(0, 2, 1)
 
 
-def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, list[RandomFunctionParams]]:
-    params = sample_params(case.sampling)
-    y = case.output_grid()
-    v_cols = [eval_antiderivative(p, y, x0=0.0) for p in params]
-    return _assemble(case, params, v_cols), params
+def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
+    table = sample_params(case.sampling)
+    x, y = case.input_grid(), case.output_grid()
+    same_grid = np.array_equal(x, y)
+    t = np.append(y, 0.0)  # the base point x0 = 0 as one more row
+    points, dx, terms = _workspace(t, table, 3)
+    prim = np.empty(t.size)
+    u_t, v_t = np.empty((2, len(table), y.size))  # one contiguous row per function
+    for j, row in enumerate(table):
+        np.subtract(points, _blocks(row)[2], out=dx)
+        if same_grid:
+            _derivatives(row, y, dx[:-1], (terms[:-1],), u_t[j : j + 1])
+        _primitive(row, t, dx, terms, prim)
+        np.subtract(prim[:-1], prim[-1], out=v_t[j])
+    U = u_t.T if same_grid else _derivative_columns(table, x, 0)[0]
+    return AlignedDataset(x=x, y=y, U=U, V=np.ascontiguousarray(v_t.T)), table
 
 
 def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
@@ -233,25 +247,23 @@ def _keep_rows(tables, rows, scratch):
 
 
 def _pendulum_solve(
-    params: list[RandomFunctionParams],
+    table: np.ndarray,
     k_const: float,
     y_grid: np.ndarray,
     ode: ODESolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate v'' = -k sin v + u(t) for a batch of forcings.
+    """Integrate v'' = -k sin v + u(t) for the forcings in ``table``'s rows.
 
     Returns the (n, batch) angle matrix and a per-sample success mask.
     """
-    w = np.stack([p.w for p in params])
-    neg_s = -np.stack([p.s for p in params])
-    c = np.stack([p.c for p in params])
-    a0 = np.array([p.a0 for p in params])
-    a1 = np.array([p.a1 for p in params])
-    a2 = np.array([p.a2 for p in params])
+    j = (table.shape[1] - 3) // 3
+    # Own copies: the rows of w, neg_s and c are compacted in place.
+    w, neg_s, c = table[:, :j].copy(), -table[:, j : 2 * j], table[:, 2 * j : 3 * j].copy()
+    a0, a1, a2 = table[:, 3 * j :].T
     dt_buf, terms_buf = (np.empty((_FORCING_CHUNK, w.shape[1])) for _ in range(2))
     # live[i] is the sample whose parameters sit in row i of w, neg_s and
     # c; slot maps a sample to that row, or to -1 once it was dropped.
-    live = np.arange(len(params))
+    live = np.arange(len(table))
     slot = live.copy()
     last_t, forcing = None, None
 
@@ -278,11 +290,10 @@ def _pendulum_solve(
             last_t = t_bytes
         return np.column_stack([y[:, 1], -k_const * np.sin(y[:, 0]) + forcing])
 
-    y0 = np.zeros((len(params), 2))
     values, ok = dopri5_batch(
         rhs,
         (y_grid[0], y_grid[-1]),
-        y0,
+        np.zeros((len(table), 2)),
         y_grid,
         rtol=ode.rel_tol,
         atol=ode.abs_tol,
@@ -291,13 +302,11 @@ def _pendulum_solve(
     return values[:, :, 0].T, ok
 
 
-def _case2_full(
-    case: CaseStudy, ode: ODESolverConfig
-) -> tuple[AlignedDataset, list[RandomFunctionParams]]:
-    params = sample_params(case.sampling)
+def _case2_full(case: CaseStudy, ode: ODESolverConfig) -> tuple[AlignedDataset, np.ndarray]:
+    table = sample_params(case.sampling)
     k_const = case.constants["k"]
     y = case.output_grid()
-    v_mat, ok = _pendulum_solve(params, k_const, y, ode)
+    v_mat, ok = _pendulum_solve(table, k_const, y, ode)
     retries = 0
     max_retries = 100
     while not ok.all():
@@ -310,45 +319,34 @@ def _case2_full(
         logger.warning(
             "pendulum integrator did not converge for %d sample(s); resampling", failed.size
         )
-        replacements = [
-            sample_params(replace(case.sampling, size=1), start_index=case.sampling.size + retries + j)[0]
-            for j in range(failed.size)
-        ]
+        replacements = sample_params(
+            replace(case.sampling, size=failed.size), start_index=case.sampling.size + retries
+        )
         retries += failed.size
-        v_new, ok_new = _pendulum_solve(replacements, k_const, y, ode)
-        for slot, p_new, col, good in zip(failed, replacements, v_new.T, ok_new):
-            params[slot] = p_new
-            v_mat[:, slot] = col
-            ok[slot] = good
-    return _assemble(case, params, list(v_mat.T)), params
-
-
-def _rhs_case3(u, du, d2u, constants):
-    return constants["nu"] * d2u + constants["gamma"] * du + constants["zeta"] * u
-
-
-def _rhs_case4(u, du, d2u, constants):
-    return constants["nu"] * d2u - u * du
-
-
-def _rhs_case5(u, du, d2u, constants):
-    return constants["nu"] * d2u + u - u**3
-
-
-def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, list[RandomFunctionParams]]:
-    params = sample_params(case.sampling)
+        v_new, ok[failed] = _pendulum_solve(replacements, k_const, y, ode)
+        table[failed] = replacements
+        v_mat[:, failed] = v_new
     x = case.input_grid()
-    y = case.output_grid()
-    # On the benchmark grids the sensors are the output points, so the u
-    # evaluated for V is also the U column.
-    same_grid = np.array_equal(x, y)
-    U = np.empty((x.size, len(params)))
-    V = np.empty((y.size, len(params)))
-    for j, p in enumerate(params):
-        u, du, d2u = _u_derivatives(p, y)
-        U[:, j] = u if same_grid else eval_u(p, x)
-        V[:, j] = rhs(u, du, d2u, case.constants)
-    return AlignedDataset(x=x, y=y, U=U, V=V), params
+    U = _derivative_columns(table, x, 0)[0]
+    return AlignedDataset(x=x, y=y, U=U, V=np.ascontiguousarray(v_mat)), table
+
+
+# Right-hand sides of cases 3-5 from (u, u', u'') and the case constants.
+_RHS = {
+    3: lambda u, du, d2u, k: k["nu"] * d2u + k["gamma"] * du + k["zeta"] * u,
+    4: lambda u, du, d2u, k: k["nu"] * d2u - u * du,
+    5: lambda u, du, d2u, k: k["nu"] * d2u + u - u**3,
+}
+
+
+def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, np.ndarray]:
+    table = sample_params(case.sampling)
+    x, y = case.input_grid(), case.output_grid()
+    u, du, d2u = _derivative_columns(table, y, 2)
+    # On the benchmark grids the sensors are the output points: U is u.
+    U = u if np.array_equal(x, y) else _derivative_columns(table, x, 0)[0]
+    V = np.ascontiguousarray(rhs(u, du, d2u, case.constants))
+    return AlignedDataset(x=x, y=y, U=U, V=V), table
 
 
 def build_case(
@@ -356,26 +354,30 @@ def build_case(
 ):
     """Build the aligned dataset for a case study.
 
-    Returns the dataset, or ``(dataset, params)`` when ``with_params`` is
-    true (needed by the CSV export). ``ode`` sets the case-2 integrator.
+    Returns the dataset, or ``(dataset, table)`` when ``with_params`` is
+    true (needed by the CSV export): ``table`` is the
+    :func:`~randonet.funcgen.sample_params` table of the functions in the
+    dataset's columns, with any case-2 replacement draws in place.
+    ``ode`` sets the case-2 integrator.
     """
     if case.id == 1:
         result = _case1_full(case)
     elif case.id == 2:
         result = _case2_full(case, ode or ODESolverConfig())
     else:
-        result = _build_rhs_case(case, {3: _rhs_case3, 4: _rhs_case4, 5: _rhs_case5}[case.id])
+        result = _build_rhs_case(case, _RHS[case.id])
     return result if with_params else result[0]
 
 
-def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, params) -> None:
+def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None:
     """Write a dataset to CSV, one row per function.
 
     Column order: the function parameters ``w_0..w_{J-1}, s_0..s_{J-1},
     c_0..c_{J-1}, a0, a1, a2``, then the input samples ``u_0..u_{m-1}`` on
     the input grid, then the output samples ``v_0..v_{n-1}`` on the output
-    grid. A ``#``-prefixed header block records the case id, constants,
-    grids, and seed.
+    grid. The parameters are the rows of ``table`` (see
+    :func:`build_case`) as they are. A ``#``-prefixed header block records
+    the case id, constants, grids, and seed.
     """
     n_terms = case.sampling.n_terms
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -386,15 +388,11 @@ def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, params) -> Non
         fh.write("# input_grid: " + " ".join(repr(v) for v in ds.x) + "\n")
         fh.write("# output_grid: " + " ".join(repr(v) for v in ds.y) + "\n")
         writer = csv.writer(fh)
-        header = (
-            [f"w_{j}" for j in range(n_terms)]
-            + [f"s_{j}" for j in range(n_terms)]
-            + [f"c_{j}" for j in range(n_terms)]
+        writer.writerow(
+            [f"{name}_{j}" for name in "wsc" for j in range(n_terms)]
             + ["a0", "a1", "a2"]
             + [f"u_{j}" for j in range(case.m)]
             + [f"v_{j}" for j in range(case.n)]
         )
-        writer.writerow(header)
-        for i, p in enumerate(params):
-            row = np.concatenate([p.w, p.s, p.c, [p.a0, p.a1, p.a2], ds.U[:, i], ds.V[:, i]])
+        for row in np.hstack([table, ds.U.T, ds.V.T]):
             writer.writerow([f"{v:.17g}" for v in row])

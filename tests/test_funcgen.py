@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import reference_build
 from randonet.funcgen import (
+    _DEGENERATE_SHAPE,
     CaseSamplingConfig,
     RandomFunctionParams,
-    _u_derivatives,
     eval_antiderivative,
     eval_d2u,
     eval_du,
@@ -25,29 +26,28 @@ def make_params(w=(), s=(), c=(), a0=0.0, a1=0.0, a2=0.0):
     )
 
 
+def functions(cfg, start_index=0):
+    """The functions of a :func:`sample_params` table, one object each."""
+    return reference_build.as_params(sample_params(cfg, start_index))
+
+
 class TestSampleParams:
     def test_degenerate_ranges_give_zero_params(self):
         cfg = CaseSamplingConfig(
             w_range=(0, 0), s_range=(0, 0), c_range=(0, 0), a_range=(0, 0),
             domain=(0, 1), size=1, seed=0,
         )
-        (p,) = sample_params(cfg)
-        assert np.all(p.w == 0) and np.all(p.s == 0) and np.all(p.c == 0)
-        assert p.a0 == p.a1 == p.a2 == 0.0
+        table = sample_params(cfg)
+        assert table.shape == (1, 3 * cfg.n_terms + 3)
+        assert np.all(table == 0.0)
 
     def test_deterministic(self):
         cfg = case_config(1, size=5, seed=99).sampling
-        a = sample_params(cfg)
-        b = sample_params(cfg)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.w, pb.w)
-            np.testing.assert_array_equal(pa.s, pb.s)
-            np.testing.assert_array_equal(pa.c, pb.c)
-            assert (pa.a0, pa.a1, pa.a2) == (pb.a0, pb.a1, pb.a2)
+        np.testing.assert_array_equal(sample_params(cfg), sample_params(cfg))
 
     def test_law_of_large_numbers_means(self):
         cfg = case_config(1, size=1000, seed=5).sampling
-        params = sample_params(cfg)
+        params = functions(cfg)
         checks = {
             "w": (np.concatenate([p.w for p in params]), cfg.w_range),
             "s": (np.concatenate([p.s for p in params]), cfg.s_range),
@@ -62,7 +62,39 @@ class TestSampleParams:
         cfg = case_config(1, size=3, seed=7).sampling
         base = sample_params(cfg)
         shifted = sample_params(cfg, start_index=1)
-        np.testing.assert_array_equal(base[1].w, shifted[0].w)
+        np.testing.assert_array_equal(base[1:], shifted[:-1])
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    @pytest.mark.parametrize("start_index", [0, 3000])
+    def test_rows_equal_per_parameter_uniform_draws(self, case_id, start_index):
+        cfg = case_config(case_id, size=6, seed=64).sampling
+        per_parameter = reference_build.draw(cfg, start_index)
+        np.testing.assert_array_equal(
+            sample_params(cfg, start_index), reference_build.as_table(per_parameter)
+        )
+
+    def test_row_roundtrips_through_params(self):
+        table = sample_params(case_config(2, size=2, seed=66).sampling)
+        for row in table:
+            p = RandomFunctionParams.from_row(row)
+            np.testing.assert_array_equal(p.row, row)
+            assert (p.a0, p.a1, p.a2) == tuple(row[-3:])
+
+    @pytest.mark.parametrize("field, value", [
+        ("w_range", (-np.inf, 1.0)),
+        ("c_range", (0.0, np.nan)),
+        ("a_range", (-1.0, np.inf)),
+        ("w_range", (-1e308, 1e308)),
+        ("s_range", (-1.0, 1.0)),
+        ("domain", (0.0, np.inf)),
+        ("domain", (np.nan, 1.0)),
+    ])
+    def test_config_rejects_bad_ranges_naming_the_field(self, field, value):
+        ranges = dict(w_range=(-1.0, 1.0), s_range=(0.0, 1.0), c_range=(0.0, 1.0),
+                      a_range=(-1.0, 1.0), domain=(0.0, 1.0))
+        ranges[field] = value
+        with pytest.raises(ValueError, match=field):
+            CaseSamplingConfig(size=1, **ranges)
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -106,7 +138,7 @@ class TestDerivatives:
         lo, hi = case.domain
         xs = np.linspace(lo + 0.02, hi - 0.02, 100)
         h = 1e-5
-        for p in sample_params(case.sampling):
+        for p in functions(case.sampling):
             fd1 = (eval_u(p, xs + h) - eval_u(p, xs - h)) / (2 * h)
             fd2 = (eval_u(p, xs + h) - 2 * eval_u(p, xs) + eval_u(p, xs - h)) / h**2
             scale1 = np.max(np.abs(fd1))
@@ -116,13 +148,17 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("case_id", CASE_IDS)
     def test_shared_evaluation_equals_evaluators_bitwise(self, case_id):
+        # The evaluators run the build kernel; the reference is the
+        # per-function numpy expressions, one (points x terms) array each.
         case = case_config(case_id, size=3, seed=65 + case_id)
-        for p in sample_params(case.sampling) + [make_params(a0=0.3, a1=-1.0, a2=2.0)]:
-            for xs in (case.output_grid(), case.domain[1]):
-                u, du, d2u = _u_derivatives(p, xs)
+        grid = case.output_grid()
+        for p in functions(case.sampling) + [make_params(a0=0.3, a1=-1.0, a2=2.0)]:
+            for xs in (grid, case.domain[1], grid.reshape(4, 25)):
+                u, du, d2u = reference_build.u_derivatives(p, xs)
                 np.testing.assert_array_equal(u, eval_u(p, xs))
                 np.testing.assert_array_equal(du, eval_du(p, xs))
                 np.testing.assert_array_equal(d2u, eval_d2u(p, xs))
+                np.testing.assert_array_equal(reference_build.eval_u(p, xs), eval_u(p, xs))
 
 
 class TestAntiderivative:
@@ -133,12 +169,12 @@ class TestAntiderivative:
 
     def test_zero_at_base_point(self):
         case = case_config(1, size=1, seed=61)
-        (p,) = sample_params(case.sampling)
+        (p,) = functions(case.sampling)
         assert eval_antiderivative(p, 0.37, 0.37) == 0.0
 
     def test_quadrature_oracle(self):
         case = case_config(1, size=3, seed=62)
-        for p in sample_params(case.sampling):
+        for p in functions(case.sampling):
             for x in (0.1, 0.55, 1.0):
                 ref, err = quad(
                     lambda t: float(eval_u(p, t)), 0.0, x,
@@ -151,7 +187,7 @@ class TestAntiderivative:
         case = case_config(1, size=2, seed=63)
         xs = np.random.default_rng(0).uniform(0.05, 0.95, 100)
         h = 1e-6
-        for p in sample_params(case.sampling):
+        for p in functions(case.sampling):
             fd = (eval_antiderivative(p, xs + h, 0.0) - eval_antiderivative(p, xs - h, 0.0)) / (2 * h)
             u = eval_u(p, xs)
             assert np.max(np.abs(fd - u)) / np.max(np.abs(u)) <= 1e-6
@@ -160,3 +196,14 @@ class TestAntiderivative:
         p = make_params(w=[3.0], s=[0.0], c=[0.2])
         # s -> 0 term contributes w * x to the primitive.
         assert eval_antiderivative(p, 0.5, 0.0) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("s_hi", [500.0, 2 * _DEGENERATE_SHAPE])
+    def test_equals_reference_bitwise(self, s_hi):
+        cfg = case_config(1, size=3, seed=67).sampling
+        cfg = CaseSamplingConfig(**{**vars(cfg), "s_range": (0.0, s_hi)})
+        xs = np.linspace(0.0, 1.0, 100)
+        for p in functions(cfg):
+            for x, x0 in ((xs, 0.0), (xs.reshape(10, 10), 0.25), (0.7, 0.3)):
+                np.testing.assert_array_equal(
+                    eval_antiderivative(p, x, x0), reference_build.eval_antiderivative(p, x, x0)
+                )

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 import time
 from pathlib import Path
 
@@ -229,6 +230,26 @@ class TestDatasetCache:
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         self.assert_rebuilt(tmp_path, ds, caplog)
+
+    @pytest.mark.parametrize("served, message", [
+        ("miss", r"built on a miss in \d+\.\d{3} s"),
+        ("memory", "memory hit"),
+        ("disk", "disk hit"),
+        ("bad", r"rebuilt after a bad entry in \d+\.\d{3} s"),
+    ])
+    def test_each_call_logs_the_path_that_served_it(self, tmp_path, caplog, served, message):
+        harness.clear_dataset_cache()
+        if served != "miss":
+            _, path = self.cached_file(tmp_path)
+            if served == "memory":
+                dataset_for(self.case, str(tmp_path))
+            elif served == "bad":
+                path.write_bytes(path.read_bytes()[:100])
+        with caplog.at_level(logging.DEBUG, logger="randonet.harness"):
+            dataset_for(self.case, str(tmp_path))
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == 1
+        assert re.fullmatch(rf"case 1 dataset [0-9a-f]{{32}}: {message}", debug[0]), debug[0]
 
     def test_key_covers_ode_config_and_generator_version(self, monkeypatch):
         key = harness._dataset_key(self.case, ODESolverConfig())

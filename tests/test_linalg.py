@@ -243,12 +243,9 @@ class TestCodPinvApply:
     def test_wide_cosine_feature_matrix_both_routes(self):
         # Branch-style workload: wide, strongly rectangular feature matrix.
         from randonet.embeddings import EmbeddingSpec, build_feature_map
-        from randonet.funcgen import eval_u, sample_params
-        from randonet.problems import case_config
+        from randonet.problems import build_case, case_config
 
-        case = case_config(4, size=100, seed=33)
-        xg = case.input_grid()
-        u_mat = np.column_stack([eval_u(p, xg) for p in sample_params(case.sampling)])
+        u_mat = build_case(case_config(4, size=100, seed=33)).U
         fmap = build_feature_map(EmbeddingSpec("rffn", 100, 2000, 34))
         b_mat = fmap.apply(u_mat).T  # (100, 2000)
         targets = np.random.default_rng(35).standard_normal((3, 2000))

@@ -1,13 +1,14 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import reference_build
 from randonet import funcgen, problems
 from randonet.acceptance import _fd_rhs_reference
 from randonet.funcgen import CaseSamplingConfig, eval_d2u, eval_du, eval_u, sample_params
-from randonet.odeint import dopri5_batch
 from randonet.problems import (
     CASE_IDS,
     ODESolverConfig,
@@ -15,40 +16,28 @@ from randonet.problems import (
     case_config,
     export_dataset_csv,
 )
-from test_funcgen import make_params
+from test_funcgen import functions, make_params
 
 
-def reference_rhs(params, k_const):
-    """Reference pendulum right-hand side: whole-batch numpy expressions
-    that gather (rows x terms) copies of w, s and c on every call. The
-    chunked forcing must reproduce it bit for bit."""
-    w = np.stack([p.w for p in params])
-    s = np.stack([p.s for p in params])
-    c = np.stack([p.c for p in params])
-    a0 = np.array([p.a0 for p in params])
-    a1 = np.array([p.a1 for p in params])
-    a2 = np.array([p.a2 for p in params])
-
-    def rhs(t, y, idx):
-        dt = t[:, None] - c[idx]
-        forcing = np.sum(w[idx] * np.exp(-s[idx] * dt * dt), axis=1)
-        forcing += a0[idx] + t * (a1[idx] + a2[idx] * t)
-        return np.column_stack([y[:, 1], -k_const * np.sin(y[:, 0]) + forcing])
-
-    return rhs
+def reference_pendulum_solve(table, k_const, y_grid, ode):
+    """``_pendulum_solve`` through the list-based reference forcing."""
+    params = reference_build.as_params(table)
+    return reference_build.reference_pendulum_solve(params, k_const, y_grid, ode)
 
 
-def reference_pendulum_solve(params, k_const, y_grid, ode):
-    values, ok = dopri5_batch(
-        reference_rhs(params, k_const),
-        (y_grid[0], y_grid[-1]),
-        np.zeros((len(params), 2)),
-        y_grid,
-        rtol=ode.rel_tol,
-        atol=ode.abs_tol,
-        max_steps=ode.max_steps,
-    )
-    return values[:, :, 0].T, ok
+def fail_once(solve, samples=(1,)):
+    """``solve`` that reports ``samples`` as failed on its first call."""
+    calls = {"n": 0}
+
+    def flaky(params, k_const, y_grid, ode):
+        v, ok = solve(params, k_const, y_grid, ode)
+        if calls["n"] == 0:
+            ok = ok.copy()
+            ok[list(samples)] = False
+        calls["n"] += 1
+        return v, ok
+
+    return flaky
 
 
 def pendulum_rhs_of(params, k_const):
@@ -65,9 +54,14 @@ def pendulum_rhs_of(params, k_const):
     return captured[0]
 
 
+def reference_rhs(table, k_const):
+    return reference_build.reference_rhs(reference_build.as_params(table), k_const)
+
+
 def rhs_case(case_id, p, y):
-    rhs = {3: problems._rhs_case3, 4: problems._rhs_case4, 5: problems._rhs_case5}[case_id]
-    return rhs(*funcgen._u_derivatives(p, y), case_config(case_id).constants)
+    rhs = problems._RHS[case_id]
+    derivatives = (eval_u(p, y), eval_du(p, y), eval_d2u(p, y))
+    return rhs(*derivatives, case_config(case_id).constants)
 
 
 def zero_function_case(case_id, size=1):
@@ -118,8 +112,8 @@ class TestCase1:
 
     def test_columns_match_quadrature_oracle(self):
         case = case_config(1, size=3, seed=70)
-        ds, params = build_case(case, with_params=True)
-        for j, p in enumerate(params):
+        ds, table = build_case(case, with_params=True)
+        for j, p in enumerate(reference_build.as_params(table)):
             for i in (1, 37, 99):
                 ref, _ = quad(
                     lambda t: float(eval_u(p, t)), 0.0, ds.y[i],
@@ -129,8 +123,7 @@ class TestCase1:
 
     def test_operator_linearity_in_parameters(self):
         case = case_config(1, size=2, seed=71)
-        params = sample_params(case.sampling)
-        p1, p2 = params
+        p1, p2 = functions(case.sampling)
         combined = funcgen.RandomFunctionParams(
             w=p1.w + p2.w, s=p1.s, c=p1.c,
             a0=p1.a0 + p2.a0, a1=p1.a1 + p2.a1, a2=p1.a2 + p2.a2,
@@ -166,25 +159,14 @@ class TestCase2:
 
     def test_failed_samples_are_resampled_and_logged(self, monkeypatch, caplog):
         case = case_config(2, size=4, seed=74)
-        original = problems._pendulum_solve
-        calls = {"n": 0}
-
-        def flaky(params, k_const, y_grid, ode):
-            v, ok = original(params, k_const, y_grid, ode)
-            if calls["n"] == 0:
-                ok = ok.copy()
-                ok[1] = False
-            calls["n"] += 1
-            return v, ok
-
-        monkeypatch.setattr(problems, "_pendulum_solve", flaky)
+        monkeypatch.setattr(problems, "_pendulum_solve", fail_once(problems._pendulum_solve))
         with caplog.at_level(logging.WARNING, logger="randonet.problems"):
-            ds, params = problems._case2_full(case, ODESolverConfig())
+            ds, table = problems._case2_full(case, ODESolverConfig())
         assert "resampling" in caplog.text
         assert np.all(np.isfinite(ds.V))
         # Replacement came from the reserved stream indices past size.
         expected = sample_params(case.sampling, start_index=case.sampling.size)[0]
-        np.testing.assert_array_equal(params[1].w, expected.w)
+        np.testing.assert_array_equal(table[1], expected)
 
     def test_build_equals_reference_forcing_bitwise(self, monkeypatch):
         case = case_config(2, size=6, seed=72)
@@ -309,15 +291,14 @@ class TestRhsCases:
     def test_finite_difference_oracle(self, case_id):
         case = case_config(case_id, size=3, seed=76)
         ds = build_case(case)
-        params = sample_params(case.sampling)
-        for j, p in enumerate(params):
-            ref = _fd_rhs_reference(case, p)
-            scale = max(np.max(np.abs(ref)), 1e-30)
-            assert np.max(np.abs(ds.V[:, j] - ref)) / scale <= 1e-5
+        for j, p in enumerate(functions(case.sampling)):
+            expected = _fd_rhs_reference(case, p)
+            scale = max(np.max(np.abs(expected)), 1e-30)
+            assert np.max(np.abs(ds.V[:, j] - expected)) / scale <= 1e-5
 
     def test_case3_linearity(self):
         case = case_config(3, size=2, seed=77)
-        p1, p2 = sample_params(case.sampling)
+        p1, p2 = functions(case.sampling)
         p2_shared = funcgen.RandomFunctionParams(
             w=p2.w, s=p1.s, c=p1.c, a0=p2.a0, a1=p2.a1, a2=p2.a2
         )
@@ -336,19 +317,18 @@ class TestRhsCases:
             id=4, m=37, n=case.n, sampling=case.sampling, constants=case.constants
         )
         ds = build_case(coarse)
-        params = sample_params(case.sampling)
         np.testing.assert_array_equal(
-            ds.U, np.column_stack([eval_u(p, coarse.input_grid()) for p in params])
+            ds.U,
+            np.column_stack([eval_u(p, coarse.input_grid()) for p in functions(case.sampling)]),
         )
         np.testing.assert_array_equal(ds.V, build_case(case).V)
 
     def test_case3_amplitude_bound(self):
         case = case_config(3, size=4, seed=78)
         ds = build_case(case)
-        params = sample_params(case.sampling)
         fine = np.linspace(-1, 1, 4001)
         c3 = case.constants
-        for j, p in enumerate(params):
+        for j, p in enumerate(functions(case.sampling)):
             bound = (
                 c3["nu"] * np.max(np.abs(eval_d2u(p, fine)))
                 + c3["gamma"] * np.max(np.abs(eval_du(p, fine)))
@@ -357,12 +337,54 @@ class TestRhsCases:
             assert np.max(np.abs(ds.V[:, j])) <= bound * (1 + 1e-12)
 
 
+def assert_build_equals_reference(case, solve=None):
+    """``build_case`` against the per-function path, bit for bit."""
+    got, table = build_case(case, with_params=True)
+    kwargs = {} if solve is None else {"solve": solve}
+    expected, expected_table = reference_build.build(case, **kwargs)
+    for name in ("x", "y", "U", "V"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+    np.testing.assert_array_equal(table, expected_table)
+    assert got.V.flags.c_contiguous
+
+
+class TestBuildEqualsReference:
+    @pytest.mark.parametrize("seed", [5, 12])
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_benchmark_grids(self, case_id, seed):
+        size = 3 if case_id == 2 else 7
+        assert_build_equals_reference(case_config(case_id, size=size, seed=seed))
+
+    @pytest.mark.parametrize("case_id", [1, 2, 4])
+    def test_sensor_grid_apart_from_output_grid(self, case_id):
+        case = case_config(case_id, size=3, seed=86)
+        assert_build_equals_reference(replace(case, m=37))
+
+    def test_case1_degenerate_shapes(self):
+        # A quarter of the terms fall below the cutoff and take the
+        # limiting slope; the rest keep the erf form at tiny s.
+        case = case_config(1, size=4, seed=87)
+        shapes = (0.0, 4 * funcgen._DEGENERATE_SHAPE)
+        case = replace(case, sampling=replace(case.sampling, s_range=shapes))
+        s = sample_params(case.sampling)[:, 200:400]
+        assert 0 < np.count_nonzero(s < funcgen._DEGENERATE_SHAPE) < s.size
+        assert_build_equals_reference(case)
+
+    def test_case2_replacement_draws(self, monkeypatch):
+        case = case_config(2, size=4, seed=88)
+        solve = fail_once(reference_build.reference_pendulum_solve, samples=(1, 3))
+        monkeypatch.setattr(
+            problems, "_pendulum_solve", fail_once(problems._pendulum_solve, samples=(1, 3))
+        )
+        assert_build_equals_reference(case, solve=solve)
+
+
 class TestExport:
     def test_dataset_csv_roundtrip(self, tmp_path):
         case = case_config(3, size=2, seed=79)
-        ds, params = build_case(case, with_params=True)
+        ds, table = build_case(case, with_params=True)
         path = tmp_path / "ds.csv"
-        export_dataset_csv(path, case, ds, params)
+        export_dataset_csv(path, case, ds, table)
         lines = path.read_text().splitlines()
         assert lines[0] == "# randonet-dataset v1"
         assert lines[1].startswith("# case=3 seed=79 size=2")
@@ -371,16 +393,27 @@ class TestExport:
         assert header[0] == "w_0" and header[3 * n_terms] == "a0"
         assert len(header) == 3 * n_terms + 3 + case.m + case.n
         row = np.array([float(v) for v in lines[6].split(",")])
-        np.testing.assert_allclose(row[:n_terms], params[0].w, rtol=1e-15)
+        np.testing.assert_allclose(row[:n_terms], table[0, :n_terms], rtol=1e-15)
         np.testing.assert_allclose(row[-case.n:], ds.V[:, 0], rtol=1e-15)
         np.testing.assert_allclose(
             row[3 * n_terms + 3: 3 * n_terms + 3 + case.m], ds.U[:, 0], rtol=1e-15
         )
+
+    def test_rows_parse_back_bitwise(self, tmp_path):
+        case = case_config(1, size=2, seed=89)
+        ds, table = build_case(case, with_params=True)
+        path = tmp_path / "ds.csv"
+        export_dataset_csv(path, case, ds, table)
+        lines = path.read_text().splitlines()[6:]
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            row = np.array([float(v) for v in line.split(",")])
+            np.testing.assert_array_equal(row, np.concatenate([table[i], ds.U[:, i], ds.V[:, i]]))
 
 
 def test_build_case_dispatcher():
     for cid in (1, 3):
         ds = build_case(case_config(cid, size=2, seed=80))
         assert ds.U.shape == (100, 2)
-    ds, params = build_case(case_config(4, size=2, seed=80), with_params=True)
-    assert len(params) == 2
+    ds, table = build_case(case_config(4, size=2, seed=80), with_params=True)
+    assert table.shape == (2, 3 * 200 + 3)
