@@ -16,7 +16,6 @@ from .embeddings import (
 )
 from .funcgen import (
     CaseSamplingConfig,
-    RandomFunctionParams,
     eval_antiderivative,
     eval_d2u,
     eval_du,
@@ -75,7 +74,6 @@ __all__ = [
     "FeatureMap",
     "ODESolverConfig",
     "RandONetModel",
-    "RandomFunctionParams",
     "ReportRow",
     "TrainingError",
     "TruncatedSVDFactors",

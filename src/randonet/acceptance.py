@@ -190,9 +190,7 @@ def _prop_tikhonov_limit() -> tuple[bool, dict]:
 
 
 def _prop_rffn_kernel() -> tuple[bool, dict]:
-    fmap = build_feature_map(
-        EmbeddingSpec(kind="rffn", input_dim=2, feature_dim=4000, seed=11, input_scale=False)
-    )
+    fmap = build_feature_map(EmbeddingSpec(kind="rffn", input_dim=2, feature_dim=4000, seed=11))
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(60):
@@ -200,7 +198,8 @@ def _prop_rffn_kernel() -> tuple[bool, dict]:
         v = u + rng.uniform(-1, 1, 2) * rng.uniform(0, 1.5)
         if np.linalg.norm(u - v) > 3:
             continue
-        approx = float(fmap.apply(u) @ fmap.apply(v))
+        # The map scales its features by 1/input_dim; undo it for the kernel.
+        approx = float(fmap.apply(u) @ fmap.apply(v)) * fmap.spec.input_dim**2
         exact = float(np.exp(-np.linalg.norm(u - v) ** 2 / 2))
         worst = max(worst, abs(approx - exact))
     return worst <= 0.05, {"kernel_abs_err": worst}
@@ -212,20 +211,20 @@ def _prop_derivative_oracles() -> tuple[bool, dict]:
     for case_id in problems.CASE_IDS:
         case = problems.case_config(case_id, size=3, seed=21)
         xs = np.linspace(case.domain[0] + 0.01, case.domain[1] - 0.01, 40)
-        for p in map(funcgen.RandomFunctionParams.from_row, funcgen.sample_params(case.sampling)):
-            du = funcgen.eval_du(p, xs)
-            d2u = funcgen.eval_d2u(p, xs)
-            fd1 = (funcgen.eval_u(p, xs + h) - funcgen.eval_u(p, xs - h)) / (2 * h)
-            fd2 = (
-                funcgen.eval_u(p, xs + h) - 2 * funcgen.eval_u(p, xs) + funcgen.eval_u(p, xs - h)
-            ) / (h * h)
+        for row in funcgen.sample_params(case.sampling):
+            du = funcgen.eval_du(row, xs)
+            d2u = funcgen.eval_d2u(row, xs)
+            u_minus, u, u_plus = (funcgen.eval_u(row, x) for x in (xs - h, xs, xs + h))
+            fd1 = (u_plus - u_minus) / (2 * h)
+            fd2 = (u_plus - 2 * u + u_minus) / (h * h)
             worst = max(worst, np.max(np.abs(du - fd1)) / max(np.max(np.abs(fd1)), 1.0))
             worst = max(worst, np.max(np.abs(d2u - fd2)) / max(np.max(np.abs(fd2)), 1.0))
     return worst <= 1e-6, {"derivative_fd_rel": worst}
 
 
-def _fd_rhs_reference(case, p, n_fine: int = 10_000):
-    """RHS oracle: 4th-order central differences of u on a fine grid.
+def _fd_rhs_reference(case, row, n_fine: int = 10_000):
+    """RHS oracle: 4th-order central differences of u (the function in
+    parameter ``row``) on a fine grid.
 
     The grid is padded by two spacings on each side (u is analytic beyond
     the domain), so every output point is covered by a central stencil.
@@ -233,7 +232,7 @@ def _fd_rhs_reference(case, p, n_fine: int = 10_000):
     a, b = case.domain
     h = (b - a) / (n_fine - 1)
     grid = a + h * np.arange(-2, n_fine + 2)
-    u = funcgen.eval_u(p, grid)
+    u = funcgen.eval_u(row, grid)
     du = (-u[4:] + 8 * u[3:-1] - 8 * u[1:-3] + u[:-4]) / (12 * h)
     d2u = (-u[4:] + 16 * u[3:-1] - 30 * u[2:-2] + 16 * u[1:-3] - u[:-4]) / (12 * h * h)
     u = u[2:-2]
@@ -253,7 +252,7 @@ def _prop_rhs_oracles() -> tuple[bool, dict]:
         case = problems.case_config(case_id, size=4, seed=22)
         ds, table = problems.build_case(case, with_params=True)
         for j, row in enumerate(table):
-            rhs = _fd_rhs_reference(case, funcgen.RandomFunctionParams.from_row(row))
+            rhs = _fd_rhs_reference(case, row)
             err = np.max(np.abs(ds.V[:, j] - rhs)) / max(np.max(np.abs(rhs)), 1e-30)
             worst = max(worst, err)
     return worst <= 1e-5, {"rhs_fd_rel": worst}
@@ -264,10 +263,11 @@ def _prop_antiderivative_quadrature() -> tuple[bool, dict]:
 
     case = problems.case_config(1, size=2, seed=23)
     worst = 0.0
-    for p in map(funcgen.RandomFunctionParams.from_row, funcgen.sample_params(case.sampling)):
+    for row in funcgen.sample_params(case.sampling):
         for x in (0.13, 0.5, 0.97):
-            ref, _ = quad(lambda t: funcgen.eval_u(p, t), 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=400)
-            got = float(funcgen.eval_antiderivative(p, x, 0.0))
+            ref, _ = quad(lambda t: funcgen.eval_u(row, t), 0.0, x, epsabs=1e-14, epsrel=1e-13,
+                          limit=400)
+            got = float(funcgen.eval_antiderivative(row, x, 0.0))
             worst = max(worst, abs(got - ref))
     return worst <= 1e-12, {"antiderivative_abs": worst}
 

@@ -14,10 +14,11 @@ reproducible across machines running the same numpy:
 * ``rffn``: weights standard normal divided by ``bandwidth``, then biases
   uniform on [0, 2*pi); output ``scale * cos(W @ x + b)`` with
   ``scale = (1/input_dim) * sqrt(2/feature_dim)`` (the ``1/input_dim``
-  prefactor can be disabled; it only rescales features and is absorbed by
-  a linear readout). At the default ``bandwidth=1`` the feature inner
-  product approximates the unit Gaussian kernel ``exp(-||u-v||^2/2)``; a
-  bandwidth of ``B`` approximates ``exp(-||u-v||^2/(2 B^2))``. Branch
+  prefactor only rescales features and is absorbed by a linear readout).
+  At the default ``bandwidth=1`` the feature inner product times
+  ``input_dim**2`` approximates the unit Gaussian kernel
+  ``exp(-||u-v||^2/2)``; a bandwidth of ``B`` approximates
+  ``exp(-||u-v||^2/(2 B^2))``. Branch
   embeddings over discretized functions need ``B`` proportional to the
   sensor count, since the Euclidean distance of sampled functions grows
   with the grid resolution (see :mod:`randonet.harness`).
@@ -50,7 +51,7 @@ while a large batch runs at GEMM speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class EmbeddingSpec:
 
     ``seed`` may be an int or a tuple of ints (fed to ``SeedSequence``).
     ``weight_bound`` and ``domain`` apply to ``tanh`` maps only;
-    ``input_scale`` and ``bandwidth`` apply to ``rffn`` only.
+    ``bandwidth`` applies to ``rffn`` only.
     """
 
     kind: str
@@ -100,7 +101,6 @@ class EmbeddingSpec:
     seed: int | tuple[int, ...] = 0
     weight_bound: float | None = None
     domain: tuple[float, float] | None = None
-    input_scale: bool = True
     bandwidth: float = 1.0
 
     def __post_init__(self):
@@ -123,20 +123,15 @@ class EmbeddingSpec:
                 raise ValueError(f"weight_bound must be > 0, got {self.weight_bound}")
 
     def to_dict(self) -> dict:
-        seed = list(self.seed) if isinstance(self.seed, tuple) else self.seed
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "feature_dim": self.feature_dim,
-            "seed": seed,
-            "weight_bound": self.weight_bound,
-            "domain": list(self.domain) if self.domain is not None else None,
-            "input_scale": self.input_scale,
-            "bandwidth": self.bandwidth,
-        }
+        """The fields by name; JSON writes the tuples as lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbeddingSpec":
+        """The spec of a :meth:`to_dict` result; older ones also hold
+        ``input_scale``, which must be true."""
+        if not d.get("input_scale", True):
+            raise ValueError("input_scale: false is not supported: rffn maps scale by 1/input_dim")
         seed = d["seed"]
         if isinstance(seed, list):
             seed = tuple(int(v) for v in seed)
@@ -148,7 +143,6 @@ class EmbeddingSpec:
             seed=seed,
             weight_bound=d.get("weight_bound"),
             domain=tuple(domain) if domain is not None else None,
-            input_scale=bool(d.get("input_scale", True)),
             bandwidth=float(d.get("bandwidth", 1.0)),
         )
 
@@ -178,7 +172,7 @@ class FeatureMap:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
-    def apply(self, x) -> np.ndarray:
+    def apply(self, x, order: str = "C") -> np.ndarray:
         """Map input columns to feature columns.
 
         The columns are multiplied by the weights ``BLOCK_COLUMNS`` at a
@@ -194,23 +188,19 @@ class FeatureMap:
         ----------
         x : array_like, shape (input_dim, k) or (input_dim,)
             Input vectors as columns; a 1-D vector is treated as one column.
+        order : {'C', 'F'}
+            Memory order of the result; every element gets the same bits in
+            either. Training asks for 'F' to factor its matrices in their
+            own storage.
 
         Returns
         -------
         ndarray, shape (feature_dim, k) or (feature_dim,)
-            C-contiguous.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self._apply(x[:, None], "C")[:, 0]
-        return self._apply(x, "C")
-
-    def _apply(self, x: np.ndarray, order: str) -> np.ndarray:
-        """:meth:`apply` on 2-D float64 ``x``, into a result of ``order``.
-
-        Every element gets the same bits in either order. Training asks
-        for Fortran order to factor the branch matrix in its own storage.
-        """
+        single = x.ndim == 1
+        if single:
+            x = x[:, None]
         if x.ndim != 2 or x.shape[0] != self.spec.input_dim:
             raise ValueError(
                 f"expected input of shape ({self.spec.input_dim}, k), got {x.shape}"
@@ -248,7 +238,7 @@ class FeatureMap:
             if self.spec.kind == "rffn":
                 np.cos(z, out=z)
             z *= self.scale
-        return z
+        return z[:, 0] if single else z
 
 
 def build_feature_map(spec: EmbeddingSpec) -> FeatureMap:
@@ -270,10 +260,8 @@ def build_feature_map(spec: EmbeddingSpec) -> FeatureMap:
         bandwidth = float(spec.bandwidth)
         weights = rng.standard_normal(shape) / bandwidth
         biases = rng.uniform(0.0, 2.0 * np.pi, spec.feature_dim)
-        scale = np.sqrt(2.0 / spec.feature_dim)
-        if spec.input_scale:
-            scale /= spec.input_dim
-        spec = EmbeddingSpec("rffn", **dims, input_scale=spec.input_scale, bandwidth=bandwidth)
+        scale = np.sqrt(2.0 / spec.feature_dim) / spec.input_dim
+        spec = EmbeddingSpec("rffn", **dims, bandwidth=bandwidth)
         return FeatureMap(spec, weights, biases, scale)
     a, b = float(spec.domain[0]), float(spec.domain[1])
     bound = default_weight_bound((a, b)) if spec.weight_bound is None else float(spec.weight_bound)

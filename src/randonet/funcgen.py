@@ -10,13 +10,13 @@ first and second derivatives, and the antiderivative are evaluated in
 closed form (the antiderivative through ``erf``), so dataset targets carry
 no discretization error.
 
-A dataset's parameters form one table laid out as the CSV's parameter
-columns (``w_0..w_{J-1}, s_.., c_.., a0, a1, a2``). Row i is one
-``random(3J + 3)`` call on stream ``SeedSequence((seed, i))``, so samples
-can be drawn in parallel; each block is then scaled in place to
-``lo + (hi - lo) * draw``, the values ``Generator.uniform`` gives drawing
-w, s, c, then (a0, a1, a2). Builds and the public evaluators run the same
-kernels, so they agree bit for bit.
+A function is one row of 3J + 3 parameters laid out as the CSV's columns
+(``w_0..w_{J-1}, s_.., c_.., a0, a1, a2``); only this module knows that
+layout. Table row i is one ``random(3J + 3)`` call on stream
+``SeedSequence((seed, i))``, so samples can be drawn in parallel; each
+block is then scaled in place to ``lo + (hi - lo) * draw``, the values
+``Generator.uniform`` gives drawing w, s, c, then (a0, a1, a2). Builds
+and the evaluators (which take one row) run the same kernels, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from scipy.special import erf
 
 __all__ = [
     "DEFAULT_TERMS",
-    "RandomFunctionParams",
     "CaseSamplingConfig",
     "sample_params",
     "eval_u",
@@ -44,47 +43,31 @@ DEFAULT_TERMS = 200
 _DEGENERATE_SHAPE = 1e-12
 
 
-def _blocks(row: np.ndarray):
-    """Views of w, s and c and the scalars a0, a1, a2 of one table row."""
-    j = (row.size - 3) // 3
-    return (row[:j], row[j : 2 * j], row[2 * j : 3 * j], *row[3 * j :])
+def _blocks(table: np.ndarray):
+    """w, s, c (views) and a0, a1, a2 (scalars of a row, columns of a table)."""
+    j = (table.shape[-1] - 3) // 3
+    return (table[..., :j], table[..., j : 2 * j], table[..., 2 * j : 3 * j],
+            *table[..., 3 * j :].T)
 
 
-@dataclass(frozen=True)
-class RandomFunctionParams:
-    """Parameters of one analytic input function."""
+def _param_names(n_terms: int) -> list[str]:
+    """Names of a row's values, in order (the CSV's parameter columns)."""
+    return [f"{name}_{j}" for name in "wsc" for j in range(n_terms)] + ["a0", "a1", "a2"]
 
-    w: np.ndarray
-    s: np.ndarray
-    c: np.ndarray
-    a0: float
-    a1: float
-    a2: float
 
-    def __post_init__(self):
-        w, s, c = (np.asarray(v, dtype=np.float64) for v in (self.w, self.s, self.c))
-        if not (w.shape == s.shape == c.shape and w.ndim == 1):
-            raise ValueError(
-                f"w, s, c must be equal-length 1-D arrays, got {w.shape}, {s.shape}, {c.shape}"
-            )
-        for name, arr in (("w", w), ("s", s), ("c", c)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
-        if np.any(s < 0):
-            raise ValueError("shape parameters s must be >= 0")
-        if not all(np.isfinite(v) for v in (self.a0, self.a1, self.a2)):
-            raise ValueError("polynomial coefficients must be finite")
+def _check_values(table: np.ndarray) -> None:
+    if not np.all(np.isfinite(table)) or np.any(_blocks(table)[1] < 0):
+        raise ValueError("parameters must be finite with shape parameters s >= 0")
 
-    @classmethod
-    def from_row(cls, row) -> RandomFunctionParams:
-        """The function in one row of a :func:`sample_params` table."""
-        return cls(*_blocks(np.asarray(row, dtype=np.float64)))
 
-    @property
-    def row(self) -> np.ndarray:
-        """The parameters as one :func:`sample_params` table row."""
-        return np.concatenate([self.w, self.s, self.c, [self.a0, self.a1, self.a2]])
+def _checked_row(row) -> np.ndarray:
+    """``row`` as float64; ``ValueError`` unless it is one finite row of
+    3J + 3 values (J >= 1) with every s >= 0."""
+    row = np.asarray(row, dtype=np.float64)
+    if row.ndim != 1 or row.size < 6 or row.size % 3:
+        raise ValueError(f"a parameter row is 1-D with 3J + 3 values (J >= 1), got {row.shape}")
+    _check_values(row)
+    return row
 
 
 @dataclass(frozen=True)
@@ -123,16 +106,14 @@ def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:
     """Draw the (``cfg.size``, 3 ``n_terms`` + 3) parameter table; row i
     comes from stream ``start_index + i`` (builders draw replacements
     deterministically from indices past ``cfg.size``)."""
-    j = cfg.n_terms
-    table = np.empty((cfg.size, 3 * j + 3))
+    table = np.empty((cfg.size, 3 * cfg.n_terms + 3))
     for i, row in enumerate(table):
         np.random.default_rng(np.random.SeedSequence((cfg.seed, start_index + i))).random(out=row)
-    for k, (lo, hi) in enumerate((cfg.w_range, cfg.s_range, cfg.c_range, cfg.a_range)):
-        block = table[:, k * j : (k + 1) * j if k < 3 else None]
+    ranges = (cfg.w_range, cfg.s_range, cfg.c_range, *[cfg.a_range] * 3)
+    for block, (lo, hi) in zip(_blocks(table), ranges):
         block *= hi - lo
         block += lo
-    if not np.all(np.isfinite(table)) or np.any(table[:, j : 2 * j] < 0):
-        raise ValueError("sampled parameters must be finite with shape parameters s >= 0")
+    _check_values(table)
     return table
 
 
@@ -183,39 +164,41 @@ def _primitive(row, t, dx, terms, out) -> None:
     out += t * (a0 + t * (a1 / 2.0 + t * a2 / 3.0))
 
 
-def _evaluate(p: RandomFunctionParams, x, order: int) -> np.ndarray:
+def _evaluate(row, x, order: int) -> np.ndarray:
+    row = _checked_row(row)
     x = np.asarray(x, dtype=np.float64)
-    dx = np.subtract(x.reshape(-1, 1), p.c)
+    dx = np.subtract(x.reshape(-1, 1), _blocks(row)[2])
     out = np.empty((order + 1, x.size))
-    _derivatives(p.row, x.reshape(-1), dx, np.empty((3 if order else 1,) + dx.shape), out)
+    _derivatives(row, x.reshape(-1), dx, np.empty((3 if order else 1,) + dx.shape), out)
     return out[order].reshape(x.shape)[()]
 
 
-def eval_u(p: RandomFunctionParams, x) -> np.ndarray:
-    """Evaluate u(x); ``x`` may be a scalar or an array."""
-    return _evaluate(p, x, 0)
+def eval_u(row, x) -> np.ndarray:
+    """Evaluate u(x) of one table row; ``x`` may be a scalar or an array."""
+    return _evaluate(row, x, 0)
 
 
-def eval_du(p: RandomFunctionParams, x) -> np.ndarray:
+def eval_du(row, x) -> np.ndarray:
     """Evaluate u'(x)."""
-    return _evaluate(p, x, 1)
+    return _evaluate(row, x, 1)
 
 
-def eval_d2u(p: RandomFunctionParams, x) -> np.ndarray:
+def eval_d2u(row, x) -> np.ndarray:
     """Evaluate u''(x)."""
-    return _evaluate(p, x, 2)
+    return _evaluate(row, x, 2)
 
 
-def eval_antiderivative(p: RandomFunctionParams, x, x0: float = 0.0) -> np.ndarray:
+def eval_antiderivative(row, x, x0: float = 0.0) -> np.ndarray:
     """Evaluate the antiderivative V(x) - V(x0) of u.
 
     Each RBF term integrates to ``w * sqrt(pi) / (2 sqrt(s)) * erf(sqrt(s)
     (x - c))``; terms with ``s`` below ``1e-12`` use the limiting slope
     ``w * x``. ``x0`` is evaluated as one more point of the same pass.
     """
+    row = _checked_row(row)
     x = np.asarray(x, dtype=np.float64)
     t = np.append(x.reshape(-1), x0)
-    dx = np.subtract(t[:, None], p.c)
+    dx = np.subtract(t[:, None], _blocks(row)[2])
     out = np.empty(t.size)
-    _primitive(p.row, t, dx, np.empty_like(dx), out)
+    _primitive(row, t, dx, np.empty_like(dx), out)
     return (out[:-1] - out[-1]).reshape(x.shape)[()]

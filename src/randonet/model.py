@@ -117,7 +117,8 @@ class UnalignedDataset:
     V: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.U, dtype=np.float64)
+        # C order, as in AlignedDataset: applying the branch copies nothing.
+        u = np.ascontiguousarray(self.U, dtype=np.float64)
         y = np.atleast_2d(np.asarray(self.Y, dtype=np.float64))
         v = np.asarray(self.V, dtype=np.float64).ravel()
         if u.ndim != 2:
@@ -287,8 +288,8 @@ def train_aligned(
 
     start = time.perf_counter()
     # (N, n) and (M, s), Fortran-ordered for the in-place COD.
-    t_mat = trunk._apply(ds.y[None, :], "F")
-    b_mat = branch._apply(ds.U, "F")
+    t_mat = trunk.apply(ds.y[None, :], order="F")
+    b_mat = branch.apply(ds.U, order="F")
     featured = time.perf_counter()
     trunk_apply, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
     branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")

@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .funcgen import CaseSamplingConfig, _blocks, _derivatives, _primitive, sample_params
+from .funcgen import CaseSamplingConfig, sample_params
+from .funcgen import _blocks, _derivatives, _param_names, _primitive
 from .model import AlignedDataset
 from .odeint import dopri5_batch
 
@@ -181,7 +182,7 @@ def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStu
 
 def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     """``count`` (points x terms) buffers, the first ``x`` in every column."""
-    ws = np.empty((count, x.size, (table.shape[1] - 3) // 3))
+    ws = np.empty((count, x.size, _blocks(table)[0].shape[1]))
     ws[0] = x[:, None]
     return ws
 
@@ -256,10 +257,9 @@ def _pendulum_solve(
 
     Returns the (n, batch) angle matrix and a per-sample success mask.
     """
-    j = (table.shape[1] - 3) // 3
+    w, s, c, a0, a1, a2 = _blocks(table)
     # Own copies: the rows of w, neg_s and c are compacted in place.
-    w, neg_s, c = table[:, :j].copy(), -table[:, j : 2 * j], table[:, 2 * j : 3 * j].copy()
-    a0, a1, a2 = table[:, 3 * j :].T
+    w, neg_s, c = w.copy(), -s, c.copy()
     dt_buf, terms_buf = (np.empty((_FORCING_CHUNK, w.shape[1])) for _ in range(2))
     # live[i] is the sample whose parameters sit in row i of w, neg_s and
     # c; slot maps a sample to that row, or to -1 once it was dropped.
@@ -379,7 +379,6 @@ def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None
     :func:`build_case`) as they are. A ``#``-prefixed header block records
     the case id, constants, grids, and seed.
     """
-    n_terms = case.sampling.n_terms
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# randonet-dataset v{DATASET_CSV_VERSION}\n")
         fh.write(f"# case={case.id} seed={case.sampling.seed} size={case.sampling.size}\n")
@@ -389,8 +388,7 @@ def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None
         fh.write("# output_grid: " + " ".join(repr(v) for v in ds.y) + "\n")
         writer = csv.writer(fh)
         writer.writerow(
-            [f"{name}_{j}" for name in "wsc" for j in range(n_terms)]
-            + ["a0", "a1", "a2"]
+            _param_names(case.sampling.n_terms)
             + [f"u_{j}" for j in range(case.m)]
             + [f"v_{j}" for j in range(case.n)]
         )

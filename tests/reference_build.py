@@ -1,21 +1,33 @@
 """The per-function dataset path, kept as a bitwise reference for the builders.
 
 Every function is drawn with one ``Generator.uniform`` call per parameter
-block into its own ``RandomFunctionParams``, evaluated with freshly
-allocated numpy expressions, and the pendulum forcing gathers list-stacked
+block into its own ``Params``, evaluated with freshly allocated numpy
+expressions, and the pendulum forcing gathers list-stacked
 (rows x terms) tables on every call. ``problems.build_case`` must give the
 same bits.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
 
 from randonet import problems
-from randonet.funcgen import _DEGENERATE_SHAPE, RandomFunctionParams
+from randonet.funcgen import _DEGENERATE_SHAPE, _blocks
 from randonet.model import AlignedDataset
 from randonet.odeint import dopri5_batch
+
+
+class Params(NamedTuple):
+    """The parameters of one function, block by block."""
+
+    w: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    a0: float
+    a1: float
+    a2: float
 
 
 def draw_one(cfg, index):
@@ -24,7 +36,7 @@ def draw_one(cfg, index):
     s = rng.uniform(cfg.s_range[0], cfg.s_range[1], cfg.n_terms)
     c = rng.uniform(cfg.c_range[0], cfg.c_range[1], cfg.n_terms)
     a0, a1, a2 = rng.uniform(cfg.a_range[0], cfg.a_range[1], 3)
-    return RandomFunctionParams(w=w, s=s, c=c, a0=float(a0), a1=float(a1), a2=float(a2))
+    return Params(w=w, s=s, c=c, a0=float(a0), a1=float(a1), a2=float(a2))
 
 
 def draw(cfg, start_index=0):
@@ -36,7 +48,8 @@ def as_table(params):
 
 
 def as_params(table):
-    return [RandomFunctionParams.from_row(row) for row in table]
+    """The functions in the rows of ``table``, one ``Params`` each."""
+    return [Params(*_blocks(row)) for row in table]
 
 
 def eval_u(p, x):

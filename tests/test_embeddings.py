@@ -25,7 +25,7 @@ def make_map(kind, input_dim, feature_dim, seed, **fields):
 
 
 def per_block_apply(fmap, x, order):
-    """Reference ``_apply``: one zero-padded scratch block per GEMM call."""
+    """Reference ``apply``: one zero-padded scratch block per GEMM call."""
     k = x.shape[1]
     block = np.zeros((x.shape[0], BLOCK_COLUMNS))
     product = np.empty((fmap.weights.shape[0], BLOCK_COLUMNS))
@@ -113,23 +113,17 @@ class TestSampleRFFN:
 
     def test_bandwidth_widens_kernel(self):
         m = 2
-        fmap = make_map("rffn", m, 4000, 5, input_scale=False, bandwidth=3.0)
+        fmap = make_map("rffn", m, 4000, 5, bandwidth=3.0)
         rng = np.random.default_rng(7)
         for _ in range(20):
             u = rng.uniform(-2.0, 2.0, m)
             v = rng.uniform(-2.0, 2.0, m)
-            approx = float(fmap.apply(u) @ fmap.apply(v))
+            approx = float(fmap.apply(u) @ fmap.apply(v)) * m**2
             exact = float(np.exp(-np.linalg.norm(u - v) ** 2 / 18.0))
             assert abs(approx - exact) <= 0.05
 
-    def test_scale_value_and_switch(self):
-        with_factor = make_map("rffn", 10, 8, 0)
-        without = make_map("rffn", 10, 8, 0, input_scale=False)
-        assert with_factor.scale == pytest.approx(np.sqrt(2 / 8) / 10)
-        assert without.scale == pytest.approx(np.sqrt(2 / 8))
-        # The switch only rescales features.
-        x = np.random.default_rng(1).standard_normal((10, 3))
-        np.testing.assert_allclose(without.apply(x), 10 * with_factor.apply(x))
+    def test_scale_value(self):
+        assert make_map("rffn", 10, 8, 0).scale == pytest.approx(np.sqrt(2 / 8) / 10)
 
     def test_features_bounded_by_scale(self):
         fmap = make_map("rffn", 6, 32, 8)
@@ -209,7 +203,7 @@ class TestApply:
             make_map("tanh", 100, 33, 20, domain=(0.0, 1.0)),
         ):
             x = np.random.default_rng(22).uniform(-1.0, 2.0, (100, 101))
-            got = fmap._apply(x, "F")
+            got = fmap.apply(x, order="F")
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got, fmap.apply(x))
 
@@ -226,7 +220,7 @@ class TestApply:
         x = np.asfortranarray(wide[:, :k]) if layout == "F" else wide[:, 1:k + 1]
         assert not x.flags.c_contiguous or min(x.shape) == 1
         for order in "CF":
-            got = fmap._apply(x, order)
+            got = fmap.apply(x, order=order)
             assert got.flags[f"{order}_CONTIGUOUS"]
             np.testing.assert_array_equal(got, per_block_apply(fmap, x, order))
 
@@ -268,7 +262,7 @@ class TestApply:
             for i in range(x.shape[1]):
                 assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
             # The Fortran-ordered result runs the transposed GEMM.
-            assert np.array_equal(fmap._apply(x, "F"), batch)
+            assert np.array_equal(fmap.apply(x, order="F"), batch)
             print("ok")
         """)
         src = str(Path(randonet.__file__).resolve().parents[1])
@@ -340,6 +334,16 @@ class TestSpecAndSerialization:
         )
         assert EmbeddingSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_rejects_unscaled_rffn(self):
+        # Older files record input_scale; only true (the one map built) loads,
+        # so a file of an unscaled map never reloads as a different map.
+        spec = EmbeddingSpec("rffn", 3, 4, 0, bandwidth=2.0)
+        d = spec.to_dict()
+        assert "input_scale" not in d
+        assert EmbeddingSpec.from_dict({**d, "input_scale": True}) == spec
+        with pytest.raises(ValueError, match="input_scale"):
+            EmbeddingSpec.from_dict({**d, "input_scale": False})
+
 
 class TestDocumentedDrawOrder:
     """Each kind draws from ``default_rng(seed)`` in the module docstring's order."""
@@ -351,14 +355,12 @@ class TestDocumentedDrawOrder:
         assert fmap.biases is None
         assert fmap.scale == 1.0 / np.sqrt(5)
 
-    @pytest.mark.parametrize("input_scale", [True, False])
-    def test_rffn(self, input_scale):
-        fmap = make_map("rffn", 6, 11, 77, bandwidth=2.5, input_scale=input_scale)
+    def test_rffn(self):
+        fmap = make_map("rffn", 6, 11, 77, bandwidth=2.5)
         rng = np.random.default_rng(77)
         np.testing.assert_array_equal(fmap.weights, rng.standard_normal((11, 6)) / 2.5)
         np.testing.assert_array_equal(fmap.biases, rng.uniform(0.0, 2.0 * np.pi, 11))
-        scale = np.sqrt(2.0 / 11)
-        assert fmap.scale == (scale / 6 if input_scale else scale)
+        assert fmap.scale == np.sqrt(2.0 / 11) / 6
 
     @pytest.mark.parametrize("weight_bound", [None, 4.0])
     def test_tanh(self, weight_bound):

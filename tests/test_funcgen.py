@@ -6,7 +6,7 @@ import reference_build
 from randonet.funcgen import (
     _DEGENERATE_SHAPE,
     CaseSamplingConfig,
-    RandomFunctionParams,
+    _blocks,
     eval_antiderivative,
     eval_d2u,
     eval_du,
@@ -16,19 +16,16 @@ from randonet.funcgen import (
 from randonet.problems import CASE_IDS, case_config
 
 
-def make_params(w=(), s=(), c=(), a0=0.0, a1=0.0, a2=0.0):
+def make_row(w=(), s=(), c=(), a0=0.0, a1=0.0, a2=0.0):
+    """One parameter row of max(len(w), 1) terms; an empty block is zeros."""
     n = max(len(w), 1)
-    return RandomFunctionParams(
-        w=np.resize(np.asarray(w, float), n) if len(w) else np.zeros(1),
-        s=np.resize(np.asarray(s, float), n) if len(s) else np.zeros(1),
-        c=np.resize(np.asarray(c, float), n) if len(c) else np.zeros(1),
-        a0=a0, a1=a1, a2=a2,
-    )
+    blocks = [np.resize(np.asarray(v, float), n) if len(v) else np.zeros(n) for v in (w, s, c)]
+    return np.concatenate([*blocks, [a0, a1, a2]])
 
 
-def functions(cfg, start_index=0):
-    """The functions of a :func:`sample_params` table, one object each."""
-    return reference_build.as_params(sample_params(cfg, start_index))
+def with_references(rows):
+    """Each row paired with its ``reference_build.Params``."""
+    return zip(rows, reference_build.as_params(rows))
 
 
 class TestSampleParams:
@@ -47,13 +44,8 @@ class TestSampleParams:
 
     def test_law_of_large_numbers_means(self):
         cfg = case_config(1, size=1000, seed=5).sampling
-        params = functions(cfg)
-        checks = {
-            "w": (np.concatenate([p.w for p in params]), cfg.w_range),
-            "s": (np.concatenate([p.s for p in params]), cfg.s_range),
-            "c": (np.concatenate([p.c for p in params]), cfg.c_range),
-        }
-        for draws, (lo, hi) in checks.values():
+        w, s, c, *_ = _blocks(sample_params(cfg))
+        for draws, (lo, hi) in ((w, cfg.w_range), (s, cfg.s_range), (c, cfg.c_range)):
             mid = (lo + hi) / 2
             sigma = (hi - lo) / np.sqrt(12)
             assert abs(draws.mean() - mid) <= 3 * sigma / np.sqrt(draws.size)
@@ -73,13 +65,6 @@ class TestSampleParams:
             sample_params(cfg, start_index), reference_build.as_table(per_parameter)
         )
 
-    def test_row_roundtrips_through_params(self):
-        table = sample_params(case_config(2, size=2, seed=66).sampling)
-        for row in table:
-            p = RandomFunctionParams.from_row(row)
-            np.testing.assert_array_equal(p.row, row)
-            assert (p.a0, p.a1, p.a2) == tuple(row[-3:])
-
     @pytest.mark.parametrize("field, value", [
         ("w_range", (-np.inf, 1.0)),
         ("c_range", (0.0, np.nan)),
@@ -97,40 +82,51 @@ class TestSampleParams:
             CaseSamplingConfig(size=1, **ranges)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            make_params(w=[1.0], s=[-1.0], c=[0.0])
-        with pytest.raises(ValueError, match="equal-length"):
-            RandomFunctionParams(np.zeros(2), np.zeros(3), np.zeros(2), 0, 0, 0)
-        with pytest.raises(ValueError, match="finite"):
-            make_params(w=[np.inf], s=[1.0], c=[0.0])
+        # Every evaluator takes one finite 1-D row of 3J + 3 values (J >= 1)
+        # with every s >= 0, and rejects anything else before evaluating.
+        row = make_row(w=[1.0, 2.0], s=[3.0, 4.0], c=[0.5, 0.6], a0=1.0)
+        assert eval_u(row, 0.5) == pytest.approx(2.0 + 2.0 * np.exp(-0.04))
+        bad = [
+            (row[None, :], "1-D"),
+            (row[:-1], "3J"),
+            (np.append(row, 0.0), "3J"),
+            (np.zeros(3), "3J"),
+            (make_row(w=[np.inf], s=[1.0]), "finite"),
+            (make_row(a2=np.nan), "finite"),
+            (make_row(w=[1.0], s=[-1.0], c=[0.0]), ">= 0"),
+        ]
+        for evaluate in (eval_u, eval_du, eval_d2u, eval_antiderivative):
+            for value, match in bad:
+                with pytest.raises(ValueError, match=match):
+                    evaluate(value, 0.5)
 
 
 class TestEvalU:
     def test_pure_quadratic(self):
-        p = make_params(a0=1.0, a1=2.0, a2=3.0)
-        assert eval_u(p, 1.0) == 6.0
-        np.testing.assert_allclose(eval_u(p, np.array([0.0, 2.0])), [1.0, 17.0])
+        row = make_row(a0=1.0, a1=2.0, a2=3.0)
+        assert eval_u(row, 1.0) == 6.0
+        np.testing.assert_allclose(eval_u(row, np.array([0.0, 2.0])), [1.0, 17.0])
 
     def test_rbf_center_value(self):
-        p = make_params(w=[1.0], s=[300.0], c=[0.4], a0=2.0, a1=1.0)
-        assert eval_u(p, 0.4) == pytest.approx(1.0 + 2.0 + 0.4)
+        row = make_row(w=[1.0], s=[300.0], c=[0.4], a0=2.0, a1=1.0)
+        assert eval_u(row, 0.4) == pytest.approx(1.0 + 2.0 + 0.4)
 
     def test_zero_shape_parameter_is_constant_term(self):
-        p = make_params(w=[2.5], s=[0.0], c=[0.7])
-        np.testing.assert_allclose(eval_u(p, np.linspace(0, 1, 7)), 2.5)
+        row = make_row(w=[2.5], s=[0.0], c=[0.7])
+        np.testing.assert_allclose(eval_u(row, np.linspace(0, 1, 7)), 2.5)
 
 
 class TestDerivatives:
     def test_pure_quadratic_exact(self):
-        p = make_params(a1=2.0, a2=3.0)
+        row = make_row(a1=2.0, a2=3.0)
         xs = np.array([-1.0, 0.0, 0.5])
-        np.testing.assert_array_equal(eval_du(p, xs), 2.0 + 6.0 * xs)
-        np.testing.assert_array_equal(eval_d2u(p, xs), np.full(3, 6.0))
+        np.testing.assert_array_equal(eval_du(row, xs), 2.0 + 6.0 * xs)
+        np.testing.assert_array_equal(eval_d2u(row, xs), np.full(3, 6.0))
 
     def test_rbf_center_identities(self):
-        p = make_params(w=[1.5], s=[80.0], c=[0.3], a1=0.7, a2=2.0)
-        assert eval_du(p, 0.3) == pytest.approx(0.7 + 2 * 2.0 * 0.3)
-        assert eval_d2u(p, 0.3) == pytest.approx(-2 * 80.0 * 1.5 + 2 * 2.0)
+        row = make_row(w=[1.5], s=[80.0], c=[0.3], a1=0.7, a2=2.0)
+        assert eval_du(row, 0.3) == pytest.approx(0.7 + 2 * 2.0 * 0.3)
+        assert eval_d2u(row, 0.3) == pytest.approx(-2 * 80.0 * 1.5 + 2 * 2.0)
 
     @pytest.mark.parametrize("case_id", CASE_IDS)
     def test_finite_difference_oracle_over_case_ranges(self, case_id):
@@ -138,13 +134,13 @@ class TestDerivatives:
         lo, hi = case.domain
         xs = np.linspace(lo + 0.02, hi - 0.02, 100)
         h = 1e-5
-        for p in functions(case.sampling):
-            fd1 = (eval_u(p, xs + h) - eval_u(p, xs - h)) / (2 * h)
-            fd2 = (eval_u(p, xs + h) - 2 * eval_u(p, xs) + eval_u(p, xs - h)) / h**2
+        for row in sample_params(case.sampling):
+            fd1 = (eval_u(row, xs + h) - eval_u(row, xs - h)) / (2 * h)
+            fd2 = (eval_u(row, xs + h) - 2 * eval_u(row, xs) + eval_u(row, xs - h)) / h**2
             scale1 = np.max(np.abs(fd1))
             scale2 = np.max(np.abs(fd2))
-            assert np.max(np.abs(eval_du(p, xs) - fd1)) / scale1 <= 1e-6
-            assert np.max(np.abs(eval_d2u(p, xs) - fd2)) / scale2 <= 1e-6
+            assert np.max(np.abs(eval_du(row, xs) - fd1)) / scale1 <= 1e-6
+            assert np.max(np.abs(eval_d2u(row, xs) - fd2)) / scale2 <= 1e-6
 
     @pytest.mark.parametrize("case_id", CASE_IDS)
     def test_shared_evaluation_equals_evaluators_bitwise(self, case_id):
@@ -152,58 +148,59 @@ class TestDerivatives:
         # per-function numpy expressions, one (points x terms) array each.
         case = case_config(case_id, size=3, seed=65 + case_id)
         grid = case.output_grid()
-        for p in functions(case.sampling) + [make_params(a0=0.3, a1=-1.0, a2=2.0)]:
+        rows = [*sample_params(case.sampling), make_row(a0=0.3, a1=-1.0, a2=2.0)]
+        for row, p in with_references(rows):
             for xs in (grid, case.domain[1], grid.reshape(4, 25)):
                 u, du, d2u = reference_build.u_derivatives(p, xs)
-                np.testing.assert_array_equal(u, eval_u(p, xs))
-                np.testing.assert_array_equal(du, eval_du(p, xs))
-                np.testing.assert_array_equal(d2u, eval_d2u(p, xs))
-                np.testing.assert_array_equal(reference_build.eval_u(p, xs), eval_u(p, xs))
+                np.testing.assert_array_equal(u, eval_u(row, xs))
+                np.testing.assert_array_equal(du, eval_du(row, xs))
+                np.testing.assert_array_equal(d2u, eval_d2u(row, xs))
+                np.testing.assert_array_equal(reference_build.eval_u(p, xs), eval_u(row, xs))
 
 
 class TestAntiderivative:
     def test_constant_integrand(self):
-        p = make_params(a0=1.0)
+        row = make_row(a0=1.0)
         xs = np.array([0.25, 1.0])
-        np.testing.assert_array_equal(eval_antiderivative(p, xs, 0.0), xs)
+        np.testing.assert_array_equal(eval_antiderivative(row, xs, 0.0), xs)
 
     def test_zero_at_base_point(self):
         case = case_config(1, size=1, seed=61)
-        (p,) = functions(case.sampling)
-        assert eval_antiderivative(p, 0.37, 0.37) == 0.0
+        (row,) = sample_params(case.sampling)
+        assert eval_antiderivative(row, 0.37, 0.37) == 0.0
 
     def test_quadrature_oracle(self):
         case = case_config(1, size=3, seed=62)
-        for p in functions(case.sampling):
+        for row in sample_params(case.sampling):
             for x in (0.1, 0.55, 1.0):
                 ref, err = quad(
-                    lambda t: float(eval_u(p, t)), 0.0, x,
+                    lambda t: float(eval_u(row, t)), 0.0, x,
                     epsabs=1e-14, epsrel=1e-13, limit=500,
                 )
                 assert err < 1e-12
-                assert abs(float(eval_antiderivative(p, x, 0.0)) - ref) <= 1e-12
+                assert abs(float(eval_antiderivative(row, x, 0.0)) - ref) <= 1e-12
 
     def test_derivative_of_antiderivative_is_u(self):
         case = case_config(1, size=2, seed=63)
         xs = np.random.default_rng(0).uniform(0.05, 0.95, 100)
         h = 1e-6
-        for p in functions(case.sampling):
-            fd = (eval_antiderivative(p, xs + h, 0.0) - eval_antiderivative(p, xs - h, 0.0)) / (2 * h)
-            u = eval_u(p, xs)
+        for row in sample_params(case.sampling):
+            fd = (eval_antiderivative(row, xs + h, 0.0) - eval_antiderivative(row, xs - h, 0.0)) / (2 * h)
+            u = eval_u(row, xs)
             assert np.max(np.abs(fd - u)) / np.max(np.abs(u)) <= 1e-6
 
     def test_degenerate_shape_limit(self):
-        p = make_params(w=[3.0], s=[0.0], c=[0.2])
+        row = make_row(w=[3.0], s=[0.0], c=[0.2])
         # s -> 0 term contributes w * x to the primitive.
-        assert eval_antiderivative(p, 0.5, 0.0) == pytest.approx(1.5)
+        assert eval_antiderivative(row, 0.5, 0.0) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("s_hi", [500.0, 2 * _DEGENERATE_SHAPE])
     def test_equals_reference_bitwise(self, s_hi):
         cfg = case_config(1, size=3, seed=67).sampling
         cfg = CaseSamplingConfig(**{**vars(cfg), "s_range": (0.0, s_hi)})
         xs = np.linspace(0.0, 1.0, 100)
-        for p in functions(cfg):
+        for row, p in with_references(sample_params(cfg)):
             for x, x0 in ((xs, 0.0), (xs.reshape(10, 10), 0.25), (0.7, 0.3)):
                 np.testing.assert_array_equal(
-                    eval_antiderivative(p, x, x0), reference_build.eval_antiderivative(p, x, x0)
+                    eval_antiderivative(row, x, x0), reference_build.eval_antiderivative(p, x, x0)
                 )

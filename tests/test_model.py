@@ -58,23 +58,21 @@ def fail_on_features(monkeypatch):
         raise AssertionError("a feature matrix was built")
 
     monkeypatch.setattr(FeatureMap, "apply", no_features)
-    monkeypatch.setattr(FeatureMap, "_apply", no_features)
 
 
 def count_feature_builds_without_svd(monkeypatch):
-    """Count ``FeatureMap._apply`` calls (``apply`` goes through it) and
-    fail any ``np.linalg.svd`` call."""
+    """Count ``FeatureMap.apply`` calls and fail any ``np.linalg.svd`` call."""
     calls = []
-    original = FeatureMap._apply
+    original = FeatureMap.apply
 
-    def counting(self, x, order):
+    def counting(self, x, order="C"):
         calls.append(self.spec.kind)
         return original(self, x, order)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd was called")
 
-    monkeypatch.setattr(FeatureMap, "_apply", counting)
+    monkeypatch.setattr(FeatureMap, "apply", counting)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     return calls
 
@@ -92,6 +90,16 @@ class TestDatasetTypes:
     def test_unaligned_validation(self):
         with pytest.raises(ValueError, match="sample counts"):
             UnalignedDataset(U=np.zeros((3, 4)), Y=np.zeros((1, 4)), V=np.zeros(5))
+
+    def test_unaligned_holds_c_contiguous_u(self):
+        # A column subset by fancy indexing is F-ordered; the dataset keeps
+        # a C copy, the layout feature maps read, so fits copy nothing.
+        u = np.random.default_rng(3).standard_normal((5, 12))
+        cols = np.array([0, 3, 3, 7, 11, 2])
+        assert not u[:, cols].flags.c_contiguous
+        ds = UnalignedDataset(U=u[:, cols], Y=np.zeros((1, 6)), V=np.zeros(6))
+        assert ds.U.flags.c_contiguous
+        np.testing.assert_array_equal(ds.U, u[:, cols])
 
     @pytest.mark.parametrize("field", ["U", "Y", "V"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -8,7 +8,15 @@ from scipy.integrate import quad
 import reference_build
 from randonet import funcgen, problems
 from randonet.acceptance import _fd_rhs_reference
-from randonet.funcgen import CaseSamplingConfig, eval_d2u, eval_du, eval_u, sample_params
+from randonet.funcgen import (
+    CaseSamplingConfig,
+    _blocks,
+    _param_names,
+    eval_d2u,
+    eval_du,
+    eval_u,
+    sample_params,
+)
 from randonet.problems import (
     CASE_IDS,
     ODESolverConfig,
@@ -16,7 +24,7 @@ from randonet.problems import (
     case_config,
     export_dataset_csv,
 )
-from test_funcgen import functions, make_params
+from test_funcgen import make_row
 
 
 def reference_pendulum_solve(table, k_const, y_grid, ode):
@@ -58,10 +66,18 @@ def reference_rhs(table, k_const):
     return reference_build.reference_rhs(reference_build.as_params(table), k_const)
 
 
-def rhs_case(case_id, p, y):
+def rhs_case(case_id, row, y):
     rhs = problems._RHS[case_id]
-    derivatives = (eval_u(p, y), eval_du(p, y), eval_d2u(p, y))
+    derivatives = (eval_u(row, y), eval_du(row, y), eval_d2u(row, y))
     return rhs(*derivatives, case_config(case_id).constants)
+
+
+def with_shape_of(row, other):
+    """A copy of ``row`` with the s and c blocks of ``other``."""
+    out = row.copy()
+    for mine, theirs in zip(_blocks(out)[1:3], _blocks(other)[1:3]):
+        mine[...] = theirs
+    return out
 
 
 def zero_function_case(case_id, size=1):
@@ -106,33 +122,28 @@ class TestCase1:
         np.testing.assert_array_equal(ds.V, np.zeros_like(ds.V))
 
     def test_constant_one_integrates_to_t(self):
-        p = make_params(a0=1.0)
+        row = make_row(a0=1.0)
         y = case_config(1).output_grid()
-        np.testing.assert_array_equal(funcgen.eval_antiderivative(p, y, 0.0), y)
+        np.testing.assert_array_equal(funcgen.eval_antiderivative(row, y, 0.0), y)
 
     def test_columns_match_quadrature_oracle(self):
         case = case_config(1, size=3, seed=70)
         ds, table = build_case(case, with_params=True)
-        for j, p in enumerate(reference_build.as_params(table)):
+        for j, row in enumerate(table):
             for i in (1, 37, 99):
                 ref, _ = quad(
-                    lambda t: float(eval_u(p, t)), 0.0, ds.y[i],
+                    lambda t: float(eval_u(row, t)), 0.0, ds.y[i],
                     epsabs=1e-14, epsrel=1e-13, limit=500,
                 )
                 assert abs(ds.V[i, j] - ref) <= 1e-12
 
     def test_operator_linearity_in_parameters(self):
         case = case_config(1, size=2, seed=71)
-        p1, p2 = functions(case.sampling)
-        combined = funcgen.RandomFunctionParams(
-            w=p1.w + p2.w, s=p1.s, c=p1.c,
-            a0=p1.a0 + p2.a0, a1=p1.a1 + p2.a1, a2=p1.a2 + p2.a2,
-        )
+        p1, p2 = sample_params(case.sampling)
         y = case.output_grid()
         # u is linear in (w, a) at shared (s, c), so outputs add.
-        p2_shared = funcgen.RandomFunctionParams(
-            w=p2.w, s=p1.s, c=p1.c, a0=p2.a0, a1=p2.a1, a2=p2.a2
-        )
+        p2_shared = with_shape_of(p2, p1)
+        combined = with_shape_of(p1 + p2_shared, p1)
         v_sum = funcgen.eval_antiderivative(p1, y, 0.0) + funcgen.eval_antiderivative(p2_shared, y, 0.0)
         v_combined = funcgen.eval_antiderivative(combined, y, 0.0)
         np.testing.assert_allclose(v_combined, v_sum, atol=1e-10)
@@ -275,37 +286,32 @@ class TestPendulumForcing:
 class TestRhsCases:
     def test_constant_profile_identities(self):
         kappa = 0.3
-        p = make_params(a0=kappa)
+        row = make_row(a0=kappa)
         y = np.linspace(-1, 1, 11)
         c3 = case_config(3).constants
-        np.testing.assert_allclose(rhs_case(3, p, y), c3["zeta"] * kappa, atol=1e-15)
-        np.testing.assert_allclose(rhs_case(4, p, y), 0.0, atol=1e-15)
-        np.testing.assert_allclose(rhs_case(5, p, y), kappa - kappa**3, atol=1e-15)
+        np.testing.assert_allclose(rhs_case(3, row, y), c3["zeta"] * kappa, atol=1e-15)
+        np.testing.assert_allclose(rhs_case(4, row, y), 0.0, atol=1e-15)
+        np.testing.assert_allclose(rhs_case(5, row, y), kappa - kappa**3, atol=1e-15)
 
     def test_linear_profile_burgers(self):
-        p = make_params(a1=1.0)
+        row = make_row(a1=1.0)
         y = np.linspace(-1, 1, 21)
-        np.testing.assert_array_equal(rhs_case(4, p, y), -y)
+        np.testing.assert_array_equal(rhs_case(4, row, y), -y)
 
     @pytest.mark.parametrize("case_id", [3, 4, 5])
     def test_finite_difference_oracle(self, case_id):
         case = case_config(case_id, size=3, seed=76)
         ds = build_case(case)
-        for j, p in enumerate(functions(case.sampling)):
-            expected = _fd_rhs_reference(case, p)
+        for j, row in enumerate(sample_params(case.sampling)):
+            expected = _fd_rhs_reference(case, row)
             scale = max(np.max(np.abs(expected)), 1e-30)
             assert np.max(np.abs(ds.V[:, j] - expected)) / scale <= 1e-5
 
     def test_case3_linearity(self):
         case = case_config(3, size=2, seed=77)
-        p1, p2 = functions(case.sampling)
-        p2_shared = funcgen.RandomFunctionParams(
-            w=p2.w, s=p1.s, c=p1.c, a0=p2.a0, a1=p2.a1, a2=p2.a2
-        )
-        combined = funcgen.RandomFunctionParams(
-            w=p1.w + p2.w, s=p1.s, c=p1.c,
-            a0=p1.a0 + p2.a0, a1=p1.a1 + p2.a1, a2=p1.a2 + p2.a2,
-        )
+        p1, p2 = sample_params(case.sampling)
+        p2_shared = with_shape_of(p2, p1)
+        combined = with_shape_of(p1 + p2_shared, p1)
         y = case.output_grid()
         v = rhs_case(3, combined, y)
         v_sum = rhs_case(3, p1, y) + rhs_case(3, p2_shared, y)
@@ -319,7 +325,9 @@ class TestRhsCases:
         ds = build_case(coarse)
         np.testing.assert_array_equal(
             ds.U,
-            np.column_stack([eval_u(p, coarse.input_grid()) for p in functions(case.sampling)]),
+            np.column_stack(
+                [eval_u(row, coarse.input_grid()) for row in sample_params(case.sampling)]
+            ),
         )
         np.testing.assert_array_equal(ds.V, build_case(case).V)
 
@@ -328,11 +336,11 @@ class TestRhsCases:
         ds = build_case(case)
         fine = np.linspace(-1, 1, 4001)
         c3 = case.constants
-        for j, p in enumerate(functions(case.sampling)):
+        for j, row in enumerate(sample_params(case.sampling)):
             bound = (
-                c3["nu"] * np.max(np.abs(eval_d2u(p, fine)))
-                + c3["gamma"] * np.max(np.abs(eval_du(p, fine)))
-                + abs(c3["zeta"]) * np.max(np.abs(eval_u(p, fine)))
+                c3["nu"] * np.max(np.abs(eval_d2u(row, fine)))
+                + c3["gamma"] * np.max(np.abs(eval_du(row, fine)))
+                + abs(c3["zeta"]) * np.max(np.abs(eval_u(row, fine)))
             )
             assert np.max(np.abs(ds.V[:, j])) <= bound * (1 + 1e-12)
 
@@ -388,16 +396,17 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "# randonet-dataset v1"
         assert lines[1].startswith("# case=3 seed=79 size=2")
-        header = lines[5].split(",")
-        n_terms = case.sampling.n_terms
-        assert header[0] == "w_0" and header[3 * n_terms] == "a0"
-        assert len(header) == 3 * n_terms + 3 + case.m + case.n
-        row = np.array([float(v) for v in lines[6].split(",")])
-        np.testing.assert_allclose(row[:n_terms], table[0, :n_terms], rtol=1e-15)
-        np.testing.assert_allclose(row[-case.n:], ds.V[:, 0], rtol=1e-15)
-        np.testing.assert_allclose(
-            row[3 * n_terms + 3: 3 * n_terms + 3 + case.m], ds.U[:, 0], rtol=1e-15
+        # The parameter columns are funcgen's names of a row's values.
+        names = _param_names(case.sampling.n_terms)
+        assert names[:2] == ["w_0", "w_1"] and names[-4:] == ["c_199", "a0", "a1", "a2"]
+        assert lines[5].split(",") == (
+            names + [f"u_{j}" for j in range(case.m)] + [f"v_{j}" for j in range(case.n)]
         )
+        row = np.array([float(v) for v in lines[6].split(",")])
+        p = len(names)
+        np.testing.assert_allclose(row[:p], table[0], rtol=1e-15)
+        np.testing.assert_allclose(row[p:p + case.m], ds.U[:, 0], rtol=1e-15)
+        np.testing.assert_allclose(row[-case.n:], ds.V[:, 0], rtol=1e-15)
 
     def test_rows_parse_back_bitwise(self, tmp_path):
         case = case_config(1, size=2, seed=89)

@@ -52,3 +52,24 @@ def test_tracer_spans_dataset_builds_and_restores_every_name():
         now = vars(owner)
         assert set(now) == set(attrs)
         assert [key for key in attrs if now[key] is not attrs[key]] == []
+
+
+def test_tracer_counts_the_feature_builds_of_training():
+    # Training builds its trunk and branch matrices through FeatureMap.apply,
+    # the method the tracer wraps, so embeddings.apply counts them.
+    api = SimpleNamespace(**{name: getattr(randonet, name) for name in API_NAMES})
+    modules = {"problems": problems, "linalg": linalg, "model": model, "embeddings": embeddings}
+    case = api.case_config(1, size=20, seed=3)
+    ds = api.build_case(case)
+    trunk = api.EmbeddingSpec("tanh", 1, 30, (1, 0), domain=case.domain)
+    branch = api.EmbeddingSpec("jl", ds.x.size, 20, (1, 1))
+    tracer = load_tracing().Tracer()
+    tracer.install(api, modules)
+    try:
+        api.train_aligned(ds, trunk, branch)
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert names.count("model.train") == 1
+    assert names.count("embeddings.apply") == 2
