@@ -55,7 +55,6 @@ from .model import (
 )
 from .problems import (
     CaseStudy,
-    ODESolverConfig,
     build_case,
     case_config,
     export_dataset_csv,
@@ -72,7 +71,6 @@ __all__ = [
     "EmbeddingSpec",
     "ExperimentConfig",
     "FeatureMap",
-    "ODESolverConfig",
     "RandONetModel",
     "ReportRow",
     "TrainingError",

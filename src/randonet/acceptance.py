@@ -38,7 +38,6 @@ class CriterionResult:
     description: str
     passed: bool
     details: dict
-    seconds: float
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -68,58 +67,48 @@ def criterion_1(cache_dir=None) -> CriterionResult:
     row = report.rows[0]
     details = {"mse": row.mse, "median_l2": row.l2_median, "seconds": elapsed}
     passed = row.mse <= 1e-16 and row.l2_median <= 1e-7 and elapsed < 10.0
-    return CriterionResult("1", "case 1 JL(100) extensive data", passed, details, elapsed)
+    return CriterionResult("1", "case 1 JL(100) extensive data", passed, details)
 
 
 def criterion_2(cache_dir=None) -> CriterionResult:
     """Case 1 limited data (15% train), JL M=100."""
-    start = time.perf_counter()
     report = run_experiment(_cfg(1, "jl", [100], 0.15, cache_dir))
-    elapsed = time.perf_counter() - start
     row = report.rows[0]
     passed = row.mse <= 1e-14
-    return CriterionResult("2", "case 1 JL(100) limited data", passed, {"mse": row.mse}, elapsed)
+    return CriterionResult("2", "case 1 JL(100) limited data", passed, {"mse": row.mse})
 
 
 def criterion_3(cache_dir=None) -> CriterionResult:
     """Case 2 pendulum: RFFN M=2000 and JL M=100, 80% train."""
-    start = time.perf_counter()
     rffn = run_experiment(_cfg(2, "rffn", [2000], 0.8, cache_dir)).rows[0]
     jl = run_experiment(_cfg(2, "jl", [100], 0.8, cache_dir)).rows[0]
-    elapsed = time.perf_counter() - start
     details = {"rffn_mse": rffn.mse, "jl_mse": jl.mse}
     passed = rffn.mse <= 1e-10 and jl.mse <= 1e-9
-    return CriterionResult("3", "case 2 RFFN(2000) and JL(100)", passed, details, elapsed)
+    return CriterionResult("3", "case 2 RFFN(2000) and JL(100)", passed, details)
 
 
 def criterion_4(cache_dir=None) -> CriterionResult:
     """Case 3 linear PDE, JL M=100."""
-    start = time.perf_counter()
     row = run_experiment(_cfg(3, "jl", [100], 0.8, cache_dir)).rows[0]
-    elapsed = time.perf_counter() - start
     details = {"mse": row.mse, "median_l2": row.l2_median}
     passed = row.mse <= 1e-12 and row.l2_median <= 1e-5
-    return CriterionResult("4", "case 3 JL(100)", passed, details, elapsed)
+    return CriterionResult("4", "case 3 JL(100)", passed, details)
 
 
 def criterion_5(cache_dir=None) -> CriterionResult:
     """Case 4 Burgers: RFFN M=2000 succeeds, JL M=40 plateaus."""
-    start = time.perf_counter()
     rffn = run_experiment(_cfg(4, "rffn", [2000], 0.8, cache_dir)).rows[0]
     jl = run_experiment(_cfg(4, "jl", [40], 0.8, cache_dir)).rows[0]
-    elapsed = time.perf_counter() - start
     details = {"rffn_mse": rffn.mse, "jl_mse": jl.mse}
     passed = rffn.mse <= 1e-8 and jl.mse >= 1e-4
-    return CriterionResult("5", "case 4 RFFN(2000) vs linear-branch plateau", passed, details, elapsed)
+    return CriterionResult("5", "case 4 RFFN(2000) vs linear-branch plateau", passed, details)
 
 
 def criterion_6(cache_dir=None) -> CriterionResult:
     """Case 5 Allen-Cahn, RFFN M=2000."""
-    start = time.perf_counter()
     row = run_experiment(_cfg(5, "rffn", [2000], 0.8, cache_dir)).rows[0]
-    elapsed = time.perf_counter() - start
     passed = row.mse <= 1e-6
-    return CriterionResult("6", "case 5 RFFN(2000)", passed, {"mse": row.mse}, elapsed)
+    return CriterionResult("6", "case 5 RFFN(2000)", passed, {"mse": row.mse})
 
 
 def criterion_7(cache_dir=None) -> CriterionResult:
@@ -128,7 +117,6 @@ def criterion_7(cache_dir=None) -> CriterionResult:
     Sweeps M over {10, 40, 100, 500, 2000} with three embedding seeds; the
     best test MSE at M=2000 must be at most 1e-3 of the best at M=10.
     """
-    start = time.perf_counter()
     sizes = (10, 40, 100, 500, 2000)
     details = {}
     passed = True
@@ -143,8 +131,7 @@ def criterion_7(cache_dir=None) -> CriterionResult:
         ratio = best[2000] / best[10]
         details[f"case{case}_ratio"] = ratio
         passed = passed and ratio <= 1e-3
-    elapsed = time.perf_counter() - start
-    return CriterionResult("7", "branch-width convergence trend", passed, details, elapsed)
+    return CriterionResult("7", "branch-width convergence trend", passed, details)
 
 
 def _prop_moore_penrose() -> tuple[bool, dict]:
@@ -276,7 +263,7 @@ def _prop_pendulum_linearized() -> tuple[bool, dict]:
     k = 9.81
     eps = 1e-6
 
-    def rhs(t, y, idx):
+    def rhs(t, y):
         return np.column_stack([y[:, 1], -k * np.sin(y[:, 0]) + eps])
 
     t_eval = np.linspace(0, 1, 101)
@@ -317,7 +304,6 @@ def _prop_determinism() -> tuple[bool, dict]:
 
 def criterion_8(cache_dir=None) -> CriterionResult:
     """Property suite independent of the benchmark numbers."""
-    start = time.perf_counter()
     checks = [
         _prop_moore_penrose,
         _prop_solver_agreement,
@@ -336,8 +322,7 @@ def criterion_8(cache_dir=None) -> CriterionResult:
         ok, info = check()
         details.update(info)
         passed = passed and ok
-    elapsed = time.perf_counter() - start
-    return CriterionResult("8", "property suite", passed, details, elapsed)
+    return CriterionResult("8", "property suite", passed, details)
 
 
 CRITERIA = {

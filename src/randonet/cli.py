@@ -1,4 +1,4 @@
-"""Command line interface: run (alias sweep), gen-data, verify.
+"""Command line interface: run, gen-data, verify.
 
 Flags can also be supplied through a JSON config file (``--config``);
 explicit flags win over file values. On failure the process exits nonzero
@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randonet", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", aliases=["sweep"],
-                          help="train one model per branch width and report test metrics")
+    run = subs.add_parser("run", help="train one model per branch width and report test metrics")
     _add_experiment_flags(run)
 
     gen = subs.add_parser("gen-data", help="export a case dataset to CSV")
@@ -179,7 +178,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
-        "sweep": _cmd_run,
         "gen-data": _cmd_gen_data,
         "verify": _cmd_verify,
     }

@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSpec
-from .model import AlignedDataset, evaluate, train_aligned
-from .problems import ODESolverConfig, build_case, case_config
+from .model import AlignedDataset, _check_solver, evaluate, train_aligned
+from .problems import build_case, case_config
 
 __all__ = [
     "ExperimentConfig",
@@ -51,7 +51,6 @@ __all__ = [
     "run_experiment",
     "write_report_csv",
     "write_report_json",
-    "clear_dataset_cache",
     "REPORT_CSV_VERSION",
     "GENERATOR_VERSION",
 ]
@@ -59,7 +58,8 @@ __all__ = [
 REPORT_CSV_VERSION = 1
 
 # Part of every dataset cache key. Bump it whenever a change to the dataset
-# builders changes the generated bits, so no cache serves the old ones.
+# builders or to the integrator changes the generated bits, so no cache
+# serves the old ones.
 GENERATOR_VERSION = 1
 
 logger = logging.getLogger(__name__)
@@ -97,6 +97,7 @@ class ExperimentConfig:
             raise ValueError(f"branch_sizes must be positive, got {self.branch_sizes}")
         if self.trunk_size < 1:
             raise ValueError(f"trunk_size must be >= 1, got {self.trunk_size}")
+        _check_solver(self.solver, self.tol, self.reg)
         object.__setattr__(self, "branch_sizes", sizes)
 
 
@@ -169,7 +170,7 @@ def l2_percentiles(pred, truth) -> tuple[float, float, float]:
     return float(p5), float(p50), float(p95)
 
 
-def _dataset_key(case, ode: ODESolverConfig) -> str:
+def _dataset_key(case) -> str:
     payload = {
         "generator_version": GENERATOR_VERSION,
         "id": case.id,
@@ -177,7 +178,6 @@ def _dataset_key(case, ode: ODESolverConfig) -> str:
         "n": case.n,
         "constants": sorted(case.constants.items()),
         "sampling": asdict(case.sampling),
-        "ode": asdict(ode),
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
@@ -224,13 +224,12 @@ def _store_cached(path: Path, ds: AlignedDataset) -> None:
 def dataset_for(case, cache_dir=None) -> AlignedDataset:
     """Build a case dataset, memoized in memory and optionally on disk.
 
-    Disk entries are keyed by :data:`GENERATOR_VERSION`, the case
-    configuration and the ODE settings, and carry the content fingerprint
-    of the dataset; an entry that cannot be read or fails its fingerprint
-    is rebuilt and rewritten. Each call logs at DEBUG which path served it.
+    Disk entries are keyed by :data:`GENERATOR_VERSION` and the case
+    configuration, and carry the content fingerprint of the dataset; an
+    entry that cannot be read or fails its fingerprint is rebuilt and
+    rewritten. Each call logs at DEBUG which path served it.
     """
-    ode = ODESolverConfig()
-    key = _dataset_key(case, ode)
+    key = _dataset_key(case)
     if key in _DATASET_CACHE:
         logger.debug("case %d dataset %s: memory hit", case.id, key)
         return _DATASET_CACHE[key]
@@ -245,16 +244,12 @@ def dataset_for(case, cache_dir=None) -> AlignedDataset:
                 return ds
             served = "rebuilt after a bad entry"
     t0 = time.perf_counter()
-    ds = build_case(case, ode=ode)
+    ds = build_case(case)
     logger.debug("case %d dataset %s: %s in %.3f s", case.id, key, served, time.perf_counter() - t0)
     _DATASET_CACHE[key] = ds
     if disk_path is not None:
         _store_cached(disk_path, ds)
     return ds
-
-
-def clear_dataset_cache() -> None:
-    _DATASET_CACHE.clear()
 
 
 def trunk_spec_for(cfg: ExperimentConfig, domain) -> EmbeddingSpec:

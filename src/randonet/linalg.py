@@ -99,13 +99,15 @@ def auto_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * _EPS * sigma_max
 
 
-def _resolve_tol(tol, shape, sigma_max) -> float:
-    if tol is None:
-        return auto_tolerance(shape, sigma_max)
-    tol = float(tol)
-    if tol <= 0.0:
+def _check_tol(tol) -> None:
+    """Reject a rank tolerance that is not positive, NaN included."""
+    if tol is not None and not float(tol) > 0.0:
         raise ValueError(f"tolerance must be positive or None (auto), got {tol}")
-    return tol
+
+
+def _resolve_tol(tol, shape, sigma_max) -> float:
+    _check_tol(tol)
+    return auto_tolerance(shape, sigma_max) if tol is None else float(tol)
 
 
 @dataclass(frozen=True)
@@ -297,7 +299,7 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
     a : array_like, shape (rows, cols)
         Finite dense matrix.
     tol : float, optional
-        Rank cutoff. ``None`` selects :func:`auto_tolerance`.
+        Rank cutoff at ``reg = 0``. ``None`` selects :func:`auto_tolerance`.
     reg : float
         Tikhonov weight, >= 0. At 0 the factors keep exactly the singular
         values above ``tol``, filtered by ``1 / sigma``. Above 0 they keep
@@ -314,6 +316,8 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
     a = _as_matrix(a, "A")
     if not reg >= 0:
         raise ValueError(f"regularization weight must be >= 0, got {reg}")
+    if reg > 0 and tol is not None:
+        raise ValueError(f"tol cuts no singular value at reg > 0, got tol={tol} with reg={reg}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
     tol = _resolve_tol(tol, a.shape, sigma_max)

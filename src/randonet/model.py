@@ -183,9 +183,9 @@ def _metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured, factor
     }
 
 
-def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float) -> None:
-    """Reject an unknown solver, a bad ``reg``, a setting the solver would
-    ignore and a map given as anything but an :class:`EmbeddingSpec`."""
+def _check_solver(solver: str, tol, reg: float) -> None:
+    """Reject an unknown solver, a bad ``reg`` or ``tol`` and a setting the
+    solver would ignore."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not reg >= 0:
@@ -194,6 +194,13 @@ def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float) -> None
         raise ValueError(f"solver 'tikhonov' takes no tol, got {tol}")
     if solver == "cod" and reg != 0:
         raise ValueError(f"solver 'cod' takes no regularization weight, got {reg}")
+    linalg._check_tol(tol)
+
+
+def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float) -> None:
+    """:func:`_check_solver`, and reject a map given as anything but an
+    :class:`EmbeddingSpec`."""
+    _check_solver(solver, tol, reg)
     for spec in (trunk_spec, branch_spec):
         if not isinstance(spec, EmbeddingSpec):
             raise TypeError(f"expected an EmbeddingSpec, got {type(spec).__name__}")

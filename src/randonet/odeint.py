@@ -6,6 +6,13 @@ control, so the result for one sample is independent of which other
 samples are in the batch; the batching only amortizes Python and numpy
 overhead across samples that are advanced in lockstep iterations.
 
+The integrator owns the set of samples still being integrated. Their
+state sits in the first rows of every state array, in the original
+sample order, and so do their rows of the per-sample data ``args`` that
+the right-hand side receives: when samples finish or fail, the rows of
+the others move up in place. The right-hand side thus reads plain row
+prefixes, and they change only when the batch shrinks.
+
 The embedded 4th-order error estimate drives a standard PI-free step
 controller (safety 0.9, exponent -1/5, growth clamped to [0.2, 5]). The
 first-same-as-last property of the pair is exploited, so an accepted step
@@ -39,6 +46,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXPONENT = -1.0 / 5.0
+
+# Rows moved per block when finished samples leave the batch.
+_COMPACT_CHUNK = 128
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -76,6 +86,19 @@ def _hermite(theta, h, y0, f0, y1, f1):
     )
 
 
+def _compact(arrays, keep) -> None:
+    """Move rows ``keep`` of each array to its top, in place and in order.
+
+    ``keep`` is increasing, so ``keep[j] >= j``: a block's destination lies
+    below every source row of the blocks after it. Each block moves through
+    one temporary of at most ``_COMPACT_CHUNK`` rows.
+    """
+    for a in arrays:
+        for lo in range(0, keep.size, _COMPACT_CHUNK):
+            rows = keep[lo : lo + _COMPACT_CHUNK]
+            a[lo : lo + rows.size] = a[rows]
+
+
 def dopri5_batch(
     f,
     t_span: tuple[float, float],
@@ -84,20 +107,20 @@ def dopri5_batch(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = 1_000_000,
+    args: tuple = (),
 ):
     """Integrate a batch of independent ODE systems.
 
     Parameters
     ----------
     f : callable
-        ``f(t, y, idx) -> dydt`` with ``t`` of shape (k,), ``y`` of shape
-        (k, dim) and ``idx`` the (k,) indices of the samples being
-        evaluated, so sample-specific data can be gathered. ``idx`` is
-        increasing, and the active set it names never grows: a sample
-        that finished or failed is not passed again. Each step ends with
-        the first-same-as-last call at (t + h, y_new), whose ``t`` repeats
-        the sixth stage's bit for bit (c6 = 1), except on a final step
-        clipped to ``t1``, where it is ``t1``.
+        ``f(t, y, *rows) -> dydt`` with ``t`` of shape (k,), ``y`` of shape
+        (k, dim) and ``rows`` the first k rows of each array in ``args``:
+        the data of the k samples still being integrated, in their
+        original order. The rows change only when k falls. Each step ends
+        with the first-same-as-last call at (t + h, y_new), whose ``t``
+        repeats the sixth stage's bit for bit (c6 = 1), except on a final
+        step clipped to ``t1``, where it is ``t1``.
     t_span : (float, float)
         Common integration interval (t0 < t1).
     y0 : ndarray, shape (batch, dim)
@@ -108,6 +131,9 @@ def dopri5_batch(
         Relative/absolute error tolerances of the embedded estimate.
     max_steps : int
         Per-sample accepted-plus-rejected step budget.
+    args : tuple of ndarray
+        Per-sample data, one row per sample. The integrator reorders the
+        rows of these arrays in place, so pass arrays the caller owns.
 
     Returns
     -------
@@ -122,6 +148,8 @@ def dopri5_batch(
         raise ValueError(f"t_span must be increasing, got {t_span}")
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     batch, dim = y0.shape
+    if any(len(a) != batch for a in args):
+        raise ValueError(f"every array in args needs one row per sample ({batch})")
     t_eval = np.asarray(t_eval, dtype=np.float64)
     if t_eval.size and (t_eval[0] < t0 - 1e-12 * span or t_eval[-1] > t1 + 1e-12 * span):
         raise ValueError("t_eval must lie inside t_span")
@@ -131,29 +159,29 @@ def dopri5_batch(
     ok = np.ones(batch, dtype=bool)
     h_min = 16.0 * np.finfo(np.float64).eps * span
 
-    def f_all(t, y, idx):
-        return np.asarray(f(t, y, idx), dtype=np.float64)
+    def f_live(t, y):
+        return np.asarray(f(t, y, *(a[: t.size] for a in args)), dtype=np.float64)
 
-    idx = np.arange(batch)
+    # The state of the live samples sits in the first ``live`` rows, in the
+    # original order; sample[i] is the sample of row i.
     t = np.full(batch, t0)
     y = y0.copy()
-    k1 = f_all(t, y, idx)
-    h = _initial_step(lambda tt, yy: f_all(tt, yy, idx), t, y, k1, rtol, atol, span)
-    next_eval = np.zeros(batch, dtype=np.int64)
-    steps = np.zeros(batch, dtype=np.int64)
+    k1 = f_live(t, y)
+    h = _initial_step(f_live, t, y, k1, rtol, atol, span)
+    sample = np.arange(batch)
 
     # Emit output points that coincide with t0.
-    at_start = t_eval <= t0 + 1e-12 * span
-    if at_start.any():
-        values[:, at_start, :] = y[:, None, :]
-        next_eval[:] = int(np.count_nonzero(at_start))
+    at_start = int(np.count_nonzero(t_eval <= t0 + 1e-12 * span))
+    values[:, :at_start, :] = y[:, None, :]
+    next_eval = np.full(batch, at_start, dtype=np.int64)
+    state = (t, y, k1, h, next_eval, sample) + tuple(args)
 
-    active = idx[next_eval < n_eval] if n_eval else np.empty(0, dtype=np.int64)
-    while active.size:
-        ta = t[active]
-        ya = y[active]
-        k1a = k1[active]
-        ha = np.minimum(h[active], t1 - ta)
+    # Every live sample takes one step, accepted or rejected, per pass.
+    live = batch if at_start < n_eval else 0
+    steps = 0
+    while live:
+        ta, ya, k1a, pending = t[:live], y[:live], k1[:live], next_eval[:live]
+        ha = np.minimum(h[:live], t1 - ta)
         last = ha >= (t1 - ta) - 1e-14 * span
 
         # Stages k2..k6 (k1 carried over via FSAL); k7 = f(t_new, y_new)
@@ -163,10 +191,10 @@ def dopri5_batch(
             incr = sum(coeff * stages[j] for j, coeff in enumerate(_A[stage]))
             ys = ya + ha[:, None] * incr
             ts = ta + _C[stage + 1] * ha
-            stages.append(f_all(ts, ys, active))
+            stages.append(f_live(ts, ys))
         y_new = ya + ha[:, None] * sum(b * k for b, k in zip(_B5[:6], stages))
         t_new = np.where(last, t1, ta + ha)
-        k7 = f_all(t_new, y_new, active)
+        k7 = f_live(t_new, y_new)
         stages.append(k7)
 
         err = ha[:, None] * sum(e * k for e, k in zip(_E, stages))
@@ -178,53 +206,37 @@ def dopri5_batch(
             factor = _SAFETY * err_norm**_ORDER_EXPONENT
         factor = np.clip(np.where(np.isfinite(factor), factor, _MAX_FACTOR), _MIN_FACTOR, _MAX_FACTOR)
 
-        acc_idx = active[accept]
-        if acc_idx.size:
-            # Dense output: emit every pending output time inside the step.
-            t_prev = ta[accept]
-            h_acc = ha[accept]
-            y_prev = ya[accept]
-            f_prev = k1a[accept]
-            y_next = y_new[accept]
-            f_next = k7[accept]
-            t_next = t_new[accept]
-            pending = next_eval[acc_idx]
-            while True:
-                has_more = pending < n_eval
-                due = has_more.copy()
-                due[has_more] = t_eval[pending[has_more]] <= t_next[has_more] + 1e-14 * span
-                if not due.any():
-                    break
-                sel = np.flatnonzero(due)
-                theta = (t_eval[pending[sel]] - t_prev[sel]) / h_acc[sel]
-                theta = np.clip(theta, 0.0, 1.0)
-                interp = _hermite(theta, h_acc[sel], y_prev[sel], f_prev[sel], y_next[sel], f_next[sel])
-                values[acc_idx[sel], pending[sel], :] = interp
-                pending[sel] += 1
-            next_eval[acc_idx] = pending
+        # Dense output: emit every pending output time inside an accepted step.
+        while True:
+            due = accept & (pending < n_eval)
+            due[due] = t_eval[pending[due]] <= t_new[due] + 1e-14 * span
+            if not due.any():
+                break
+            sel = np.flatnonzero(due)
+            theta = np.clip((t_eval[pending[sel]] - ta[sel]) / ha[sel], 0.0, 1.0)
+            interp = _hermite(theta, ha[sel], ya[sel], k1a[sel], y_new[sel], k7[sel])
+            values[sample[sel], pending[sel], :] = interp
+            pending[sel] += 1
 
-            t[acc_idx] = t_next
-            y[acc_idx] = y_next
-            k1[acc_idx] = f_next
-            h[acc_idx] = h_acc * factor[accept]
+        h[:live] = ha * np.where(accept, factor, np.minimum(factor, 1.0))
+        np.copyto(ta, t_new, where=accept)
+        np.copyto(ya, y_new, where=accept[:, None])
+        np.copyto(k1a, k7, where=accept[:, None])
 
-        rej = ~accept
-        rej_idx = active[rej]
-        if rej_idx.size:
-            h[rej_idx] = ha[rej] * np.minimum(factor[rej], 1.0)
+        steps += 1
+        failed = (h[:live] < h_min) | (steps >= max_steps)
+        ok[sample[:live][failed]] = False
 
-        steps[active] += 1
-        failed = (h[active] < h_min) | (steps[active] >= max_steps)
-        if failed.any():
-            ok[active[failed]] = False
-
-        alive = ok & (next_eval < n_eval) & (t < t1 - 1e-14 * span)
+        running = ta < t1 - 1e-14 * span
+        waiting = ~failed & (pending < n_eval)
         # Samples that reached t1 with pending outputs get them from the
         # final state (guards tiny float gaps at the right endpoint).
-        done_gap = ok & (next_eval < n_eval) & ~(t < t1 - 1e-14 * span)
-        for i in idx[done_gap]:
-            values[i, next_eval[i]:, :] = y[i]
-            next_eval[i] = n_eval
-        active = idx[alive]
+        for i in np.flatnonzero(waiting & ~running):
+            values[sample[i], pending[i]:, :] = ya[i]
+        alive = waiting & running
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            _compact(state, keep)
+            live = keep.size
 
     return values, ok

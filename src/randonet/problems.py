@@ -13,17 +13,18 @@ integrated with an adaptive Dormand-Prince 5(4) scheme at tight
 tolerances and the forcing is evaluated analytically inside the
 integrator (the sensor grid is only the network's view of u).
 
-The pendulum forcing keeps the parameter rows of the samples still being
-integrated contiguous at the top of its tables: when the integrator drops
-samples, the remaining rows move down in place, so every pass reads plain
-row slices. It walks the rows in chunks of ``_FORCING_CHUNK`` rows through
-two scratch buffers allocated once per solve, so a right-hand-side call
-allocates no (rows x terms) array. The forcing depends on t alone, and
-Dormand-Prince evaluates its last stage and the first-same-as-last stage at
-the same t, so a call whose samples and times equal the previous call's
-bit for bit reuses that call's forcing. Each row's terms go through the
-same operations in the same order as a whole-batch evaluation, so none of
-this changes an output bit.
+The pendulum solve hands copies of its parameter tables to the integrator
+as per-sample data; the integrator keeps the rows of the samples still
+being integrated at their top (see :mod:`randonet.odeint`), so every
+forcing pass reads plain row prefixes. It walks the rows in chunks of
+``_FORCING_CHUNK`` rows through two scratch buffers allocated once per
+solve, so a right-hand-side call allocates no (rows x terms) array. The
+forcing depends on t alone, and Dormand-Prince evaluates its last stage
+and the first-same-as-last stage at the same t, so a call whose times
+equal the previous call's bit for bit reuses that call's forcing; the rows
+change only when the batch shrinks, and then the times do too. Each row's
+terms go through the same operations in the same order as a whole-batch
+evaluation, so none of this changes an output bit.
 
 Every builder draws one :func:`~randonet.funcgen.sample_params` table and
 walks its rows through buffers allocated once per build (a grid tile and a
@@ -45,7 +46,6 @@ from .model import AlignedDataset
 from .odeint import dopri5_batch
 
 __all__ = [
-    "ODESolverConfig",
     "CaseStudy",
     "CASE_IDS",
     "case_config",
@@ -66,19 +66,6 @@ _GRID_POINTS = 100
 # keeps one pass's parameter slices and two scratch buffers (1 MB) inside
 # a 2 MB L2.
 _FORCING_CHUNK = 128
-
-
-@dataclass(frozen=True)
-class ODESolverConfig:
-    """Adaptive Dormand-Prince 5(4) settings for the pendulum ground truth."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -232,81 +219,42 @@ def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
         np.add.reduce(terms, axis=1, out=out[lo:hi])
 
 
-def _keep_rows(tables, rows, scratch):
-    """Move ``rows`` of each table to its top, in place and in order.
-
-    ``rows`` must be increasing, so ``rows[j] >= j``: a block's
-    destination lies below every source row of the blocks after it. Each
-    block passes through ``scratch`` (``_FORCING_CHUNK`` rows).
-    """
-    for table in tables:
-        for lo in range(0, rows.size, _FORCING_CHUNK):
-            hi = min(lo + _FORCING_CHUNK, rows.size)
-            block = scratch[: hi - lo]
-            np.take(table, rows[lo:hi], axis=0, out=block, mode="clip")
-            table[lo:hi] = block
-
-
 def _pendulum_solve(
-    table: np.ndarray,
-    k_const: float,
-    y_grid: np.ndarray,
-    ode: ODESolverConfig,
+    table: np.ndarray, k_const: float, y_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate v'' = -k sin v + u(t) for the forcings in ``table``'s rows.
 
     Returns the (n, batch) angle matrix and a per-sample success mask.
     """
     w, s, c, a0, a1, a2 = _blocks(table)
-    # Own copies: the rows of w, neg_s and c are compacted in place.
-    w, neg_s, c = w.copy(), -s, c.copy()
+    # Own copies: the integrator moves the rows of its args in place.
+    args = (w.copy(), -s, c.copy(), a0.copy(), a1.copy(), a2.copy())
     dt_buf, terms_buf = (np.empty((_FORCING_CHUNK, w.shape[1])) for _ in range(2))
-    # live[i] is the sample whose parameters sit in row i of w, neg_s and
-    # c; slot maps a sample to that row, or to -1 once it was dropped.
-    live = np.arange(len(table))
-    slot = live.copy()
     last_t, forcing = None, None
 
-    def rhs(t, y, idx):
-        nonlocal live, last_t, forcing
-        if not np.array_equal(idx, live):
-            rows = slot[idx]
-            if not (np.all(rows >= 0) and np.all(np.diff(rows) > 0)):
-                raise ValueError(
-                    "pendulum forcing: idx must list, in increasing order, samples "
-                    "not dropped by an earlier call (the active set never grows)"
-                )
-            _keep_rows((w, neg_s, c), rows, dt_buf)
-            slot[live] = -1
-            slot[idx] = np.arange(idx.size)
-            live = idx.copy()
-            last_t = None
+    def rhs(t, y, w, neg_s, c, a0, a1, a2):
+        nonlocal last_t, forcing
         # Compared as bytes, so a time of -0.0 never reuses the sum at 0.0.
+        # The rows change only when the batch shrinks, which changes t's length.
         t_bytes = t.tobytes()
         if t_bytes != last_t:
-            forcing = np.empty(idx.size)
+            forcing = np.empty(t.size)
             _gaussian_sums(t, w, neg_s, c, forcing, dt_buf, terms_buf)
-            forcing += a0[idx] + t * (a1[idx] + a2[idx] * t)
+            forcing += a0 + t * (a1 + a2 * t)
             last_t = t_bytes
         return np.column_stack([y[:, 1], -k_const * np.sin(y[:, 0]) + forcing])
 
     values, ok = dopri5_batch(
-        rhs,
-        (y_grid[0], y_grid[-1]),
-        np.zeros((len(table), 2)),
-        y_grid,
-        rtol=ode.rel_tol,
-        atol=ode.abs_tol,
-        max_steps=ode.max_steps,
+        rhs, (y_grid[0], y_grid[-1]), np.zeros((len(table), 2)), y_grid, args=args
     )
     return values[:, :, 0].T, ok
 
 
-def _case2_full(case: CaseStudy, ode: ODESolverConfig) -> tuple[AlignedDataset, np.ndarray]:
+def _case2_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
     table = sample_params(case.sampling)
     k_const = case.constants["k"]
     y = case.output_grid()
-    v_mat, ok = _pendulum_solve(table, k_const, y, ode)
+    v_mat, ok = _pendulum_solve(table, k_const, y)
     retries = 0
     max_retries = 100
     while not ok.all():
@@ -323,7 +271,7 @@ def _case2_full(case: CaseStudy, ode: ODESolverConfig) -> tuple[AlignedDataset, 
             replace(case.sampling, size=failed.size), start_index=case.sampling.size + retries
         )
         retries += failed.size
-        v_new, ok[failed] = _pendulum_solve(replacements, k_const, y, ode)
+        v_new, ok[failed] = _pendulum_solve(replacements, k_const, y)
         table[failed] = replacements
         v_mat[:, failed] = v_new
     x = case.input_grid()
@@ -349,21 +297,18 @@ def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, np.ndarray]:
     return AlignedDataset(x=x, y=y, U=U, V=V), table
 
 
-def build_case(
-    case: CaseStudy, with_params: bool = False, ode: ODESolverConfig | None = None
-):
+def build_case(case: CaseStudy, with_params: bool = False):
     """Build the aligned dataset for a case study.
 
     Returns the dataset, or ``(dataset, table)`` when ``with_params`` is
     true (needed by the CSV export): ``table`` is the
     :func:`~randonet.funcgen.sample_params` table of the functions in the
     dataset's columns, with any case-2 replacement draws in place.
-    ``ode`` sets the case-2 integrator.
     """
     if case.id == 1:
         result = _case1_full(case)
     elif case.id == 2:
-        result = _case2_full(case, ode or ODESolverConfig())
+        result = _case2_full(case)
     else:
         result = _build_rhs_case(case, _RHS[case.id])
     return result if with_params else result[0]

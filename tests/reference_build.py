@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from randonet import problems
 from randonet.funcgen import _DEGENERATE_SHAPE, _blocks
 from randonet.model import AlignedDataset
 from randonet.odeint import dopri5_batch
@@ -114,23 +113,21 @@ def reference_rhs(params, k_const):
     return rhs
 
 
-def reference_pendulum_solve(params, k_const, y_grid, ode):
+def reference_pendulum_solve(params, k_const, y_grid):
     values, ok = dopri5_batch(
         reference_rhs(params, k_const),
         (y_grid[0], y_grid[-1]),
         np.zeros((len(params), 2)),
         y_grid,
-        rtol=ode.rel_tol,
-        atol=ode.abs_tol,
-        max_steps=ode.max_steps,
+        args=(np.arange(len(params)),),
     )
     return values[:, :, 0].T, ok
 
 
-def _pendulum_columns(case, params, ode, solve):
+def _pendulum_columns(case, params, solve):
     """Case-2 outputs with one-at-a-time replacement draws past ``size``."""
     k_const, y = case.constants["k"], case.output_grid()
-    v_mat, ok = solve(params, k_const, y, ode)
+    v_mat, ok = solve(params, k_const, y)
     retries = 0
     while not ok.all():
         failed = np.flatnonzero(~ok)
@@ -139,7 +136,7 @@ def _pendulum_columns(case, params, ode, solve):
             for j in range(failed.size)
         ]
         retries += failed.size
-        v_new, ok_new = solve(replacements, k_const, y, ode)
+        v_new, ok_new = solve(replacements, k_const, y)
         for slot, p_new, col, good in zip(failed, replacements, v_new.T, ok_new):
             params[slot] = p_new
             v_mat[:, slot] = col
@@ -147,14 +144,14 @@ def _pendulum_columns(case, params, ode, solve):
     return np.column_stack(list(v_mat.T))
 
 
-def build(case, ode=None, solve=reference_pendulum_solve):
+def build(case, solve=reference_pendulum_solve):
     """``(dataset, table)`` of ``case`` built function by function."""
     params = draw(case.sampling)
     x, y = case.input_grid(), case.output_grid()
     if case.id == 1:
         V = np.column_stack([eval_antiderivative(p, y, x0=0.0) for p in params])
     elif case.id == 2:
-        V = _pendulum_columns(case, params, ode or problems.ODESolverConfig(), solve)
+        V = _pendulum_columns(case, params, solve)
     else:
         V = np.column_stack([RHS[case.id](*u_derivatives(p, y), case.constants) for p in params])
     U = np.column_stack([eval_u(p, x) for p in params])

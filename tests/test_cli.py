@@ -33,7 +33,7 @@ def test_sweep_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(
         capsys,
-        "sweep", "--case", "1", "--branch", "jl", "--m", "4,8", "--size", "30",
+        "run", "--case", "1", "--branch", "jl", "--m", "4,8", "--size", "30",
         "--out", str(out_path),
     )
     assert code == 0
@@ -44,7 +44,7 @@ def test_sweep_writes_csv(capsys, tmp_path):
 
 
 def test_sweep_json_writes_the_report_once(capsys, tmp_path, monkeypatch):
-    # sweep is another name for run: with --json no CSV is written first.
+    # With --json no CSV is written first.
     def no_csv(*args, **kwargs):
         raise AssertionError("a CSV report was written")
 
@@ -52,7 +52,7 @@ def test_sweep_json_writes_the_report_once(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "sweep.json"
     code, _, _ = run_cli(
         capsys,
-        "sweep", "--case", "1", "--m", "4,8", "--size", "30", "--out", str(out_path), "--json",
+        "run", "--case", "1", "--m", "4,8", "--size", "30", "--out", str(out_path), "--json",
     )
     assert code == 0
     assert [row["m_branch"] for row in json.loads(out_path.read_text())["rows"]] == [4, 8]
@@ -67,6 +67,25 @@ def test_setting_the_solver_ignores_fails_with_error_record(capsys):
     record = json.loads(err)
     assert record["error"]["type"] == "ValueError"
     assert "'cod' takes no regularization weight" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--solver", "tikhonov", "--tol", "1e-3"), "'tikhonov' takes no tol"),
+    (("--solver", "cod", "--lambda", "0.5"), "'cod' takes no regularization weight"),
+    (("--solver", "tikhonov", "--lambda", "-1"), "must be >= 0"),
+    (("--tol", "nan"), "tolerance must be positive"),
+])
+def test_solver_settings_fail_before_the_dataset_build(capsys, monkeypatch, flags, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(harness, "_DATASET_CACHE", {})
+    monkeypatch.setattr(harness, "build_case", no_build)
+    code, _, err = run_cli(capsys, "run", "--case", "2", *flags)
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"]["type"] == "ValueError"
+    assert message in record["error"]["message"]
 
 
 def test_unset_flags_keep_the_config_defaults(capsys, tmp_path):

@@ -23,7 +23,7 @@ from randonet.harness import (
     write_report_json,
 )
 from randonet.model import AlignedDataset
-from randonet.problems import ODESolverConfig, case_config
+from randonet.problems import case_config
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
 
@@ -174,12 +174,12 @@ class TestRunExperiment:
         slow_report = run_experiment(cfg)
         assert slow_report.rows[0].train_seconds >= 0.25
 
-    def test_dataset_disk_cache_roundtrip(self, tmp_path):
+    def test_dataset_disk_cache_roundtrip(self, tmp_path, monkeypatch):
         case = case_config(1, size=12, seed=53)
         ds1 = dataset_for(case, str(tmp_path))
         files = list(tmp_path.glob("dataset-*.npz"))
         assert len(files) == 1
-        harness.clear_dataset_cache()
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
         ds2 = dataset_for(case, str(tmp_path))
         np.testing.assert_array_equal(ds1.U, ds2.U)
         np.testing.assert_array_equal(ds1.V, ds2.V)
@@ -191,45 +191,49 @@ class TestRunExperiment:
             ExperimentConfig(case=1, train_fraction=1.5)
         with pytest.raises(ValueError, match="branch_sizes"):
             ExperimentConfig(case=1, branch_sizes=())
+        with pytest.raises(ValueError, match="solver must be one of"):
+            ExperimentConfig(case=1, solver="tsvd")
+        with pytest.raises(ValueError, match="'tikhonov' takes no tol"):
+            ExperimentConfig(case=1, solver="tikhonov", tol=1e-3)
 
 
 class TestDatasetCache:
     case = case_config(1, size=12, seed=54)
 
-    def cached_file(self, tmp_path):
-        harness.clear_dataset_cache()
+    def cached_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
         ds = dataset_for(self.case, str(tmp_path))
-        harness.clear_dataset_cache()
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
         (path,) = tmp_path.glob("dataset-*.npz")
         return ds, path
 
-    def assert_rebuilt(self, tmp_path, ds, caplog):
+    def assert_rebuilt(self, tmp_path, ds, caplog, monkeypatch):
         with caplog.at_level(logging.WARNING, logger="randonet.harness"):
             again = dataset_for(self.case, str(tmp_path))
         assert "rebuilding" in caplog.text
         np.testing.assert_array_equal(again.U, ds.U)
         np.testing.assert_array_equal(again.V, ds.V)
         # The rebuilt entry replaced the bad file and now loads cleanly.
-        harness.clear_dataset_cache()
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="randonet.harness"):
             dataset_for(self.case, str(tmp_path))
         assert caplog.text == ""
 
-    def test_truncated_file_is_rebuilt(self, tmp_path, caplog):
-        ds, path = self.cached_file(tmp_path)
+    def test_truncated_file_is_rebuilt(self, tmp_path, caplog, monkeypatch):
+        ds, path = self.cached_file(tmp_path, monkeypatch)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        self.assert_rebuilt(tmp_path, ds, caplog)
+        self.assert_rebuilt(tmp_path, ds, caplog, monkeypatch)
 
-    def test_tampered_file_is_rebuilt(self, tmp_path, caplog):
-        ds, path = self.cached_file(tmp_path)
+    def test_tampered_file_is_rebuilt(self, tmp_path, caplog, monkeypatch):
+        ds, path = self.cached_file(tmp_path, monkeypatch)
         with np.load(path) as data:
             arrays = dict(data)
         arrays["V"] = arrays["V"] + 1.0
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        self.assert_rebuilt(tmp_path, ds, caplog)
+        self.assert_rebuilt(tmp_path, ds, caplog, monkeypatch)
 
     @pytest.mark.parametrize("served, message", [
         ("miss", r"built on a miss in \d+\.\d{3} s"),
@@ -237,10 +241,12 @@ class TestDatasetCache:
         ("disk", "disk hit"),
         ("bad", r"rebuilt after a bad entry in \d+\.\d{3} s"),
     ])
-    def test_each_call_logs_the_path_that_served_it(self, tmp_path, caplog, served, message):
-        harness.clear_dataset_cache()
+    def test_each_call_logs_the_path_that_served_it(
+        self, tmp_path, caplog, monkeypatch, served, message
+    ):
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
         if served != "miss":
-            _, path = self.cached_file(tmp_path)
+            _, path = self.cached_file(tmp_path, monkeypatch)
             if served == "memory":
                 dataset_for(self.case, str(tmp_path))
             elif served == "bad":
@@ -251,17 +257,17 @@ class TestDatasetCache:
         assert len(debug) == 1
         assert re.fullmatch(rf"case 1 dataset [0-9a-f]{{32}}: {message}", debug[0]), debug[0]
 
-    def test_key_covers_ode_config_and_generator_version(self, monkeypatch):
-        key = harness._dataset_key(self.case, ODESolverConfig())
-        assert key == harness._dataset_key(self.case, ODESolverConfig())
-        assert key != harness._dataset_key(self.case, ODESolverConfig(abs_tol=5e-13))
+    def test_key_covers_case_config_and_generator_version(self, monkeypatch):
+        key = harness._dataset_key(self.case)
+        assert key == harness._dataset_key(case_config(1, size=12, seed=54))
+        assert key != harness._dataset_key(case_config(1, size=12, seed=55))
         monkeypatch.setattr(harness, "GENERATOR_VERSION", harness.GENERATOR_VERSION + 1)
-        assert key != harness._dataset_key(self.case, ODESolverConfig())
+        assert key != harness._dataset_key(self.case)
 
     def test_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
-        self.cached_file(tmp_path)
+        self.cached_file(tmp_path, monkeypatch)
         assert [p.name for p in tmp_path.iterdir()] == [
-            f"dataset-{harness._dataset_key(self.case, ODESolverConfig())}.npz"
+            f"dataset-{harness._dataset_key(self.case)}.npz"
         ]
 
         def failing_savez(*args, **kwargs):

@@ -87,8 +87,9 @@ class TestTsvdFactorize:
             tsvd_factorize(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError, match="2-D"):
             tsvd_factorize(np.ones(3))
-        with pytest.raises(ValueError, match="positive"):
-            tsvd_factorize(np.eye(2), tol=-1.0)
+        for tol in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                tsvd_factorize(np.eye(2), tol=tol)
 
 
 class TestTsvdPinvApply:
@@ -169,6 +170,12 @@ class TestTikhonovSolve:
         for reg in (-0.5, np.nan):
             with pytest.raises(ValueError, match=">= 0"):
                 tsvd_factorize(np.eye(2), reg=reg)
+
+    def test_tol_with_lambda_rejected(self):
+        # Above reg = 0 every triplet is kept, so a cutoff would be ignored.
+        with pytest.raises(ValueError, match="tol cuts no singular value"):
+            tsvd_factorize(np.eye(2), tol=0.5, reg=0.1)
+        assert tsvd_factorize(np.eye(2), tol=0.5, reg=0.0).rank == 2
 
     def test_sample_axis_mismatch(self):
         with pytest.raises(ValueError, match="needs B with 3 columns"):

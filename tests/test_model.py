@@ -220,8 +220,9 @@ class TestTrainAligned:
         for reg in (-1e-8, np.nan):
             with pytest.raises(ValueError, match=">= 0"):
                 train(ds, *maps, solver="tikhonov", reg=reg)
-        # Settings the solver would ignore.
+        # Settings the solver would ignore, and a tolerance that cuts nothing.
         for solver, tol, reg, message in (
+            ("cod", np.nan, 0.0, "tolerance must be positive"),
             ("cod", None, 0.5, "'cod' takes no regularization weight"),
             ("cod", 1e-10, 1e-8, "'cod' takes no regularization weight"),
             ("tikhonov", 1e-10, 0.0, "'tikhonov' takes no tol"),

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from randonet import odeint
 from randonet.odeint import dopri5_batch
 
 K_GRAV = 9.81
 
 
+def samples(n):
+    """``args`` that hand the right-hand side the indices of the live samples."""
+    return (np.arange(n),)
+
+
 def pendulum_rhs(forcings):
+    """``rhs(t, y, idx)`` for ``args=(samples(n),)``: ``idx`` are the live samples."""
+
     def rhs(t, y, idx):
         force = np.array([forcings[i](ti) for i, ti in zip(idx, t)])
         return np.column_stack([y[:, 1], -K_GRAV * np.sin(y[:, 0]) + force])
@@ -18,7 +26,7 @@ def pendulum_rhs(forcings):
 def test_zero_forcing_stays_exactly_at_equilibrium():
     rhs = pendulum_rhs([lambda t: 0.0])
     t_eval = np.linspace(0, 1, 101)
-    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval)
+    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval, args=samples(1))
     assert ok.all()
     np.testing.assert_array_equal(values, np.zeros((1, 101, 2)))
 
@@ -27,7 +35,7 @@ def test_linearized_pendulum_closed_form():
     eps = 1e-6
     rhs = pendulum_rhs([lambda t: eps])
     t_eval = np.linspace(0, 1, 101)
-    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval)
+    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval, args=samples(1))
     assert ok.all()
     closed = (eps / K_GRAV) * (1 - np.cos(np.sqrt(K_GRAV) * t_eval))
     assert np.max(np.abs(values[0, :, 0] - closed)) <= 1e-9
@@ -40,7 +48,7 @@ def test_matches_scipy_at_tight_tolerances():
     rhs = pendulum_rhs([forcing])
     t_eval = np.linspace(0, 1, 50)
     values, ok = dopri5_batch(
-        rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval, rtol=1e-12, atol=1e-14
+        rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval, rtol=1e-12, atol=1e-14, args=samples(1)
     )
     assert ok.all()
     ref = solve_ivp(
@@ -65,8 +73,12 @@ def test_halving_tolerances_changes_little():
     rhs = pendulum_rhs(forcings)
     t_eval = np.linspace(0, 1, 100)
     y0 = np.zeros((10, 2))
-    coarse, ok1 = dopri5_batch(rhs, (0.0, 1.0), y0, t_eval, rtol=1e-10, atol=1e-12)
-    fine, ok2 = dopri5_batch(rhs, (0.0, 1.0), y0, t_eval, rtol=5e-11, atol=5e-13)
+    coarse, ok1 = dopri5_batch(
+        rhs, (0.0, 1.0), y0, t_eval, rtol=1e-10, atol=1e-12, args=samples(10)
+    )
+    fine, ok2 = dopri5_batch(
+        rhs, (0.0, 1.0), y0, t_eval, rtol=5e-11, atol=5e-13, args=samples(10)
+    )
     assert ok1.all() and ok2.all()
     assert np.max(np.abs(coarse[:, :, 0] - fine[:, :, 0])) < 1e-9
 
@@ -75,15 +87,17 @@ def test_results_independent_of_batch_composition():
     forcings = [lambda t: np.sin(5 * t), lambda t: np.cos(3 * t), lambda t: t * t]
     rhs_all = pendulum_rhs(forcings)
     t_eval = np.linspace(0, 1, 25)
-    batch, _ = dopri5_batch(rhs_all, (0.0, 1.0), np.zeros((3, 2)), t_eval)
-    solo, _ = dopri5_batch(pendulum_rhs(forcings[1:2]), (0.0, 1.0), np.zeros((1, 2)), t_eval)
+    batch, _ = dopri5_batch(rhs_all, (0.0, 1.0), np.zeros((3, 2)), t_eval, args=samples(3))
+    solo, _ = dopri5_batch(
+        pendulum_rhs(forcings[1:2]), (0.0, 1.0), np.zeros((1, 2)), t_eval, args=samples(1)
+    )
     np.testing.assert_array_equal(batch[1], solo[0])
 
 
 def test_step_budget_failure_is_reported():
     rhs = pendulum_rhs([lambda t: np.sin(40 * t)])
     values, ok = dopri5_batch(
-        rhs, (0.0, 1.0), np.zeros((1, 2)), np.linspace(0, 1, 5), max_steps=3
+        rhs, (0.0, 1.0), np.zeros((1, 2)), np.linspace(0, 1, 5), max_steps=3, args=samples(1)
     )
     assert not ok[0]
 
@@ -91,7 +105,7 @@ def test_step_budget_failure_is_reported():
 def test_eval_points_include_endpoints():
     rhs = pendulum_rhs([lambda t: 1.0])
     t_eval = np.array([0.0, 0.5, 1.0])
-    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval)
+    values, ok = dopri5_batch(rhs, (0.0, 1.0), np.zeros((1, 2)), t_eval, args=samples(1))
     assert ok.all()
     assert values[0, 0, 0] == 0.0
     assert np.isfinite(values).all()
@@ -99,9 +113,11 @@ def test_eval_points_include_endpoints():
 
 def test_rejects_bad_span_and_outside_eval():
     with pytest.raises(ValueError, match="increasing"):
-        dopri5_batch(lambda t, y, i: y, (1.0, 0.0), np.zeros((1, 1)), np.array([0.5]))
+        dopri5_batch(lambda t, y: y, (1.0, 0.0), np.zeros((1, 1)), np.array([0.5]))
     with pytest.raises(ValueError, match="inside"):
-        dopri5_batch(lambda t, y, i: y, (0.0, 1.0), np.zeros((1, 1)), np.array([2.0]))
+        dopri5_batch(lambda t, y: y, (0.0, 1.0), np.zeros((1, 1)), np.array([2.0]))
+    with pytest.raises(ValueError, match="one row per sample"):
+        dopri5_batch(lambda t, y, a: y, (0.0, 1.0), np.zeros((2, 1)), [0.5], args=samples(3))
 
 
 def test_no_right_hand_side_evaluation_repeats_the_one_before():
@@ -113,7 +129,9 @@ def test_no_right_hand_side_evaluation_repeats_the_one_before():
         calls.append((t.copy(), y.copy()))
         return rhs(t, y, idx)
 
-    _, ok = dopri5_batch(recording, (0.0, 1.0), np.full((3, 2), 0.1), np.linspace(0, 1, 11))
+    _, ok = dopri5_batch(
+        recording, (0.0, 1.0), np.full((3, 2), 0.1), np.linspace(0, 1, 11), args=samples(3)
+    )
     assert ok.all()
     assert len(calls) > 10
     for (t_prev, y_prev), (t_next, y_next) in zip(calls, calls[1:]):
@@ -130,7 +148,9 @@ def test_active_set_shrinks_and_fsal_call_repeats_the_sixth_stage_time():
         calls.append((t.copy(), idx.copy()))
         return rhs(t, y, idx)
 
-    _, ok = dopri5_batch(recording, (0.0, 1.0), np.full((4, 2), 0.1), np.linspace(0, 1, 11))
+    _, ok = dopri5_batch(
+        recording, (0.0, 1.0), np.full((4, 2), 0.1), np.linspace(0, 1, 11), args=samples(4)
+    )
     assert ok.all()
     # One call at t0 and one for the initial step, then six per step:
     # stages 2-6 and the first-same-as-last stage at (t + h, y_new).
@@ -145,3 +165,39 @@ def test_active_set_shrinks_and_fsal_call_repeats_the_sixth_stage_time():
         (t_six, _), (t_fsal, _) = step[4], step[5]
         assert np.all(t_fsal[t_fsal != t_six] == 1.0)
     assert previous.size < 4
+
+
+def test_every_call_hands_f_the_original_rows_of_the_live_samples():
+    # More than two compaction chunks of samples: faster forcings take more
+    # steps, and the fastest run out of step budget.
+    n = 2 * odeint._COMPACT_CHUNK + 44
+    rng = np.random.default_rng(4)
+    data = np.column_stack([rng.uniform(0, 60, n), rng.uniform(-1, 1, n)])
+
+    def solve(order):
+        calls = []
+
+        def rhs(t, y, idx, rows):
+            calls.append(idx.copy())
+            np.testing.assert_array_equal(rows, data[order][idx])
+            force = rows[:, 1] * np.sin(rows[:, 0] * t)
+            return np.column_stack([y[:, 1], -K_GRAV * np.sin(y[:, 0]) + force])
+
+        values, ok = dopri5_batch(
+            rhs, (0.0, 1.0), np.zeros((n, 2)), np.linspace(0, 1, 11), max_steps=400,
+            args=(np.arange(n), data[order]),
+        )
+        return values, ok, calls
+
+    values, ok, calls = solve(np.arange(n))
+    assert 0 < np.count_nonzero(ok) < n
+    assert calls[0].size == n and len({idx.size for idx in calls}) > 100
+    for before, after in zip(calls, calls[1:]):
+        assert np.all(np.diff(after) > 0) and np.isin(after, before).all()
+        if after.size == before.size:
+            np.testing.assert_array_equal(after, before)
+    # In reverse order other rows leave the batch, and every sample ends
+    # with the same bits.
+    values_rev, ok_rev, _ = solve(np.arange(n)[::-1])
+    np.testing.assert_array_equal(values_rev[::-1], values)
+    np.testing.assert_array_equal(ok_rev[::-1], ok)

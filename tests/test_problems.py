@@ -1,3 +1,4 @@
+import functools
 import logging
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import reference_build
-from randonet import funcgen, problems
+from randonet import funcgen, odeint, problems
 from randonet.acceptance import _fd_rhs_reference
 from randonet.funcgen import (
     CaseSamplingConfig,
@@ -19,7 +20,6 @@ from randonet.funcgen import (
 )
 from randonet.problems import (
     CASE_IDS,
-    ODESolverConfig,
     build_case,
     case_config,
     export_dataset_csv,
@@ -27,18 +27,18 @@ from randonet.problems import (
 from test_funcgen import make_row
 
 
-def reference_pendulum_solve(table, k_const, y_grid, ode):
+def reference_pendulum_solve(table, k_const, y_grid):
     """``_pendulum_solve`` through the list-based reference forcing."""
     params = reference_build.as_params(table)
-    return reference_build.reference_pendulum_solve(params, k_const, y_grid, ode)
+    return reference_build.reference_pendulum_solve(params, k_const, y_grid)
 
 
 def fail_once(solve, samples=(1,)):
     """``solve`` that reports ``samples`` as failed on its first call."""
     calls = {"n": 0}
 
-    def flaky(params, k_const, y_grid, ode):
-        v, ok = solve(params, k_const, y_grid, ode)
+    def flaky(params, k_const, y_grid):
+        v, ok = solve(params, k_const, y_grid)
         if calls["n"] == 0:
             ok = ok.copy()
             ok[list(samples)] = False
@@ -49,17 +49,19 @@ def fail_once(solve, samples=(1,)):
 
 
 def pendulum_rhs_of(params, k_const):
-    """The right-hand side ``_pendulum_solve`` hands to the integrator."""
+    """The right-hand side ``_pendulum_solve`` hands to the integrator, as
+    ``rhs(t, y, idx)``: it gets rows ``idx`` of the per-sample args."""
     captured = []
 
-    def capture(f, t_span, y0, t_eval, **kwargs):
-        captured.append(f)
+    def capture(f, t_span, y0, t_eval, args):
+        captured.append((f, args))
         return np.zeros((len(y0), len(t_eval), 2)), np.ones(len(y0), dtype=bool)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problems, "dopri5_batch", capture)
-        problems._pendulum_solve(params, k_const, np.linspace(0, 1, 5), ODESolverConfig())
-    return captured[0]
+        problems._pendulum_solve(params, k_const, np.linspace(0, 1, 5))
+    f, args = captured[0]
+    return lambda t, y, idx: f(t, y, *(a[idx] for a in args))
 
 
 def reference_rhs(table, k_const):
@@ -162,17 +164,21 @@ class TestCase2:
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_array_equal(a.U, b.U)
 
-    def test_halving_tolerances_changes_little(self):
+    def test_halving_tolerances_changes_little(self, monkeypatch):
         case = case_config(2, size=10, seed=73)
-        coarse = build_case(case, ode=ODESolverConfig(abs_tol=1e-12, rel_tol=1e-10))
-        fine = build_case(case, ode=ODESolverConfig(abs_tol=5e-13, rel_tol=5e-11))
+        solve = functools.partial(odeint.dopri5_batch, atol=1e-12, rtol=1e-10)
+        monkeypatch.setattr(problems, "dopri5_batch", solve)
+        coarse = build_case(case)
+        solve = functools.partial(odeint.dopri5_batch, atol=5e-13, rtol=5e-11)
+        monkeypatch.setattr(problems, "dopri5_batch", solve)
+        fine = build_case(case)
         assert np.max(np.abs(coarse.V - fine.V)) < 1e-9
 
     def test_failed_samples_are_resampled_and_logged(self, monkeypatch, caplog):
         case = case_config(2, size=4, seed=74)
         monkeypatch.setattr(problems, "_pendulum_solve", fail_once(problems._pendulum_solve))
         with caplog.at_level(logging.WARNING, logger="randonet.problems"):
-            ds, table = problems._case2_full(case, ODESolverConfig())
+            ds, table = problems._case2_full(case)
         assert "resampling" in caplog.text
         assert np.all(np.isfinite(ds.V))
         # Replacement came from the reserved stream indices past size.
@@ -187,10 +193,13 @@ class TestCase2:
         np.testing.assert_array_equal(fast.U, reference.U)
         np.testing.assert_array_equal(fast.V, reference.V)
 
-    def test_unrecoverable_failure_raises(self):
+    def test_unrecoverable_failure_raises(self, monkeypatch):
         case = case_config(2, size=2, seed=75)
+        monkeypatch.setattr(
+            problems, "dopri5_batch", functools.partial(odeint.dopri5_batch, max_steps=3)
+        )
         with pytest.raises(RuntimeError, match="failed"):
-            build_case(case, ode=ODESolverConfig(max_steps=3))
+            build_case(case)
 
 
 CHUNK = problems._FORCING_CHUNK
@@ -259,8 +268,8 @@ class TestPendulumForcing:
         np.testing.assert_array_equal(got, reference(t_moved, y, idx))
 
     def test_shrinking_scattered_subsets_equal_reference_bitwise(self, params):
-        # Each call keeps a scattered subset of the last one, so the kept
-        # parameter rows move down past chunk boundaries.
+        # Each call hands a scattered subset of the last one's rows, of
+        # sizes around the chunk boundaries.
         rng = np.random.default_rng(85)
         k_const = case_config(2).constants["k"]
         fast = pendulum_rhs_of(params, k_const)
@@ -272,15 +281,6 @@ class TestPendulumForcing:
                 t = rng.uniform(0.0, 1.0, size)
                 y = rng.standard_normal((size, 2))
                 np.testing.assert_array_equal(fast(t, y, idx), reference(t, y, idx))
-
-    @pytest.mark.parametrize("idx", [[0, 1], [4, 2], [2, 2]], ids=["dropped", "unordered", "repeated"])
-    def test_rows_outside_the_active_set_raise(self, params, idx):
-        fast = pendulum_rhs_of(params, case_config(2).constants["k"])
-        kept = np.arange(0, self.batch, 2)
-        fast(np.full(kept.size, 0.5), np.zeros((kept.size, 2)), kept)
-        idx = np.array(idx)
-        with pytest.raises(ValueError, match="never grows"):
-            fast(np.full(idx.size, 0.25), np.zeros((idx.size, 2)), idx)
 
 
 class TestRhsCases:
