@@ -18,7 +18,10 @@ Conventions (recorded in every report header):
   informational, not asserted by any check.
 
 All randomness is derived from the three config seeds, so identical
-configurations reproduce identical metrics bit-for-bit on one platform.
+configurations reproduce identical metrics bit-for-bit on one platform:
+the same numpy, scipy and BLAS builds and the same BLAS thread count.
+Trained readouts change their last bits with the thread count; datasets
+and features do not.
 """
 
 from __future__ import annotations

@@ -81,10 +81,23 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {arr.shape}")
-    # min and max propagate NaN and reach +-inf, with no boolean temporary.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
+
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    """Reject an array holding a NaN or an infinity, reading it once when it is finite.
+
+    A finite sum proves every entry finite, in one pass with no boolean
+    temporary. A NaN or an infinity makes the sum non-finite, but so can
+    finite entries whose sum overflows, so only a non-finite sum takes the
+    exact check: min and max propagate NaN and reach +-inf. Such a sum
+    draws numpy's RuntimeWarning (overflow, or an invalid ``inf - inf``);
+    silencing it with ``np.errstate`` would cost about as much as the
+    second pass it saves on small inputs.
+    """
+    if not np.isfinite(arr.sum()) and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} contains non-finite entries")
 
 
 def auto_tolerance(shape: tuple[int, int], sigma_max: float) -> float:

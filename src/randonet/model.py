@@ -20,6 +20,11 @@ branch feature rows.
 Every matrix that training factors is feature-major, features x samples
 (the trunk is built as ``T.T``), and every solve applies a pseudo-inverse
 from the right, ``X @ pinv(A)``.
+
+A fit is reproducible bit for bit with the same numpy, scipy and BLAS
+builds and the same BLAS thread count. The readout's last bits change with
+the thread count; the feature maps do not, and the numerical ranks of the
+paper-size fits did not at one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -92,8 +97,7 @@ class AlignedDataset:
                 f"inconsistent shapes: x {x.shape}, y {y.shape}, U {u.shape}, V {v.shape}"
             )
         for name, arr in (("U", u), ("V", v)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            linalg._check_finite(arr, name)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "U", u)
@@ -128,8 +132,7 @@ class UnalignedDataset:
                 f"sample counts differ: U {u.shape}, Y {y.shape}, V ({v.size},)"
             )
         for name, arr in (("U", u), ("Y", y), ("V", v)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+            linalg._check_finite(arr, name)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Y", y)
         object.__setattr__(self, "V", v)
@@ -153,8 +156,7 @@ class RandONetModel:
         expected = (self.trunk.spec.feature_dim, self.branch.spec.feature_dim)
         if w.shape != expected:
             raise ValueError(f"readout must have shape {expected}, got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("readout contains non-finite entries")
+        linalg._check_finite(w, "readout")
         w.setflags(write=False)
         object.__setattr__(self, "readout", w)
 
@@ -227,14 +229,30 @@ def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     return (lambda b: apply_(factors, b)), (ranks if reg == 0 else {})
 
 
+def _solve_order(n_feat: int, n: int, s: int, m_feat: int) -> str:
+    """The cheaper association order of ``pinv(T) V pinv(B)``, from shapes alone.
+
+    With N trunk features, n output points, s functions and M branch
+    features, applying the trunk pseudo-inverse first costs
+    ``N n s + N s M`` multiply-adds and the branch one first
+    ``n s M + N n M``. Trunk first wins only when ``1/n + 1/M < 1/s + 1/N``;
+    a tie goes branch first. The counts are exact integers.
+    """
+    trunk_first = n_feat * n * s + n_feat * s * m_feat
+    branch_first = n * s * m_feat + n_feat * n * m_feat
+    return "trunk_first" if trunk_first < branch_first else "branch_first"
+
+
 def _trained_model(trunk: FeatureMap, branch: FeatureMap, w: np.ndarray,
                    metadata: dict) -> RandONetModel:
-    """The model, or a :class:`TrainingError` quoting the solver settings
-    and rank facts of ``metadata`` when ``w`` is not finite."""
+    """The model, with ``readout_norm`` (the Frobenius norm of ``w``) added
+    to ``metadata``, or a :class:`TrainingError` quoting the solver
+    settings and rank facts of ``metadata`` when ``w`` is not finite."""
     if not np.all(np.isfinite(w)):
         facts = ", ".join(f"{key}={value!r}" for key, value in metadata.items()
                           if key in ("solver", "tol", "reg") or "_rank" in key)
         raise TrainingError(f"solver produced non-finite weights ({facts})")
+    metadata["readout_norm"] = float(np.linalg.norm(w))
     return RandONetModel(trunk=trunk, branch=branch, readout=w, train_metadata=metadata)
 
 
@@ -269,8 +287,15 @@ def train_aligned(
     before any feature is built. The trunk matrix is
     built feature-major, as ``T.T`` (N, n), so both solves are right
     applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
-    each computed once; they are applied to V in the cheaper association
-    order (trunk first when n <= s). Wall time of the solve is recorded in
+    each computed once and applied to the (n, s) matrix V in the
+    association order with the smaller matrix-chain cost for N trunk and M
+    branch features: the trunk's first (``N n s + N s M`` multiply-adds)
+    if and only if ``1/n + 1/M < 1/s + 1/N``, else the branch's first
+    (``n s M + N n M``), ties included. The rule reads shapes only, not
+    ranks, for both solvers, and is recorded as
+    ``train_metadata['solve_order']`` (``'trunk_first'`` or
+    ``'branch_first'``). The two orders agree to rounding, so the last bits
+    of W depend on it. Wall time of the solve is recorded in
     ``train_metadata['train_seconds']`` and split into
     ``train_metadata['stages']``, the seconds of ``features`` (trunk and
     branch matrices), ``factorize`` (the COD or the SVD of each matrix,
@@ -278,7 +303,9 @@ def train_aligned(
     truncating fit ('cod', or 'tikhonov' at ``reg = 0``) also records the
     numerical rank and rank tolerance of each matrix as ``trunk_rank``,
     ``trunk_rank_tolerance``, ``branch_rank`` and ``branch_rank_tolerance``;
-    a :class:`TrainingError` quotes them with the solver settings.
+    a :class:`TrainingError` quotes them with the solver settings. Every
+    fit records ``readout_norm``, the Frobenius norm of W: how much
+    cancellation each prediction carries.
 
     The 'cod' route consumes the trunk and branch matrices it builds: both
     are built in Fortran order and factored in their own storage, so the
@@ -302,15 +329,16 @@ def train_aligned(
     branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
     del t_mat, b_mat
     factorized = time.perf_counter()
-    n, s = ds.V.shape
-    if n <= s:
+    order = _solve_order(trunk_spec.feature_dim, *ds.V.shape, branch_spec.feature_dim)
+    if order == "trunk_first":
         w = branch_apply(trunk_apply(ds.V.T).T)
     else:
         w = trunk_apply(branch_apply(ds.V).T).T
     end = time.perf_counter()
     metadata = {**_metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured,
                             factorized, end),
-                "n_train_functions": ds.n_functions, **trunk_ranks, **branch_ranks}
+                "n_train_functions": ds.n_functions, "solve_order": order,
+                **trunk_ranks, **branch_ranks}
     return _trained_model(trunk, branch, w, metadata)
 
 
@@ -347,7 +375,7 @@ def train_unaligned(
     ``train_metadata`` as ``collocation_rank`` and
     ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
     ``train_seconds`` as in :func:`train_aligned`, with the build of ``Z``
-    counted under ``features``.
+    counted under ``features``, and ``readout_norm`` is recorded as there.
 
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage.
@@ -411,9 +439,7 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     if y.ndim > 1:
         raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
     for name, arr in (("u_samples", u), ("y_points", y)):
-        # min and max propagate NaN and reach +-inf, with no boolean temporary.
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise ValueError(f"{name} contains non-finite entries")
+        linalg._check_finite(arr, name)
     single = u.ndim == 1
     if single:
         u = u[:, None]

@@ -467,7 +467,8 @@ class TestCodTwoStage:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
         a = np.full((3, 4), 1e308)
-        a[0, 0] = -1e308  # finite extremes pass
+        a[0, 0] = -1e308  # finite extremes pass, although their sum overflows
+        assert not np.isfinite(a.sum())
         f = inplace_cod_factorize(np.asfortranarray(a))
         a[2, 1] = bad
         for call in (lambda: cod_factorize(a),

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randonet import linalg
+from randonet import model as model_module
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
@@ -162,12 +164,14 @@ class TestTrainAligned:
             train_aligned(ds, bad_trunk, branch)
 
     def test_association_orders_agree(self):
-        # n <= s and n > s take different association orders.
+        # N = M = 8 and n = 10: s = 25 functions take the branch
+        # pseudo-inverse first, s = 4 the trunk's.
         trunk, branch = toy_specs()
         wide = toy_dataset(s=25, seed=6)
         tall = toy_dataset(s=4, seed=7)
-        for ds in (wide, tall):
+        for ds, order in ((wide, "branch_first"), (tall, "trunk_first")):
             model = train_aligned(ds, trunk, branch, solver="tikhonov")
+            assert model.train_metadata["solve_order"] == order
             t_mat = features(trunk, ds.y[None, :])  # (N, n): pinv(T) V = (V.T pinv(t_mat)).T
             b_mat = features(branch, ds.U)
             ft = linalg.tsvd_factorize(t_mat)
@@ -176,6 +180,37 @@ class TestTrainAligned:
             w_ot = linalg.tsvd_pinv_apply(ft, linalg.tsvd_pinv_apply(fb, ds.V).T).T
             assert np.linalg.norm(w_to - w_ot) / np.linalg.norm(w_to) <= 1e-10
             assert np.linalg.norm(model.readout - w_to) / np.linalg.norm(w_to) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n_feat, n, s, m_feat",
+        [(200, 100, 2400, 100), (200, 100, 1600, 2000), (200, 100, 32, 100),
+         (50, 1000, 100, 400), (40, 400, 60, 200), (4, 6, 6, 4), (10, 10, 40, 40)],
+    )
+    def test_solve_order_is_the_matrix_chain_rule(self, n_feat, n, s, m_feat):
+        # Trunk first if and only if 1/n + 1/M < 1/s + 1/N; the last two
+        # shapes tie and go branch first.
+        trunk_first = Fraction(1, n) + Fraction(1, m_feat) < Fraction(1, s) + Fraction(1, n_feat)
+        want = "trunk_first" if trunk_first else "branch_first"
+        assert model_module._solve_order(n_feat, n, s, m_feat) == want
+
+    @pytest.mark.parametrize("solver, reg", [("cod", 0.0), ("tikhonov", 1e-3)])
+    @pytest.mark.parametrize("s, rule", [(20, "branch_first"), (3, "trunk_first")])
+    def test_both_orders_agree_to_rounding(self, monkeypatch, solver, reg, s, rule):
+        # A well-conditioned toy (6 tanh and 6 JL features of 12 points and
+        # s functions): forcing either order moves W by rounding only, and
+        # an unforced fit takes the rule's order bit for bit.
+        ds = toy_dataset(m=10, n=12, s=s, seed=30)
+        trunk, branch = toy_specs(n_feat=6, m_feat=6, seed=31)
+        model = train_aligned(ds, trunk, branch, solver=solver, reg=reg)
+        assert model.train_metadata["solve_order"] == rule
+        forced = {}
+        for order in ("trunk_first", "branch_first"):
+            monkeypatch.setattr(model_module, "_solve_order", lambda *shape, o=order: o)
+            forced[order] = train_aligned(ds, trunk, branch, solver=solver, reg=reg)
+            assert forced[order].train_metadata["solve_order"] == order
+        w_trunk, w_branch = (forced[order].readout for order in ("trunk_first", "branch_first"))
+        assert np.linalg.norm(w_trunk - w_branch) <= 1e-12 * np.linalg.norm(w_branch)
+        np.testing.assert_array_equal(model.readout, forced[rule].readout)
 
     def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
         # The error quotes the settings and ranks the fit holds; it builds
@@ -253,9 +288,16 @@ class TestTrainAligned:
         assert set(stages) == {"features", "factorize", "solve"}
         assert all(value >= 0.0 for value in stages.values())
         assert sum(stages.values()) <= md["train_seconds"]
+        # Every fit records the Frobenius norm of its readout; aligned fits
+        # record their association order (n = 10 points and s = 5 functions
+        # take the trunk first).
+        assert md["readout_norm"] == np.linalg.norm(model.readout) > 0.0
+        assert md.get("solve_order") == ("trunk_first" if aligned else None)
         path = tmp_path / "model.npz"
         save_model(model, path)
-        assert load_model(path).train_metadata["stages"] == stages
+        loaded = load_model(path).train_metadata
+        for key in ("stages", "readout_norm", "solve_order"):
+            assert loaded.get(key) == md.get(key)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_rank_metadata(self, solver):
@@ -291,8 +333,12 @@ class TestTrainAligned:
         train, _ = split(dataset_for(case, cache_dir), 0.8, 7)
         model = train_aligned(train, trunk_spec_for(cfg, case.domain),
                               branch_spec_for(cfg, m_branch, case.m))
-        assert model.train_metadata["trunk_rank"] == trunk_rank
-        assert model.train_metadata["branch_rank"] == branch_rank
+        md = model.train_metadata
+        assert md["trunk_rank"] == trunk_rank
+        assert md["branch_rank"] == branch_rank
+        # 1/n + 1/M > 1/s + 1/N on every paper-size fit.
+        assert md["solve_order"] == "branch_first"
+        assert md["readout_norm"] == np.linalg.norm(model.readout)
 
 
 class TestEvaluate:
@@ -340,6 +386,16 @@ class TestEvaluate:
         args[name][1] = bad
         fail_on_features(monkeypatch)
         with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            evaluate(model, **args)
+
+    @pytest.mark.parametrize("name", ["u_samples", "y_points"])
+    def test_accepts_finite_inputs_whose_sum_overflows(self, monkeypatch, name):
+        model = train_aligned(toy_dataset(), *toy_specs())
+        args = {"u_samples": np.ones((10, 3)), "y_points": np.linspace(0.0, 1.0, 4)}
+        args[name][:2] = 1e308
+        assert not np.isfinite(args[name].sum())
+        fail_on_features(monkeypatch)
+        with pytest.raises(AssertionError, match="a feature matrix was built"):
             evaluate(model, **args)
 
     def test_rejects_multi_dimensional_y_points(self, monkeypatch):
@@ -440,12 +496,20 @@ def scattered_dataset(m=10, s=40, seed=0):
 class TestInPlaceCod:
     """The 'cod' route factors the matrices it builds in their own storage."""
 
-    @pytest.mark.parametrize("branch_kind, m_feat", [("rffn", 60), ("jl", 8)])
-    def test_aligned_readout_matches_public_solve(self, branch_kind, m_feat):
+    @pytest.mark.parametrize(
+        "n, s, n_feat, branch_kind, m_feat, order",
+        [(12, 40, 16, "rffn", 60, "branch_first"), (12, 40, 16, "jl", 8, "branch_first"),
+         (400, 60, 40, "rffn", 200, "trunk_first")],
+        ids=["rffn-60", "jl-8", "rffn-200-trunk-first"],
+    )
+    def test_aligned_readout_matches_public_solve(self, n, s, n_feat, branch_kind, m_feat,
+                                                  order):
         # RFFN(60) on 40 functions and the 16 x 12 trunk matrix have full
-        # column rank (no tzrzf), JL(8) is wide (tzrzf runs).
-        ds = toy_dataset(m=10, n=12, s=40, seed=21)
-        trunk = EmbeddingSpec("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
+        # column rank (no tzrzf), JL(8) is wide (tzrzf runs). The oracle
+        # composes the public applies in the order of the matrix-chain rule:
+        # 1/n + 1/M < 1/s + 1/N holds only for the last shapes.
+        ds = toy_dataset(m=10, n=n, s=s, seed=21)
+        trunk = EmbeddingSpec("tanh", 1, n_feat, (22, 0), domain=(0.0, 1.0))
         branch = EmbeddingSpec(kind=branch_kind, input_dim=10, feature_dim=m_feat, seed=(22, 1))
         kept = {name: getattr(ds, name).copy() for name in ("x", "y", "U", "V")}
         model = train_aligned(ds, trunk, branch, solver="cod")
@@ -453,8 +517,12 @@ class TestInPlaceCod:
             np.testing.assert_array_equal(getattr(ds, name), arr)
         t_fac = linalg.cod_factorize(features(trunk, ds.y[None, :]))
         b_fac = linalg.cod_factorize(features(branch, ds.U))
-        assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == 12
-        want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
+        assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == min(n, n_feat)
+        assert model.train_metadata["solve_order"] == order
+        if order == "trunk_first":
+            want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
+        else:
+            want = linalg.cod_pinv_apply(t_fac, linalg.cod_pinv_apply(b_fac, ds.V).T).T
         np.testing.assert_array_equal(model.readout, want)
 
     def test_unaligned_readout_matches_public_solve(self):
