@@ -30,12 +30,24 @@ Every builder draws one :func:`~randonet.funcgen.sample_params` table and
 walks its rows through buffers allocated once per build (a grid tile and a
 few points x terms arrays) with the in-place funcgen kernels; case 1 adds
 the base point x0 as one more row and shares ``x - c`` between U and V.
+
+The per-row work (case 1's U and V, case 2's pendulum solve, and the
+derivative columns of case 2's U and of cases 3-5) runs in contiguous row
+blocks of the table, one per CPU the process may run on (so ``taskset``
+restricts it): this process takes the first block and a forked worker
+each other one. The workers call elementwise numpy, ``erf`` and row
+reductions, no BLAS, and every row goes through the same operations in
+whatever block it lands, so the bits do not depend on the worker count.
+Case 2's replacement draws for failed samples are solved in this process.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import multiprocessing
+import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,6 +78,11 @@ _GRID_POINTS = 100
 # keeps one pass's parameter slices and two scratch buffers (1 MB) inside
 # a 2 MB L2.
 _FORCING_CHUNK = 128
+
+# Fewest rows a build hands to one process: 256 rows take 80-200 ms (cases
+# 3-5 to case 1), and a worker costs about 7 ms to fork, hear from and join
+# from a 100 MB process (2-core x86-64 Xeon).
+_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -174,19 +191,91 @@ def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     return ws
 
 
-def _derivative_columns(table: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    """u, ..., u^(order) of every table row at ``x``, as (points, functions) views."""
+def _in_row_blocks(kernel, table: np.ndarray, what: str) -> tuple:
+    """``kernel(table)``, computed in contiguous row blocks, one per usable CPU.
+
+    ``kernel(rows)`` returns a tuple of arrays whose first axis runs over
+    ``rows``; the blocks' arrays come back concatenated in row order. Blocks
+    hold at least ``_MIN_BLOCK_ROWS`` rows, and without the ``fork`` start
+    method, or in a daemonic process (which may not start children), there
+    is one, computed here. Otherwise this process computes the first block
+    while each other block runs in a forked process, which inherits
+    ``kernel`` and the module globals instead of unpickling them, and sends
+    its arrays back through a pipe. A worker's exception is raised here, and
+    no worker outlives the call. Each split logs one DEBUG record.
+    """
+    forks = ("fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+             and not multiprocessing.current_process().daemon)
+    count = min(len(os.sched_getaffinity(0)), len(table) // _MIN_BLOCK_ROWS) if forks else 1
+    if count <= 1:
+        return kernel(table)
+    start = time.perf_counter()
+    bounds = [len(table) * i // count for i in range(count + 1)]
+    context = multiprocessing.get_context("fork")
+    workers, done = [], False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_block, args=(kernel, table[lo:hi], send),
+                                     daemon=True)
+            worker.start()
+            send.close()
+            workers.append((worker, receive))
+        parts = [kernel(table[: bounds[1]])]
+        for worker, receive in workers:
+            try:
+                part = receive.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"{what}: a worker exited with code {worker.exitcode} before sending its rows"
+                ) from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+        done = True
+    finally:
+        for worker, receive in workers:
+            if not done:
+                worker.terminate()
+            worker.join()
+            receive.close()
+    blocks = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    logger.debug(
+        "%s: %d rows in %d blocks of %s rows, %.3f s", what, len(table), count,
+        "/".join(str(hi - lo) for lo, hi in zip(bounds, bounds[1:])),
+        time.perf_counter() - start,
+    )
+    return blocks
+
+
+def _send_block(kernel, rows: np.ndarray, send) -> None:
+    """A worker of :func:`_in_row_blocks`: send ``kernel(rows)`` or its exception."""
+    try:
+        part = kernel(rows)
+    except Exception as exc:
+        part = exc
+    send.send(part)
+
+
+def _derivative_rows(table: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """u, ..., u^(order) of every table row at ``x``, shape (order + 1, rows, points)."""
     out = np.empty((order + 1, len(table), x.size))
     points, dx, *ws = _workspace(x, table, 5 if order else 3)
     for j, row in enumerate(table):
         np.subtract(points, _blocks(row)[2], out=dx)
         _derivatives(row, x, dx, ws, out[:, j])
-    return out.transpose(0, 2, 1)
+    return out
 
 
-def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
-    table = sample_params(case.sampling)
-    x, y = case.input_grid(), case.output_grid()
+def _derivative_columns(table: np.ndarray, x: np.ndarray, order: int, what: str) -> list:
+    """u, ..., u^(order) of every table row at ``x``, as (points, functions) views."""
+    rows = _in_row_blocks(lambda block: tuple(_derivative_rows(block, x, order)), table, what)
+    return [r.T for r in rows]
+
+
+def _case1_rows(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Rows of U (at ``x``) and V (at ``y``) of the case-1 functions in ``table``."""
     same_grid = np.array_equal(x, y)
     t = np.append(y, 0.0)  # the base point x0 = 0 as one more row
     points, dx, terms = _workspace(t, table, 3)
@@ -198,8 +287,14 @@ def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
             _derivatives(row, y, dx[:-1], (terms[:-1],), u_t[j : j + 1])
         _primitive(row, t, dx, terms, prim)
         np.subtract(prim[:-1], prim[-1], out=v_t[j])
-    U = u_t.T if same_grid else _derivative_columns(table, x, 0)[0]
-    return AlignedDataset(x=x, y=y, U=U, V=np.ascontiguousarray(v_t.T)), table
+    return (u_t if same_grid else _derivative_rows(table, x, 0)[0]), v_t
+
+
+def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
+    table = sample_params(case.sampling)
+    x, y = case.input_grid(), case.output_grid()
+    u_t, v_t = _in_row_blocks(lambda rows: _case1_rows(rows, x, y), table, "case 1")
+    return AlignedDataset(x=x, y=y, U=u_t.T, V=np.ascontiguousarray(v_t.T)), table
 
 
 def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
@@ -254,7 +349,11 @@ def _case2_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
     table = sample_params(case.sampling)
     k_const = case.constants["k"]
     y = case.output_grid()
-    v_mat, ok = _pendulum_solve(table, k_const, y)
+    v_t, ok = _in_row_blocks(
+        lambda rows: tuple(a.T for a in _pendulum_solve(rows, k_const, y)), table,
+        "case 2 pendulum",
+    )
+    v_mat = v_t.T
     retries = 0
     max_retries = 100
     while not ok.all():
@@ -275,7 +374,7 @@ def _case2_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
         table[failed] = replacements
         v_mat[:, failed] = v_new
     x = case.input_grid()
-    U = _derivative_columns(table, x, 0)[0]
+    U = _derivative_columns(table, x, 0, "case 2 U")[0]
     return AlignedDataset(x=x, y=y, U=U, V=np.ascontiguousarray(v_mat)), table
 
 
@@ -290,9 +389,9 @@ _RHS = {
 def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, np.ndarray]:
     table = sample_params(case.sampling)
     x, y = case.input_grid(), case.output_grid()
-    u, du, d2u = _derivative_columns(table, y, 2)
+    u, du, d2u = _derivative_columns(table, y, 2, f"case {case.id}")
     # On the benchmark grids the sensors are the output points: U is u.
-    U = u if np.array_equal(x, y) else _derivative_columns(table, x, 0)[0]
+    U = u if np.array_equal(x, y) else _derivative_columns(table, x, 0, f"case {case.id} U")[0]
     V = np.ascontiguousarray(rhs(u, du, d2u, case.constants))
     return AlignedDataset(x=x, y=y, U=U, V=V), table
 

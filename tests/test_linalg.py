@@ -468,13 +468,18 @@ class TestCodTwoStage:
     def test_non_finite_entries_rejected(self, bad):
         a = np.full((3, 4), 1e308)
         a[0, 0] = -1e308  # finite extremes pass, although their sum overflows
-        assert not np.isfinite(a.sum())
-        f = inplace_cod_factorize(np.asfortranarray(a))
+        # The overflowing sum draws numpy's RuntimeWarning (see _check_finite).
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert not np.isfinite(a.sum())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            f = inplace_cod_factorize(np.asfortranarray(a))
         a[2, 1] = bad
         for call in (lambda: cod_factorize(a),
                      lambda: inplace_cod_factorize(np.asfortranarray(a)),
                      lambda: cod_pinv_apply(f, a.copy())):
-            with pytest.raises(ValueError, match="contains non-finite entries"):
+            # -inf adds an invalid inf - inf to the overflow.
+            with pytest.warns(RuntimeWarning), \
+                    pytest.raises(ValueError, match="contains non-finite entries"):
                 call()
 
     @pytest.mark.parametrize("shape, rank", [((9, 5), 5), ((5, 9), 3), ((7, 7), 7)])

@@ -393,9 +393,11 @@ class TestEvaluate:
         model = train_aligned(toy_dataset(), *toy_specs())
         args = {"u_samples": np.ones((10, 3)), "y_points": np.linspace(0.0, 1.0, 4)}
         args[name][:2] = 1e308
-        assert not np.isfinite(args[name].sum())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert not np.isfinite(args[name].sum())
         fail_on_features(monkeypatch)
-        with pytest.raises(AssertionError, match="a feature matrix was built"):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(AssertionError, match="a feature matrix was built"):
             evaluate(model, **args)
 
     def test_rejects_multi_dimensional_y_points(self, monkeypatch):

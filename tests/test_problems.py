@@ -1,11 +1,20 @@
 import functools
+import hashlib
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import randonet
 import reference_build
 from randonet import funcgen, odeint, problems
 from randonet.acceptance import _fd_rhs_reference
@@ -385,6 +394,165 @@ class TestBuildEqualsReference:
             problems, "_pendulum_solve", fail_once(problems._pendulum_solve, samples=(1, 3))
         )
         assert_build_equals_reference(case, solve=solve)
+
+
+def digests(ds, table):
+    """SHA-256 of a build's x, y, U, V and parameter table."""
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (ds.x, ds.y, ds.U, ds.V, table)]
+
+
+def fail_rows(solve, bad):
+    """``solve`` that reports the rows equal to a row of ``bad`` as failed.
+
+    It picks the rows by their values, so it fails the same functions in
+    every process and block that solves them (a call counter, as in
+    :func:`fail_once`, would count per process).
+    """
+
+    def flaky(params, k_const, y_grid):
+        v, ok = solve(params, k_const, y_grid)
+        return v, ok & ~(params[:, None, :] == bad).all(axis=-1).any(axis=-1)
+
+    return flaky
+
+
+def build_digests(case):
+    return digests(*build_case(case, with_params=True))
+
+
+class TestRowBlocks:
+    @pytest.fixture
+    def split_into(self, monkeypatch):
+        """``split_into(k)`` makes builds see k usable CPUs, and split down to one row."""
+
+        def force(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(problems, "_MIN_BLOCK_ROWS", 1)
+
+        return force
+
+    @pytest.mark.parametrize("m", [100, 37])
+    @pytest.mark.parametrize("blocks, sizes", [(2, "3/4"), (3, "2/2/3")])
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_split_build_equals_one_block_bitwise(self, case_id, blocks, sizes, m, split_into,
+                                                  caplog):
+        case = replace(case_config(case_id, size=7, seed=90), m=m)
+        split_into(1)
+        whole, whole_table = build_case(case, with_params=True)
+        split_into(blocks)
+        with caplog.at_level(logging.DEBUG, logger="randonet.problems"):
+            got, table = build_case(case, with_params=True)
+        assert digests(got, table) == digests(whole, whole_table)
+        assert (got.U.strides, got.V.strides) == (whole.U.strides, whole.V.strides)
+        splits = [r.getMessage() for r in caplog.records if "blocks" in r.getMessage()]
+        assert splits and all(f"7 rows in {blocks} blocks of {sizes} rows" in r for r in splits)
+        assert all(r.startswith(f"case {case_id}") for r in splits)
+        assert multiprocessing.active_children() == []
+
+    def test_case2_replacement_of_a_sample_in_a_worker_block(self, split_into, monkeypatch,
+                                                            caplog):
+        case = case_config(2, size=7, seed=91)
+        table = sample_params(case.sampling)
+        # Blocks 0-2 and 3-6: row 1 fails in this process, row 5 in the worker.
+        monkeypatch.setattr(problems, "_pendulum_solve",
+                            fail_rows(problems._pendulum_solve, table[[1, 5]]))
+        split_into(1)
+        whole = digests(*build_case(case, with_params=True))
+        split_into(2)
+        with caplog.at_level(logging.WARNING, logger="randonet.problems"):
+            ds, got_table = build_case(case, with_params=True)
+        assert "did not converge for 2 sample(s)" in caplog.text
+        assert digests(ds, got_table) == whole
+        replacements = sample_params(replace(case.sampling, size=2), start_index=7)
+        np.testing.assert_array_equal(got_table[[1, 5]], replacements)
+
+    def test_worker_exception_surfaces_with_its_type_and_message(self, split_into, monkeypatch):
+        parent, solve = os.getpid(), problems._pendulum_solve
+
+        def fails_in_worker(params, k_const, y_grid):
+            if os.getpid() != parent:
+                raise KeyError(f"no forcing for {len(params)} rows")
+            return solve(params, k_const, y_grid)
+
+        monkeypatch.setattr(problems, "_pendulum_solve", fails_in_worker)
+        split_into(3)
+        with pytest.raises(KeyError) as info:
+            build_case(case_config(2, size=7, seed=92))
+        # Blocks of 2, 2 and 3 rows: the first worker's block has 2.
+        assert info.type is KeyError and str(info.value) == "'no forcing for 2 rows'"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_and_failing_parent_leave_no_process(self, split_into, monkeypatch):
+        parent, solve = os.getpid(), problems._pendulum_solve
+
+        def dies_in_worker(params, k_const, y_grid):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(params, k_const, y_grid)
+
+        monkeypatch.setattr(problems, "_pendulum_solve", dies_in_worker)
+        split_into(2)
+        with pytest.raises(RuntimeError, match="case 2 pendulum: a worker exited with code 3"):
+            build_case(case_config(2, size=7, seed=92))
+        assert multiprocessing.active_children() == []
+
+        def fails_in_parent(params, k_const, y_grid):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("parent block failed")
+
+        monkeypatch.setattr(problems, "_pendulum_solve", fails_in_parent)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="parent block failed"):
+            build_case(case_config(2, size=7, seed=92))
+        # The sleeping worker was terminated, not waited for.
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_starts_no_process(self, split_into, monkeypatch):
+        def no_context(method=None):
+            raise AssertionError("a process was started")
+
+        split_into(1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        for case_id in CASE_IDS:
+            build_case(case_config(case_id, size=7, seed=93))
+
+    def test_build_in_a_daemonic_process_stays_in_it(self, split_into):
+        # A pool worker is daemonic and may not start processes of its own.
+        case = case_config(4, size=7, seed=95)
+        split_into(1)
+        whole = build_digests(case)
+        split_into(2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(build_digests, (case,)) == whole
+
+    def test_fork_under_threaded_blas(self):
+        # The workers fork a process whose OpenBLAS pool is running; they
+        # must not hang and, calling no BLAS, must give the one-thread bits.
+        script = textwrap.dedent("""
+            import os, sys
+            import numpy as np
+            from randonet import harness, problems
+            np.ones((256, 256)) @ np.ones((256, 256))
+            if os.path.isdir("/proc/self/task"):
+                assert len(os.listdir("/proc/self/task")) > 1 or sys.argv[1] == "1"
+            os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+            problems._MIN_BLOCK_ROWS = 8
+            print(harness._dataset_fingerprint(problems.build_case(
+                problems.case_config(2, size=40, seed=94))))
+        """)
+        src = str(Path(randonet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        prints = []
+        for threads in ("2", "1"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script, threads], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            prints.append(proc.stdout.strip())
+        assert prints[0] == prints[1] and len(prints[0]) == 32
 
 
 class TestExport:
