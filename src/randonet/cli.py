@@ -119,7 +119,8 @@ def _merge_config_file(args: argparse.Namespace) -> None:
         action = actions[key]
         if value is not None:
             value = _config_value(key, action, value)
-            if getattr(args, action.dest) in (None, False):
+            # An unset flag holds its default; compared by identity, since 0 == False.
+            if getattr(args, action.dest) is (False if action.nargs == 0 else None):
                 setattr(args, action.dest, value)
 
 

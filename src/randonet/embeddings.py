@@ -111,16 +111,16 @@ class EmbeddingSpec:
                 f"dimensions must be >= 1, got input_dim={self.input_dim}, "
                 f"feature_dim={self.feature_dim}"
             )
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.kind == "tanh":
             if self.domain is None:
                 raise ValueError("tanh maps require a domain interval")
             a, b = self.domain
             if not b > a:
                 raise ValueError(f"domain must satisfy a < b, got {self.domain}")
-            if self.weight_bound is not None and self.weight_bound <= 0:
-                raise ValueError(f"weight_bound must be > 0, got {self.weight_bound}")
+            if self.weight_bound is not None and not 0 < self.weight_bound < np.inf:
+                raise ValueError(f"weight_bound must be finite and > 0, got {self.weight_bound}")
 
     def to_dict(self) -> dict:
         """The fields by name; JSON writes the tuples as lists."""

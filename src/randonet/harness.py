@@ -197,7 +197,8 @@ def _load_cached(path: Path) -> AlignedDataset | None:
     """The dataset stored at ``path``, or None when it is unreadable or
     does not match the fingerprint stored with it."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # Our own handle: np.load leaks its file when a truncated zip makes it raise.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             ds = AlignedDataset(x=data["x"], y=data["y"], U=data["U"], V=data["V"])
             stored = str(data["fingerprint"])
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
@@ -298,14 +299,15 @@ def run_experiment(cfg: ExperimentConfig) -> BenchmarkReport:
     :func:`train_aligned` records.
     """
     case = case_config(cfg.case, size=cfg.dataset_size, seed=cfg.seed_data)
+    # The specs first, so a bad embedding setting fails before the build.
+    trunk_spec = trunk_spec_for(cfg, case.domain)
+    branch_specs = [branch_spec_for(cfg, m_branch, case.m) for m_branch in cfg.branch_sizes]
     ds = dataset_for(case, cfg.cache_dir)
     fingerprint = _dataset_fingerprint(ds)
     train_ds, test_ds = split(ds, cfg.train_fraction, cfg.seed_split)
-    trunk_spec = trunk_spec_for(cfg, case.domain)
 
     rows = []
-    for m_branch in cfg.branch_sizes:
-        branch_spec = branch_spec_for(cfg, m_branch, ds.x.size)
+    for branch_spec in branch_specs:
         model = train_aligned(
             train_ds, trunk_spec, branch_spec, solver=cfg.solver, tol=cfg.tol, reg=cfg.reg
         )
@@ -315,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> BenchmarkReport:
             ReportRow(
                 case=cfg.case,
                 branch=cfg.branch,
-                m_branch=m_branch,
+                m_branch=branch_spec.feature_dim,
                 mse=mse(pred, test_ds.V),
                 l2_p5=p5,
                 l2_median=p50,

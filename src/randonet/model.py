@@ -29,6 +29,7 @@ paper-size fits did not at one and two OpenBLAS threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -485,7 +486,9 @@ def load_model(path) -> RandONetModel:
     platform. The ``solver_used`` entry of older files repeats
     ``train_metadata['solver']`` and is not read.
     """
-    with np.load(path, allow_pickle=False) as data:
+    # Our own handle for a path: np.load leaks its file when a truncated zip makes it raise.
+    with (contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh, \
+            np.load(fh, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")

@@ -6,7 +6,7 @@ condition, gravity constant 9.81); cases 3-5 map a state profile on
 [-1, 1] to the right-hand side of a linear diffusion-advection-reaction
 PDE, the viscous Burgers PDE, and the Allen-Cahn PDE respectively.
 
-Each builder samples input functions (see :mod:`randonet.funcgen`),
+Each build samples input functions (see :mod:`randonet.funcgen`),
 evaluates them on an equispaced 100-point sensor grid, and computes the
 output columns analytically -- except case 2, where the pendulum ODE is
 integrated with an adaptive Dormand-Prince 5(4) scheme at tight
@@ -26,19 +26,22 @@ change only when the batch shrinks, and then the times do too. Each row's
 terms go through the same operations in the same order as a whole-batch
 evaluation, so none of this changes an output bit.
 
-Every builder draws one :func:`~randonet.funcgen.sample_params` table and
-walks its rows through buffers allocated once per build (a grid tile and a
+The build draws one :func:`~randonet.funcgen.sample_params` table and
+walks its rows through buffers allocated once per block (a grid tile and a
 few points x terms arrays) with the in-place funcgen kernels; case 1 adds
 the base point x0 as one more row and shares ``x - c`` between U and V.
 
-The per-row work (case 1's U and V, case 2's pendulum solve, and the
-derivative columns of case 2's U and of cases 3-5) runs in contiguous row
-blocks of the table, one per CPU the process may run on (so ``taskset``
-restricts it): this process takes the first block and a forked worker
-each other one. The workers call elementwise numpy, ``erf`` and row
-reductions, no BLAS, and every row goes through the same operations in
-whatever block it lands, so the bits do not depend on the worker count.
-Case 2's replacement draws for failed samples are solved in this process.
+One row kernel computes the U rows, the V rows and the success mask of any
+case: case 1's U and V, case 2's pendulum solve and its U, and the
+derivatives of cases 3-5, whose right-hand side is applied in the block.
+When the sensors are the output points, U is the u already computed for V.
+The kernel runs once per build, over contiguous row blocks of the table,
+one per CPU the process may run on (so ``taskset`` restricts it): this
+process takes the first block and a forked worker each other one. The
+workers call elementwise numpy, ``erf`` and row reductions, no BLAS, and
+every row goes through the same operations in whatever block it lands, so
+the bits do not depend on the worker count. Case 2's replacement draws for
+failed samples go through the same kernel in this process.
 """
 
 from __future__ import annotations
@@ -268,33 +271,20 @@ def _derivative_rows(table: np.ndarray, x: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-def _derivative_columns(table: np.ndarray, x: np.ndarray, order: int, what: str) -> list:
-    """u, ..., u^(order) of every table row at ``x``, as (points, functions) views."""
-    rows = _in_row_blocks(lambda block: tuple(_derivative_rows(block, x, order)), table, what)
-    return [r.T for r in rows]
-
-
-def _case1_rows(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Rows of U (at ``x``) and V (at ``y``) of the case-1 functions in ``table``."""
-    same_grid = np.array_equal(x, y)
+def _case1_rows(table: np.ndarray, y: np.ndarray, with_u: bool) -> tuple:
+    """Rows of V (at ``y``) of the case-1 functions in ``table``, with their
+    rows of u at ``y`` if ``with_u`` (else None)."""
     t = np.append(y, 0.0)  # the base point x0 = 0 as one more row
     points, dx, terms = _workspace(t, table, 3)
     prim = np.empty(t.size)
     u_t, v_t = np.empty((2, len(table), y.size))  # one contiguous row per function
     for j, row in enumerate(table):
         np.subtract(points, _blocks(row)[2], out=dx)
-        if same_grid:
+        if with_u:
             _derivatives(row, y, dx[:-1], (terms[:-1],), u_t[j : j + 1])
         _primitive(row, t, dx, terms, prim)
         np.subtract(prim[:-1], prim[-1], out=v_t[j])
-    return (u_t if same_grid else _derivative_rows(table, x, 0)[0]), v_t
-
-
-def _case1_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
-    table = sample_params(case.sampling)
-    x, y = case.input_grid(), case.output_grid()
-    u_t, v_t = _in_row_blocks(lambda rows: _case1_rows(rows, x, y), table, "case 1")
-    return AlignedDataset(x=x, y=y, U=u_t.T, V=np.ascontiguousarray(v_t.T)), table
+    return (u_t if with_u else None), v_t
 
 
 def _gaussian_sums(t, w, neg_s, c, out, dt_buf, terms_buf):
@@ -345,15 +335,45 @@ def _pendulum_solve(
     return values[:, :, 0].T, ok
 
 
-def _case2_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
+# Right-hand sides of cases 3-5 from (u, u', u'') and the case constants.
+_RHS = {
+    3: lambda u, du, d2u, k: k["nu"] * d2u + k["gamma"] * du + k["zeta"] * u,
+    4: lambda u, du, d2u, k: k["nu"] * d2u - u * du,
+    5: lambda u, du, d2u, k: k["nu"] * d2u + u - u**3,
+}
+
+
+def _case_rows(case: CaseStudy, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Rows of U (at ``x``) and V (at ``y``) of the functions in ``rows``, and
+    which of them succeeded (only the pendulum solve can fail)."""
+    same_grid = np.array_equal(x, y)
+    u_t, ok = None, np.ones(len(rows), dtype=bool)
+    if case.id == 1:
+        u_t, v_t = _case1_rows(rows, y, same_grid)
+    elif case.id == 2:
+        v, ok = _pendulum_solve(rows, case.constants["k"], y)
+        v_t = v.T
+    else:
+        u_t, du, d2u = _derivative_rows(rows, y, 2)
+        v_t = _RHS[case.id](u_t, du, d2u, case.constants)
+    # On the benchmark grids the sensors are the output points: U is u there.
+    if u_t is None or not same_grid:
+        u_t = _derivative_rows(rows, x, 0)[0]
+    return u_t, v_t, ok
+
+
+def build_case(case: CaseStudy, with_params: bool = False):
+    """Build the aligned dataset for a case study.
+
+    Returns the dataset, or ``(dataset, table)`` when ``with_params`` is
+    true (needed by the CSV export): ``table`` is the
+    :func:`~randonet.funcgen.sample_params` table of the functions in the
+    dataset's columns, with any case-2 replacement draws in place.
+    """
     table = sample_params(case.sampling)
-    k_const = case.constants["k"]
-    y = case.output_grid()
-    v_t, ok = _in_row_blocks(
-        lambda rows: tuple(a.T for a in _pendulum_solve(rows, k_const, y)), table,
-        "case 2 pendulum",
-    )
-    v_mat = v_t.T
+    x, y = case.input_grid(), case.output_grid()
+    u_t, v_t, ok = _in_row_blocks(lambda rows: _case_rows(case, rows, x, y), table,
+                                  f"case {case.id}")
     retries = 0
     max_retries = 100
     while not ok.all():
@@ -370,47 +390,10 @@ def _case2_full(case: CaseStudy) -> tuple[AlignedDataset, np.ndarray]:
             replace(case.sampling, size=failed.size), start_index=case.sampling.size + retries
         )
         retries += failed.size
-        v_new, ok[failed] = _pendulum_solve(replacements, k_const, y)
+        u_t[failed], v_t[failed], ok[failed] = _case_rows(case, replacements, x, y)
         table[failed] = replacements
-        v_mat[:, failed] = v_new
-    x = case.input_grid()
-    U = _derivative_columns(table, x, 0, "case 2 U")[0]
-    return AlignedDataset(x=x, y=y, U=U, V=np.ascontiguousarray(v_mat)), table
-
-
-# Right-hand sides of cases 3-5 from (u, u', u'') and the case constants.
-_RHS = {
-    3: lambda u, du, d2u, k: k["nu"] * d2u + k["gamma"] * du + k["zeta"] * u,
-    4: lambda u, du, d2u, k: k["nu"] * d2u - u * du,
-    5: lambda u, du, d2u, k: k["nu"] * d2u + u - u**3,
-}
-
-
-def _build_rhs_case(case: CaseStudy, rhs) -> tuple[AlignedDataset, np.ndarray]:
-    table = sample_params(case.sampling)
-    x, y = case.input_grid(), case.output_grid()
-    u, du, d2u = _derivative_columns(table, y, 2, f"case {case.id}")
-    # On the benchmark grids the sensors are the output points: U is u.
-    U = u if np.array_equal(x, y) else _derivative_columns(table, x, 0, f"case {case.id} U")[0]
-    V = np.ascontiguousarray(rhs(u, du, d2u, case.constants))
-    return AlignedDataset(x=x, y=y, U=U, V=V), table
-
-
-def build_case(case: CaseStudy, with_params: bool = False):
-    """Build the aligned dataset for a case study.
-
-    Returns the dataset, or ``(dataset, table)`` when ``with_params`` is
-    true (needed by the CSV export): ``table`` is the
-    :func:`~randonet.funcgen.sample_params` table of the functions in the
-    dataset's columns, with any case-2 replacement draws in place.
-    """
-    if case.id == 1:
-        result = _case1_full(case)
-    elif case.id == 2:
-        result = _case2_full(case)
-    else:
-        result = _build_rhs_case(case, _RHS[case.id])
-    return result if with_params else result[0]
+    ds = AlignedDataset(x=x, y=y, U=u_t.T, V=np.ascontiguousarray(v_t.T))
+    return (ds, table) if with_params else ds
 
 
 def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None:

@@ -74,6 +74,8 @@ def test_setting_the_solver_ignores_fails_with_error_record(capsys):
     (("--solver", "cod", "--lambda", "0.5"), "'cod' takes no regularization weight"),
     (("--solver", "tikhonov", "--lambda", "-1"), "must be >= 0"),
     (("--tol", "nan"), "tolerance must be positive"),
+    (("--branch", "rffn", "--bandwidth", "nan"), "bandwidth must be finite"),
+    (("--trunk-bound", "nan"), "weight_bound must be finite"),
 ])
 def test_solver_settings_fail_before_the_dataset_build(capsys, monkeypatch, flags, message):
     def no_build(*args, **kwargs):
@@ -141,6 +143,13 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_b.read_text())["config"]["branch_sizes"] == [6]
+    # An explicit zero beats the file value too, though 0 == False.
+    out_c = tmp_path / "c.csv"
+    code, _, _ = run_cli(
+        capsys, "run", "--config", str(cfg_path), "--seed-embed", "0", "--out", str(out_c), "--json"
+    )
+    assert code == 0
+    assert json.loads(out_c.read_text())["config"]["seed_embed"] == 0
 
 
 def test_unknown_config_key_fails_with_error_record(capsys, tmp_path):

@@ -324,8 +324,13 @@ class TestSpecAndSerialization:
             EmbeddingSpec(kind="jl", input_dim=0, feature_dim=2)
         with pytest.raises(ValueError, match="domain"):
             EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=2)
-        with pytest.raises(ValueError, match="bandwidth"):
-            EmbeddingSpec(kind="rffn", input_dim=1, feature_dim=2, bandwidth=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                EmbeddingSpec(kind="rffn", input_dim=1, feature_dim=2, bandwidth=bad)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="weight_bound"):
+                EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=2, weight_bound=bad,
+                              domain=(0.0, 1.0))
 
     def test_spec_roundtrip(self):
         spec = EmbeddingSpec(
