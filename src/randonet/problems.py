@@ -49,12 +49,12 @@ from __future__ import annotations
 import csv
 import logging
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .embeddings import _usable_cpus
 from .funcgen import CaseSamplingConfig, sample_params
 from .funcgen import _blocks, _derivatives, _param_names, _primitive
 from .model import AlignedDataset
@@ -207,9 +207,9 @@ def _in_row_blocks(kernel, table: np.ndarray, what: str) -> tuple:
     its arrays back through a pipe. A worker's exception is raised here, and
     no worker outlives the call. Each split logs one DEBUG record.
     """
-    forks = ("fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+    forks = ("fork" in multiprocessing.get_all_start_methods()
              and not multiprocessing.current_process().daemon)
-    count = min(len(os.sched_getaffinity(0)), len(table) // _MIN_BLOCK_ROWS) if forks else 1
+    count = min(_usable_cpus(), len(table) // _MIN_BLOCK_ROWS) if forks else 1
     if count <= 1:
         return kernel(table)
     start = time.perf_counter()

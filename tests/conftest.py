@@ -1,6 +1,9 @@
+import os
 import tracemalloc
 
 import pytest
+
+from randonet import embeddings
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +31,27 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+@pytest.fixture
+def split_applies(monkeypatch):
+    """``split_applies(k)`` makes applies see k usable CPUs, and split down to one entry.
+
+    It returns the list that collects the ``(lo, hi)`` column range of every
+    product range from then on.
+    """
+    ranges = []
+    multiply = embeddings.FeatureMap._multiply
+
+    def record(self, x, z, order, lo, hi):
+        ranges.append((lo, hi))
+        return multiply(self, x, z, order, lo, hi)
+
+    def force(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(embeddings, "_MIN_RANGE_ENTRIES", 1)
+        monkeypatch.setattr(embeddings.FeatureMap, "_multiply", record)
+        ranges.clear()
+        return ranges
+
+    return force

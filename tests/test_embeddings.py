@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randonet
+from randonet import embeddings
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
@@ -252,13 +254,21 @@ class TestApply:
 
     def test_batch_invariance_under_threaded_blas(self):
         # OpenBLAS splits one GEMM across its threads; the thread count is
-        # read once at load, so the check needs a fresh interpreter.
+        # read once at load, so the check needs a fresh interpreter. The
+        # batch is also split into three column ranges, each on its own
+        # thread, while single columns run in one.
         script = textwrap.dedent("""
+            import os
             import numpy as np
+            from randonet import embeddings
             from randonet.embeddings import BLOCK_COLUMNS, EmbeddingSpec, build_feature_map
             fmap = build_feature_map(EmbeddingSpec("rffn", 100, 2000, 31, bandwidth=100.0))
             x = np.random.default_rng(32).standard_normal((100, 3 * BLOCK_COLUMNS + 5))
+            whole = fmap.apply(x)
+            embeddings._MIN_RANGE_ENTRIES = 1
+            os.sched_getaffinity = lambda pid: set(range(3))
             batch = fmap.apply(x)
+            assert np.array_equal(batch, whole)
             for i in range(x.shape[1]):
                 assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
             # The Fortran-ordered result runs the transposed GEMM.
@@ -273,18 +283,98 @@ class TestApply:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
 
-    @pytest.mark.parametrize("kind", ["jl", "rffn", "tanh"])
-    def test_peak_memory_is_one_result_plus_block_scratch(self, kind, traced_peak):
+    @pytest.mark.parametrize("kind, ranges", [
+        pytest.param(kind, ranges, id=kind if ranges == 1 else f"{kind}-{ranges}")
+        for kind in ("jl", "rffn", "tanh") for ranges in (1, 2, 3)
+    ])
+    def test_peak_memory_is_one_result_plus_block_scratch(self, kind, ranges, split_applies,
+                                                          traced_peak):
         # An 8 MB result over 32 GEMM blocks; bias, activation and scale
-        # must not add a second full-size array.
+        # must not add a second full-size array, and neither may a split
+        # into column ranges.
         fmap = build_feature_map(EmbeddingSpec(
             kind=kind, input_dim=50, feature_dim=1000, seed=33,
             domain=(0.0, 1.0) if kind == "tanh" else None,
         ))
         x = np.random.default_rng(34).uniform(-1.0, 2.0, (50, 1000))
+        calls = split_applies(ranges)
         out, peak = traced_peak(lambda: fmap.apply(x))
+        assert len(calls) == ranges
         scratch = (50 + 1000) * BLOCK_COLUMNS * x.itemsize
         assert peak <= out.nbytes + scratch + 0.05 * out.nbytes
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    @pytest.mark.parametrize("k", [1, BLOCK_COLUMNS - 1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1,
+                                   3 * BLOCK_COLUMNS + 5])
+    @pytest.mark.parametrize("kind", ["jl", "rffn", "tanh"])
+    def test_column_ranges_give_the_bits_of_one_range(self, kind, k, cpus, split_applies):
+        # Eight CPUs are more than the blocks of every k here.
+        fmap = make_map(kind, 7, 37, 42, domain=(0.0, 1.0) if kind == "tanh" else None)
+        x = np.random.default_rng(43).uniform(-1.0, 2.0, (7, k))
+        for order in "CF":
+            whole = split_applies(1)
+            expected = fmap.apply(x, order=order)
+            assert whole == [(0, k)]
+            ranges = split_applies(cpus)
+            got = fmap.apply(x, order=order)
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, expected)
+            blocks = -(-k // BLOCK_COLUMNS)
+            assert len(ranges) == min(cpus, blocks)
+            bounds = sorted(ranges)
+            assert bounds[0][0] == 0 and bounds[-1][1] == k
+            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+                assert hi == lo and lo % BLOCK_COLUMNS == 0
+
+    def test_many_ranges_under_fast_thread_switching(self, split_applies):
+        # More threads than cores, switching about every microsecond: no
+        # range may lose or overwrite another's entries.
+        fmap = make_map("rffn", 7, 37, 48)
+        x = np.random.default_rng(49).standard_normal((7, 16 * BLOCK_COLUMNS + 3))
+        split_applies(1)
+        expected = {order: fmap.apply(x, order=order) for order in "CF"}
+        ranges = split_applies(16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for order in "CFCF":
+                np.testing.assert_array_equal(fmap.apply(x, order=order), expected[order])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ranges) == 4 * 16
+
+    def test_below_the_floor_no_thread_starts(self, monkeypatch):
+        # Neither the affinity mask nor a thread is touched under the floor.
+        def refuse(*args):
+            raise AssertionError("asked below the floor")
+
+        monkeypatch.setattr(os, "sched_getaffinity", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        fmap = make_map("rffn", 10, 100, 44)
+        k = 2 * embeddings._MIN_RANGE_ENTRIES // 100 - 1
+        x = np.random.default_rng(45).standard_normal((10, k))
+        assert fmap.apply(x).shape == (100, k)
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_range_exception_reaches_the_caller(self, where, split_applies, monkeypatch):
+        fmap = make_map("rffn", 7, 37, 46)
+        x = np.random.default_rng(47).standard_normal((7, 3 * BLOCK_COLUMNS + 5))
+        cos, caller = np.cos, threading.current_thread()
+
+        def refuse_in(z, out):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise FloatingPointError(f"no cosine for rows of shape {z.shape}")
+            return cos(z, out=out)
+
+        before = threading.active_count()
+        split_applies(2)
+        monkeypatch.setattr(np, "cos", refuse_in)
+        with pytest.raises(FloatingPointError) as info:
+            fmap.apply(x)
+        # The cosines of 37 rows in two parts: 18 rows here, 19 in the worker.
+        rows = 18 if where == "caller" else 19
+        assert str(info.value) == f"no cosine for rows of shape ({rows}, {x.shape[1]})"
+        assert threading.active_count() == before
 
     def test_jl_linearity_of_batching(self):
         fmap = make_map("jl", 4, 6, 22)

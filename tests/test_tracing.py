@@ -73,3 +73,27 @@ def test_tracer_counts_the_feature_builds_of_training():
     names = [span[0] for span in tracer.spans]
     assert names.count("model.train") == 1
     assert names.count("embeddings.apply") == 2
+
+
+def test_a_split_evaluate_records_one_span_per_feature_map(split_applies):
+    # Worker threads run the private range helpers, never the wrapped
+    # FeatureMap.apply, so a split apply still counts once.
+    api = SimpleNamespace(**{name: getattr(randonet, name) for name in API_NAMES})
+    modules = {"problems": problems, "linalg": linalg, "model": model, "embeddings": embeddings}
+    case = api.case_config(4, size=40, seed=3)
+    ds = api.build_case(case)
+    trunk = api.EmbeddingSpec("tanh", 1, 30, (1, 0), domain=case.domain)
+    branch = api.EmbeddingSpec("rffn", ds.x.size, 40, (1, 1), bandwidth=float(ds.x.size))
+    fitted = api.train_aligned(ds, trunk, branch)
+    ranges = split_applies(2)
+    tracer = load_tracing().Tracer()
+    tracer.install(api, modules)
+    try:
+        api.evaluate(fitted, ds.U, ds.y)
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert names.count("embeddings.apply") == 2
+    # The y grid (100 points) and the 40 functions each fill two ranges.
+    assert len(ranges) == 4
