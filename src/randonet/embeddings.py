@@ -30,34 +30,37 @@ reproducible across machines running the same numpy:
 
 Feature application is batch-invariant: applying a map to a k-column batch
 equals k single-column applications exactly, not merely to rounding. The
-input columns go through BLAS GEMM in blocks of ``BLOCK_COLUMNS`` columns,
-and every block is the same (feature_dim, input_dim) x (input_dim,
-BLOCK_COLUMNS) product. One stacked ``matmul`` call takes all full blocks:
-it reads them from the input and writes their products into the result in
-place, through (blocks, ., BLOCK_COLUMNS) views of both. A partial tail
-block, a one-column call included, is copied into one zero-padded
-(input_dim, BLOCK_COLUMNS) scratch block. The GEMM kernels accumulate each
-output entry over the input dimension in one order, wherever the entry's
-column sits in its block (the tests check every block position, also with
-two BLAS threads), so a column's products do not depend on the batch size
-or on its place in the batch. Bias, activation and scale then act element
-by element and in place on the (feature_dim, k) result, so one call holds
-one full-size array besides the tail's scratch (and a C-contiguous copy of
-an input that is not C-contiguous). A single column still costs one full
-block (about 0.3 ms for a 2000 x 100 RFFN map on one core of a 2-core
-x86-64 Xeon, against 0.2 ms for a fixed-order ``einsum`` contraction),
-while a large batch runs at GEMM speed.
+result is one (feature_dim, k) array in Fortran order, so each input's
+features are contiguous: the layout training factors in place, and one in
+which every column range is contiguous. The input columns go through BLAS
+GEMM in blocks of ``BLOCK_COLUMNS`` columns, and every block is the same
+(feature_dim, input_dim) x (input_dim, BLOCK_COLUMNS) product. One stacked
+``matmul`` call takes all full blocks: it reads them from the input and
+writes their products into the result in place, through (blocks, .,
+BLOCK_COLUMNS) views of both. A partial tail block, a one-column call
+included, is copied into one zero-padded (input_dim, BLOCK_COLUMNS)
+scratch block. The GEMM kernels accumulate each output entry over the
+input dimension in one order, wherever the entry's column sits in its
+block (the tests check every block position, also with two BLAS threads),
+so a column's products do not depend on the batch size or on its place in
+the batch. Bias, activation and scale then act element by element and in
+place on the result, so one call holds one full-size array besides the
+tail's scratch (and a C-contiguous copy of an input that is not
+C-contiguous). A single column still costs one full block (about 0.3 ms
+for a 2000 x 100 RFFN map on one core of a 2-core x86-64 Xeon, against
+0.2 ms for a fixed-order ``einsum`` contraction), while a large batch runs
+at GEMM speed.
 
 A call whose result holds at least twice ``_MIN_RANGE_ENTRIES`` entries
 runs on every CPU the process may run on (its affinity mask, so
 ``taskset`` limits it), at most one per ``_MIN_RANGE_ENTRIES`` entries and
-one per block. The products go in contiguous column ranges that start and
-end on block boundaries, so every block keeps its GEMM shape and only the
-last range holds the padded tail; the element-wise steps then go in
-contiguous parts of the result. The calling thread takes the first part
-of each step and a short-lived thread each other one; these long numpy
-calls release the GIL. The bits do not depend on the thread count, and
-below the floor one integer comparison decides that nothing splits.
+one per block. It fills contiguous column ranges of the result that start
+and end on block boundaries, so every block keeps its GEMM shape and only
+the last range holds the padded tail. The calling thread fills the first
+range and a short-lived thread each other one, all steps of a range in
+one go; these long numpy calls release the GIL. The bits do not depend on
+the thread count, and below the floor one integer comparison decides that
+nothing splits.
 """
 
 from __future__ import annotations
@@ -100,6 +103,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _check_seed(seed, name: str) -> None:
+    """Reject a seed that does not fix its draws: ``None``, which draws fresh
+    entropy, or one that ``SeedSequence`` refuses (negative, not integer)."""
+    message = f"{name} must be a non-negative integer or a tuple of them, got {seed!r}"
+    if seed is None:
+        raise ValueError(message)
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+
+
 def default_weight_bound(domain: tuple[float, float]) -> float:
     """Default tanh weight bound ``25 / ((b - a) / 2)`` for domain [a, b].
 
@@ -137,6 +152,7 @@ class EmbeddingSpec:
                 f"dimensions must be >= 1, got input_dim={self.input_dim}, "
                 f"feature_dim={self.feature_dim}"
             )
+        _check_seed(self.seed, "seed")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.kind == "tanh":
@@ -198,7 +214,7 @@ class FeatureMap:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
-    def apply(self, x, order: str = "C") -> np.ndarray:
+    def apply(self, x) -> np.ndarray:
         """Map input columns to feature columns.
 
         The columns are multiplied by the weights ``BLOCK_COLUMNS`` at a
@@ -209,22 +225,20 @@ class FeatureMap:
         place; one zero-padded block takes a partial tail, so a single
         column still costs one full block. Bias, activation and scale then
         act in place on the result. A result of at least twice
-        ``_MIN_RANGE_ENTRIES`` entries is computed on every usable CPU in
-        parts of at least that many entries (see the module docstring),
-        with the same bits as in one thread; no thread outlives the call.
+        ``_MIN_RANGE_ENTRIES`` entries is filled on every usable CPU, in
+        column ranges of at least that many entries and in one round of
+        threads (see the module docstring), with the same bits as in one
+        thread; no thread outlives the call.
 
         Parameters
         ----------
         x : array_like, shape (input_dim, k) or (input_dim,)
             Input vectors as columns; a 1-D vector is treated as one column.
-        order : {'C', 'F'}
-            Memory order of the result; every element gets the same bits in
-            either. Training asks for 'F' to factor its matrices in their
-            own storage.
 
         Returns
         -------
         ndarray, shape (feature_dim, k) or (feature_dim,)
+            In Fortran order: each input's features are contiguous.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -238,49 +252,28 @@ class FeatureMap:
         # transposed operand rounds differently.
         x = np.ascontiguousarray(x)
         rows, k = self.weights.shape[0], x.shape[1]
-        z = np.empty((rows, k), order=order)
+        z = np.empty((rows, k), order="F")
         if rows * k < 2 * _MIN_RANGE_ENTRIES:
-            self._multiply(x, z, order, 0, k)
-            self._activate(z, self.biases)
+            self._fill(x, z, 0, k)
         else:
-            self._apply_in_ranges(x, z, order)
+            blocks = -(-k // BLOCK_COLUMNS)
+            count = min(_usable_cpus(), rows * k // _MIN_RANGE_ENTRIES, blocks)
+            cols = [BLOCK_COLUMNS * (blocks * i // count) for i in range(count)] + [k]
+            _in_threads(self._fill, [(x, z, lo, hi) for lo, hi in zip(cols, cols[1:])])
         return z[:, 0] if single else z
 
-    def _apply_in_ranges(self, x: np.ndarray, z: np.ndarray, order: str) -> None:
-        """Fill ``z`` in one part per usable CPU, each on its own thread.
-
-        The products go in contiguous column ranges that start and end on
-        block boundaries and hold at least ``_MIN_RANGE_ENTRIES`` entries;
-        only the last range holds the padded tail. The element-wise steps
-        then go in as many contiguous parts of ``z``: column ranges of a
-        Fortran-ordered result, row ranges of a C-ordered one, whose column
-        ranges are strided and would go through numpy's ufunc buffers.
-        """
-        rows, k = z.shape
-        blocks = -(-k // BLOCK_COLUMNS)
-        count = min(_usable_cpus(), rows * k // _MIN_RANGE_ENTRIES, blocks)
-        cols = [BLOCK_COLUMNS * (blocks * i // count) for i in range(count)] + [k]
-        _in_threads(self._multiply, [(x, z, order, lo, hi) for lo, hi in zip(cols, cols[1:])])
-        if order == "F":
-            parts = [(z[:, lo:hi], self.biases) for lo, hi in zip(cols, cols[1:])]
-        else:
-            cut = [rows * i // count for i in range(count + 1)]
-            parts = [(z[lo:hi], None if self.biases is None else self.biases[lo:hi])
-                     for lo, hi in zip(cut, cut[1:]) if lo < hi]
-        _in_threads(self._activate, parts)
-
-    def _multiply(self, x: np.ndarray, z: np.ndarray, order: str, lo: int, hi: int) -> None:
-        """Write ``weights @ x[:, lo:hi]`` into ``z[:, lo:hi]``, ``z`` in
-        memory order ``order``.
+    def _fill(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> None:
+        """Write the features of ``x[:, lo:hi]`` into ``z[:, lo:hi]``.
 
         ``lo`` is a multiple of ``BLOCK_COLUMNS``, so a partial block can
-        only end the range.
+        only end the range. Bias, activation and scale run once over the
+        real columns, so a single column pays one padded GEMM block but no
+        padded cosines.
         """
         rows, full = z.shape[0], hi - (hi - lo) % BLOCK_COLUMNS
         # All full blocks in one stacked matmul over (blocks, ., BLOCK_COLUMNS)
-        # views of x and z. Into a Fortran-ordered output numpy runs the
-        # transposed product blocksᵀ @ Wᵀ on the contiguous row blocks of
-        # z.T, so training still builds its matrices in their own storage.
+        # views of x and z. Into the Fortran-ordered z numpy runs the
+        # transposed product blocksᵀ @ Wᵀ on the contiguous row blocks of z.T.
         np.matmul(
             self.weights,
             x[:, lo:full].reshape(x.shape[0], -1, BLOCK_COLUMNS).transpose(1, 0, 2),
@@ -289,25 +282,19 @@ class FeatureMap:
         if full < hi:
             block = np.zeros((x.shape[0], BLOCK_COLUMNS))
             block[:, :hi - full] = x[:, full:hi]
-            # In the result's order, so the tail runs the full blocks' GEMM.
-            product = np.empty((rows, BLOCK_COLUMNS), order=order)
+            # Fortran-ordered too, so the tail runs the full blocks' GEMM.
+            product = np.empty((rows, BLOCK_COLUMNS), order="F")
             np.matmul(self.weights, block, out=product)
             z[:, full:hi] = product[:, :hi - full]
-
-    def _activate(self, z: np.ndarray, biases: np.ndarray | None) -> None:
-        """Bias, activation and scale, in place on the products ``z``.
-
-        They run once over the real columns, so a single column pays one
-        padded GEMM block but no padded cosines.
-        """
-        if biases is not None:
-            z += biases[:, None]
+        part = z[:, lo:hi]
+        if self.biases is not None:
+            part += self.biases[:, None]
         if self.spec.kind == "tanh":
-            np.tanh(z, out=z)
+            np.tanh(part, out=part)
         else:
             if self.spec.kind == "rffn":
-                np.cos(z, out=z)
-            z *= self.scale
+                np.cos(part, out=part)
+            part *= self.scale
 
 
 def _in_threads(task, calls: list) -> None:

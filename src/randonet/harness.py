@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpec
+from .embeddings import EmbeddingSpec, _check_seed
 from .model import AlignedDataset, _check_solver, evaluate, train_aligned
 from .problems import build_case, case_config
 
@@ -101,6 +101,8 @@ class ExperimentConfig:
         if self.trunk_size < 1:
             raise ValueError(f"trunk_size must be >= 1, got {self.trunk_size}")
         _check_solver(self.solver, self.tol, self.reg)
+        for name in ("seed_data", "seed_embed", "seed_split"):
+            _check_seed(getattr(self, name), name)
         object.__setattr__(self, "branch_sizes", sizes)
 
 

@@ -89,16 +89,16 @@ class AlignedDataset:
         v = np.asarray(self.V, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("grids must be 1-D")
-        if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
-            raise ValueError("grids must be strictly increasing")
         if u.ndim != 2 or v.ndim != 2:
             raise ValueError("U and V must be 2-D (functions in columns)")
         if u.shape != (x.size, v.shape[1]) or v.shape[0] != y.size:
             raise ValueError(
                 f"inconsistent shapes: x {x.shape}, y {y.shape}, U {u.shape}, V {v.shape}"
             )
-        for name, arr in (("U", u), ("V", v)):
+        for name, arr in (("x", x), ("y", y), ("U", u), ("V", v)):
             linalg._check_finite(arr, name)
+        if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+            raise ValueError("grids must be strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "U", u)
@@ -322,9 +322,10 @@ def train_aligned(
     trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
 
     start = time.perf_counter()
-    # (N, n) and (M, s), Fortran-ordered for the in-place COD.
-    t_mat = trunk.apply(ds.y[None, :], order="F")
-    b_mat = branch.apply(ds.U, order="F")
+    # (N, n) and (M, s), Fortran-ordered as apply returns them: the in-place
+    # COD factors them where they lie.
+    t_mat = trunk.apply(ds.y[None, :])
+    b_mat = branch.apply(ds.U)
     featured = time.perf_counter()
     trunk_apply, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
     branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
@@ -349,8 +350,9 @@ def _collocation_matrix(trunk: FeatureMap, branch: FeatureMap, ds: UnalignedData
     Row ``k + i*N`` is the elementwise product of trunk feature row k and
     branch feature row i.
     """
-    t_mat = trunk.apply(ds.Y)  # (N, S)
-    b_mat = branch.apply(ds.U)  # (M, S)
+    # (N, S) and (M, S) in Fortran order, so their transposes are C-ordered.
+    t_mat = trunk.apply(ds.Y)
+    b_mat = branch.apply(ds.U)
     product = np.multiply(b_mat.T[:, :, None], t_mat.T[:, None, :], order="C")  # (S, M, N)
     return product.reshape(ds.n_samples, -1).T
 
@@ -445,8 +447,8 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     if single:
         u = u[:, None]
     y = np.atleast_1d(y)
-    t_mat = model.trunk.apply(y[None, :]).T  # (q, N)
-    b_mat = model.branch.apply(u)  # (M, k)
+    t_mat = model.trunk.apply(y[None, :]).T  # (q, N), C-ordered
+    b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
     out = t_mat @ model.readout @ b_mat
     return out[:, 0] if single else out
 

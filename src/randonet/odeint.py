@@ -153,6 +153,8 @@ def dopri5_batch(
     t_eval = np.asarray(t_eval, dtype=np.float64)
     if t_eval.size and (t_eval[0] < t0 - 1e-12 * span or t_eval[-1] > t1 + 1e-12 * span):
         raise ValueError("t_eval must lie inside t_span")
+    if np.any(np.diff(t_eval) < 0):
+        raise ValueError("t_eval must be non-decreasing")
     n_eval = t_eval.size
 
     values = np.zeros((batch, n_eval, dim))

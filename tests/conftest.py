@@ -38,19 +38,19 @@ def split_applies(monkeypatch):
     """``split_applies(k)`` makes applies see k usable CPUs, and split down to one entry.
 
     It returns the list that collects the ``(lo, hi)`` column range of every
-    product range from then on.
+    filled range from then on.
     """
     ranges = []
-    multiply = embeddings.FeatureMap._multiply
+    fill = embeddings.FeatureMap._fill
 
-    def record(self, x, z, order, lo, hi):
+    def record(self, x, z, lo, hi):
         ranges.append((lo, hi))
-        return multiply(self, x, z, order, lo, hi)
+        return fill(self, x, z, lo, hi)
 
     def force(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(embeddings, "_MIN_RANGE_ENTRIES", 1)
-        monkeypatch.setattr(embeddings.FeatureMap, "_multiply", record)
+        monkeypatch.setattr(embeddings.FeatureMap, "_fill", record)
         ranges.clear()
         return ranges
 

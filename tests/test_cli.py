@@ -76,6 +76,8 @@ def test_setting_the_solver_ignores_fails_with_error_record(capsys):
     (("--tol", "nan"), "tolerance must be positive"),
     (("--branch", "rffn", "--bandwidth", "nan"), "bandwidth must be finite"),
     (("--trunk-bound", "nan"), "weight_bound must be finite"),
+    (("--seed-embed", "-1"), "seed_embed must be a non-negative integer"),
+    (("--seed-split", "-1"), "seed_split must be a non-negative integer"),
 ])
 def test_solver_settings_fail_before_the_dataset_build(capsys, monkeypatch, flags, message):
     def no_build(*args, **kwargs):

@@ -197,17 +197,17 @@ class TestApply:
             np.testing.assert_array_equal(batch, singles)
 
     def test_fortran_ordered_result_has_the_same_bits(self):
-        # Training builds the branch matrix in Fortran order to factor it in
-        # place; its features must be those that apply returns.
+        # Training factors the Fortran-ordered result in place; its features
+        # must be those of one padded GEMM per block into a C-ordered array.
         for fmap in (
             make_map("jl", 100, 37, 18),
             make_map("rffn", 100, 2000, 19, bandwidth=500.0),
             make_map("tanh", 100, 33, 20, domain=(0.0, 1.0)),
         ):
             x = np.random.default_rng(22).uniform(-1.0, 2.0, (100, 101))
-            got = fmap.apply(x, order="F")
+            got = fmap.apply(x)
             assert got.flags.f_contiguous
-            np.testing.assert_array_equal(got, fmap.apply(x))
+            np.testing.assert_array_equal(got, per_block_apply(fmap, x, "C"))
 
     @pytest.mark.parametrize("layout", ["F", "column slice"])
     @pytest.mark.parametrize("k", [1, BLOCK_COLUMNS - 1, BLOCK_COLUMNS, BLOCK_COLUMNS + 1,
@@ -216,14 +216,14 @@ class TestApply:
     @pytest.mark.parametrize("kind", ["jl", "rffn", "tanh"])
     def test_stacked_blocks_match_per_block_loop(self, kind, input_dim, k, layout):
         # The stacked GEMM must give the bits of one padded GEMM per block,
-        # in both result orders and whatever the layout of the input.
+        # into either result order and whatever the layout of the input.
         fmap = make_map(kind, input_dim, 37, 40, domain=(0.0, 1.0) if kind == "tanh" else None)
         wide = np.random.default_rng(41).uniform(-1.0, 2.0, (input_dim, k + 2))
         x = np.asfortranarray(wide[:, :k]) if layout == "F" else wide[:, 1:k + 1]
         assert not x.flags.c_contiguous or min(x.shape) == 1
+        got = fmap.apply(x)
+        assert got.flags.f_contiguous
         for order in "CF":
-            got = fmap.apply(x, order=order)
-            assert got.flags[f"{order}_CONTIGUOUS"]
             np.testing.assert_array_equal(got, per_block_apply(fmap, x, order))
 
     @settings(max_examples=30, deadline=None)
@@ -243,7 +243,7 @@ class TestApply:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1.0, 2.0, (input_dim, k))
         batch = fmap.apply(x)
-        assert batch.shape == (feature_dim, k) and batch.flags.c_contiguous
+        assert batch.shape == (feature_dim, k) and batch.flags.f_contiguous
         singles = np.column_stack([fmap.apply(x[:, i]) for i in range(k)])
         np.testing.assert_array_equal(batch, singles)
         # One column at every position of a block and of the blocks after it.
@@ -271,8 +271,6 @@ class TestApply:
             assert np.array_equal(batch, whole)
             for i in range(x.shape[1]):
                 assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
-            # The Fortran-ordered result runs the transposed GEMM.
-            assert np.array_equal(fmap.apply(x, order="F"), batch)
             print("ok")
         """)
         src = str(Path(randonet.__file__).resolve().parents[1])
@@ -311,20 +309,39 @@ class TestApply:
         # Eight CPUs are more than the blocks of every k here.
         fmap = make_map(kind, 7, 37, 42, domain=(0.0, 1.0) if kind == "tanh" else None)
         x = np.random.default_rng(43).uniform(-1.0, 2.0, (7, k))
-        for order in "CF":
-            whole = split_applies(1)
-            expected = fmap.apply(x, order=order)
-            assert whole == [(0, k)]
-            ranges = split_applies(cpus)
-            got = fmap.apply(x, order=order)
-            assert got.flags[f"{order}_CONTIGUOUS"]
-            np.testing.assert_array_equal(got, expected)
-            blocks = -(-k // BLOCK_COLUMNS)
-            assert len(ranges) == min(cpus, blocks)
-            bounds = sorted(ranges)
-            assert bounds[0][0] == 0 and bounds[-1][1] == k
-            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                assert hi == lo and lo % BLOCK_COLUMNS == 0
+        whole = split_applies(1)
+        expected = fmap.apply(x)
+        assert whole == [(0, k)]
+        ranges = split_applies(cpus)
+        got = fmap.apply(x)
+        assert got.flags.f_contiguous
+        np.testing.assert_array_equal(got, expected)
+        blocks = -(-k // BLOCK_COLUMNS)
+        assert len(ranges) == min(cpus, blocks)
+        bounds = sorted(ranges)
+        assert bounds[0][0] == 0 and bounds[-1][1] == k
+        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+            assert hi == lo and lo % BLOCK_COLUMNS == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_a_split_apply_starts_one_thread_per_further_range(self, cpus, split_applies,
+                                                               monkeypatch):
+        # One round: the caller fills the first range, and each other range
+        # gets one thread that does all of its steps.
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        fmap = make_map("rffn", 7, 37, 50)
+        x = np.random.default_rng(51).standard_normal((7, 8 * BLOCK_COLUMNS + 5))
+        ranges = split_applies(cpus)
+        fmap.apply(x)
+        assert len(ranges) == cpus
+        assert len(started) == cpus - 1
 
     def test_many_ranges_under_fast_thread_switching(self, split_applies):
         # More threads than cores, switching about every microsecond: no
@@ -332,13 +349,13 @@ class TestApply:
         fmap = make_map("rffn", 7, 37, 48)
         x = np.random.default_rng(49).standard_normal((7, 16 * BLOCK_COLUMNS + 3))
         split_applies(1)
-        expected = {order: fmap.apply(x, order=order) for order in "CF"}
+        expected = fmap.apply(x)
         ranges = split_applies(16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for order in "CFCF":
-                np.testing.assert_array_equal(fmap.apply(x, order=order), expected[order])
+            for _ in range(4):
+                np.testing.assert_array_equal(fmap.apply(x), expected)
         finally:
             sys.setswitchinterval(interval)
         assert len(ranges) == 4 * 16
@@ -363,7 +380,7 @@ class TestApply:
 
         def refuse_in(z, out):
             if (threading.current_thread() is caller) == (where == "caller"):
-                raise FloatingPointError(f"no cosine for rows of shape {z.shape}")
+                raise FloatingPointError(f"no cosine for columns of shape {z.shape}")
             return cos(z, out=out)
 
         before = threading.active_count()
@@ -371,9 +388,9 @@ class TestApply:
         monkeypatch.setattr(np, "cos", refuse_in)
         with pytest.raises(FloatingPointError) as info:
             fmap.apply(x)
-        # The cosines of 37 rows in two parts: 18 rows here, 19 in the worker.
-        rows = 18 if where == "caller" else 19
-        assert str(info.value) == f"no cosine for rows of shape ({rows}, {x.shape[1]})"
+        # 101 columns in two ranges: 64 here, 37 in the worker.
+        cols = 64 if where == "caller" else 37
+        assert str(info.value) == f"no cosine for columns of shape (37, {cols})"
         assert threading.active_count() == before
 
     def test_jl_linearity_of_batching(self):
@@ -421,6 +438,9 @@ class TestSpecAndSerialization:
             with pytest.raises(ValueError, match="weight_bound"):
                 EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=2, weight_bound=bad,
                               domain=(0.0, 1.0))
+        for bad in (-1, 1.5, None, (3, -1)):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                EmbeddingSpec(kind="jl", input_dim=1, feature_dim=2, seed=bad)
 
     def test_spec_roundtrip(self):
         spec = EmbeddingSpec(

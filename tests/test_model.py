@@ -67,9 +67,9 @@ def count_feature_builds_without_svd(monkeypatch):
     calls = []
     original = FeatureMap.apply
 
-    def counting(self, x, order="C"):
+    def counting(self, x):
         calls.append(self.spec.kind)
-        return original(self, x, order)
+        return original(self, x)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd was called")
@@ -84,6 +84,11 @@ class TestDatasetTypes:
         x = np.linspace(0, 1, 4)
         with pytest.raises(ValueError, match="increasing"):
             AlignedDataset(x=x[::-1], y=x, U=np.zeros((4, 2)), V=np.zeros((4, 2)))
+        for grid in (np.array([0.0, 0.3, np.nan, 1.0]), np.array([0.0, 0.3, 1.0, np.inf])):
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                AlignedDataset(x=grid, y=x, U=np.zeros((4, 2)), V=np.zeros((4, 2)))
+            with pytest.raises(ValueError, match="y contains non-finite"):
+                AlignedDataset(x=x, y=grid, U=np.zeros((4, 2)), V=np.zeros((4, 2)))
         with pytest.raises(ValueError, match="shapes"):
             AlignedDataset(x=x, y=x, U=np.zeros((4, 2)), V=np.zeros((4, 3)))
         with pytest.raises(ValueError, match="non-finite"):

@@ -116,6 +116,11 @@ def test_rejects_bad_span_and_outside_eval():
         dopri5_batch(lambda t, y: y, (1.0, 0.0), np.zeros((1, 1)), np.array([0.5]))
     with pytest.raises(ValueError, match="inside"):
         dopri5_batch(lambda t, y: y, (0.0, 1.0), np.zeros((1, 1)), np.array([2.0]))
+    # y'' = -y from (1, 0): a decreasing t_eval once came back ok with
+    # values that were not cos t.
+    with pytest.raises(ValueError, match="non-decreasing"):
+        dopri5_batch(lambda t, y: np.column_stack([y[:, 1], -y[:, 0]]), (0.0, 1.0),
+                     np.array([[1.0, 0.0]]), np.array([1.0, 0.5, 0.0]))
     with pytest.raises(ValueError, match="one row per sample"):
         dopri5_batch(lambda t, y, a: y, (0.0, 1.0), np.zeros((2, 1)), [0.5], args=samples(3))
 
