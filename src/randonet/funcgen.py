@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .embeddings import _check_seed
+
 __all__ = [
     "DEFAULT_TERMS",
     "CaseSamplingConfig",
@@ -100,6 +102,7 @@ class CaseSamplingConfig:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
+        _check_seed(self.seed, "seed")
 
 
 def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:

@@ -118,6 +118,12 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tolerance must be positive or None (auto), got {tol}")
 
 
+def _check_reg(reg) -> None:
+    """Reject a Tikhonov weight that is negative or not finite, NaN included."""
+    if not 0 <= reg < np.inf:
+        raise ValueError(f"regularization weight must be >= 0 and finite, got {reg}")
+
+
 def _resolve_tol(tol, shape, sigma_max) -> float:
     _check_tol(tol)
     return auto_tolerance(shape, sigma_max) if tol is None else float(tol)
@@ -314,8 +320,8 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
     tol : float, optional
         Rank cutoff at ``reg = 0``. ``None`` selects :func:`auto_tolerance`.
     reg : float
-        Tikhonov weight, >= 0. At 0 the factors keep exactly the singular
-        values above ``tol``, filtered by ``1 / sigma``. Above 0 they keep
+        Tikhonov weight, finite and >= 0. At 0 the factors keep exactly the
+        singular values above ``tol``, filtered by ``1 / sigma``. Above 0 they keep
         every triplet, filtered by ``sigma / (sigma^2 + reg^2)``: the apply
         then minimizes ``||X A - B||^2 + reg^2 ||X||^2``. Note the squared ``reg``:
         for ``reg != 1`` this differs from the ``sigma / (sigma^2 + reg)``
@@ -327,8 +333,7 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
         An all-zero matrix is no error: at ``reg = 0`` it yields rank 0.
     """
     a = _as_matrix(a, "A")
-    if not reg >= 0:
-        raise ValueError(f"regularization weight must be >= 0, got {reg}")
+    _check_reg(reg)
     if reg > 0 and tol is not None:
         raise ValueError(f"tol cuts no singular value at reg > 0, got tol={tol} with reg={reg}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)

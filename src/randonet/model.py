@@ -25,6 +25,13 @@ A fit is reproducible bit for bit with the same numpy, scipy and BLAS
 builds and the same BLAS thread count. The readout's last bits change with
 the thread count; the feature maps do not, and the numerical ranks of the
 paper-size fits did not at one and two OpenBLAS threads.
+
+:func:`evaluate` holds numpy's OpenBLAS at one thread for as long as it
+runs, as ``FeatureMap.apply`` does (a process-wide setting, restored when
+it returns or raises), so a model's predictions do not depend on the BLAS
+thread count. When the branch features reach the floor at which
+``FeatureMap.apply`` splits, the readout product runs in ranges of trunk
+rows, one per usable CPU, each starting on a multiple of ``_READOUT_ROWS``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import embeddings, linalg
 from .embeddings import EmbeddingSpec, FeatureMap, build_feature_map
 
 __all__ = [
@@ -60,6 +67,15 @@ MODEL_FORMAT_VERSION = 1
 
 # Largest N*M*S for which train_unaligned builds its collocation matrix.
 MAX_COLLOCATION_ENTRIES = 5_000_000
+
+# Trunk rows per block of evaluate's split readout product; every row range
+# starts on a block. BLAS GEMM kernels compute the rows of a row-major
+# product in tiles, and the rows of a partial tile round differently, so a
+# range that starts inside a tile moves last bits. 48 is a multiple of the
+# common double tile heights (2, 4, 6, 8, 12, 16, 24): on a 2-core AVX-512
+# Xeon ranges starting at multiples of 12, 24 or 48 rows kept the bits of
+# one product, and those starting at multiples of 4, 8, 16 or 32 did not.
+_READOUT_ROWS = 48
 
 
 class TrainingError(RuntimeError):
@@ -191,8 +207,7 @@ def _check_solver(solver: str, tol, reg: float) -> None:
     solver would ignore."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    if not reg >= 0:
-        raise ValueError(f"regularization weight must be >= 0, got {reg}")
+    linalg._check_reg(reg)
     if solver == "tikhonov" and tol is not None:
         raise ValueError(f"solver 'tikhonov' takes no tol, got {tol}")
     if solver == "cod" and reg != 0:
@@ -279,13 +294,13 @@ def train_aligned(
     tol : float, optional
         Rank tolerance for 'cod' (None = auto); 'tikhonov' takes none.
     reg : float
-        Tikhonov weight, >= 0; 'cod' takes 0 only.
+        Tikhonov weight, finite and >= 0; 'cod' takes 0 only.
 
     Notes
     -----
     A map that is not an :class:`EmbeddingSpec`, an unknown solver, a
-    negative ``reg`` or a setting the solver would ignore is rejected
-    before any feature is built. The trunk matrix is
+    negative or non-finite ``reg`` or a setting the solver would ignore is
+    rejected before any feature is built. The trunk matrix is
     built feature-major, as ``T.T`` (N, n), so both solves are right
     applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
     each computed once and applied to the (n, s) matrix V in the
@@ -436,6 +451,14 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     ValueError
         If ``y_points`` has more than one dimension, or either argument
         holds a NaN or an infinity; checked before any feature is built.
+
+    Notes
+    -----
+    numpy's OpenBLAS runs at one thread for the whole call, and the
+    caller's count is restored afterwards. With at least twice
+    ``embeddings._MIN_RANGE_ENTRIES`` branch feature entries and two blocks
+    of ``_READOUT_ROWS`` points, ``T W B`` is split into row ranges of the
+    trunk features, one per usable CPU, in one round of threads.
     """
     u = np.asarray(u_samples, dtype=np.float64)
     y = np.asarray(y_points, dtype=np.float64)
@@ -447,10 +470,34 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     if single:
         u = u[:, None]
     y = np.atleast_1d(y)
-    t_mat = model.trunk.apply(y[None, :]).T  # (q, N), C-ordered
-    b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
-    out = t_mat @ model.readout @ b_mat
+    with embeddings._one_blas_thread:
+        t_mat = model.trunk.apply(y[None, :]).T  # (q, N), C-ordered
+        b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
+        out = _readout_product(t_mat, model.readout, b_mat)
     return out[:, 0] if single else out
+
+
+def _readout_product(t_mat: np.ndarray, w: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    """``t_mat @ w @ b_mat``, in row ranges on every usable CPU when the
+    branch features reach the floor at which ``FeatureMap.apply`` splits.
+
+    Each range starts on a multiple of ``_READOUT_ROWS`` rows and holds at
+    least that many; the calling thread computes the first and a
+    short-lived thread each other one, writing its rows of the result.
+    """
+    q, (m_feat, k) = t_mat.shape[0], b_mat.shape
+    blocks = q // _READOUT_ROWS
+    split = m_feat * k >= 2 * embeddings._MIN_RANGE_ENTRIES
+    count = min(embeddings._usable_cpus(), blocks) if split else 1
+    if count < 2:
+        return t_mat @ w @ b_mat
+    out = np.empty((q, k))
+
+    def product(lo, hi):
+        np.matmul(t_mat[lo:hi] @ w, b_mat, out=out[lo:hi])
+
+    embeddings._in_threads(product, embeddings._block_ranges(blocks, _READOUT_ROWS, count, q))
+    return out
 
 
 def explode_aligned(ds: AlignedDataset) -> UnalignedDataset:

@@ -128,9 +128,10 @@ def dopri5_batch(
     t_eval : ndarray, shape (n_eval,)
         Non-decreasing output times inside ``t_span``.
     rtol, atol : float
-        Relative/absolute error tolerances of the embedded estimate.
+        Relative/absolute error tolerances of the embedded estimate: finite,
+        >= 0 and not both 0.
     max_steps : int
-        Per-sample accepted-plus-rejected step budget.
+        Per-sample accepted-plus-rejected step budget, >= 1.
     args : tuple of ndarray
         Per-sample data, one row per sample. The integrator reorders the
         rows of these arrays in place, so pass arrays the caller owns.
@@ -146,6 +147,13 @@ def dopri5_batch(
     span = t1 - t0
     if span <= 0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+    if rtol == atol == 0:
+        raise ValueError("rtol and atol must not both be 0")
+    if not max_steps >= 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     batch, dim = y0.shape
     if any(len(a) != batch for a in args):

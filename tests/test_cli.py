@@ -69,6 +69,27 @@ def test_setting_the_solver_ignores_fails_with_error_record(capsys):
     assert "'cod' takes no regularization weight" in record["error"]["message"]
 
 
+def test_infinite_tikhonov_weight_fails_with_error_record(capsys):
+    # It once trained a zero readout and reported its MSE.
+    code, _, err = run_cli(capsys, "run", "--case", "1", "--branch", "jl", "--m", "8",
+                           "--solver", "tikhonov", "--lambda", "inf", "--size", "40")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"] == (
+        "regularization weight must be >= 0 and finite, got inf")
+
+
+def test_negative_data_seed_fails_before_any_draw(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "gen-data", "--case", "3", "--size", "4",
+                           "--seed-data", "-1", "--out", str(tmp_path / "data.csv"))
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].startswith("seed must be a non-negative integer")
+    assert not (tmp_path / "data.csv").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--solver", "tikhonov", "--tol", "1e-3"), "'tikhonov' takes no tol"),
     (("--solver", "cod", "--lambda", "0.5"), "'cod' takes no regularization weight"),

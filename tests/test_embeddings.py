@@ -423,6 +423,88 @@ class TestApply:
         np.testing.assert_array_equal(variant.apply(np.ones(3)), before)
 
 
+class FakeBlas:
+    """Thread-count getter and setter that stand in for numpy's OpenBLAS."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        fake = FakeBlas(4)
+        monkeypatch.setattr(embeddings, "_numpy_blas_threads", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(embeddings, "_one_blas_thread", embeddings._OneBlasThread())
+        return fake
+
+    def test_an_apply_runs_at_one_thread_and_restores_the_count(self, blas, monkeypatch):
+        seen = []
+        fill = embeddings.FeatureMap._fill
+
+        def record(self, *args):
+            seen.append(blas.count)
+            return fill(self, *args)
+
+        monkeypatch.setattr(embeddings.FeatureMap, "_fill", record)
+        make_map("rffn", 7, 37, 60).apply(np.ones((7, 3)))
+        assert seen == [1]
+        assert blas.count == 4 and blas.sets == [1, 4]
+
+    def test_only_the_outermost_block_saves_and_restores(self, blas):
+        with embeddings._one_blas_thread:
+            with embeddings._one_blas_thread:
+                assert blas.count == 1
+            assert blas.count == 1
+        assert blas.sets == [1, 4]
+
+    def test_the_count_is_restored_after_an_exception(self, blas):
+        with pytest.raises(KeyError), embeddings._one_blas_thread:
+            raise KeyError("inside")
+        assert blas.count == 4
+
+    def test_interleaved_blocks_in_two_threads_leave_the_callers_count(self, blas):
+        # The first block to enter saves the count and the last to leave
+        # restores it, whichever thread each runs on.
+        entered, leave = threading.Event(), threading.Event()
+
+        def other():
+            with embeddings._one_blas_thread:
+                entered.set()
+                leave.wait(10)
+
+        thread = threading.Thread(target=other)
+        with embeddings._one_blas_thread:
+            thread.start()
+            assert entered.wait(10)
+        assert blas.count == 1
+        leave.set()
+        thread.join()
+        assert blas.count == 4 and blas.sets == [1, 4]
+
+    def test_a_caller_at_one_thread_sees_no_set(self, blas):
+        blas.count = 1
+        with embeddings._one_blas_thread:
+            pass
+        assert blas.sets == []
+
+    def test_without_the_library_nothing_is_set(self, monkeypatch):
+        monkeypatch.setattr(embeddings.glob, "glob", lambda pattern: [])
+        found = embeddings._numpy_blas_threads.__wrapped__()
+        assert found[0]() == 1 and found[1] is None
+        monkeypatch.setattr(embeddings, "_numpy_blas_threads", lambda: found)
+        monkeypatch.setattr(embeddings, "_one_blas_thread", embeddings._OneBlasThread())
+        fmap = make_map("jl", 4, 6, 61)
+        assert fmap.apply(np.ones((4, 2))).shape == (6, 2)
+
+
 class TestSpecAndSerialization:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):

@@ -81,6 +81,13 @@ class TestSampleParams:
         with pytest.raises(ValueError, match=field):
             CaseSamplingConfig(size=1, **ranges)
 
+    @pytest.mark.parametrize("seed", [-1, None, 1.5])
+    def test_config_rejects_a_seed_that_fixes_no_draws(self, seed):
+        # A negative seed once failed at the first draw, with numpy's bare
+        # "expected non-negative integer".
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer .* {seed}$"):
+            case_config(3, seed=seed)
+
     def test_param_validation(self):
         # Every evaluator takes one finite 1-D row of 3J + 3 values (J >= 1)
         # with every s >= 0, and rejects anything else before evaluating.

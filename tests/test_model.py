@@ -1,12 +1,18 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randonet import linalg
+import randonet
+from randonet import embeddings, linalg
 from randonet import model as model_module
 from randonet.embeddings import (
     BLOCK_COLUMNS,
@@ -25,6 +31,7 @@ from randonet.harness import (
 from randonet.model import (
     SOLVERS,
     AlignedDataset,
+    RandONetModel,
     TrainingError,
     UnalignedDataset,
     evaluate,
@@ -420,6 +427,145 @@ class TestEvaluate:
             np.testing.assert_allclose(
                 batch[:, i], evaluate(model, u[:, i], ys), rtol=1e-12, atol=1e-15
             )
+
+
+def readout_model(seed=14):
+    """A tanh(40) x RFFN(60) model with a random readout, 701 input
+    functions and 155 points."""
+    trunk = build_feature_map(EmbeddingSpec("tanh", 1, 40, (seed, 0), domain=(0.0, 1.0)))
+    branch = build_feature_map(EmbeddingSpec("rffn", 12, 60, (seed, 1), bandwidth=12.0))
+    rng = np.random.default_rng(seed)
+    model = RandONetModel(trunk, branch, rng.standard_normal((40, 60)))
+    return model, rng.standard_normal((12, 701)), np.linspace(0.0, 1.0, 155)
+
+
+def one_product(model, u, ys):
+    """``T W B`` in one product, at one numpy BLAS thread as evaluate runs."""
+    with embeddings._one_blas_thread:
+        return model.trunk.apply(ys[None, :]).T @ model.readout @ model.branch.apply(u)
+
+
+class TestSplitReadoutProduct:
+    @pytest.fixture
+    def readout_rounds(self, monkeypatch):
+        """The row ranges of every split readout product from then on."""
+        rounds = []
+        in_threads = embeddings._in_threads
+
+        def record(task, calls):
+            if len(calls[0]) == 2:  # (lo, hi) rows, not an apply's (x, z, lo, hi)
+                rounds.append(calls)
+            return in_threads(task, calls)
+
+        monkeypatch.setattr(embeddings, "_in_threads", record)
+        return rounds
+
+    @pytest.mark.parametrize("cpus, rows", [
+        (1, []),
+        (2, [(0, 48), (48, 155)]),
+        (3, [(0, 48), (48, 96), (96, 155)]),
+    ])
+    def test_row_ranges_give_the_bits_of_one_product(self, cpus, rows, split_applies,
+                                                     readout_rounds):
+        # 155 points: two or three ranges, each starting on a row block and
+        # the last one holding the partial block. On a 2-core AVX-512 Xeon,
+        # ranges cut at 77, or at 51 and 103, rows moved last bits here.
+        model, u, ys = readout_model()
+        split_applies(cpus)
+        pred = evaluate(model, u, ys)
+        assert readout_rounds == ([rows] if rows else [])
+        np.testing.assert_array_equal(pred, one_product(model, u, ys))
+
+    def test_below_the_floor_the_product_does_not_split(self, monkeypatch, readout_rounds):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        model, u, ys = readout_model()
+        assert 60 * 701 < 2 * embeddings._MIN_RANGE_ENTRIES
+        assert evaluate(model, u, ys).shape == (155, 701)
+        assert readout_rounds == []
+
+    @pytest.mark.parametrize("q", [1, 95])
+    def test_fewer_than_two_row_blocks_do_not_split(self, q, split_applies, readout_rounds):
+        model, u, ys = readout_model()
+        split_applies(3)
+        np.testing.assert_array_equal(evaluate(model, u, ys[:q]), one_product(model, u, ys[:q]))
+        assert readout_rounds == []
+
+    def test_numpy_blas_count_under_two_openblas_threads(self):
+        # The thread count is read once at load, so each count needs a fresh
+        # interpreter. The script checks that apply, evaluate and
+        # train_aligned run numpy's BLAS at one thread and leave the
+        # caller's count, also after an exception and after two threads
+        # evaluate at once, and prints the hash of a split evaluate.
+        script = textwrap.dedent("""
+            import hashlib, os, threading
+            import numpy as np
+            from randonet import embeddings
+            from randonet import model as model_module
+            from randonet.embeddings import EmbeddingSpec, FeatureMap
+            from randonet.model import AlignedDataset, RandONetModel, evaluate, train_aligned
+            get = embeddings._numpy_blas_threads()[0]
+            before = get()
+            rng = np.random.default_rng(16)
+            x, y = np.linspace(0.0, 1.0, 12), np.linspace(0.0, 1.0, 155)
+            ds = AlignedDataset(x, y, rng.standard_normal((12, 80)),
+                                rng.standard_normal((155, 80)))
+            trunk = EmbeddingSpec("tanh", 1, 40, (17, 0), domain=(0.0, 1.0))
+            branch = EmbeddingSpec("rffn", 12, 60, (17, 1), bandwidth=12.0)
+            fitted = train_aligned(ds, trunk, branch)
+            assert get() == before, "train_aligned"
+            # A readout drawn here, not solved: its bits do not depend on the
+            # count, so the predictions' bits depend on evaluate alone.
+            model = RandONetModel(fitted.trunk, fitted.branch, rng.standard_normal((40, 60)))
+            counts, fill, product = [], FeatureMap._fill, model_module._readout_product
+            def record(self, *args):
+                counts.append(get())
+                return fill(self, *args)
+            def record_product(*args):
+                counts.append(get())
+                return product(*args)
+            FeatureMap._fill = record
+            model_module._readout_product = record_product
+            model.branch.apply(ds.U)
+            assert get() == before, "apply"
+            u = rng.standard_normal((12, 701))
+            evaluate(model, u, y)
+            assert get() == before, "evaluate"
+            assert counts == [1, 1, 1, 1], counts
+            def refuse(self, *args):
+                raise FloatingPointError("inside")
+            FeatureMap._fill = refuse
+            try:
+                evaluate(model, u, y)
+            except FloatingPointError:
+                pass
+            assert get() == before, "exception"
+            FeatureMap._fill = fill
+            start = threading.Barrier(2)
+            def evaluate_often():
+                start.wait()
+                for _ in range(20):
+                    evaluate(model, u, y)
+            threads = [threading.Thread(target=evaluate_often) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert get() == before, "two threads"
+            embeddings._MIN_RANGE_ENTRIES = 1
+            os.sched_getaffinity = lambda pid: set(range(3))
+            print(before, hashlib.sha256(evaluate(model, u, y).tobytes()).hexdigest())
+        """)
+        src = str(Path(randonet.__file__).resolve().parents[1])
+        hashes = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            count, hashes[threads] = proc.stdout.split()
+            assert count == "1" if threads == "1" else int(count) >= 1
+        assert hashes["2"] == hashes["1"]
 
 
 class TestUnaligned:

@@ -125,6 +125,40 @@ def test_rejects_bad_span_and_outside_eval():
         dopri5_batch(lambda t, y, a: y, (0.0, 1.0), np.zeros((2, 1)), [0.5], args=samples(3))
 
 
+def decay(t, y):
+    return -y
+
+
+@pytest.mark.parametrize("rtol, atol, name", [
+    (-1.0, 1e-12, "rtol"), (np.nan, 1e-12, "rtol"), (np.inf, 1e-12, "rtol"),
+    (1e-10, -1e-12, "atol"), (1e-10, np.inf, "atol"),
+])
+def test_rejects_negative_or_non_finite_tolerances(rtol, atol, name):
+    # rtol=-1 on y' = -y once came back ok, 1.3e-5 away from exp(-1).
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        dopri5_batch(decay, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]), rtol=rtol, atol=atol)
+
+
+def test_rejects_zero_rtol_and_atol():
+    # Once ok=False after divide-by-zero warnings.
+    with pytest.raises(ValueError, match="rtol and atol must not both be 0"):
+        dopri5_batch(decay, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]), rtol=0.0, atol=0.0)
+    values, ok = dopri5_batch(decay, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]),
+                              rtol=1e-10, atol=0.0)
+    assert ok[0] and values[0, 0, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_rejects_a_step_budget_below_one(max_steps):
+    # max_steps=0 once returned ok=False with no message.
+    def no_call(t, y):
+        raise AssertionError("the right-hand side was called")
+
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        dopri5_batch(no_call, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]),
+                     max_steps=max_steps)
+
+
 def test_no_right_hand_side_evaluation_repeats_the_one_before():
     forcings = [lambda t: np.sin(7 * t), lambda t: 0.3, lambda t: np.cos(2 * t)]
     rhs = pendulum_rhs(forcings)
