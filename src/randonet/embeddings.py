@@ -51,36 +51,18 @@ for a 2000 x 100 RFFN map on one core of a 2-core x86-64 Xeon, against
 0.2 ms for a fixed-order ``einsum`` contraction), while a large batch runs
 at GEMM speed.
 
-A call whose result holds at least twice ``_MIN_RANGE_ENTRIES`` entries
-runs on every CPU the process may run on (its affinity mask, so
-``taskset`` limits it), at most one per ``_MIN_RANGE_ENTRIES`` entries and
-one per block. It fills contiguous column ranges of the result that start
-and end on block boundaries, so every block keeps its GEMM shape and only
-the last range holds the padded tail. The calling thread fills the first
-range and a short-lived thread each other one, all steps of a range in
-one go; these long numpy calls release the GIL. The bits do not depend on
-the thread count, and below the floor one integer comparison decides that
-nothing splits.
-
-Every ``apply`` holds numpy's bundled OpenBLAS at one thread for as long as
-it runs (``_one_blas_thread``), and restores the caller's count when it
-returns or raises. The setting is process-wide, so a numpy product that
-another thread runs meanwhile gets one thread too; nested and concurrent
-calls share it, and the last to leave restores the count. At two OpenBLAS
-threads a split RFFN(2000) apply ran 2-2.6x slower than at one (2-core
-x86-64 Xeon). scipy's OpenBLAS keeps its count.
+Large applies run on threads, with the bits of one thread, and every
+apply holds numpy's OpenBLAS at one thread (see :mod:`randonet._parallel`).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import os
-import threading
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from . import _parallel
 
 __all__ = [
     "EmbeddingSpec",
@@ -100,20 +82,6 @@ _KINDS = ("jl", "rffn", "tanh")
 # column. Changing it moves features in their last bits.
 BLOCK_COLUMNS = 32
 
-# Fewest result entries FeatureMap.apply hands to one thread. A thread
-# costs 0.1-0.15 ms to start and join. Split in two at 2 * 2**17 entries,
-# applies took 14-23 % less time than in one thread (tanh 200 x 1, RFFN
-# 2000 x 100 and JL 100 x 100 maps; one BLAS thread, 2-core x86-64 Xeon);
-# split at 2**17 entries, the tanh map took up to 45 % more.
-_MIN_RANGE_ENTRIES = 1 << 17
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, so ``taskset`` limits
-    it), or 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _check_seed(seed, name: str) -> None:
     """Reject a seed that does not fix its draws: ``None``, which draws fresh
     entropy, or one that ``SeedSequence`` refuses (negative, not integer)."""
@@ -124,6 +92,14 @@ def _check_seed(seed, name: str) -> None:
         np.random.SeedSequence(seed)
     except (TypeError, ValueError):
         raise ValueError(message) from None
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming ``name`` unless it is
+    an integer >= 1; numpy integers pass, and ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def default_weight_bound(domain: tuple[float, float]) -> float:
@@ -158,11 +134,8 @@ class EmbeddingSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.input_dim < 1 or self.feature_dim < 1:
-            raise ValueError(
-                f"dimensions must be >= 1, got input_dim={self.input_dim}, "
-                f"feature_dim={self.feature_dim}"
-            )
+        for name in ("input_dim", "feature_dim"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         _check_seed(self.seed, "seed")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
@@ -191,8 +164,8 @@ class EmbeddingSpec:
         domain = d.get("domain")
         return cls(
             kind=d["kind"],
-            input_dim=int(d["input_dim"]),
-            feature_dim=int(d["feature_dim"]),
+            input_dim=d["input_dim"],
+            feature_dim=d["feature_dim"],
             seed=seed,
             weight_bound=d.get("weight_bound"),
             domain=tuple(domain) if domain is not None else None,
@@ -235,11 +208,8 @@ class FeatureMap:
         reads all full blocks from ``x`` and writes them into the result in
         place; one zero-padded block takes a partial tail, so a single
         column still costs one full block. Bias, activation and scale then
-        act in place on the result. A result of at least twice
-        ``_MIN_RANGE_ENTRIES`` entries is filled on every usable CPU, in
-        column ranges of at least that many entries and in one round of
-        threads (see the module docstring), with the same bits as in one
-        thread; no thread outlives the call.
+        act in place on the result. Column ranges that start on blocks
+        split a large call across threads (see :mod:`randonet._parallel`).
 
         Parameters
         ----------
@@ -264,14 +234,11 @@ class FeatureMap:
         x = np.ascontiguousarray(x)
         rows, k = self.weights.shape[0], x.shape[1]
         z = np.empty((rows, k), order="F")
-        with _one_blas_thread:
-            if rows * k < 2 * _MIN_RANGE_ENTRIES:
-                self._fill(x, z, 0, k)
-            else:
-                blocks = -(-k // BLOCK_COLUMNS)
-                count = min(_usable_cpus(), rows * k // _MIN_RANGE_ENTRIES, blocks)
-                cols = _block_ranges(blocks, BLOCK_COLUMNS, count, k)
-                _in_threads(self._fill, [(x, z, lo, hi) for lo, hi in cols])
+        blocks = -(-k // BLOCK_COLUMNS)
+        count = _parallel.workers(rows * k, _parallel.MIN_RANGE_ENTRIES, blocks)
+        with _parallel.one_blas_thread:
+            _parallel.in_threads(lambda lo, hi: self._fill(x, z, lo, hi),
+                                 _parallel.ranges(blocks, BLOCK_COLUMNS, count, k))
         return z[:, 0] if single else z
 
     def _fill(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> None:
@@ -307,91 +274,6 @@ class FeatureMap:
             if self.spec.kind == "rffn":
                 np.cos(part, out=part)
             part *= self.scale
-
-
-def _block_ranges(blocks: int, block: int, count: int, end: int) -> list:
-    """``count`` contiguous ``(lo, hi)`` ranges over ``blocks`` blocks of
-    ``block`` items, as even as whole blocks allow; each starts on a block
-    and the last ends at ``end``."""
-    cuts = [block * (blocks * i // count) for i in range(count)] + [end]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _in_threads(task, calls: list) -> None:
-    """``task(*args)`` for every ``args`` in ``calls``: the first in this
-    thread, each other one in a short-lived thread of its own.
-
-    A worker's exception is raised here, and no thread outlives the call.
-    """
-    errors = []
-
-    def run(*args):
-        try:
-            task(*args)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for args in calls[1:]:
-            thread = threading.Thread(target=run, args=args)
-            thread.start()
-            threads.append(thread)
-        task(*calls[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
-@functools.cache
-def _numpy_blas_threads():
-    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
-    bundles. Where numpy bundles none that exports them, ``get`` reads 1,
-    so nothing is ever set."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.restype, set_.restype, set_.argtypes = ctypes.c_int, None, [ctypes.c_int]
-            return get, set_
-    return (lambda: 1), None
-
-
-class _OneBlasThread:
-    """Context manager that runs its block with numpy's OpenBLAS at one thread.
-
-    The count is process-wide. Only the outermost of nested or concurrent
-    blocks, in any thread, reads the caller's count, and the last to leave
-    restores it, also when its block raises. scipy's OpenBLAS keeps its
-    count.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0  # blocks entered and not left, in all threads
-        self._saved = 1  # the count the outermost block found
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                get, set_ = _numpy_blas_threads()
-                self._saved = get()
-                if self._saved != 1:
-                    set_(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._saved != 1:
-                _numpy_blas_threads()[1](self._saved)
-
-
-_one_blas_thread = _OneBlasThread()
 
 
 def build_feature_map(spec: EmbeddingSpec) -> FeatureMap:

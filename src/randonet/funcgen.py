@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .embeddings import _check_seed
+from .embeddings import _check_count, _check_seed
 
 __all__ = [
     "DEFAULT_TERMS",
@@ -98,10 +98,8 @@ class CaseSamplingConfig:
             raise ValueError(f"s_range must have a lower bound >= 0, got {self.s_range}")
         if not (np.all(np.isfinite(self.domain)) and self.domain[0] < self.domain[1]):
             raise ValueError(f"domain must be finite with a < b, got {self.domain}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
+        for name in ("size", "n_terms"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         _check_seed(self.seed, "seed")
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpec, _check_seed
+from .embeddings import EmbeddingSpec, _check_count, _check_seed
 from .model import AlignedDataset, _check_solver, evaluate, train_aligned
 from .problems import build_case, case_config
 
@@ -95,11 +95,13 @@ class ExperimentConfig:
             raise ValueError(f"branch must be 'jl' or 'rffn', got {self.branch!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        sizes = tuple(int(m) for m in self.branch_sizes)
-        if not sizes or any(m < 1 for m in sizes):
-            raise ValueError(f"branch_sizes must be positive, got {self.branch_sizes}")
-        if self.trunk_size < 1:
-            raise ValueError(f"trunk_size must be >= 1, got {self.trunk_size}")
+        sizes = tuple(_check_count(m, "each of branch_sizes") for m in self.branch_sizes)
+        if not sizes:
+            raise ValueError("branch_sizes must hold at least one size")
+        object.__setattr__(self, "trunk_size", _check_count(self.trunk_size, "trunk_size"))
+        if self.dataset_size is not None:
+            size = _check_count(self.dataset_size, "dataset_size")
+            object.__setattr__(self, "dataset_size", size)
         _check_solver(self.solver, self.tol, self.reg)
         for name in ("seed_data", "seed_embed", "seed_split"):
             _check_seed(getattr(self, name), name)

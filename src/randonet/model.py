@@ -26,12 +26,9 @@ builds and the same BLAS thread count. The readout's last bits change with
 the thread count; the feature maps do not, and the numerical ranks of the
 paper-size fits did not at one and two OpenBLAS threads.
 
-:func:`evaluate` holds numpy's OpenBLAS at one thread for as long as it
-runs, as ``FeatureMap.apply`` does (a process-wide setting, restored when
-it returns or raises), so a model's predictions do not depend on the BLAS
-thread count. When the branch features reach the floor at which
-``FeatureMap.apply`` splits, the readout product runs in ranges of trunk
-rows, one per usable CPU, each starting on a multiple of ``_READOUT_ROWS``.
+:func:`evaluate` holds numpy's OpenBLAS at one thread, so a model's
+predictions do not depend on the BLAS thread count, and splits a large
+readout product into row ranges on threads (see :mod:`randonet._parallel`).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import embeddings, linalg
+from . import _parallel, linalg
 from .embeddings import EmbeddingSpec, FeatureMap, build_feature_map
 
 __all__ = [
@@ -455,10 +452,9 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     Notes
     -----
     numpy's OpenBLAS runs at one thread for the whole call, and the
-    caller's count is restored afterwards. With at least twice
-    ``embeddings._MIN_RANGE_ENTRIES`` branch feature entries and two blocks
-    of ``_READOUT_ROWS`` points, ``T W B`` is split into row ranges of the
-    trunk features, one per usable CPU, in one round of threads.
+    caller's count is restored afterwards. ``T W B`` splits into ranges of
+    ``_READOUT_ROWS`` trunk rows by the rule of ``FeatureMap.apply``, with
+    the branch feature entries as its work.
     """
     u = np.asarray(u_samples, dtype=np.float64)
     y = np.asarray(y_points, dtype=np.float64)
@@ -470,7 +466,7 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     if single:
         u = u[:, None]
     y = np.atleast_1d(y)
-    with embeddings._one_blas_thread:
+    with _parallel.one_blas_thread:
         t_mat = model.trunk.apply(y[None, :]).T  # (q, N), C-ordered
         b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
         out = _readout_product(t_mat, model.readout, b_mat)
@@ -478,25 +474,17 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
 
 
 def _readout_product(t_mat: np.ndarray, w: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """``t_mat @ w @ b_mat``, in row ranges on every usable CPU when the
-    branch features reach the floor at which ``FeatureMap.apply`` splits.
-
-    Each range starts on a multiple of ``_READOUT_ROWS`` rows and holds at
-    least that many; the calling thread computes the first and a
-    short-lived thread each other one, writing its rows of the result.
-    """
+    """``t_mat @ w @ b_mat``, in ranges of whole ``_READOUT_ROWS`` row blocks,
+    the last one holding the partial block, one on each worker thread."""
     q, (m_feat, k) = t_mat.shape[0], b_mat.shape
-    blocks = q // _READOUT_ROWS
-    split = m_feat * k >= 2 * embeddings._MIN_RANGE_ENTRIES
-    count = min(embeddings._usable_cpus(), blocks) if split else 1
-    if count < 2:
-        return t_mat @ w @ b_mat
+    blocks = max(q // _READOUT_ROWS, 1)
+    count = _parallel.workers(m_feat * k, _parallel.MIN_RANGE_ENTRIES, blocks)
     out = np.empty((q, k))
 
     def product(lo, hi):
         np.matmul(t_mat[lo:hi] @ w, b_mat, out=out[lo:hi])
 
-    embeddings._in_threads(product, embeddings._block_ranges(blocks, _READOUT_ROWS, count, q))
+    _parallel.in_threads(product, _parallel.ranges(blocks, _READOUT_ROWS, count, q))
     return out
 
 

@@ -35,12 +35,10 @@ One row kernel computes the U rows, the V rows and the success mask of any
 case: case 1's U and V, case 2's pendulum solve and its U, and the
 derivatives of cases 3-5, whose right-hand side is applied in the block.
 When the sensors are the output points, U is the u already computed for V.
-The kernel runs once per build, over contiguous row blocks of the table,
-one per CPU the process may run on (so ``taskset`` restricts it): this
-process takes the first block and a forked worker each other one. The
-workers call elementwise numpy, ``erf`` and row reductions, no BLAS, and
-every row goes through the same operations in whatever block it lands, so
-the bits do not depend on the worker count. Case 2's replacement draws for
+The kernel runs once per build, over row blocks of the table in forked
+processes (see :mod:`randonet._parallel`); it calls elementwise numpy,
+``erf`` and row reductions, no BLAS, and every row goes through the same
+operations in whatever block it lands. Case 2's replacement draws for
 failed samples go through the same kernel in this process.
 """
 
@@ -48,13 +46,11 @@ from __future__ import annotations
 
 import csv
 import logging
-import multiprocessing
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import _usable_cpus
+from . import _parallel
 from .funcgen import CaseSamplingConfig, sample_params
 from .funcgen import _blocks, _derivatives, _param_names, _primitive
 from .model import AlignedDataset
@@ -81,11 +77,6 @@ _GRID_POINTS = 100
 # keeps one pass's parameter slices and two scratch buffers (1 MB) inside
 # a 2 MB L2.
 _FORCING_CHUNK = 128
-
-# Fewest rows a build hands to one process: 256 rows take 80-200 ms (cases
-# 3-5 to case 1), and a worker costs about 7 ms to fork, hear from and join
-# from a 100 MB process (2-core x86-64 Xeon).
-_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -192,73 +183,6 @@ def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
     ws = np.empty((count, x.size, _blocks(table)[0].shape[1]))
     ws[0] = x[:, None]
     return ws
-
-
-def _in_row_blocks(kernel, table: np.ndarray, what: str) -> tuple:
-    """``kernel(table)``, computed in contiguous row blocks, one per usable CPU.
-
-    ``kernel(rows)`` returns a tuple of arrays whose first axis runs over
-    ``rows``; the blocks' arrays come back concatenated in row order. Blocks
-    hold at least ``_MIN_BLOCK_ROWS`` rows, and without the ``fork`` start
-    method, or in a daemonic process (which may not start children), there
-    is one, computed here. Otherwise this process computes the first block
-    while each other block runs in a forked process, which inherits
-    ``kernel`` and the module globals instead of unpickling them, and sends
-    its arrays back through a pipe. A worker's exception is raised here, and
-    no worker outlives the call. Each split logs one DEBUG record.
-    """
-    forks = ("fork" in multiprocessing.get_all_start_methods()
-             and not multiprocessing.current_process().daemon)
-    count = min(_usable_cpus(), len(table) // _MIN_BLOCK_ROWS) if forks else 1
-    if count <= 1:
-        return kernel(table)
-    start = time.perf_counter()
-    bounds = [len(table) * i // count for i in range(count + 1)]
-    context = multiprocessing.get_context("fork")
-    workers, done = [], False
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_block, args=(kernel, table[lo:hi], send),
-                                     daemon=True)
-            worker.start()
-            send.close()
-            workers.append((worker, receive))
-        parts = [kernel(table[: bounds[1]])]
-        for worker, receive in workers:
-            try:
-                part = receive.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"{what}: a worker exited with code {worker.exitcode} before sending its rows"
-                ) from None
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-        done = True
-    finally:
-        for worker, receive in workers:
-            if not done:
-                worker.terminate()
-            worker.join()
-            receive.close()
-    blocks = tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    logger.debug(
-        "%s: %d rows in %d blocks of %s rows, %.3f s", what, len(table), count,
-        "/".join(str(hi - lo) for lo, hi in zip(bounds, bounds[1:])),
-        time.perf_counter() - start,
-    )
-    return blocks
-
-
-def _send_block(kernel, rows: np.ndarray, send) -> None:
-    """A worker of :func:`_in_row_blocks`: send ``kernel(rows)`` or its exception."""
-    try:
-        part = kernel(rows)
-    except Exception as exc:
-        part = exc
-    send.send(part)
 
 
 def _derivative_rows(table: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
@@ -372,8 +296,10 @@ def build_case(case: CaseStudy, with_params: bool = False):
     """
     table = sample_params(case.sampling)
     x, y = case.input_grid(), case.output_grid()
-    u_t, v_t, ok = _in_row_blocks(lambda rows: _case_rows(case, rows, x, y), table,
-                                  f"case {case.id}")
+    count = _parallel.workers(len(table), _parallel.MIN_BLOCK_ROWS, len(table))
+    u_t, v_t, ok = _parallel.in_processes(lambda lo, hi: _case_rows(case, table[lo:hi], x, y),
+                                          _parallel.ranges(len(table), 1, count, len(table)),
+                                          f"case {case.id}")
     retries = 0
     max_retries = 100
     while not ok.all():

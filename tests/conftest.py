@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from randonet import embeddings
+from randonet import _parallel, embeddings
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def split_applies(monkeypatch):
 
     def force(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(embeddings, "_MIN_RANGE_ENTRIES", 1)
+        monkeypatch.setattr(_parallel, "MIN_RANGE_ENTRIES", 1)
         monkeypatch.setattr(embeddings.FeatureMap, "_fill", record)
         ranges.clear()
         return ranges

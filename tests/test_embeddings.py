@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randonet
-from randonet import embeddings
+from randonet import _parallel, embeddings
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
@@ -260,14 +260,22 @@ class TestApply:
         script = textwrap.dedent("""
             import os
             import numpy as np
-            from randonet import embeddings
-            from randonet.embeddings import BLOCK_COLUMNS, EmbeddingSpec, build_feature_map
+            from randonet import _parallel
+            from randonet.embeddings import (BLOCK_COLUMNS, EmbeddingSpec, FeatureMap,
+                                             build_feature_map)
             fmap = build_feature_map(EmbeddingSpec("rffn", 100, 2000, 31, bandwidth=100.0))
             x = np.random.default_rng(32).standard_normal((100, 3 * BLOCK_COLUMNS + 5))
             whole = fmap.apply(x)
-            embeddings._MIN_RANGE_ENTRIES = 1
+            _parallel.MIN_RANGE_ENTRIES = 1
             os.sched_getaffinity = lambda pid: set(range(3))
+            ranges, fill = [], FeatureMap._fill
+            def record(self, x, z, lo, hi):
+                ranges.append((lo, hi))
+                return fill(self, x, z, lo, hi)
+            FeatureMap._fill = record
             batch = fmap.apply(x)
+            FeatureMap._fill = fill
+            assert sorted(ranges) == [(0, 32), (32, 64), (64, 101)], ranges
             assert np.array_equal(batch, whole)
             for i in range(x.shape[1]):
                 assert np.array_equal(batch[:, i], fmap.apply(x[:, i])), i
@@ -368,7 +376,7 @@ class TestApply:
         monkeypatch.setattr(os, "sched_getaffinity", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         fmap = make_map("rffn", 10, 100, 44)
-        k = 2 * embeddings._MIN_RANGE_ENTRIES // 100 - 1
+        k = 2 * _parallel.MIN_RANGE_ENTRIES // 100 - 1
         x = np.random.default_rng(45).standard_normal((10, k))
         assert fmap.apply(x).shape == (100, k)
 
@@ -441,8 +449,8 @@ class TestOneBlasThread:
     @pytest.fixture
     def blas(self, monkeypatch):
         fake = FakeBlas(4)
-        monkeypatch.setattr(embeddings, "_numpy_blas_threads", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(embeddings, "_one_blas_thread", embeddings._OneBlasThread())
+        monkeypatch.setattr(_parallel, "numpy_blas_threads", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(_parallel, "one_blas_thread", _parallel.OneBlasThread())
         return fake
 
     def test_an_apply_runs_at_one_thread_and_restores_the_count(self, blas, monkeypatch):
@@ -459,14 +467,14 @@ class TestOneBlasThread:
         assert blas.count == 4 and blas.sets == [1, 4]
 
     def test_only_the_outermost_block_saves_and_restores(self, blas):
-        with embeddings._one_blas_thread:
-            with embeddings._one_blas_thread:
+        with _parallel.one_blas_thread:
+            with _parallel.one_blas_thread:
                 assert blas.count == 1
             assert blas.count == 1
         assert blas.sets == [1, 4]
 
     def test_the_count_is_restored_after_an_exception(self, blas):
-        with pytest.raises(KeyError), embeddings._one_blas_thread:
+        with pytest.raises(KeyError), _parallel.one_blas_thread:
             raise KeyError("inside")
         assert blas.count == 4
 
@@ -476,12 +484,12 @@ class TestOneBlasThread:
         entered, leave = threading.Event(), threading.Event()
 
         def other():
-            with embeddings._one_blas_thread:
+            with _parallel.one_blas_thread:
                 entered.set()
                 leave.wait(10)
 
         thread = threading.Thread(target=other)
-        with embeddings._one_blas_thread:
+        with _parallel.one_blas_thread:
             thread.start()
             assert entered.wait(10)
         assert blas.count == 1
@@ -491,16 +499,16 @@ class TestOneBlasThread:
 
     def test_a_caller_at_one_thread_sees_no_set(self, blas):
         blas.count = 1
-        with embeddings._one_blas_thread:
+        with _parallel.one_blas_thread:
             pass
         assert blas.sets == []
 
     def test_without_the_library_nothing_is_set(self, monkeypatch):
-        monkeypatch.setattr(embeddings.glob, "glob", lambda pattern: [])
-        found = embeddings._numpy_blas_threads.__wrapped__()
+        monkeypatch.setattr(_parallel.glob, "glob", lambda pattern: [])
+        found = _parallel.numpy_blas_threads.__wrapped__()
         assert found[0]() == 1 and found[1] is None
-        monkeypatch.setattr(embeddings, "_numpy_blas_threads", lambda: found)
-        monkeypatch.setattr(embeddings, "_one_blas_thread", embeddings._OneBlasThread())
+        monkeypatch.setattr(_parallel, "numpy_blas_threads", lambda: found)
+        monkeypatch.setattr(_parallel, "one_blas_thread", _parallel.OneBlasThread())
         fmap = make_map("jl", 4, 6, 61)
         assert fmap.apply(np.ones((4, 2))).shape == (6, 2)
 
@@ -509,7 +517,7 @@ class TestSpecAndSerialization:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
             EmbeddingSpec(kind="poly", input_dim=2, feature_dim=2)
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="input_dim must be an integer >= 1"):
             EmbeddingSpec(kind="jl", input_dim=0, feature_dim=2)
         with pytest.raises(ValueError, match="domain"):
             EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=2)

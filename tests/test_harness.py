@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randonet import harness, model
+from randonet.embeddings import EmbeddingSpec
 from randonet.harness import (
     BenchmarkReport,
     ExperimentConfig,
@@ -195,6 +197,24 @@ class TestRunExperiment:
             ExperimentConfig(case=1, solver="tsvd")
         with pytest.raises(ValueError, match="'tikhonov' takes no tol"):
             ExperimentConfig(case=1, solver="tikhonov", tol=1e-3)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: EmbeddingSpec("jl", v, 5), "input_dim"),
+        (lambda v: EmbeddingSpec("jl", 3, v), "feature_dim"),
+        (lambda v: EmbeddingSpec.from_dict({"kind": "jl", "input_dim": v, "feature_dim": 5,
+                                            "seed": 0}), "input_dim"),
+        (lambda v: ExperimentConfig(case=1, branch_sizes=(4, v)), "each of branch_sizes"),
+        (lambda v: ExperimentConfig(case=1, trunk_size=v), "trunk_size"),
+        (lambda v: ExperimentConfig(case=1, dataset_size=v), "dataset_size"),
+        (lambda v: case_config(3, size=v), "size"),
+        (lambda v: dataclasses.replace(case_config(3).sampling, n_terms=v), "n_terms"),
+    ])
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True, "3", 0])
+    def test_integer_fields_reject_non_integers(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {bad!r}$"):
+            make(bad)
+        # A numpy integer passes and is stored as an int, so configs and specs stay JSON.
+        json.dumps(dataclasses.asdict(make(np.int64(3))))
 
 
 class TestDatasetCache:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randonet
-from randonet import embeddings, linalg
+from randonet import _parallel, linalg
 from randonet import model as model_module
 from randonet.embeddings import (
     BLOCK_COLUMNS,
@@ -441,7 +441,7 @@ def readout_model(seed=14):
 
 def one_product(model, u, ys):
     """``T W B`` in one product, at one numpy BLAS thread as evaluate runs."""
-    with embeddings._one_blas_thread:
+    with _parallel.one_blas_thread:
         return model.trunk.apply(ys[None, :]).T @ model.readout @ model.branch.apply(u)
 
 
@@ -450,14 +450,14 @@ class TestSplitReadoutProduct:
     def readout_rounds(self, monkeypatch):
         """The row ranges of every split readout product from then on."""
         rounds = []
-        in_threads = embeddings._in_threads
+        in_threads = _parallel.in_threads
 
-        def record(task, calls):
-            if len(calls[0]) == 2:  # (lo, hi) rows, not an apply's (x, z, lo, hi)
-                rounds.append(calls)
-            return in_threads(task, calls)
+        def record(task, spans):
+            if len(spans) > 1 and task.__qualname__.startswith("_readout_product."):
+                rounds.append(spans)
+            return in_threads(task, spans)
 
-        monkeypatch.setattr(embeddings, "_in_threads", record)
+        monkeypatch.setattr(_parallel, "in_threads", record)
         return rounds
 
     @pytest.mark.parametrize("cpus, rows", [
@@ -479,7 +479,7 @@ class TestSplitReadoutProduct:
     def test_below_the_floor_the_product_does_not_split(self, monkeypatch, readout_rounds):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         model, u, ys = readout_model()
-        assert 60 * 701 < 2 * embeddings._MIN_RANGE_ENTRIES
+        assert 60 * 701 < 2 * _parallel.MIN_RANGE_ENTRIES
         assert evaluate(model, u, ys).shape == (155, 701)
         assert readout_rounds == []
 
@@ -499,11 +499,11 @@ class TestSplitReadoutProduct:
         script = textwrap.dedent("""
             import hashlib, os, threading
             import numpy as np
-            from randonet import embeddings
+            from randonet import _parallel
             from randonet import model as model_module
             from randonet.embeddings import EmbeddingSpec, FeatureMap
             from randonet.model import AlignedDataset, RandONetModel, evaluate, train_aligned
-            get = embeddings._numpy_blas_threads()[0]
+            get = _parallel.numpy_blas_threads()[0]
             before = get()
             rng = np.random.default_rng(16)
             x, y = np.linspace(0.0, 1.0, 12), np.linspace(0.0, 1.0, 155)
@@ -551,9 +551,17 @@ class TestSplitReadoutProduct:
             for thread in threads:
                 thread.join()
             assert get() == before, "two threads"
-            embeddings._MIN_RANGE_ENTRIES = 1
+            _parallel.MIN_RANGE_ENTRIES = 1
             os.sched_getaffinity = lambda pid: set(range(3))
-            print(before, hashlib.sha256(evaluate(model, u, y).tobytes()).hexdigest())
+            rounds, in_threads = [], _parallel.in_threads
+            def record_round(task, spans):
+                rounds.append(spans)
+                return in_threads(task, spans)
+            _parallel.in_threads = record_round
+            pred = evaluate(model, u, y)
+            # The trunk apply, the branch apply and the readout product.
+            assert rounds[-1] == [(0, 48), (48, 96), (96, 155)], rounds
+            print(before, hashlib.sha256(pred.tobytes()).hexdigest())
         """)
         src = str(Path(randonet.__file__).resolve().parents[1])
         hashes = {}

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 import randonet
 import reference_build
-from randonet import funcgen, odeint, problems
+from randonet import _parallel, funcgen, odeint, problems
 from randonet.acceptance import _fd_rhs_reference
 from randonet.funcgen import (
     CaseSamplingConfig,
@@ -428,7 +428,7 @@ class TestRowBlocks:
 
         def force(cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            monkeypatch.setattr(problems, "_MIN_BLOCK_ROWS", 1)
+            monkeypatch.setattr(_parallel, "MIN_BLOCK_ROWS", 1)
 
         return force
 
@@ -441,7 +441,7 @@ class TestRowBlocks:
         split_into(1)
         whole, whole_table = build_case(case, with_params=True)
         split_into(blocks)
-        with caplog.at_level(logging.DEBUG, logger="randonet.problems"):
+        with caplog.at_level(logging.DEBUG, logger="randonet._parallel"):
             got, table = build_case(case, with_params=True)
         assert digests(got, table) == digests(whole, whole_table)
         assert (got.U.strides, got.V.strides) == (whole.U.strides, whole.V.strides)
@@ -532,16 +532,24 @@ class TestRowBlocks:
         # The workers fork a process whose OpenBLAS pool is running; they
         # must not hang and, calling no BLAS, must give the one-thread bits.
         script = textwrap.dedent("""
-            import os, sys
+            import logging, os, sys
             import numpy as np
-            from randonet import harness, problems
+            from randonet import _parallel, harness, problems
             np.ones((256, 256)) @ np.ones((256, 256))
             if os.path.isdir("/proc/self/task"):
                 assert len(os.listdir("/proc/self/task")) > 1 or sys.argv[1] == "1"
             os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
-            problems._MIN_BLOCK_ROWS = 8
+            _parallel.MIN_BLOCK_ROWS = 8
+            splits = []
+            handler = logging.Handler(logging.DEBUG)
+            handler.emit = lambda record: splits.append(record.getMessage())
+            _parallel.logger.addHandler(handler)
+            _parallel.logger.setLevel(logging.DEBUG)
             print(harness._dataset_fingerprint(problems.build_case(
                 problems.case_config(2, size=40, seed=94))))
+            # Two CPUs split the 40 rows in two; one CPU does not split.
+            blocks = ["case 2: 40 rows in 2 blocks of 20/20 rows"] if sys.argv[1] == "2" else []
+            assert [s.split(",")[0] for s in splits] == blocks, splits
         """)
         src = str(Path(randonet.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

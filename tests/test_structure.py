@@ -1,0 +1,63 @@
+"""Parallel work has one owner, ``randonet._parallel``.
+
+Only that module starts threads or processes, reads the affinity mask or
+names numpy's OpenBLAS thread-count symbols. Other modules call it and
+take no private name of ``embeddings`` or ``problems`` for parallel work:
+the only private names they reach there are the input checks (``_check_*``).
+"""
+
+import ast
+from pathlib import Path
+
+import randonet
+
+SOURCES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(Path(randonet.__file__).parent.glob("*.py"))}
+
+
+def parallel_work(tree) -> list:
+    """One line for each thing ``tree`` does that only ``_parallel`` may do."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom):
+            modules, names = [node.module or ""], [alias.name for alias in node.names]
+        else:
+            modules, names = [], []
+        found += [f"imports {module}" for module in modules
+                  if module.split(".")[0] in ("threading", "multiprocessing", "concurrent")]
+        if "sched_getaffinity" in names or getattr(node, "attr", None) == "sched_getaffinity":
+            found.append("reads the affinity mask")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "openblas" in node.value and "threads" in node.value:
+            found.append(f"names {node.value}")
+    return found
+
+
+def private_names_reached(tree) -> list:
+    """``module.name`` of every private name ``tree`` takes from embeddings or problems."""
+    owners = ("embeddings", "problems")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in owners:
+            found += [f"{node.module.split('.')[-1]}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in owners and node.attr.startswith("_"):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_parallel_starts_workers_or_sets_blas_threads():
+    found = {name: parallel_work(tree) for name, tree in SOURCES.items() if name != "_parallel"}
+    assert {name: work for name, work in found.items() if work} == {}
+    # The scan sees what it looks for: the owner does all of it.
+    assert len(set(parallel_work(SOURCES["_parallel"]))) == 5
+
+
+def test_no_module_reaches_private_names_of_embeddings_or_problems():
+    found = {name: [reached for reached in private_names_reached(tree)
+                    if not reached.split(".")[1].startswith("_check_")]
+             for name, tree in SOURCES.items()}
+    assert {name: reached for name, reached in found.items() if reached} == {}
