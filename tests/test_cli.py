@@ -80,6 +80,17 @@ def test_infinite_tikhonov_weight_fails_with_error_record(capsys):
         "regularization weight must be >= 0 and finite, got inf")
 
 
+def test_infinite_rank_tolerance_fails_with_error_record(capsys):
+    # It once trained ranks 0 and an all-zero readout and reported its MSE.
+    code, _, err = run_cli(capsys, "run", "--case", "1", "--branch", "jl", "--m", "8",
+                           "--tol", "inf", "--size", "40")
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"] == (
+        "tolerance must be positive and finite or None (auto), got inf")
+
+
 def test_negative_data_seed_fails_before_any_draw(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gen-data", "--case", "3", "--size", "4",
                            "--seed-data", "-1", "--out", str(tmp_path / "data.csv"))

@@ -385,8 +385,15 @@ class TestApply:
         fmap = make_map("rffn", 7, 37, 46)
         x = np.random.default_rng(47).standard_normal((7, 3 * BLOCK_COLUMNS + 5))
         cos, caller = np.cos, threading.current_thread()
+        taken = threading.Event()
 
         def refuse_in(z, out):
+            # Whoever is free takes the next range, so the caller holds its
+            # own until the worker has taken the other.
+            if threading.current_thread() is caller:
+                assert taken.wait(30)
+            else:
+                taken.set()
             if (threading.current_thread() is caller) == (where == "caller"):
                 raise FloatingPointError(f"no cosine for columns of shape {z.shape}")
             return cos(z, out=out)
@@ -435,9 +442,10 @@ class FakeBlas:
     """Thread-count getter and setter that stand in for numpy's OpenBLAS."""
 
     def __init__(self, count):
-        self.count, self.sets = count, []
+        self.count, self.sets, self.gets = count, [], 0
 
     def get(self):
+        self.gets += 1
         return self.count
 
     def set(self, count):
@@ -472,6 +480,19 @@ class TestOneBlasThread:
                 assert blas.count == 1
             assert blas.count == 1
         assert blas.sets == [1, 4]
+
+    def test_a_nested_block_touches_neither_the_lock_nor_the_library(self, blas,
+                                                                      monkeypatch):
+        pin = _parallel.one_blas_thread
+        with pin:
+            gets, sets = blas.gets, list(blas.sets)
+            monkeypatch.setattr(pin, "_lock", None)  # any use of it raises
+            with pin:
+                with pin:
+                    pass
+            monkeypatch.setattr(pin, "_lock", threading.Lock())
+            assert (blas.gets, blas.sets) == (gets, sets)
+        assert blas.gets == 1 and blas.sets == [1, 4]
 
     def test_the_count_is_restored_after_an_exception(self, blas):
         with pytest.raises(KeyError), _parallel.one_blas_thread:

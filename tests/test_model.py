@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -278,6 +279,11 @@ class TestTrainAligned:
             with pytest.raises(ValueError, match=message):
                 train(ds, *maps, solver=solver, tol=tol, reg=reg)
 
+    def test_infinite_tolerance_rejected(self):
+        # It once trained ranks 0 and an all-zero readout without an error.
+        with pytest.raises(ValueError, match="positive and finite or None"):
+            train_aligned(toy_dataset(), *toy_specs(), solver="cod", tol=float("inf"))
+
     def test_metadata_recorded(self):
         model = train_aligned(toy_dataset(), *toy_specs(), solver="cod", tol=1e-10)
         md = model.train_metadata
@@ -351,6 +357,72 @@ class TestTrainAligned:
         # 1/n + 1/M > 1/s + 1/N on every paper-size fit.
         assert md["solve_order"] == "branch_first"
         assert md["readout_norm"] == np.linalg.norm(model.readout)
+
+    def test_paper_size_branch_takes_the_port_at_one_blas_thread(self, cache_dir):
+        # The pivoted QR's route is fixed when the process starts: scipy's
+        # OpenBLAS reads OPENBLAS_NUM_THREADS once. At one thread the
+        # seed-12 case-5 RFFN(2000) branch is factored by the port, whose
+        # factors must hash equal to one dgeqp3 call's in the same process;
+        # at two, LAPACK factors it. Either way its gapless cut keeps rank
+        # 1999. Two usable CPUs are assumed. OpenBLAS caps its count at the
+        # CPUs it sees, and the port runs only on the kernels its bit rules
+        # were measured on, so the route expected is read from the count
+        # and the kernels the subprocess reports.
+        script = textwrap.dedent("""
+            import hashlib, json, logging, os, sys
+            import numpy as np
+            from scipy.linalg import lapack
+            from randonet import _parallel, linalg
+            from randonet.embeddings import build_feature_map
+            from randonet.harness import ExperimentConfig, branch_spec_for, dataset_for, split
+            from randonet.problems import case_config
+            os.sched_getaffinity = lambda pid: {0, 1}
+            records = []
+            handler = logging.Handler()
+            handler.emit = lambda record: records.append(record.getMessage())
+            _parallel.logger.addHandler(handler)
+            _parallel.logger.setLevel(logging.DEBUG)
+            case = case_config(5, seed=12)
+            train, _ = split(dataset_for(case, sys.argv[1]), 0.8, 7)
+            cfg = ExperimentConfig(case=5, branch="rffn", seed_data=12, seed_embed=1,
+                                   seed_split=7)
+            mat = build_feature_map(branch_spec_for(cfg, 2000, case.m)).apply(train.U)
+            hashes, geqp3 = [], linalg._geqp3
+            def digest(work, jpvt, tau):
+                sha = hashlib.sha256()
+                for part in (work, jpvt, tau):
+                    sha.update(np.ascontiguousarray(part).tobytes())
+                return sha.hexdigest()
+            def record(work):
+                jpvt, tau = geqp3(work)
+                hashes.append(digest(work, jpvt, tau))
+                return jpvt, tau
+            linalg._geqp3 = record
+            factors = linalg.cod_factorize(mat)
+            work = np.array(mat, order="F")
+            lwork = int(lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+            _, jpvt, tau, _, info = lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
+            print(json.dumps([factors.numerical_rank, hashes[0] == digest(work, jpvt, tau),
+                              _parallel.scipy_blas_threads()[0](),
+                              _parallel.scipy_blas_core() in linalg._SPLIT_CORES, records]))
+        """)
+        case = case_config(5, seed=12)
+        dataset_for(case, cache_dir)  # built once here, read from the cache below
+        src = str(Path(randonet.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script, cache_dir], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            rank, equal, count, measured, records = json.loads(proc.stdout)
+            assert (rank, equal) == (1999, True)
+            assert count == 1 or threads == "2"
+            port = count == 1 and measured
+            route = "2 worker(s), " if port else "1 worker(s), LAPACK geqp3, "
+            assert len(records) == 1 and records[0].startswith(
+                f"pivoted QR of 2000 x 2400: {route}"), records
+            assert (" panels (" in records[0]) == port
 
 
 class TestEvaluate:

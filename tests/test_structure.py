@@ -1,7 +1,8 @@
 """Parallel work has one owner, ``randonet._parallel``.
 
-Only that module starts threads or processes, reads the affinity mask or
-names numpy's OpenBLAS thread-count symbols. Other modules call it and
+Only that module starts threads or processes (the pivoted QR's crew
+included), reads the affinity mask or names the thread-count symbols of
+numpy's and scipy's bundled OpenBLAS. Other modules call it and
 take no private name of ``embeddings`` or ``problems`` for parallel work:
 the only private names they reach there are the input checks (``_check_*``).
 """
@@ -26,9 +27,13 @@ def parallel_work(tree) -> list:
         else:
             modules, names = [], []
         found += [f"imports {module}" for module in modules
-                  if module.split(".")[0] in ("threading", "multiprocessing", "concurrent")]
+                  if module.split(".")[0] in ("threading", "_thread", "multiprocessing",
+                                              "concurrent")]
         if "sched_getaffinity" in names or getattr(node, "attr", None) == "sched_getaffinity":
             found.append("reads the affinity mask")
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+                node.func, "id", None)) in ("Thread", "start_new_thread", "Process"):
+            found.append("starts a thread or process")
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and "openblas" in node.value and "threads" in node.value:
             found.append(f"names {node.value}")
@@ -53,7 +58,10 @@ def test_only_parallel_starts_workers_or_sets_blas_threads():
     found = {name: parallel_work(tree) for name, tree in SOURCES.items() if name != "_parallel"}
     assert {name: work for name, work in found.items() if work} == {}
     # The scan sees what it looks for: the owner does all of it.
-    assert len(set(parallel_work(SOURCES["_parallel"]))) == 5
+    assert set(parallel_work(SOURCES["_parallel"])) == {
+        "imports threading", "imports multiprocessing", "reads the affinity mask",
+        "starts a thread or process", "names scipy_openblas_get_num_threads",
+        "names scipy_openblas_set_num_threads"}
 
 
 def test_no_module_reaches_private_names_of_embeddings_or_problems():
