@@ -3,34 +3,32 @@
 ``FeatureMap.apply`` fills column ranges of its result on threads,
 :func:`randonet.model.evaluate` computes row ranges of its readout product
 on threads, :func:`randonet.problems.build_case` computes row blocks of
-its parameter table in forked processes, and the COD's pivoted QR splits
-two BLAS calls per column and panel on threads. Each takes its count from
-:func:`workers`, its cuts from :func:`ranges`, and hands them to
-:func:`in_threads`, :func:`in_processes` or, for the many rounds of one
-pivoted QR, :meth:`Crew.run`; each runs a single range in the caller
-before any other bookkeeping. Every thread belongs to a :class:`Crew`,
-which starts its threads when a ``with`` block is entered and joins them
-when it is left.
+its parameter table in forked processes, and the COD runs its LAPACK calls
+on scipy's bundled OpenBLAS at one thread per worker. Each takes its count
+from :func:`workers`; the splits take their cuts from :func:`ranges` and
+hand them to :func:`in_threads` or :func:`in_processes`, which run a single
+range in the caller before any other bookkeeping. Every thread of ours
+belongs to a :class:`Crew`, which starts its threads when a ``with`` block
+is entered and joins them when it is left.
 
 The rule is one worker per usable CPU (the affinity mask, so ``taskset``
-limits it; within a pivoted QR, one per thread of its crew), at most one
-per ``floor`` units of work and one per block; below twice the floor one
-integer comparison returns 1. The floors are ``MIN_RANGE_ENTRIES`` result
-entries a thread (evaluate counts branch feature entries),
-``MIN_BLOCK_ROWS`` table rows a process, and ``MIN_GEMV_ENTRIES`` trailing
-entries for the pivoted QR. Ranges start on block boundaries, so every
-GEMM block of an apply and every row tile of the readout product keeps its
-shape, and the bits do not depend on the worker count. Each forked split
-logs one DEBUG record on this module's logger: what was split, its rows,
-the rows of each block and the seconds.
+limits it), at most one per ``floor`` units of work and one per block;
+below twice the floor one integer comparison returns 1. The floors are
+``MIN_RANGE_ENTRIES`` result entries a thread (evaluate counts branch
+feature entries), ``MIN_BLOCK_ROWS`` table rows a process and
+``MIN_QR_ENTRIES`` matrix entries an OpenBLAS thread of the COD. Ranges
+start on block boundaries, so every GEMM block of an apply and every row
+tile of the readout product keeps its shape, and the bits do not depend on
+the worker count. Each forked split logs one DEBUG record on this module's
+logger: what was split, its rows, the rows of each block and the seconds.
 
-``one_blas_thread`` holds numpy's bundled OpenBLAS at one thread while an
-apply or an evaluate runs: at two OpenBLAS threads a split RFFN(2000)
-apply ran 2-2.6x slower than at one (2-core x86-64 Xeon).
-``scipy_blas_threads`` reads the thread count of scipy's bundled OpenBLAS,
-which runs the COD's LAPACK, and ``scipy_blas_core`` the kernels it picked:
-the pivoted QR splits only at one thread and on kernels whose bit rules
-were measured.
+:class:`BlasThreads` holds one bundled OpenBLAS at a thread count while a
+``with`` block runs and then restores the caller's. ``one_blas_thread``
+holds numpy's at one thread while an apply or an evaluate runs: at two
+OpenBLAS threads a split RFFN(2000) apply ran 2-2.6x slower than at one
+(2-core x86-64 Xeon). ``scipy_blas`` holds scipy's, which runs the COD's
+LAPACK, at the COD's worker count, so the factors depend on the usable
+CPUs and the matrix size, not on the caller's count.
 """
 
 from __future__ import annotations
@@ -61,14 +59,13 @@ MIN_RANGE_ENTRIES = 1 << 17
 # from a 100 MB process (2-core x86-64 Xeon).
 MIN_BLOCK_ROWS = 256
 
-
-# Fewest trailing-matrix entries a pivoted QR's per-column dgemv hands to
-# one thread. With the port's 0.2 ms of serial work between calls, a dgemv
-# split in two took 204-212 us against 142-163 us in one call at 600 x 500
-# entries, broke even at 1024 x 1024 and took 542-612 us against 758-778 us
-# at 1200 x 1400 (2-core x86-64 Xeon); whole factorizations ran as fast
-# with 2**18 to 2**20 here.
-MIN_GEMV_ENTRIES = 1 << 19
+# Fewest matrix entries a COD hands to one thread of scipy's OpenBLAS.
+# geqp3 at one and two threads (2-core x86-64 Xeon): 100 x 1600 took
+# 6.1-6.3 against 15-16 ms, 2000 x 100 5.3 against 11 ms, 500 x 800 35-38
+# against 38 ms, 1000 x 1000 148-154 against 106-118 ms and 2000 x 1600
+# 0.84 against 0.51-0.52 s. So a matrix takes a second thread from 2**20
+# entries.
+MIN_QR_ENTRIES = 1 << 19
 
 
 def usable_cpus() -> int:
@@ -77,14 +74,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def workers(units: int, floor: int, blocks: int, cpus: int | None = None) -> int:
-    """Workers for ``units`` of work in ``blocks`` blocks: one per CPU
-    (``cpus``, or else the usable ones), at most one per ``floor`` units and
-    one per block, and 1 below twice ``floor`` without reading the affinity
-    mask."""
-    if units < 2 * floor:
-        return 1
-    return min(usable_cpus() if cpus is None else cpus, units // floor, blocks)
+def workers(units: int, floor: int, blocks: int) -> int:
+    """Workers for ``units`` of work in ``blocks`` blocks: one per usable CPU,
+    at most one per ``floor`` units and one per block, and 1 below twice
+    ``floor`` without reading the affinity mask."""
+    return 1 if units < 2 * floor else min(usable_cpus(), units // floor, blocks)
 
 
 def ranges(blocks: int, block: int, count: int, end: int) -> list:
@@ -175,9 +169,7 @@ class Crew:
     """``count - 1`` helper threads for the length of a ``with`` block.
 
     :meth:`run` shares the ranges of one task among the caller and the
-    helpers. :func:`in_threads` runs one task on a crew of its own; a
-    pivoted QR keeps one crew for all its rounds, a task per column and one
-    per panel, since a thread costs 0.1-0.15 ms to start and join.
+    helpers; :func:`in_threads` runs one task on a crew of its own.
     Whoever is free takes the next range, so a helper that wakes late (a
     handoff costs 40-100 us on a 2-core x86-64 Xeon, and more while the
     host lends its second core to others) leaves its ranges to the caller
@@ -283,76 +275,74 @@ class _Helper:
 
 
 def _bundled_openblas(package, suffix: str):
-    """The ``(get, set, core)`` functions of the OpenBLAS that ``package``
-    bundles in its ``.libs`` folder: its thread count, a setter for it and
-    the name of the kernels it picked for this CPU. None where it bundles
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that
+    ``package`` bundles in its ``.libs`` folder, or None where it bundles
     none that exports them."""
     libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
                         f"{package.__name__}.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
-        found = [getattr(lib, name + suffix, None) for name in (
-            "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
-            "scipy_openblas_get_corename")]
-        if None not in found:
-            get, set_, core = found
+        get, set_ = (getattr(lib, name + suffix, None) for name in (
+            "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+        if get is not None and set_ is not None:
             get.restype, set_.restype, set_.argtypes = ctypes.c_int, None, [ctypes.c_int]
-            core.restype = ctypes.c_char_p
-            return get, set_, core
+            return get, set_
     return None
 
 
 @functools.cache
 def numpy_blas_threads():
     """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
-    bundles. Where numpy bundles none that exports them, ``get`` reads 1,
-    so nothing is ever set."""
-    found = _bundled_openblas(np, "64_")
-    return found[:2] if found else ((lambda: 1), None)
+    bundles. Where numpy bundles none that exports them, ``get`` reads 1
+    and ``set`` is None."""
+    return _bundled_openblas(np, "64_") or ((lambda: 1), None)
 
 
 @functools.cache
 def scipy_blas_threads():
     """The ``(get, set)`` thread-count functions of the OpenBLAS that scipy
     bundles, which runs its LAPACK. Where scipy bundles none that exports
-    them, ``get`` reads 0: a count not known to be one."""
-    found = _bundled_openblas(scipy, "")
-    return found[:2] if found else ((lambda: 0), None)
+    them, ``get`` reads 0, a count not known, and ``set`` is None."""
+    return _bundled_openblas(scipy, "") or ((lambda: 0), None)
 
 
-@functools.cache
-def scipy_blas_core() -> str:
-    """The name of the kernels scipy's bundled OpenBLAS picked for this CPU,
-    such as ``SkylakeX``, or "" where scipy bundles none that tells."""
-    found = _bundled_openblas(scipy, "")
-    return found[2]().decode() if found else ""
+class BlasThreads:
+    """Context manager that runs its block with one bundled OpenBLAS at a
+    set thread count: ``with blas:`` at one thread, ``with blas(count):`` at
+    ``count``.
 
-
-class OneBlasThread:
-    """Context manager that runs its block with numpy's OpenBLAS at one thread.
-
-    The count is process-wide. Only the outermost of nested or concurrent
-    blocks, in any thread, reads the caller's count, and the last to leave
-    restores it, also when its block raises. A block entered in a thread
-    that is already inside one touches neither the lock nor the library.
-    scipy's OpenBLAS keeps its count.
+    ``blas_threads`` returns the library's ``(get, set)`` thread-count
+    functions, as :func:`numpy_blas_threads` does. The count is
+    process-wide. Only the outermost of nested or concurrent blocks, in any
+    thread, reads the caller's count and sets its own; blocks that enter
+    while it is open run at that count, and the last to leave restores the
+    caller's, also when its block raises. A block entered in a thread that
+    is already inside one touches neither the lock nor the library. Where
+    the library cannot be set, nothing is.
     """
 
-    def __init__(self):
+    def __init__(self, blas_threads):
+        self._blas_threads = blas_threads
         self._lock = threading.Lock()
-        self._local = threading.local()  # .depth: this thread's open blocks
+        self._local = threading.local()  # .depth: this thread's open blocks; .count: the next one's
         self._threads = 0  # threads inside a block
-        self._saved = 1  # the count the outermost block found
+        self._saved = self._held = 1  # the count the outermost block found, and the one it set
+
+    def __call__(self, count: int) -> BlasThreads:
+        self._local.count = count
+        return self
 
     def __enter__(self):
+        count = self._local.__dict__.pop("count", 1)
         depth = getattr(self._local, "depth", 0)
         if not depth:
             with self._lock:
                 if self._threads == 0:
-                    get, set_ = numpy_blas_threads()
-                    self._saved = get()
-                    if self._saved != 1:
-                        set_(1)
+                    get, set_ = self._blas_threads()
+                    self._saved = self._held = get()
+                    if self._saved != count and set_ is not None:
+                        set_(count)
+                        self._held = count
                 self._threads += 1
         self._local.depth = depth + 1
 
@@ -362,8 +352,9 @@ class OneBlasThread:
             return
         with self._lock:
             self._threads -= 1
-            if self._threads == 0 and self._saved != 1:
-                numpy_blas_threads()[1](self._saved)
+            if self._threads == 0 and self._saved != self._held:
+                self._blas_threads()[1](self._saved)
 
 
-one_blas_thread = OneBlasThread()
+one_blas_thread = BlasThreads(numpy_blas_threads)
+scipy_blas = BlasThreads(scipy_blas_threads)

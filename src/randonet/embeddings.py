@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _parallel
+from . import _parallel, linalg
 
 __all__ = [
     "EmbeddingSpec",
@@ -221,7 +221,7 @@ class FeatureMap:
         ndarray, shape (feature_dim, k) or (feature_dim,)
             In Fortran order: each input's features are contiguous.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(linalg._check_real(x, "x"), dtype=np.float64)
         single = x.ndim == 1
         if single:
             x = x[:, None]

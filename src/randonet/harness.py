@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .embeddings import EmbeddingSpec, _check_count, _check_seed
 from .model import AlignedDataset, _check_solver, evaluate, train_aligned
 from .problems import build_case, case_config
@@ -151,10 +152,12 @@ def split(ds: AlignedDataset, fraction: float, seed: int) -> tuple[AlignedDatase
 
 def mse(pred, truth) -> float:
     """Mean squared error over all grid values of all functions."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(linalg._check_real(pred, "pred"), dtype=np.float64)
+    truth = np.asarray(linalg._check_real(truth, "truth"), dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    if pred.size == 0:
+        raise ValueError(f"mse of empty arrays, got shape {pred.shape}")
     diff = pred - truth
     return float(np.mean(diff * diff))
 
@@ -166,8 +169,8 @@ def l2_percentiles(pred, truth) -> tuple[float, float, float]:
     over the output grid (unnormalized); percentiles interpolate linearly
     between closest ranks.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(linalg._check_real(pred, "pred"), dtype=np.float64)
+    truth = np.asarray(linalg._check_real(truth, "truth"), dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
     if pred.ndim != 2 or pred.shape[1] < 1:

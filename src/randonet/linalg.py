@@ -1,7 +1,7 @@
 """Regularized pseudo-inversion kernels for dense real matrices.
 
 Everything in this module operates on plain 2-D float64 ``numpy`` arrays.
-Inputs are validated to be finite on entry; factorizations are pure
+Inputs are validated to be real and finite on entry; factorizations are pure
 functions of their inputs, so results are deterministic. One set of COD
 factors should be applied from one thread at a time: LAPACK's unblocked
 ``ormqr`` loop may write to the factor storage and restore it as it runs.
@@ -41,22 +41,13 @@ Only when the right-hand sides outnumber the rank are the r columns of
 ``Q`` and rows of ``Z`` that act on them formed, for one matrix product
 each.
 
-Which routine runs the pivoted QR depends on the matrix and the threads.
-A matrix wider and taller than 128 columns (LAPACK's crossover to its
-unblocked ``dlaqp2``), factored while scipy's OpenBLAS runs one thread on
-the kernels its split rules were measured on (``SkylakeX``) and at least
-two workers are usable (see :mod:`randonet._parallel`), goes to
-``_pivoted_qr``, a port of ``geqp3``'s driver and of its panel kernel
-``dlaqps``. It calls the routines LAPACK calls (``dnrm2``, ``idamax``,
-``dswap``, ``dgemv``, ``dlarfg``, ``dgemm``, ``dlaqp2``) on the same
-operands, and splits the trailing ``dgemv`` of each column and the
-``dgemm`` that closes each panel into column ranges on a crew of threads.
-Panels too small to split run ``dlaqps`` itself.
-Its factors are those of one ``dgeqp3`` call at one thread, bit for bit.
-Every other matrix, and every matrix at more OpenBLAS threads (where
-``geqp3`` is the faster: 1.5 s against about 2.4 s on a 2000 x 2400 matrix
-at two threads), takes one ``dgeqp3`` call. Each factorization logs its
-route on ``randonet._parallel`` at DEBUG.
+Both LAPACK steps of a COD, ``geqp3`` and ``tzrzf``, run with scipy's
+bundled OpenBLAS at one thread per worker of :mod:`randonet._parallel`:
+one per usable CPU from ``2 * MIN_QR_ENTRIES`` matrix entries, one below.
+The caller's count is restored afterwards, so the factors depend on the
+usable CPUs and the matrix size, not on the caller's count. Each
+factorization logs its shape, thread count and seconds on
+``randonet._parallel`` at DEBUG.
 
 As in ``xGELSY``, a factorization holds one matrix-sized buffer: the
 pivoted QR runs in one Fortran-ordered working copy of the input, leaves
@@ -77,7 +68,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack, lapack
+from scipy.linalg import cython_lapack, lapack
 
 from . import _parallel
 
@@ -95,8 +86,17 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _check_real(a, name: str) -> np.ndarray:
+    """``a`` as an array, rejected when it is complex: a float64 cast would
+    keep only its real part, with a ComplexWarning at most."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    return arr
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(_check_real(a, name), dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -210,39 +210,26 @@ def _lapack_check(name: str, info: int) -> None:
         raise RuntimeError(f"LAPACK {name} failed with info={info}")
 
 
-def _capsule_function(module, name: str, nargs: int, restype=None):
-    """The ``cython_blas``/``cython_lapack`` routine ``name``, callable through ``ctypes``.
+def _capsule_function(name: str, nargs: int):
+    """The ``cython_lapack`` routine ``name``, callable through ``ctypes``.
 
     Every argument is passed by address, as in Fortran; the capsules wrap
-    the BLAS and LAPACK that scipy itself links, so results are those of
-    scipy's own wrappers.
+    the LAPACK that scipy itself links, so results are those of scipy's
+    own wrappers.
     """
-    capsule = module.__pyx_capi__[name]
+    capsule = cython_lapack.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * nargs)(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
 
 
 # Argument counts, the trailing info included.
 _LAPACK = {
-    name: _capsule_function(cython_lapack, name, nargs)
+    name: _capsule_function(name, nargs)
     for name, nargs in (("dtzrzf", 8), ("dormqr", 13), ("dormrz", 14), ("dtrtrs", 10))
-}
-
-# The routines of geqp3's driver and panel loop, with their argument counts
-# and return types.
-_QP3 = {
-    name: _capsule_function(module, name, nargs, restype)
-    for module, name, nargs, restype in (
-        (cython_blas, "dnrm2", 3, ctypes.c_double), (cython_blas, "idamax", 3, ctypes.c_int),
-        (cython_blas, "dswap", 5, None), (cython_blas, "dgemv", 11, None),
-        (cython_blas, "dgemm", 13, None), (cython_lapack, "dlarfg", 5, None),
-        (cython_lapack, "dlaqps", 14, None), (cython_lapack, "dlaqp2", 10, None),
-        (cython_lapack, "dlamch", 1, ctypes.c_double),
-    )
 }
 
 
@@ -424,7 +411,7 @@ def cod_factorize(a, tol=None) -> CODFactors:
     of it (see the module docstring). :func:`inplace_cod_factorize` skips
     that copy.
     """
-    return _cod_factorize(np.array(a, dtype=np.float64, order="F"), tol)
+    return _cod_factorize(np.array(_check_real(a, "A"), dtype=np.float64, order="F"), tol)
 
 
 def inplace_cod_factorize(a, tol=None) -> CODFactors:
@@ -438,23 +425,32 @@ def inplace_cod_factorize(a, tol=None) -> CODFactors:
     matrix while the call runs holds two. The factors are bit-identical
     to those of :func:`cod_factorize`.
     """
-    return _cod_factorize(np.asfortranarray(a, dtype=np.float64), tol)
+    return _cod_factorize(np.asfortranarray(_check_real(a, "A"), dtype=np.float64), tol)
 
 
 def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
     """The shared core: factors the Fortran-ordered float64 ``work`` in place."""
     work = _as_matrix(work, "A")
-    cols = work.shape[1]
-    jpvt, q_tau = _geqp3(work)
-    diag = np.abs(np.diag(work))
-    sigma_max = float(diag[0]) if diag.size else 0.0
-    tol = _resolve_tol(tol, work.shape, sigma_max)
-    keep = diag > tol
-    rank = int(diag.size if keep.all() else keep.argmin())
-    rz, z_tau = work[:rank], np.zeros(0)
-    if 0 < rank < cols:
-        z_tau = np.empty(rank)
-        _lapack_with_work("dtzrzf", rank, cols, rz, _ld(rz), z_tau)
+    rows, cols = work.shape
+    threads = _parallel.workers(rows * cols, _parallel.MIN_QR_ENTRIES, cols)
+    start = time.perf_counter()
+    with _parallel.scipy_blas(threads):
+        # overwrite_a on the query too, or f2py copies the matrix for it.
+        lwork = int(lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+        _, jpvt, q_tau, scratch, info = lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
+        del scratch  # geqp3's workspace, not to be held through tzrzf
+        _lapack_check("geqp3", info)
+        diag = np.abs(np.diag(work))
+        sigma_max = float(diag[0]) if diag.size else 0.0
+        tol = _resolve_tol(tol, work.shape, sigma_max)
+        keep = diag > tol
+        rank = int(diag.size if keep.all() else keep.argmin())
+        rz, z_tau = work[:rank], np.zeros(0)
+        if 0 < rank < cols:
+            z_tau = np.empty(rank)
+            _lapack_with_work("dtzrzf", rank, cols, rz, _ld(rz), z_tau)
+    _parallel.logger.debug("COD of %d x %d: %d BLAS thread(s), %.3f s",
+                           rows, cols, threads, time.perf_counter() - start)
     return CODFactors(
         permutation=jpvt - 1,
         q_reflectors=work[:, :rank],
@@ -464,266 +460,6 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
         numerical_rank=rank,
         rank_tolerance=tol,
     )
-
-
-# LAPACK's crossover for xGEQRF (ILAENV's third setting), which geqp3 reads:
-# its last NX columns, all of them when min(rows, cols) <= NX, are factored
-# by the unblocked dlaqp2.
-_NX = 128
-
-# Bit rules of the port's split BLAS calls, found by test on the
-# kernels in _SPLIT_CORES (scipy's OpenBLAS 0.3.30 at one thread, x86-64
-# AVX-512); on any other kernels the port is not taken. A range of the
-# trailing dgemv starts on a multiple of _GEMV_COLUMNS columns from the
-# call's first column; a range of the panel update dgemm starts on a
-# multiple of _GEMM_COLUMNS columns and has at least 2 * _GEMM_COLUMNS of
-# them. Cuts elsewhere moved the last bits of some columns.
-_SPLIT_CORES = ("SkylakeX",)
-_GEMV_COLUMNS = 4
-_GEMM_COLUMNS = 48
-# Every dgemm range does more than this many multiply-adds: at or below
-# about 1e6 OpenBLAS takes its small-matrix kernel, whose bits differ. It
-# is the dgemm's only floor, and it keeps the bits: tests lower the speed
-# floor _parallel.MIN_GEMV_ENTRIES to force splits, but must never lower
-# this one.
-_GEMM_BITS_FLOOR = 1 << 20
-
-
-def _geqp3(work: np.ndarray) -> tuple:
-    """Column-pivoted QR of ``work`` in place, as LAPACK's ``dgeqp3`` leaves it.
-
-    Returns the 1-based pivots and the reflector scalars. The route is the
-    one the module docstring gives; each call logs one DEBUG record on
-    ``randonet._parallel``.
-    """
-    rows, cols = work.shape
-    start = time.perf_counter()
-    # overwrite_a on the query too, or f2py copies the matrix for it.
-    lwork = int(lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-    count = 1
-    if (min(rows, cols) > _NX and _parallel.scipy_blas_threads()[0]() == 1
-            and _parallel.scipy_blas_core() in _SPLIT_CORES):
-        count = _parallel.workers(rows * cols, _parallel.MIN_GEMV_ENTRIES,
-                                  -(-cols // _GEMV_COLUMNS))
-    if count < 2:
-        _, jpvt, tau, scratch, info = lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
-        del scratch  # geqp3's workspace, not to be held through tzrzf
-        _lapack_check("geqp3", info)
-        route = "LAPACK geqp3"
-    else:
-        with _parallel.Crew(count) as crew:
-            # geqp3's workspace query returns 2 cols + (cols + 1) nb.
-            jpvt, tau, panels, split = _pivoted_qr(work, (lwork - 2 * cols) // (cols + 1), crew)
-        route = f"{panels} panels ({split} split)"
-    _parallel.logger.debug("pivoted QR of %d x %d: %d worker(s), %s, %.3f s",
-                           rows, cols, count, route, time.perf_counter() - start)
-    return jpvt, tau
-
-
-def _int(value: int):
-    return ctypes.byref(ctypes.c_int(value))
-
-
-def _double(value: float):
-    return ctypes.byref(ctypes.c_double(value))
-
-
-_N, _T, _EPSILON = (ctypes.c_char_p(flag) for flag in (b"N", b"T", b"E"))
-_ONE, _MINUS_ONE, _ZERO = (_double(value) for value in (1.0, -1.0, 0.0))
-_NONE = np.zeros(0, dtype=np.intp)  # no norm to recompute
-
-
-def _pivoted_qr(work: np.ndarray, nb: int, crew) -> tuple:
-    """LAPACK's ``dgeqp3`` driver on ``work``, with panels of ``nb`` columns.
-
-    A port of the reference driver and of its panel kernel (:func:`_laqps`)
-    that calls the BLAS and LAPACK routines they call, in the same order
-    and on the same operands, so the factors are those of ``dgeqp3``, bit
-    for bit. ``crew`` runs column ranges of the trailing ``dgemv`` of each
-    column and of the ``dgemm`` that closes each panel (see the bit rules
-    above). A panel whose trailing matrix is too small to split runs
-    LAPACK's own ``dlaqps`` on the same operands: unsplit, the port's
-    Python per column costs more than it saves. Returns the 1-based pivots,
-    the reflector scalars, the number of panels and how many of them the
-    port ran.
-    """
-    rows, cols = work.shape
-    if not work.flags.f_contiguous:
-        raise ValueError("the pivoted QR needs a Fortran-ordered working array")
-    minmn = min(rows, cols)
-    base = work.ctypes.data
-    jpvt = np.arange(1, cols + 1, dtype=np.int32)
-    tau = np.zeros(minmn)
-    vn1 = np.array([_QP3["dnrm2"](_int(rows), base + 8 * rows * j, _int(1))
-                    for j in range(cols)])
-    vn2 = vn1.copy()
-    f = np.empty(cols * nb)
-    # dlaqps's auxv, or dlaqp2's work, in the first row; the other two are
-    # the norm downdate's scratch.
-    aux = np.empty((3, cols))
-    tol3z = np.sqrt(_QP3["dlamch"](_EPSILON))
-    top = minmn - _NX if 2 <= nb < minmn and _NX < minmn else 0
-    j = panels = split = 0
-    while j < top:
-        port = _parallel.workers((rows - j) * (cols - j), _parallel.MIN_GEMV_ENTRIES, cols - j,
-                                 crew.count) > 1
-        kb = (_laqps if port else _lapack_laqps)(
-            work, j, min(nb, top - j), jpvt, tau, vn1, vn2, f, aux, tol3z, crew)
-        j += kb
-        panels += 1
-        split += port
-    if j < minmn:
-        _QP3["dlaqp2"](_int(rows), _int(cols - j), _int(j), base + 8 * rows * j, _int(rows),
-                       jpvt[j:].ctypes.data, tau[j:].ctypes.data, vn1[j:].ctypes.data,
-                       vn2[j:].ctypes.data, aux.ctypes.data)
-    return jpvt, tau, panels, split
-
-
-def _lapack_laqps(work, offset, nb, jpvt, tau, vn1, vn2, f, aux, tol3z, crew) -> int:
-    """LAPACK's ``dlaqps`` itself, on the operands :func:`_laqps` takes."""
-    m, n = work.shape[0], work.shape[1] - offset
-    kb = ctypes.c_int(0)
-    _QP3["dlaqps"](_int(m), _int(n), _int(offset), _int(nb), ctypes.byref(kb),
-                   work.ctypes.data + 8 * m * offset, _int(m), jpvt[offset:].ctypes.data,
-                   tau[offset:].ctypes.data, vn1[offset:].ctypes.data,
-                   vn2[offset:].ctypes.data, aux.ctypes.data, f.ctypes.data, _int(n))
-    return kb.value
-
-
-def _laqps(work, offset, nb, jpvt, tau, vn1, vn2, fbuf, aux, tol3z, crew) -> int:
-    """LAPACK's ``dlaqps``: factor up to ``nb`` columns from column ``offset``
-    of ``work``, as ``dgeqp3`` calls it. Returns the columns factored.
-
-    ``A`` below is the panel ``work[:, offset:]`` and ``F`` its (n, nb)
-    update matrix, laid out in ``fbuf`` as ``dgeqp3`` lays it in its
-    workspace. The panel ends early when a partial column norm has lost
-    too many digits (LAPACK Working Note 176); those norms are recomputed
-    after the panel's update.
-    """
-    m, n = work.shape[0], work.shape[1] - offset
-    f = fbuf[:n * nb].reshape((n, nb), order="F")
-    a_base, f_base, aux_base = work.ctypes.data + 8 * m * offset, f.ctypes.data, aux.ctypes.data
-    tau_base, vn1_base = tau.ctypes.data + 8 * offset, vn1.ctypes.data + 8 * offset
-    vn1, vn2, jpvt = vn1[offset:], vn2[offset:], jpvt[offset:]
-    dgemv, dlarfg, dswap = _QP3["dgemv"], _QP3["dlarfg"], _QP3["dswap"]
-
-    def at(i, j):
-        return a_base + 8 * (i + m * j)
-
-    def f_at(i, j):
-        return f_base + 8 * (i + n * j)
-
-    lastrk = min(m, n + offset)
-    small = [_int(i) for i in range(nb + 1)]
-    one, ld_a, ld_f = small[1], _int(m), _int(n)
-    flagged = _NONE
-    k = 0
-    while k < nb and flagged is _NONE:
-        rk = offset + k
-        pvt = k + _QP3["idamax"](_int(n - k), vn1_base + 8 * k, one) - 1
-        if pvt != k:
-            dswap(ld_a, at(0, pvt), one, at(0, k), one)
-            dswap(small[k], f_at(pvt, 0), ld_f, f_at(k, 0), ld_f)
-            jpvt[pvt], jpvt[k] = jpvt[k], jpvt[pvt]
-            vn1[pvt], vn2[pvt] = vn1[k], vn2[k]
-        rows, tau_k, v = _int(m - rk), tau_base + 8 * k, at(rk, k)
-        if k > 0:
-            dgemv(_N, rows, small[k], _MINUS_ONE, at(rk, 0), ld_a, f_at(k, 0), ld_f, _ONE, v, one)
-        if rk < m - 1:
-            dlarfg(rows, v, v + 8, one, tau_k)
-        else:
-            dlarfg(one, v, v, one, tau_k)
-        akk = work[rk, offset + k]
-        work[rk, offset + k] = 1.0
-        if k < n - 1:
-            def gemv(lo, hi):
-                dgemv(_T, rows, _int(hi - lo), tau_k, at(rk, k + 1 + lo), ld_a, v, one, _ZERO,
-                      f_at(k + 1 + lo, k), one)
-
-            crew.run(gemv, _gemv_spans(crew, m - rk, n - k - 1))
-        f[:k + 1, k] = 0.0
-        if k > 0:
-            dgemv(_T, rows, small[k], _double(-tau[offset + k]), at(rk, 0), ld_a, v, one, _ZERO,
-                  aux_base, one)
-            dgemv(_N, ld_f, small[k], _ONE, f_base, ld_f, aux_base, one, _ONE, f_at(0, k), one)
-        if k < n - 1:
-            dgemv(_N, _int(n - k - 1), small[k + 1], _MINUS_ONE, f_at(k + 1, 0), ld_f,
-                  at(rk, 0), ld_a, _ONE, at(rk, k + 1), ld_a)
-        if rk < lastrk - 1:
-            lost = _downdate_norms(work[rk, offset + k + 1:], vn1[k + 1:], vn2[k + 1:], tol3z,
-                                   aux[1:])
-            if lost.size:
-                flagged = k + 1 + lost
-        work[rk, offset + k] = akk
-        k += 1
-    rk = offset + k
-    if k < min(n, m - offset):
-        def gemm(lo, hi):
-            _QP3["dgemm"](_N, _T, _int(m - rk), _int(hi - lo), small[k], _MINUS_ONE,
-                          at(rk, 0), ld_a, f_at(k + lo, 0), ld_f, _ONE, at(rk, k + lo), ld_a)
-
-        crew.run(gemm, _gemm_spans(crew, m - rk, n - k, k))
-    for j in flagged.tolist():
-        vn1[j] = vn2[j] = _QP3["dnrm2"](_int(m - rk), at(rk, j), one)
-    return k
-
-
-def _downdate_norms(row, vn1, vn2, tol3z, buf) -> np.ndarray:
-    """``dlaqps``'s LAWN 176 downdate of the partial column norms ``vn1`` in
-    place, after the reflector row ``row``; ``vn2`` holds each norm as last
-    computed and ``buf`` two rows of scratch. Returns the indices of the
-    columns whose norm must be recomputed instead; theirs and the zero norms
-    are left as they are.
-    """
-    live = None if vn1.all() else np.flatnonzero(vn1)
-    if live is not None:
-        row, norms, exact = row[live], vn1[live], vn2[live]
-    else:
-        norms, exact = vn1, vn2
-    temp, ratio = buf[0, :norms.size], buf[1, :norms.size]
-    np.abs(row, out=temp)
-    temp /= norms
-    np.subtract(1.0, temp, out=ratio)
-    temp += 1.0
-    temp *= ratio
-    np.maximum(temp, 0.0, out=temp)
-    np.divide(norms, exact, out=ratio)
-    ratio *= ratio
-    ratio *= temp
-    lost = ratio <= tol3z
-    np.sqrt(temp, out=temp)
-    if not lost.any():
-        lost = _NONE
-    else:
-        temp[lost] = 1.0  # flagged norms are recomputed, not downdated
-        lost = np.flatnonzero(lost)
-    if live is None:
-        vn1 *= temp
-        return lost
-    vn1[live] = norms * temp
-    return live[lost]
-
-
-def _gemv_spans(crew, rows: int, cols: int) -> list:
-    """Column ranges of a (rows, cols) trailing ``dgemv`` for ``crew``."""
-    blocks = -(-cols // _GEMV_COLUMNS)
-    count = _parallel.workers(rows * cols, _parallel.MIN_GEMV_ENTRIES, blocks, crew.count)
-    return _parallel.ranges(blocks, _GEMV_COLUMNS, count, cols)
-
-
-def _gemm_spans(crew, rows: int, cols: int, depth: int) -> list:
-    """Column ranges of a (rows, cols, depth) panel update ``dgemm`` for
-    ``crew``: the most that keep every range at least two ``_GEMM_COLUMNS``
-    blocks wide and above ``_GEMM_BITS_FLOOR`` multiply-adds."""
-    blocks = -(-cols // _GEMM_COLUMNS)
-    count = _parallel.workers(rows * cols * depth, _GEMM_BITS_FLOOR, blocks // 2, crew.count)
-    while count > 1:
-        spans = _parallel.ranges(blocks, _GEMM_COLUMNS, count, cols)
-        if all(hi - lo >= 2 * _GEMM_COLUMNS and rows * (hi - lo) * depth > _GEMM_BITS_FLOOR
-               for lo, hi in spans):
-            return spans
-        count -= 1
-    return [(0, cols)]
 
 
 def cod_pinv_apply(factors: CODFactors, b) -> np.ndarray:

@@ -22,9 +22,11 @@ Every matrix that training factors is feature-major, features x samples
 from the right, ``X @ pinv(A)``.
 
 A fit is reproducible bit for bit with the same numpy, scipy and BLAS
-builds and the same BLAS thread count. The readout's last bits change with
-the thread count; the feature maps do not, and the numerical ranks of the
-paper-size fits did not at one and two OpenBLAS threads.
+builds, the same usable CPUs and the same BLAS thread count. The COD's
+factors do not depend on the caller's thread count (see
+:mod:`randonet.linalg`), but the readout's last bits do; the feature maps
+do not, and the numerical ranks of the paper-size fits did not at one and
+two OpenBLAS threads.
 
 :func:`evaluate` holds numpy's OpenBLAS at one thread, so a model's
 predictions do not depend on the BLAS thread count, and splits a large
@@ -36,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,12 +97,12 @@ class AlignedDataset:
     V: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        x = np.asarray(linalg._check_real(self.x, "x"), dtype=np.float64)
+        y = np.asarray(linalg._check_real(self.y, "y"), dtype=np.float64)
         # C order is the layout feature maps read, so applying one to U (a
         # column subset from split included) copies nothing.
-        u = np.ascontiguousarray(self.U, dtype=np.float64)
-        v = np.asarray(self.V, dtype=np.float64)
+        u = np.ascontiguousarray(linalg._check_real(self.U, "U"), dtype=np.float64)
+        v = np.asarray(linalg._check_real(self.V, "V"), dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("grids must be 1-D")
         if u.ndim != 2 or v.ndim != 2:
@@ -136,9 +139,9 @@ class UnalignedDataset:
 
     def __post_init__(self):
         # C order, as in AlignedDataset: applying the branch copies nothing.
-        u = np.ascontiguousarray(self.U, dtype=np.float64)
-        y = np.atleast_2d(np.asarray(self.Y, dtype=np.float64))
-        v = np.asarray(self.V, dtype=np.float64).ravel()
+        u = np.ascontiguousarray(linalg._check_real(self.U, "U"), dtype=np.float64)
+        y = np.atleast_2d(np.asarray(linalg._check_real(self.Y, "Y"), dtype=np.float64))
+        v = np.asarray(linalg._check_real(self.V, "V"), dtype=np.float64).ravel()
         if u.ndim != 2:
             raise ValueError("U must be 2-D (samples in columns)")
         if not (u.shape[1] == y.shape[1] == v.size):
@@ -166,7 +169,7 @@ class RandONetModel:
     train_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        w = np.asarray(self.readout, dtype=np.float64)
+        w = np.asarray(linalg._check_real(self.readout, "readout"), dtype=np.float64)
         expected = (self.trunk.spec.feature_dim, self.branch.spec.feature_dim)
         if w.shape != expected:
             raise ValueError(f"readout must have shape {expected}, got {w.shape}")
@@ -447,7 +450,8 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     ------
     ValueError
         If ``y_points`` has more than one dimension, or either argument
-        holds a NaN or an infinity; checked before any feature is built.
+        is complex or holds a NaN or an infinity; checked before any
+        feature is built.
 
     Notes
     -----
@@ -456,8 +460,8 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     ``_READOUT_ROWS`` trunk rows by the rule of ``FeatureMap.apply``, with
     the branch feature entries as its work.
     """
-    u = np.asarray(u_samples, dtype=np.float64)
-    y = np.asarray(y_points, dtype=np.float64)
+    u = np.asarray(linalg._check_real(u_samples, "u_samples"), dtype=np.float64)
+    y = np.asarray(linalg._check_real(y_points, "y_points"), dtype=np.float64)
     if y.ndim > 1:
         raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
     for name, arr in (("u_samples", u), ("y_points", y)):
@@ -521,16 +525,29 @@ def load_model(path) -> RandONetModel:
     Feature maps are re-sampled from their stored specs (seed, dims, kind),
     which reproduces the saved model's predictions bit-for-bit on the same
     platform. The ``solver_used`` entry of older files repeats
-    ``train_metadata['solver']`` and is not read.
+    ``train_metadata['solver']`` and is not read. A file that is not an
+    ``.npz`` archive with a ``format_version`` entry raises ``ValueError``.
     """
+    def not_a_model(reason) -> ValueError:
+        return ValueError(f"{path} is not a randonet model file: {reason}")
+
     # Our own handle for a path: np.load leaks its file when a truncated zip makes it raise.
-    with (contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh, \
-            np.load(fh, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        trunk = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["trunk_spec"]))))
-        branch = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["branch_spec"]))))
-        readout = data["readout"]
-        metadata = json.loads(str(data["metadata"]))
+    with (contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise not_a_model(exc) from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise not_a_model("a single array, not an .npz archive")
+        with data:
+            if "format_version" not in data.files:
+                raise not_a_model("no format_version entry")
+            version = int(data["format_version"])
+            if version != MODEL_FORMAT_VERSION:
+                raise ValueError(f"unsupported model format version {version}")
+            trunk = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["trunk_spec"]))))
+            branch = build_feature_map(
+                EmbeddingSpec.from_dict(json.loads(str(data["branch_spec"]))))
+            readout = data["readout"]
+            metadata = json.loads(str(data["metadata"]))
     return RandONetModel(trunk=trunk, branch=branch, readout=readout, train_metadata=metadata)

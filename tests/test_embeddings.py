@@ -185,6 +185,10 @@ class TestApply:
         x = np.random.default_rng(17).standard_normal(5)
         np.testing.assert_array_equal(fmap.apply(x), fmap.apply(x[:, None])[:, 0])
 
+    def test_complex_input_is_rejected(self):
+        with pytest.raises(ValueError, match="^x must be real, got dtype complex128"):
+            make_map("rffn", 5, 7, 16).apply(np.ones((5, 3)) + 1j)
+
     def test_batch_equals_per_column_exactly(self):
         for fmap in (
             make_map("jl", 20, 33, 18),
@@ -458,7 +462,8 @@ class TestOneBlasThread:
     def blas(self, monkeypatch):
         fake = FakeBlas(4)
         monkeypatch.setattr(_parallel, "numpy_blas_threads", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(_parallel, "one_blas_thread", _parallel.OneBlasThread())
+        monkeypatch.setattr(_parallel, "one_blas_thread",
+                            _parallel.BlasThreads(_parallel.numpy_blas_threads))
         return fake
 
     def test_an_apply_runs_at_one_thread_and_restores_the_count(self, blas, monkeypatch):
@@ -493,6 +498,18 @@ class TestOneBlasThread:
             monkeypatch.setattr(pin, "_lock", threading.Lock())
             assert (blas.gets, blas.sets) == (gets, sets)
         assert blas.gets == 1 and blas.sets == [1, 4]
+
+    def test_a_block_at_a_count_sets_it_and_keeps_it_for_nested_blocks(self, blas):
+        pin = _parallel.one_blas_thread
+        with pin(3):
+            with pin(5):
+                assert blas.count == 3
+            with pin:
+                assert blas.count == 3
+        assert blas.count == 4 and blas.sets == [3, 4]
+        with pin(4):
+            pass
+        assert blas.sets == [3, 4]
 
     def test_the_count_is_restored_after_an_exception(self, blas):
         with pytest.raises(KeyError), _parallel.one_blas_thread:
@@ -529,7 +546,8 @@ class TestOneBlasThread:
         found = _parallel.numpy_blas_threads.__wrapped__()
         assert found[0]() == 1 and found[1] is None
         monkeypatch.setattr(_parallel, "numpy_blas_threads", lambda: found)
-        monkeypatch.setattr(_parallel, "one_blas_thread", _parallel.OneBlasThread())
+        monkeypatch.setattr(_parallel, "one_blas_thread",
+                            _parallel.BlasThreads(_parallel.numpy_blas_threads))
         fmap = make_map("jl", 4, 6, 61)
         assert fmap.apply(np.ones((4, 2))).shape == (6, 2)
 

@@ -99,6 +99,18 @@ class TestMetrics:
         with pytest.raises(ValueError, match="mismatch"):
             mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_mse_of_empty_arrays_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            mse(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("metric", [mse, l2_percentiles])
+    def test_complex_arrays_are_rejected(self, metric):
+        a = np.ones((3, 2))
+        with pytest.raises(ValueError, match="^pred must be real"):
+            metric(a + 1j, a)
+        with pytest.raises(ValueError, match="^truth must be real"):
+            metric(a, a + 1j)
+
     def test_l2_percentiles_trivial(self):
         a = np.random.default_rng(3).standard_normal((6, 5))
         assert l2_percentiles(a, a) == (0.0, 0.0, 0.0)

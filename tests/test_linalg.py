@@ -1,6 +1,11 @@
+import json
 import logging
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randonet
 from randonet import _parallel, linalg
 from randonet.linalg import (
     CODFactors,
@@ -651,218 +657,125 @@ class TestTruncationAndAgreement:
             auto_tolerance(a.shape, r_11), rel=1e-12)
 
 
-# The port splits its calls only on the OpenBLAS kernels its bit rules were
-# measured on; elsewhere no matrix takes it, and only its one-worker bits
-# are checked.
-MEASURED_KERNELS = _parallel.scipy_blas_core() in linalg._SPLIT_CORES
-measured_kernels = pytest.mark.skipif(
-    not MEASURED_KERNELS, reason="the port is taken only on the measured OpenBLAS kernels")
+def run_with_openblas_threads(script: str, threads: str, *args) -> list:
+    """Run ``script`` in a fresh interpreter under ``OPENBLAS_NUM_THREADS``
+    (OpenBLAS reads it once, at load) and return the JSON it prints."""
+    src = str(Path(randonet.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
-@pytest.fixture
-def one_scipy_blas_thread():
-    """scipy's OpenBLAS at one thread for the test, the caller's count after it."""
-    get, set_ = _parallel.scipy_blas_threads()
-    if set_ is None:
-        pytest.skip("scipy bundles no OpenBLAS whose thread count can be set")
-    saved = get()
-    set_(1)
-    yield
-    set_(saved)
+class TestComplexInput:
+    """A complex matrix is rejected by name, not cut to its real part."""
 
-
-@pytest.fixture
-def split_qr(monkeypatch):
-    """The port on every panel, its speed floor at one entry, so every call
-    the bit rules allow splits; the dgemm's bit floor stays.
-
-    Returns the ``(task name, range count)`` of every crew round.
-    """
-    monkeypatch.setattr(_parallel, "MIN_GEMV_ENTRIES", 1)
-    monkeypatch.setattr(linalg, "_lapack_laqps", linalg._laqps)
-    rounds, run = [], _parallel.Crew.run
-
-    def record(self, task, spans):
-        rounds.append((task.__name__, len(spans)))
-        return run(self, task, spans)
-
-    monkeypatch.setattr(_parallel.Crew, "run", record)
-    return rounds
-
-
-def lapack_qp3(a):
-    work = np.array(a, order="F")
-    lwork = int(scipy.linalg.lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-    _, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
-    assert info == 0
-    return work, jpvt, tau
-
-
-def ported_qp3(a, workers):
-    work = np.array(a, order="F")
-    cols = work.shape[1]
-    lwork = int(scipy.linalg.lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-    with _parallel.Crew(workers) as crew:
-        jpvt, tau, *_ = linalg._pivoted_qr(work, (lwork - 2 * cols) // (cols + 1), crew)
-    return work, jpvt, tau
-
-
-def graded_matrix(rows, cols, seed):
-    """Singular values from 1 down to 1e-14: partial column norms lose their
-    digits and are recomputed, and panels end after one column."""
-    rng = np.random.default_rng(seed)
-    k = min(rows, cols)
-    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
-    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
-    return (u * np.logspace(0, -14, k)) @ v.T
-
-
-def with_zero_columns(rows, cols, seed):
-    a = np.random.default_rng(seed).standard_normal((rows, cols))
-    a[:, ::7] = 0.0
-    return a
-
-
-class TestPivotedQrPort:
-    """The Python port of geqp3 gives LAPACK's bits at one OpenBLAS thread."""
-
-    # min(rows, cols) = 128 is all dlaqp2; 129 adds one one-column panel;
-    # 192 ends two 32-column panels on the crossover, 193 one column after.
-    # ``split`` names the calls that run on more than one thread: the bit
-    # rules keep the dgemm of the smaller panels whole.
-    @pytest.mark.parametrize("a, split", [
-        pytest.param(np.random.default_rng(1).standard_normal((300, 420)), {"gemv", "gemm"},
-                     id="wide"),
-        pytest.param(np.random.default_rng(2).standard_normal((420, 300)), {"gemv", "gemm"},
-                     id="tall"),
-        pytest.param(np.random.default_rng(3).standard_normal((128, 300)), set(), id="min128"),
-        pytest.param(np.random.default_rng(4).standard_normal((300, 129)), {"gemv"},
-                     id="min129"),
-        pytest.param(np.random.default_rng(5).standard_normal((192, 400)), {"gemv"},
-                     id="panel-ends-on-nx"),
-        pytest.param(np.random.default_rng(6).standard_normal((400, 193)), {"gemv"},
-                     id="panel-after-nx"),
-        pytest.param(graded_matrix(300, 420, 7), {"gemv", "gemm"}, id="graded"),
-        pytest.param(with_zero_columns(320, 300, 8), {"gemv", "gemm"}, id="zero-columns"),
-    ])
-    def test_bits_equal_lapack(self, a, split, one_scipy_blas_thread, split_qr):
-        want = lapack_qp3(a)
-        for workers in (1, 2, 3) if MEASURED_KERNELS else (1,):
-            split_qr.clear()
-            got = ported_qp3(a, workers)
-            for name, x, y in zip(("factored array", "pivots", "tau"), got, want):
-                assert np.array_equal(x, y), (workers, name)
-            assert {task for task, count in split_qr if count > 1} == (
-                split if workers > 1 else set())
-
-    def test_graded_matrix_recomputes_norms_in_one_column_panels(
-            self, one_scipy_blas_thread, split_qr, monkeypatch):
-        # The battery's graded case runs the LAWN 176 recomputation and
-        # panels of one column (kb = 1), not only full panels.
-        flagged, panels = [], []
-        downdate, laqps = linalg._downdate_norms, linalg._laqps
-
-        def record_downdate(*args):
-            flagged.append(downdate(*args))
-            return flagged[-1]
-
-        def record_panel(*args):
-            panels.append(laqps(*args))
-            return panels[-1]
-
-        monkeypatch.setattr(linalg, "_downdate_norms", record_downdate)
-        monkeypatch.setattr(linalg, "_laqps", record_panel)
-        ported_qp3(graded_matrix(300, 420, 7), 2)
-        assert sum(lost.size for lost in flagged) > 0
-        assert 1 in panels and 32 in panels
-
-    @measured_kernels
-    def test_port_then_lapack_panels_give_lapacks_bits(self, one_scipy_blas_thread,
-                                                       monkeypatch):
-        # The port factors the panels whose trailing matrix splits and
-        # LAPACK's dlaqps the rest: they share the pivots, norms and
-        # reflectors, so the mix gives LAPACK's bits.
-        monkeypatch.setattr(_parallel, "MIN_GEMV_ENTRIES", 1 << 15)
-        kernels, laqps, lapack_laqps = [], linalg._laqps, linalg._lapack_laqps
-        monkeypatch.setattr(linalg, "_laqps", lambda *a: kernels.append("port") or laqps(*a))
-        monkeypatch.setattr(linalg, "_lapack_laqps",
-                            lambda *a: kernels.append("lapack") or lapack_laqps(*a))
-        a = graded_matrix(300, 420, 12)
-        for got, want in zip(ported_qp3(a, 2), lapack_qp3(a)):
-            assert np.array_equal(got, want)
-        ports = kernels.count("port")
-        assert 0 < ports < len(kernels) and kernels[ports:] == ["lapack"] * (len(kernels) - ports)
-
-    def test_exact_zero_norms_stay_zero(self, one_scipy_blas_thread):
-        a = with_zero_columns(320, 300, 8)
-        work, jpvt, tau = ported_qp3(a, 2)
-        # Zero columns are pivoted last and reflect nothing.
-        zero = np.flatnonzero(~a.any(axis=0))
-        assert set(jpvt[-zero.size:] - 1) == set(zero)
-        assert not tau[-zero.size:].any()
+    @pytest.mark.parametrize("call", [
+        cod_factorize, inplace_cod_factorize, tsvd_factorize,
+        lambda a: cod_pinv_apply(cod_factorize(np.eye(3)), a),
+        lambda a: tsvd_pinv_apply(tsvd_factorize(np.eye(3)), a),
+    ], ids=["cod", "inplace_cod", "tsvd", "cod_pinv_apply", "tsvd_pinv_apply"])
+    def test_rejected_before_the_float_cast(self, call):
+        with pytest.raises(ValueError, match=r"^[AB] must be real, got dtype complex128"):
+            call(np.eye(3) * (1 + 1j))
 
 
 class TestPivotedQrRoute:
-    def factor(self, a, caplog):
-        with caplog.at_level(logging.DEBUG, logger="randonet._parallel"):
-            factors = cod_factorize(a)
-        return factors, [r.getMessage() for r in caplog.records if "pivoted QR" in r.getMessage()]
+    """The COD runs scipy's OpenBLAS at its own thread count and restores the caller's."""
 
-    @measured_kernels
-    def test_one_blas_thread_and_two_cpus_take_the_port(self, one_scipy_blas_thread, split_qr,
-                                                        monkeypatch, caplog):
-        monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
-        a = graded_matrix(300, 420, 9)
-        factors, records = self.factor(a, caplog)
-        assert len(records) == 1 and records[0].startswith(
-            "pivoted QR of 300 x 420: 2 worker(s), ") and " panels (" in records[0]
-        work, jpvt, tau = lapack_qp3(a)
-        assert np.array_equal(factors.permutation, jpvt - 1)
-        assert np.array_equal(factors.q_tau, tau[:factors.numerical_rank])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_thread_count_by_size_and_the_callers_count_restored(self, threads):
+        # Two usable CPUs: 1200 x 1000 is above the floor, 500 x 800 below
+        # it, and one usable CPU keeps even the large matrix at one thread.
+        # A dgeqp3 that raises leaves the caller's count too.
+        script = """
+            import json, logging, os
+            import numpy as np
+            from randonet import _parallel, linalg
+            records, inside = [], []
+            handler = logging.Handler()
+            handler.emit = lambda record: records.append(record.getMessage())
+            _parallel.logger.addHandler(handler)
+            _parallel.logger.setLevel(logging.DEBUG)
+            get = _parallel.scipy_blas_threads()[0]
+            caller = get()
+            geqp3 = linalg.lapack.dgeqp3
+            def record(*args, **kwargs):
+                inside.append(get())
+                return geqp3(*args, **kwargs)
+            linalg.lapack.dgeqp3 = record
+            a = np.random.default_rng(0).standard_normal((1200, 1000))
+            os.sched_getaffinity = lambda pid: {0, 1}
+            linalg.cod_factorize(a)
+            linalg.cod_factorize(a[:500, :800])
+            os.sched_getaffinity = lambda pid: {0}
+            linalg.cod_factorize(a)
+            after = get()
+            def fail(*args, **kwargs):
+                if kwargs.get("lwork") != -1:
+                    raise FloatingPointError("geqp3")
+                return record(*args, **kwargs)
+            linalg.lapack.dgeqp3 = fail
+            os.sched_getaffinity = lambda pid: {0, 1}
+            failed = False
+            try:
+                linalg.cod_factorize(a)
+            except FloatingPointError:
+                failed = True
+            print(json.dumps([caller, after, get(), failed, records, inside,
+                              os.cpu_count()]))
+        """
+        caller, after, after_error, failed, records, inside, cpus = run_with_openblas_threads(
+            script, threads)
+        assert caller == min(int(threads), cpus) and after == after_error == caller and failed
+        assert [r.rsplit(",", 1)[0] for r in records] == [
+            "COD of 1200 x 1000: 2 BLAS thread(s)", "COD of 500 x 800: 1 BLAS thread(s)",
+            "COD of 1200 x 1000: 1 BLAS thread(s)"]
+        # Each dgeqp3 (workspace query, then the factorization) runs at the
+        # count logged; OpenBLAS caps it at the CPUs it sees.
+        assert inside == [min(2, cpus)] * 2 + [1] * 4 + [min(2, cpus)]
 
-    @pytest.mark.parametrize("shape, cpus, threads, core", [
-        ((128, 420), 2, 1, "SkylakeX"),  # LAPACK factors it unblocked
-        ((300, 420), 1, 1, "SkylakeX"),  # one usable CPU
-        ((300, 420), 2, 2, "SkylakeX"),  # threaded OpenBLAS: geqp3 is faster than the port
-        ((300, 420), 2, 0, "SkylakeX"),  # a thread count that cannot be read
-        ((300, 420), 2, 1, "Haswell"),  # kernels whose bit rules were not measured
-        ((300, 420), 2, 1, ""),  # kernels that cannot be named
-    ])
-    def test_every_other_matrix_takes_lapack(self, shape, cpus, threads, core, split_qr,
-                                             monkeypatch, caplog):
-        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(_parallel, "scipy_blas_threads", lambda: (lambda: threads, None))
-        monkeypatch.setattr(_parallel, "scipy_blas_core", lambda: core)
-        _, records = self.factor(np.random.default_rng(10).standard_normal(shape), caplog)
-        assert records == [f"pivoted QR of {shape[0]} x {shape[1]}: 1 worker(s), LAPACK geqp3, "
-                           + records[0].rsplit(", ", 1)[1]]
-        assert split_qr == []
-
-    @measured_kernels
-    def test_an_error_mid_factorization_leaves_no_helper(self, one_scipy_blas_thread, split_qr,
-                                                         monkeypatch):
+    def test_an_error_mid_factorization_leaves_no_helper(self, monkeypatch):
+        # tzrzf fails after geqp3 has run at the block's count: no thread is
+        # left behind and scipy's OpenBLAS is back at the caller's count.
         monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
-        laqps, panels = linalg._laqps, []
+        get = _parallel.scipy_blas_threads()[0]
+        run, calls = linalg._lapack_with_work, []
 
-        def fail_on_the_third_panel(*args):
-            panels.append(args[1])
-            if len(panels) == 3:
-                raise FloatingPointError("third panel")
-            return laqps(*args)
+        def fail_on_tzrzf(name, *args, **kwargs):
+            calls.append((name, get()))
+            if name == "dtzrzf":
+                raise FloatingPointError("tzrzf")
+            return run(name, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_laqps", fail_on_the_third_panel)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="third panel"):
-            cod_factorize(graded_matrix(300, 420, 13))
-        assert len(panels) == 3 and threading.active_count() == before
+        monkeypatch.setattr(linalg, "_lapack_with_work", fail_on_tzrzf)
+        a = np.random.default_rng(13).standard_normal((1000, 1200))
+        assert a.size >= _parallel.MIN_QR_ENTRIES
+        caller, before = get(), threading.active_count()
+        with pytest.raises(FloatingPointError, match="tzrzf"):
+            cod_factorize(a)
+        assert [name for name, _ in calls] == ["dtzrzf"]
+        assert threading.active_count() == before and get() == caller
 
-    def test_below_the_speed_floor_lapack_factors(self, one_scipy_blas_thread, monkeypatch,
-                                                 caplog):
+    def test_below_the_speed_floor_lapack_factors(self, monkeypatch, caplog):
         monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
         rows, cols = 300, 420
-        assert rows * cols < 2 * _parallel.MIN_GEMV_ENTRIES
-        _, records = self.factor(np.random.default_rng(11).standard_normal((rows, cols)), caplog)
-        assert "LAPACK geqp3" in records[0]
+        assert rows * cols < 2 * _parallel.MIN_QR_ENTRIES
+        a = np.random.default_rng(11).standard_normal((rows, cols))
+        with caplog.at_level(logging.DEBUG, logger="randonet._parallel"):
+            factors = cod_factorize(a)
+        assert [r.getMessage().rsplit(",", 1)[0] for r in caplog.records] == [
+            "COD of 300 x 420: 1 BLAS thread(s)"]
+        # The bits of one dgeqp3 call at one thread, whatever the caller's count.
+        work = np.array(a, order="F")
+        with _parallel.scipy_blas(1):
+            lwork = int(scipy.linalg.lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+            _, jpvt, tau, _, info = scipy.linalg.lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
+        assert info == 0
+        assert np.array_equal(factors.permutation, jpvt - 1)
+        assert np.array_equal(factors.q_tau, tau[:factors.numerical_rank])
 
 
 class TestCrew:

@@ -1,8 +1,9 @@
 """Parallel work has one owner, ``randonet._parallel``.
 
-Only that module starts threads or processes (the pivoted QR's crew
-included), reads the affinity mask or names the thread-count symbols of
-numpy's and scipy's bundled OpenBLAS. Other modules call it and
+Only that module starts threads or processes, reads the affinity mask,
+names the thread-count symbols of numpy's and scipy's bundled OpenBLAS or
+calls the setter that ``numpy_blas_threads()`` or ``scipy_blas_threads()``
+returns. Other modules call it and
 take no private name of ``embeddings`` or ``problems`` for parallel work:
 the only private names they reach there are the input checks (``_check_*``).
 """
@@ -16,8 +17,32 @@ SOURCES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(Path(randonet.__file__).parent.glob("*.py"))}
 
 
+def reads_blas_threads(node) -> bool:
+    """Whether ``node`` calls a ``(get, set)`` thread-count reader such as
+    ``scipy_blas_threads()``, by name or attribute."""
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+        node.func, "id", "")).endswith("blas_threads")
+
+
+def is_setter(node) -> bool:
+    """Whether ``node`` is ``reader()[1]``."""
+    return isinstance(node, ast.Subscript) and reads_blas_threads(node.value) \
+        and isinstance(node.slice, ast.Constant) and node.slice.value == 1
+
+
 def parallel_work(tree) -> list:
     """One line for each thing ``tree`` does that only ``_parallel`` may do."""
+    setters = set()  # names bound to a reader's setter
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and len(target.elts) > 1 \
+                        and reads_blas_threads(node.value):
+                    target = target.elts[1]
+                elif not is_setter(node.value):
+                    continue
+                if isinstance(target, ast.Name):
+                    setters.add(target.id)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -37,6 +62,9 @@ def parallel_work(tree) -> list:
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and "openblas" in node.value and "threads" in node.value:
             found.append(f"names {node.value}")
+        if isinstance(node, ast.Call) and (is_setter(node.func) or getattr(
+                node.func, "id", None) in setters):
+            found.append("sets a BLAS thread count")
     return found
 
 
@@ -61,7 +89,19 @@ def test_only_parallel_starts_workers_or_sets_blas_threads():
     assert set(parallel_work(SOURCES["_parallel"])) == {
         "imports threading", "imports multiprocessing", "reads the affinity mask",
         "starts a thread or process", "names scipy_openblas_get_num_threads",
-        "names scipy_openblas_set_num_threads"}
+        "names scipy_openblas_set_num_threads", "sets a BLAS thread count"}
+
+
+def test_the_scan_sees_every_call_of_a_blas_thread_setter():
+    source = """
+get, set_ = numpy_blas_threads()
+set_(2)
+threads = _parallel.scipy_blas_threads()[1]
+threads(1)
+_parallel.scipy_blas_threads()[1](4)
+_parallel.scipy_blas_threads()[0]()
+"""
+    assert parallel_work(ast.parse(source)) == ["sets a BLAS thread count"] * 3
 
 
 def test_no_module_reaches_private_names_of_embeddings_or_problems():
