@@ -7,9 +7,8 @@ its parameter table in forked processes, and the COD runs its LAPACK calls
 on scipy's bundled OpenBLAS at one thread per worker. Each takes its count
 from :func:`workers`; the splits take their cuts from :func:`ranges` and
 hand them to :func:`in_threads` or :func:`in_processes`, which run a single
-range in the caller before any other bookkeeping. Every thread of ours
-belongs to a :class:`Crew`, which starts its threads when a ``with`` block
-is entered and joins them when it is left.
+range in the caller before any other bookkeeping. Both join every worker
+they start before they return, also when a range raises.
 
 The rule is one worker per usable CPU (the affinity mask, so ``taskset``
 limits it), at most one per ``floor`` units of work and one per block;
@@ -92,16 +91,43 @@ def ranges(blocks: int, block: int, count: int, end: int) -> list:
 
 
 def in_threads(task, spans: list) -> None:
-    """``task(lo, hi)`` for every range in ``spans``, on a :class:`Crew` of
-    one thread per range that lives for this call; a single range runs in
-    this thread before any other bookkeeping.
+    """``task(lo, hi)`` for every range in ``spans``; a single range runs
+    in this thread, which starts none.
 
-    A worker's exception is raised here, and no thread outlives the call.
+    Otherwise this thread takes the first range and starts one thread per
+    further range; then whoever is free takes the next untaken range, so a
+    thread that starts late leaves its range to the caller. Every range
+    runs even when one raises; the first exception is raised here once
+    every thread has been joined.
     """
     if len(spans) == 1:
         return task(*spans[0])
-    with Crew(len(spans)) as crew:
-        crew.run(task, spans)
+    untaken, lock, errors = iter(spans), threading.Lock(), []
+
+    def take():
+        with lock:
+            return next(untaken, None)
+
+    def work(span):
+        while span is not None:
+            try:
+                task(*span)
+            except BaseException as exc:
+                errors.append(exc)
+            span = take()
+
+    first, threads = take(), []
+    try:
+        for _ in spans[1:]:
+            thread = threading.Thread(target=lambda: work(take()))
+            thread.start()
+            threads.append(thread)
+        work(first)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def in_processes(task, spans: list, what: str) -> tuple:
@@ -163,115 +189,6 @@ def _send_rows(task, lo: int, hi: int, send) -> None:
     except Exception as exc:
         part = exc
     send.send(part)
-
-
-class Crew:
-    """``count - 1`` helper threads for the length of a ``with`` block.
-
-    :meth:`run` shares the ranges of one task among the caller and the
-    helpers; :func:`in_threads` runs one task on a crew of its own.
-    Whoever is free takes the next range, so a helper that wakes late (a
-    handoff costs 40-100 us on a 2-core x86-64 Xeon, and more while the
-    host lends its second core to others) leaves its ranges to the caller
-    instead of holding it up; ranges start on block boundaries, so which
-    thread runs one does not change the bits. The helpers start when the
-    block is entered and are joined when it is left, also when it raises.
-    """
-
-    def __init__(self, count: int):
-        self.count = count
-        self._helpers = []
-
-    def __enter__(self):
-        try:
-            for _ in range(self.count - 1):
-                self._helpers.append(_Helper())
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def run(self, task, spans: list) -> None:
-        """``task(lo, hi)`` for every range in ``spans``, each taken by the
-        caller or a helper, whichever is free first.
-
-        Returns when every range has finished; an exception raised by any
-        of them is raised here.
-        """
-        if len(spans) == 1:
-            return task(*spans[0])
-        shared = _Round(task, spans)
-        for helper in self._helpers:
-            helper.post(shared)
-        shared.work()
-        shared.finished.acquire()
-        if shared.errors:
-            raise shared.errors[0]
-
-    def __exit__(self, *exc_info):
-        for helper in self._helpers:
-            helper.post(None)
-        for helper in self._helpers:
-            helper.thread.join()
-        self._helpers = []
-
-
-class _Round:
-    """The ranges of one :meth:`Crew.run`, taken one at a time by its workers.
-
-    ``finished`` is released once, by whoever finishes the last range.
-    """
-
-    def __init__(self, task, spans: list):
-        self.task, self.spans, self.errors = task, spans, []
-        self.lock, self.finished = threading.Lock(), threading.Lock()
-        self.finished.acquire()
-        self.taken, self.unfinished = 0, len(spans)
-
-    def work(self) -> None:
-        """Run ranges until none is left to take."""
-        while True:
-            with self.lock:
-                if self.taken == len(self.spans):
-                    return
-                lo, hi = self.spans[self.taken]
-                self.taken += 1
-            try:
-                self.task(lo, hi)
-            except BaseException as exc:
-                self.errors.append(exc)
-            with self.lock:
-                self.unfinished -= 1
-                if self.unfinished == 0:
-                    self.finished.release()
-
-
-class _Helper:
-    """One thread of a :class:`Crew`. It works on the latest round posted
-    each time it wakes; a round already taken up costs it nothing, and a
-    round of None ends it."""
-
-    def __init__(self):
-        self.go = threading.Lock()
-        self.go.acquire()
-        self.round = None
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def post(self, shared) -> None:
-        self.round = shared
-        try:
-            self.go.release()
-        except RuntimeError:
-            pass  # still awake for an earlier post: it reads this round next
-
-    def _serve(self) -> None:
-        while True:
-            self.go.acquire()
-            shared = self.round
-            if shared is None:
-                return
-            shared.work()
 
 
 def _bundled_openblas(package, suffix: str):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from . import linalg
 from .embeddings import _check_count, _check_seed
 
 __all__ = [
@@ -168,6 +169,7 @@ def _primitive(row, t, dx, terms, out) -> None:
 def _evaluate(row, x, order: int) -> np.ndarray:
     row = _checked_row(row)
     x = np.asarray(x, dtype=np.float64)
+    linalg._check_finite(x, "x")
     dx = np.subtract(x.reshape(-1, 1), _blocks(row)[2])
     out = np.empty((order + 1, x.size))
     _derivatives(row, x.reshape(-1), dx, np.empty((3 if order else 1,) + dx.shape), out)
@@ -197,7 +199,9 @@ def eval_antiderivative(row, x, x0: float = 0.0) -> np.ndarray:
     ``w * x``. ``x0`` is evaluated as one more point of the same pass.
     """
     row = _checked_row(row)
-    x = np.asarray(x, dtype=np.float64)
+    x, x0 = np.asarray(x, dtype=np.float64), np.asarray(x0, dtype=np.float64)
+    linalg._check_finite(x, "x")
+    linalg._check_finite(x0, "x0")
     t = np.append(x.reshape(-1), x0)
     dx = np.subtract(t[:, None], _blocks(row)[2])
     out = np.empty(t.size)

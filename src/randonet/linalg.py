@@ -54,11 +54,10 @@ pivoted QR runs in one Fortran-ordered working copy of the input, leaves
 the ``Q`` reflectors and ``R`` side by side in it, and ``tzrzf``
 compresses the trapezoid in the top r rows of that same array.
 ``cod_factorize`` makes the working copy; ``inplace_cod_factorize`` uses
-a Fortran-ordered argument as it. The routines that read the factors in
-place (``tzrzf``, ``ormrz``, ``ormqr`` and ``trtrs``) take the working
-array's leading dimension, which scipy's f2py wrappers cannot pass, so
-they are called through the capsules of ``scipy.linalg.cython_lapack``:
-the same LAPACK build, without the copies of strided views.
+a Fortran-ordered argument as it. Every LAPACK routine is called through
+its capsule in ``scipy.linalg.cython_lapack``, with each operand's
+leading dimension, so the factors are read in place as strided views,
+without the copies of scipy's f2py wrappers.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_lapack
 
 from . import _parallel
 
@@ -205,11 +204,6 @@ class CODFactors:
         return (self.q_reflectors.shape[0], self.rz.shape[1])
 
 
-def _lapack_check(name: str, info: int) -> None:
-    if info != 0:
-        raise RuntimeError(f"LAPACK {name} failed with info={info}")
-
-
 def _capsule_function(name: str, nargs: int):
     """The ``cython_lapack`` routine ``name``, callable through ``ctypes``.
 
@@ -229,7 +223,8 @@ def _capsule_function(name: str, nargs: int):
 # Argument counts, the trailing info included.
 _LAPACK = {
     name: _capsule_function(name, nargs)
-    for name, nargs in (("dtzrzf", 8), ("dormqr", 13), ("dormrz", 14), ("dtrtrs", 10))
+    for name, nargs in (("dgeqp3", 9), ("dtzrzf", 8), ("dorgqr", 9), ("dormqr", 13),
+                        ("dormrz", 14), ("dtrtrs", 10))
 }
 
 
@@ -254,7 +249,8 @@ def _lapack(name: str, *args) -> None:
         else:
             refs.append(ctypes.byref(ctypes.c_int(arg)))
     _LAPACK[name](*refs, ctypes.byref(info))
-    _lapack_check(name, info.value)
+    if info.value != 0:
+        raise RuntimeError(f"LAPACK {name} failed with info={info.value}")
 
 
 def _lapack_with_work(name: str, *args, lwork: int | None = None) -> None:
@@ -308,10 +304,8 @@ def _solve_t11(factors: CODFactors, c: np.ndarray) -> None:
 
 def _leading_q(factors: CODFactors) -> np.ndarray:
     """``Q1``, the first r columns of the pivoted QR's Q: (rows, r)."""
-    _, work, info = lapack.dorgqr(factors.q_reflectors, factors.q_tau, lwork=-1)
-    _lapack_check("orgqr", info)
-    q1, _, info = lapack.dorgqr(factors.q_reflectors, factors.q_tau, lwork=int(work[0]))
-    _lapack_check("orgqr", info)
+    q1 = np.array(factors.q_reflectors, order="F")
+    _lapack_with_work("dorgqr", *q1.shape, factors.numerical_rank, q1, _ld(q1), factors.q_tau)
     return q1
 
 
@@ -434,12 +428,9 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
     rows, cols = work.shape
     threads = _parallel.workers(rows * cols, _parallel.MIN_QR_ENTRIES, cols)
     start = time.perf_counter()
+    jpvt, q_tau = np.zeros(cols, dtype=np.intc), np.empty(min(rows, cols))
     with _parallel.scipy_blas(threads):
-        # overwrite_a on the query too, or f2py copies the matrix for it.
-        lwork = int(lapack.dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-        _, jpvt, q_tau, scratch, info = lapack.dgeqp3(work, lwork=lwork, overwrite_a=1)
-        del scratch  # geqp3's workspace, not to be held through tzrzf
-        _lapack_check("geqp3", info)
+        _lapack_with_work("dgeqp3", rows, cols, work, _ld(work), jpvt, q_tau)
         diag = np.abs(np.diag(work))
         sigma_max = float(diag[0]) if diag.size else 0.0
         tol = _resolve_tol(tol, work.shape, sigma_max)

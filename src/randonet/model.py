@@ -111,6 +111,8 @@ class AlignedDataset:
             raise ValueError(
                 f"inconsistent shapes: x {x.shape}, y {y.shape}, U {u.shape}, V {v.shape}"
             )
+        if u.shape[1] == 0:
+            raise ValueError(f"a dataset needs at least one function, got U of shape {u.shape}")
         for name, arr in (("x", x), ("y", y), ("U", u), ("V", v)):
             linalg._check_finite(arr, name)
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
@@ -148,6 +150,8 @@ class UnalignedDataset:
             raise ValueError(
                 f"sample counts differ: U {u.shape}, Y {y.shape}, V ({v.size},)"
             )
+        if v.size == 0:
+            raise ValueError(f"a dataset needs at least one sample, got U of shape {u.shape}")
         for name, arr in (("U", u), ("Y", y), ("V", v)):
             linalg._check_finite(arr, name)
         object.__setattr__(self, "U", u)
@@ -215,13 +219,22 @@ def _check_solver(solver: str, tol, reg: float) -> None:
     linalg._check_tol(tol)
 
 
-def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float) -> None:
+def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float,
+                  sensors: int, location_dim: int) -> None:
     """:func:`_check_solver`, and reject a map given as anything but an
-    :class:`EmbeddingSpec`."""
+    :class:`EmbeddingSpec` or one whose input dimension is not the data's:
+    ``sensors`` for the branch, ``location_dim`` for the trunk."""
     _check_solver(solver, tol, reg)
     for spec in (trunk_spec, branch_spec):
         if not isinstance(spec, EmbeddingSpec):
             raise TypeError(f"expected an EmbeddingSpec, got {type(spec).__name__}")
+    if branch_spec.input_dim != sensors:
+        raise ValueError(
+            f"branch input_dim {branch_spec.input_dim} does not match sensor count {sensors}"
+        )
+    if trunk_spec.input_dim != location_dim:
+        where = "scalar" if location_dim == 1 else f"{location_dim}-D"
+        raise ValueError(f"trunk input_dim must be {location_dim} for {where} output locations")
 
 
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
@@ -327,13 +340,7 @@ def train_aligned(
     are built in Fortran order and factored in their own storage, so the
     fit holds each once.
     """
-    _check_inputs(trunk_spec, branch_spec, solver, tol, reg)
-    if branch_spec.input_dim != ds.x.size:
-        raise ValueError(
-            f"branch input_dim {branch_spec.input_dim} does not match sensor count {ds.x.size}"
-        )
-    if trunk_spec.input_dim != 1:
-        raise ValueError("trunk input_dim must be 1 for scalar output locations")
+    _check_inputs(trunk_spec, branch_spec, solver, tol, reg, ds.x.size, 1)
     trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
 
     start = time.perf_counter()
@@ -398,9 +405,10 @@ def train_unaligned(
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage.
     Bad maps and solver settings are rejected first, as by
-    :func:`train_aligned`.
+    :func:`train_aligned`: the branch input dimension must equal the row
+    count of ``U`` and the trunk's that of ``Y``.
     """
-    _check_inputs(trunk_spec, branch_spec, solver, tol, reg)
+    _check_inputs(trunk_spec, branch_spec, solver, tol, reg, ds.U.shape[0], ds.Y.shape[0])
     n_feat = trunk_spec.feature_dim
     m_feat = branch_spec.feature_dim
     n_samples = ds.n_samples

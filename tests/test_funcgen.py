@@ -107,6 +107,18 @@ class TestSampleParams:
                 with pytest.raises(ValueError, match=match):
                     evaluate(value, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("evaluate, name", [
+        (eval_u, "x"), (eval_du, "x"), (eval_d2u, "x"),
+        (eval_antiderivative, "x"), (eval_antiderivative, "x0"),
+    ], ids=["u", "du", "d2u", "antiderivative-x", "antiderivative-x0"])
+    def test_points_must_be_finite(self, evaluate, name, bad):
+        # eval_u(row, nan) once returned NaN.
+        row = make_row(w=[1.0], s=[1.0], c=[0.5])
+        for value in (bad, np.array([0.0, bad, 1.0])):
+            with pytest.raises(ValueError, match=rf"^{name} contains non-finite entries"):
+                evaluate(row, **{"x": 0.5, name: value})
+
 
 class TestEvalU:
     def test_pure_quadratic(self):

@@ -341,17 +341,17 @@ class TestCodTwoStage:
     def test_exactly_one_pivoted_qr(self, rows, cols, rank, monkeypatch):
         a = spectrum_matrix(rows, cols, rank, seed=3)
         calls = []
-        geqp3 = scipy.linalg.lapack.dgeqp3
+        lapack = linalg._lapack
 
-        def counting_geqp3(*args, **kwargs):
-            if kwargs.get("lwork") != -1:  # workspace queries factor nothing
-                calls.append(args[0].shape)
-            return geqp3(*args, **kwargs)
+        def counting_geqp3(name, *args):
+            if name == "dgeqp3" and args[-1] != -1:  # workspace queries factor nothing
+                calls.append(tuple(args[:2]))
+            return lapack(name, *args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("cod_factorize must not run a second dense factorization")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3", counting_geqp3)
+        monkeypatch.setattr(linalg, "_lapack", counting_geqp3)
         monkeypatch.setattr(scipy.linalg, "qr", forbidden)
         monkeypatch.setattr(np.linalg, "qr", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
@@ -701,11 +701,12 @@ class TestPivotedQrRoute:
             _parallel.logger.setLevel(logging.DEBUG)
             get = _parallel.scipy_blas_threads()[0]
             caller = get()
-            geqp3 = linalg.lapack.dgeqp3
-            def record(*args, **kwargs):
-                inside.append(get())
-                return geqp3(*args, **kwargs)
-            linalg.lapack.dgeqp3 = record
+            lapack = linalg._lapack
+            def record(name, *args):
+                if name == "dgeqp3":
+                    inside.append(get())
+                return lapack(name, *args)
+            linalg._lapack = record
             a = np.random.default_rng(0).standard_normal((1200, 1000))
             os.sched_getaffinity = lambda pid: {0, 1}
             linalg.cod_factorize(a)
@@ -713,11 +714,11 @@ class TestPivotedQrRoute:
             os.sched_getaffinity = lambda pid: {0}
             linalg.cod_factorize(a)
             after = get()
-            def fail(*args, **kwargs):
-                if kwargs.get("lwork") != -1:
+            def fail(name, *args):
+                if name == "dgeqp3" and args[-1] != -1:
                     raise FloatingPointError("geqp3")
-                return record(*args, **kwargs)
-            linalg.lapack.dgeqp3 = fail
+                return record(name, *args)
+            linalg._lapack = fail
             os.sched_getaffinity = lambda pid: {0, 1}
             failed = False
             try:
@@ -756,7 +757,7 @@ class TestPivotedQrRoute:
         caller, before = get(), threading.active_count()
         with pytest.raises(FloatingPointError, match="tzrzf"):
             cod_factorize(a)
-        assert [name for name, _ in calls] == ["dtzrzf"]
+        assert [name for name, _ in calls] == ["dgeqp3", "dtzrzf"]
         assert threading.active_count() == before and get() == caller
 
     def test_below_the_speed_floor_lapack_factors(self, monkeypatch, caplog):
@@ -776,53 +777,3 @@ class TestPivotedQrRoute:
         assert info == 0
         assert np.array_equal(factors.permutation, jpvt - 1)
         assert np.array_equal(factors.q_tau, tau[:factors.numerical_rank])
-
-
-class TestCrew:
-    def helpers(self):
-        return [t for t in threading.enumerate() if t.name != "MainThread" and t.daemon]
-
-    def test_runs_every_range_once_and_joins_its_helpers(self):
-        # More workers than cores and a short switch interval: a range lost
-        # or taken twice between threads shows in the counts.
-        before = set(self.helpers())
-        seen, spans = [], [(0, 4), (4, 8), (8, 10), (10, 11), (11, 20)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with _parallel.Crew(_parallel.usable_cpus() + 2) as crew:
-                assert len(set(self.helpers()) - before) == crew.count - 1
-                for _ in range(300):
-                    crew.run(lambda lo, hi: seen.append((lo, hi)), spans)
-        finally:
-            sys.setswitchinterval(interval)
-        assert set(self.helpers()) == before
-        assert sorted(seen) == sorted(spans * 300)
-
-    def test_a_helpers_exception_is_raised_in_the_caller(self):
-        before = set(self.helpers())
-        done = []
-
-        def task(lo, hi):
-            if lo:
-                raise KeyError(lo)
-            done.append(lo)
-
-        with pytest.raises(KeyError), _parallel.Crew(2) as crew:
-            with pytest.raises(KeyError):
-                crew.run(task, [(0, 1), (1, 2)])
-            crew.run(lambda lo, hi: done.append(lo), [(0, 1), (5, 6)])
-            crew.run(task, [(0, 1), (1, 2)])
-        assert sorted(done) == [0, 0, 0, 5]
-        assert set(self.helpers()) == before
-
-    def test_a_late_helper_leaves_its_ranges_to_the_caller(self):
-        ran = []
-        with _parallel.Crew(2) as crew:
-            helper = crew._helpers[0]
-            # The helper sleeps on a lock that the round's post does not release.
-            asleep, helper.go = helper.go, threading.Lock()
-            helper.go.acquire()
-            crew.run(lambda lo, hi: ran.append(threading.get_ident()), [(0, 1), (1, 2), (2, 3)])
-            helper.go = asleep  # leaving the block wakes it to end
-        assert ran == [threading.get_ident()] * 3

@@ -121,6 +121,19 @@ class TestDatasetTypes:
         with pytest.raises(ValueError, match="sample counts"):
             UnalignedDataset(U=np.zeros((3, 4)), Y=np.zeros((1, 4)), V=np.zeros(5))
 
+    def test_aligned_needs_a_function(self):
+        # train_aligned once failed on it naming an internal matrix, "A".
+        x = np.linspace(0, 1, 4)
+        with pytest.raises(ValueError, match=r"^a dataset needs at least one function, got U "
+                                             r"of shape \(4, 0\)"):
+            AlignedDataset(x=x, y=x, U=np.zeros((4, 0)), V=np.zeros((4, 0)))
+
+    def test_unaligned_needs_a_sample(self):
+        # train_unaligned once failed on it in a numpy reshape.
+        with pytest.raises(ValueError, match=r"^a dataset needs at least one sample, got U "
+                                             r"of shape \(3, 0\)"):
+            UnalignedDataset(U=np.zeros((3, 0)), Y=np.zeros((1, 0)), V=np.zeros(0))
+
     def test_unaligned_holds_c_contiguous_u(self):
         # A column subset by fancy indexing is F-ordered; the dataset keeps
         # a C copy, the layout feature maps read, so fits copy nothing.
@@ -698,6 +711,23 @@ class TestUnaligned:
         f = linalg.tsvd_factorize(z)
         assert md["collocation_rank"] == f.rank
         assert md["collocation_rank_tolerance"] > 0.0
+
+    @pytest.mark.parametrize("sensors, location_dim, trunk_dim, branch_dim, message", [
+        (100, 1, 1, 50, "branch input_dim 50 does not match sensor count 100"),
+        (10, 1, 2, 10, "trunk input_dim must be 1 for scalar output locations"),
+        (10, 2, 1, 10, "trunk input_dim must be 2 for 2-D output locations"),
+    ], ids=["branch", "trunk-scalar", "trunk-2d"])
+    def test_input_dim_checks_before_any_feature(self, sensors, location_dim, trunk_dim,
+                                                 branch_dim, message, monkeypatch):
+        # A 50-input branch on 100 sensors once failed inside the branch
+        # apply, after the trunk features were built.
+        rng = np.random.default_rng(sensors)
+        ds = UnalignedDataset(U=rng.standard_normal((sensors, 30)),
+                              Y=rng.uniform(0.0, 1.0, (location_dim, 30)), V=np.zeros(30))
+        trunk = EmbeddingSpec("tanh", trunk_dim, 8, 5, domain=(0.0, 1.0))
+        fail_on_features(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_unaligned(ds, trunk, EmbeddingSpec("jl", branch_dim, 8, 6))
 
     def test_memory_guard(self, monkeypatch):
         # N * M * S = 50 * 40 * 2501 is just above the 5e6 budget; the guard

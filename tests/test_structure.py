@@ -6,6 +6,10 @@ calls the setter that ``numpy_blas_threads()`` or ``scipy_blas_threads()``
 returns. Other modules call it and
 take no private name of ``embeddings`` or ``problems`` for parallel work:
 the only private names they reach there are the input checks (``_check_*``).
+
+LAPACK has one calling convention: no module imports scipy's f2py
+wrappers, ``scipy.linalg.lapack``, and only ``linalg`` reaches the
+``cython_lapack`` capsules.
 """
 
 import ast
@@ -82,6 +86,30 @@ def private_names_reached(tree) -> list:
     return found
 
 
+def lapack_use(tree) -> list:
+    """One line for each way ``tree`` reaches scipy's LAPACK wrappers."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "attr", getattr(node.value, "id", ""))
+            paths = [f"{owner}.{node.attr}"]
+        elif isinstance(node, ast.Name):
+            paths = [node.id]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if "lapack" in parts and "linalg" in parts:
+                found.append("imports scipy.linalg.lapack")
+            if "cython_lapack" in parts:
+                found.append("touches cython_lapack")
+    return found
+
+
 def test_only_parallel_starts_workers_or_sets_blas_threads():
     found = {name: parallel_work(tree) for name, tree in SOURCES.items() if name != "_parallel"}
     assert {name: work for name, work in found.items() if work} == {}
@@ -109,3 +137,25 @@ def test_no_module_reaches_private_names_of_embeddings_or_problems():
                     if not reached.split(".")[1].startswith("_check_")]
              for name, tree in SOURCES.items()}
     assert {name: reached for name, reached in found.items() if reached} == {}
+
+
+def test_one_lapack_calling_convention():
+    found = {name: set(lapack_use(tree)) for name, tree in SOURCES.items()}
+    assert {name: use for name, use in found.items() if use} == {
+        "linalg": {"touches cython_lapack"}}
+
+
+def test_the_scan_sees_every_way_to_reach_lapack():
+    planted = {
+        "from scipy.linalg import lapack": "imports scipy.linalg.lapack",
+        "import scipy.linalg.lapack": "imports scipy.linalg.lapack",
+        "from scipy.linalg.lapack import dgeqp3": "imports scipy.linalg.lapack",
+        "import scipy.linalg\nscipy.linalg.lapack.dgeqp3(a)": "imports scipy.linalg.lapack",
+        "from scipy import linalg\nlinalg.lapack.dgeqp3(a)": "imports scipy.linalg.lapack",
+        "from scipy.linalg import cython_lapack": "touches cython_lapack",
+        "import scipy.linalg.cython_lapack as capsules": "touches cython_lapack",
+        "import scipy.linalg\nscipy.linalg.cython_lapack.__pyx_capi__": "touches cython_lapack",
+    }
+    for source, line in planted.items():
+        assert line in lapack_use(ast.parse(source)), source
+    assert lapack_use(ast.parse("from scipy.linalg import qr\nlinalg.qr(a)")) == []
