@@ -35,11 +35,9 @@ tolerance. When r equals the column count, the leading block of R is
 already the triangular core. Otherwise the kept r-by-cols trapezoid is
 compressed from the right, ``R[:r] = [T11 0] Z`` (``tzrzf``), at a cost of
 ``4 r^2 (cols - r)`` instead of a second dense QR. Neither orthogonal
-factor is formed: ``Q`` and ``Z`` are stored as their Householder
-reflectors and reach right-hand sides through ``ormqr`` and ``ormrz``.
-Only when the right-hand sides outnumber the rank are the r columns of
-``Q`` and rows of ``Z`` that act on them formed, for one matrix product
-each.
+factor is ever formed: ``Q`` and ``Z`` are stored as their Householder
+reflectors, and every apply, whatever its count of right-hand sides,
+reaches them through ``ormrz`` and ``ormqr`` around one ``trtrs`` solve.
 
 Both LAPACK steps of a COD, ``geqp3`` and ``tzrzf``, run with scipy's
 bundled OpenBLAS at one thread per worker of :mod:`randonet._parallel`:
@@ -188,7 +186,9 @@ class CODFactors:
     array: ``q_reflectors`` its first r columns, ``rz`` its top r rows, a
     strided view whose leading dimension is the row count. Entries of
     ``rz`` below the diagonal of ``T11`` therefore belong to the ``Q``
-    reflectors and are not referenced as part of ``T11``.
+    reflectors and are not referenced as part of ``T11``. ``rank`` is r
+    and ``rank_tolerance`` the cutoff that fixed it, the two fields
+    :class:`TruncatedSVDFactors` also answers to.
     """
 
     permutation: np.ndarray
@@ -196,7 +196,7 @@ class CODFactors:
     q_tau: np.ndarray
     rz: np.ndarray
     z_tau: np.ndarray
-    numerical_rank: int
+    rank: int
     rank_tolerance: float
 
     @property
@@ -223,8 +223,8 @@ def _capsule_function(name: str, nargs: int):
 # Argument counts, the trailing info included.
 _LAPACK = {
     name: _capsule_function(name, nargs)
-    for name, nargs in (("dgeqp3", 9), ("dtzrzf", 8), ("dorgqr", 9), ("dormqr", 13),
-                        ("dormrz", 14), ("dtrtrs", 10))
+    for name, nargs in (("dgeqp3", 9), ("dtzrzf", 8), ("dormqr", 13), ("dormrz", 14),
+                        ("dtrtrs", 10))
 }
 
 
@@ -280,7 +280,7 @@ def _apply_q(factors: CODFactors, c: np.ndarray) -> None:
     rows of ``c`` are nonzero, ``Q @ c`` is ``Q1 @ c[:r]``.
     """
     qr = factors.q_reflectors
-    _lapack_with_work("dormqr", b"L", b"N", *c.shape, factors.numerical_rank,
+    _lapack_with_work("dormqr", b"L", b"N", *c.shape, factors.rank,
                       qr, _ld(qr), factors.q_tau, c, _ld(c),
                       lwork=_reflector_lwork(c.shape[1]))
 
@@ -298,31 +298,8 @@ def _apply_z(factors: CODFactors, c: np.ndarray) -> None:
 def _solve_t11(factors: CODFactors, c: np.ndarray) -> None:
     """Solve ``T11.T x = c`` in place; ``T11`` is read in the factor storage."""
     rz = factors.rz
-    _lapack("dtrtrs", b"U", b"T", b"N", factors.numerical_rank, c.shape[1],
+    _lapack("dtrtrs", b"U", b"T", b"N", factors.rank, c.shape[1],
             rz, _ld(rz), c, _ld(c))
-
-
-def _leading_q(factors: CODFactors) -> np.ndarray:
-    """``Q1``, the first r columns of the pivoted QR's Q: (rows, r)."""
-    q1 = np.array(factors.q_reflectors, order="F")
-    _lapack_with_work("dorgqr", *q1.shape, factors.numerical_rank, q1, _ld(q1), factors.q_tau)
-    return q1
-
-
-def _leading_z(factors: CODFactors) -> np.ndarray:
-    """The first r rows of a nontrivial ``Z`` with the permutation folded back in.
-
-    The result ``Zp`` is (r, cols) and satisfies ``A ~= Q1 @ T11 @ Zp``.
-    ``ormrz`` forms it as ``[I 0] @ Z``, applying ``Z`` from the right.
-    """
-    rz = factors.rz
-    r, cols = rz.shape
-    z = np.eye(r, cols, order="F")
-    _lapack_with_work("dormrz", b"R", b"N", r, cols, r, cols - r, rz, _ld(rz),
-                      factors.z_tau, z, _ld(z), lwork=_reflector_lwork(r))
-    out = np.empty_like(z)
-    out[:, factors.permutation] = z
-    return out
 
 
 def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
@@ -448,7 +425,7 @@ def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
         q_tau=q_tau[:rank],
         rz=rz,
         z_tau=z_tau,
-        numerical_rank=rank,
+        rank=rank,
         rank_tolerance=tol,
     )
 
@@ -460,32 +437,19 @@ def cod_pinv_apply(factors: CODFactors, b) -> np.ndarray:
     leading r rows of ``Z``, one triangular back substitution on ``T11``
     and a product with ``Q1``; it agrees with the truncated-SVD route on
     the same numerical rank. It runs as the transposed problem
-    ``(B A+).T = Q1 T11^-T [I 0] Z P.T B.T``, in one Fortran-ordered
-    (max(rows, cols), k) buffer, and reads the factors where they lie.
+    ``(B A+).T = Q1 T11^-T [I 0] Z P.T B.T`` for any count k of
+    right-hand sides: the rows of ``B`` are gathered by ``perm`` into one
+    Fortran-ordered (max(rows, cols), k) buffer, and ``ormrz``, ``trtrs``
+    and ``ormqr`` work in it, reading the factors where they lie.
     """
     b = _as_matrix(b, "B")
     _check_pinv_shapes(factors, b)
     rows, cols = factors.shape
-    r = factors.numerical_rank
+    r = factors.rank
     nrhs = b.shape[0]
     if r == 0:
         return np.zeros((nrhs, rows))
     perm = factors.permutation
-    # The orthogonal factors reach the right-hand sides as reflectors,
-    # except when those outnumber the rank: forming the r columns of Q and
-    # rows of Z that act then costs no more than applying the reflectors to
-    # r of them, and one matrix product runs about twice as fast as the
-    # blocked reflector updates.
-    if nrhs > r:
-        if factors.z_tau.size:
-            y = np.asfortranarray((b @ _leading_z(factors).T).T)
-        else:
-            # Gathered straight into Fortran order: b[:, perm] of a
-            # Fortran-ordered B (the trunk solve's V.T) would need a copy.
-            y = np.empty((cols, nrhs), order="F")
-            np.take(b.T, perm, axis=0, out=y, mode="clip")
-        _solve_t11(factors, y)
-        return y.T @ _leading_q(factors).T
     buf = np.empty((max(rows, cols), nrhs), order="F")
     # Each right-hand side goes to its own contiguous column: buf[:cols].T
     # is not contiguous when rows > cols, and np.take would then gather

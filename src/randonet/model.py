@@ -113,6 +113,10 @@ class AlignedDataset:
             )
         if u.shape[1] == 0:
             raise ValueError(f"a dataset needs at least one function, got U of shape {u.shape}")
+        for name, arr, what in (("x", x, "sensor"), ("y", y, "output location")):
+            if arr.size == 0:
+                raise ValueError(f"a dataset needs at least one {what}, got {name} of shape "
+                                 f"{arr.shape}")
         for name, arr in (("x", x), ("y", y), ("U", u), ("V", v)):
             linalg._check_finite(arr, name)
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
@@ -152,6 +156,10 @@ class UnalignedDataset:
             )
         if v.size == 0:
             raise ValueError(f"a dataset needs at least one sample, got U of shape {u.shape}")
+        for name, arr, what in (("U", u, "sensor"), ("Y", y, "location coordinate")):
+            if arr.shape[0] == 0:
+                raise ValueError(f"a dataset needs at least one {what}, got {name} of shape "
+                                 f"{arr.shape}")
         for name, arr in (("U", u), ("Y", y), ("V", v)):
             linalg._check_finite(arr, name)
         object.__setattr__(self, "U", u)
@@ -249,12 +257,10 @@ def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     factorization truncates.
     """
     if solver == "cod":
-        factors = linalg.inplace_cod_factorize(mat, tol)
-        apply_, rank = linalg.cod_pinv_apply, factors.numerical_rank
+        factors, apply_ = linalg.inplace_cod_factorize(mat, tol), linalg.cod_pinv_apply
     else:
-        factors = linalg.tsvd_factorize(mat, reg=reg)
-        apply_, rank = linalg.tsvd_pinv_apply, factors.rank
-    ranks = {f"{name}_rank": rank, f"{name}_rank_tolerance": factors.rank_tolerance}
+        factors, apply_ = linalg.tsvd_factorize(mat, reg=reg), linalg.tsvd_pinv_apply
+    ranks = {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance}
     return (lambda b: apply_(factors, b)), (ranks if reg == 0 else {})
 
 
@@ -516,15 +522,20 @@ def explode_aligned(ds: AlignedDataset) -> UnalignedDataset:
 
 
 def save_model(model: RandONetModel, path) -> None:
-    """Serialize a trained model (embedding specs, training metadata, W)."""
-    np.savez(
-        path,
-        format_version=MODEL_FORMAT_VERSION,
-        trunk_spec=json.dumps(model.trunk.spec.to_dict()),
-        branch_spec=json.dumps(model.branch.spec.to_dict()),
-        readout=model.readout,
-        metadata=json.dumps(model.train_metadata),
-    )
+    """Serialize a trained model (embedding specs, training metadata, W).
+
+    A path is written as given: ``np.savez`` would append ``.npz`` to a
+    path without that suffix, so it gets an open file instead.
+    """
+    with (contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb")) as fh:
+        np.savez(
+            fh,
+            format_version=MODEL_FORMAT_VERSION,
+            trunk_spec=json.dumps(model.trunk.spec.to_dict()),
+            branch_spec=json.dumps(model.branch.spec.to_dict()),
+            readout=model.readout,
+            metadata=json.dumps(model.train_metadata),
+        )
 
 
 def load_model(path) -> RandONetModel:

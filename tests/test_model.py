@@ -128,6 +128,26 @@ class TestDatasetTypes:
                                              r"of shape \(4, 0\)"):
             AlignedDataset(x=x, y=x, U=np.zeros((4, 0)), V=np.zeros((4, 0)))
 
+    @pytest.mark.parametrize("field, what", [("x", "sensor"), ("y", "output location")])
+    def test_aligned_needs_a_sensor_and_an_output_location(self, field, what):
+        # train_aligned once failed on them naming an internal matrix, "A".
+        grids = {"x": np.linspace(0, 1, 4), "y": np.linspace(0, 1, 3)}
+        grids[field] = np.zeros(0)
+        with pytest.raises(ValueError, match=rf"^a dataset needs at least one {what}, got "
+                                             rf"{field} of shape \(0,\)"):
+            AlignedDataset(**grids, U=np.zeros((grids["x"].size, 2)),
+                           V=np.zeros((grids["y"].size, 2)))
+
+    @pytest.mark.parametrize("field, what", [("U", "sensor"), ("Y", "location coordinate")])
+    def test_unaligned_needs_a_sensor_and_a_location_coordinate(self, field, what):
+        # An empty Y once reached "trunk input_dim must be 0 for 0-D output
+        # locations" in train_unaligned.
+        arrays = {"U": np.zeros((4, 3)), "Y": np.zeros((1, 3)), "V": np.zeros(3)}
+        arrays[field] = np.zeros((0, 3))
+        with pytest.raises(ValueError, match=rf"^a dataset needs at least one {what}, got "
+                                             rf"{field} of shape \(0, 3\)"):
+            UnalignedDataset(**arrays)
+
     def test_unaligned_needs_a_sample(self):
         # train_unaligned once failed on it in a numpy reshape.
         with pytest.raises(ValueError, match=r"^a dataset needs at least one sample, got U "
@@ -354,8 +374,7 @@ class TestTrainAligned:
         for name, mat in (("trunk", features(trunk, ds.y[None, :])),
                           ("branch", features(branch, ds.U))):
             f = linalg.cod_factorize(mat) if solver == "cod" else linalg.tsvd_factorize(mat)
-            rank = f.numerical_rank if solver == "cod" else f.rank
-            assert md[f"{name}_rank"] == rank
+            assert md[f"{name}_rank"] == f.rank
             assert md[f"{name}_rank_tolerance"] == f.rank_tolerance
         assert md["branch_rank"] == 5  # 8 features of 5 functions
 
@@ -413,7 +432,7 @@ class TestTrainAligned:
                     sha = hashlib.sha256()
                     for part in (f.permutation, f.q_reflectors, f.q_tau, f.rz, f.z_tau):
                         sha.update(np.ascontiguousarray(part).tobytes())
-                    out.append([f.numerical_rank, sha.hexdigest()])
+                    out.append([f.rank, sha.hexdigest()])
             print(json.dumps(out))
         """)
         for case_id in (4, 5):
@@ -789,7 +808,7 @@ class TestInPlaceCod:
             np.testing.assert_array_equal(getattr(ds, name), arr)
         t_fac = linalg.cod_factorize(features(trunk, ds.y[None, :]))
         b_fac = linalg.cod_factorize(features(branch, ds.U))
-        assert model.train_metadata["trunk_rank"] == t_fac.numerical_rank == min(n, n_feat)
+        assert model.train_metadata["trunk_rank"] == t_fac.rank == min(n, n_feat)
         assert model.train_metadata["solve_order"] == order
         if order == "trunk_first":
             want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
@@ -808,7 +827,7 @@ class TestInPlaceCod:
         z = features(branch, ds.U)[:, None, :] * features(trunk, ds.Y)[None, :, :]
         z = z.reshape(30, -1)
         factors = linalg.cod_factorize(z)
-        assert model.train_metadata["collocation_rank"] == factors.numerical_rank
+        assert model.train_metadata["collocation_rank"] == factors.rank
         omega = linalg.cod_pinv_apply(factors, ds.V[None, :])
         np.testing.assert_array_equal(model.readout, omega.reshape(5, 6).T)
 
@@ -951,6 +970,18 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.readout, model.readout)
         u = np.random.default_rng(20).standard_normal((10, 3))
         ys = np.linspace(0, 1, 7)
+        np.testing.assert_array_equal(evaluate(loaded, u, ys), evaluate(model, u, ys))
+
+    def test_roundtrip_through_a_path_without_suffix(self, tmp_path):
+        # np.savez appends ".npz" to such a path; the model is written to
+        # exactly the path given, which load_model then reads.
+        model = train_aligned(toy_dataset(seed=23), *toy_specs(seed=23))
+        path = tmp_path / "model"
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.readout, model.readout)
+        u, ys = np.random.default_rng(24).standard_normal((10, 3)), np.linspace(0, 1, 7)
         np.testing.assert_array_equal(evaluate(loaded, u, ys), evaluate(model, u, ys))
 
     @settings(max_examples=25, deadline=None)

@@ -9,7 +9,8 @@ the only private names they reach there are the input checks (``_check_*``).
 
 LAPACK has one calling convention: no module imports scipy's f2py
 wrappers, ``scipy.linalg.lapack``, and only ``linalg`` reaches the
-``cython_lapack`` capsules.
+``cython_lapack`` capsules. Every routine that ``linalg`` binds there is
+called.
 """
 
 import ast
@@ -110,6 +111,22 @@ def lapack_use(tree) -> list:
     return found
 
 
+def lapack_bindings(tree) -> tuple[set, set]:
+    """The routines ``tree`` binds in ``_LAPACK``, and those it names as the
+    first argument of a ``_lapack`` or ``_lapack_with_work`` call."""
+    bound, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "_LAPACK" for target in node.targets):
+            bound |= {const.value for const in ast.walk(node.value)
+                      if isinstance(const, ast.Constant) and isinstance(const.value, str)}
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "_lapack", "_lapack_with_work") and node.args \
+                and isinstance(node.args[0], ast.Constant):
+            called.add(node.args[0].value)
+    return bound, called
+
+
 def test_only_parallel_starts_workers_or_sets_blas_threads():
     found = {name: parallel_work(tree) for name, tree in SOURCES.items() if name != "_parallel"}
     assert {name: work for name, work in found.items() if work} == {}
@@ -159,3 +176,19 @@ def test_the_scan_sees_every_way_to_reach_lapack():
     for source, line in planted.items():
         assert line in lapack_use(ast.parse(source)), source
     assert lapack_use(ast.parse("from scipy.linalg import qr\nlinalg.qr(a)")) == []
+
+
+def test_every_bound_lapack_routine_is_called():
+    bound, called = lapack_bindings(SOURCES["linalg"])
+    assert bound and bound - called == set()
+
+
+def test_the_scan_sees_a_bound_routine_that_is_never_called():
+    planted = """
+_LAPACK = {name: _capsule_function(name, nargs)
+           for name, nargs in (("dgeqp3", 9), ("dorgqr", 9))}
+_lapack_with_work("dgeqp3", rows, cols, work)
+_lapack(name, *args)
+"""
+    bound, called = lapack_bindings(ast.parse(planted))
+    assert bound - called == {"dorgqr"}
