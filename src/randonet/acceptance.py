@@ -47,15 +47,13 @@ class CriterionResult:
 
 
 def _cfg(case, branch, sizes, frac=0.8, cache_dir=None, **overrides) -> ExperimentConfig:
-    seeds = dict(_SEEDS)
-    seeds.update({k: v for k, v in overrides.items() if k in seeds})
     return ExperimentConfig(
         case=case,
         branch=branch,
         branch_sizes=tuple(sizes),
         train_fraction=frac,
         cache_dir=cache_dir,
-        **seeds,
+        **{**_SEEDS, **overrides},
     )
 
 

@@ -51,11 +51,12 @@ As in ``xGELSY``, a factorization holds one matrix-sized buffer: the
 pivoted QR runs in one Fortran-ordered working copy of the input, leaves
 the ``Q`` reflectors and ``R`` side by side in it, and ``tzrzf``
 compresses the trapezoid in the top r rows of that same array.
-``cod_factorize`` makes the working copy; ``inplace_cod_factorize`` uses
-a Fortran-ordered argument as it. Every LAPACK routine is called through
-its capsule in ``scipy.linalg.cython_lapack``, with each operand's
-leading dimension, so the factors are read in place as strided views,
-without the copies of scipy's f2py wrappers.
+:func:`cod_factorize` is the one COD entry point: it makes the working
+copy, or with ``overwrite_a=True`` uses a Fortran-ordered float64 argument
+as it. Every LAPACK routine is called through its capsule in
+``scipy.linalg.cython_lapack``, with each operand's leading dimension, so
+the factors are read in place as strided views, without the copies of
+scipy's f2py wrappers.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "tsvd_factorize",
     "tsvd_pinv_apply",
     "cod_factorize",
-    "inplace_cod_factorize",
     "cod_pinv_apply",
 ]
 
@@ -367,7 +367,7 @@ def tsvd_pinv_apply(factors: TruncatedSVDFactors, b) -> np.ndarray:
     return core @ factors.left_vectors.T
 
 
-def cod_factorize(a, tol=None) -> CODFactors:
+def cod_factorize(a, tol=None, overwrite_a=False) -> CODFactors:
     """Complete orthogonal decomposition with numerical rank detection.
 
     One column-pivoted QR ``A[:, perm] = Q R`` fixes the numerical rank r
@@ -378,29 +378,19 @@ def cod_factorize(a, tol=None) -> CODFactors:
     ``tzrzf``, whose cost is ``4 r^2 (cols - r)``; ``Z`` is kept as
     reflectors too. Neither orthogonal factor is formed here.
 
-    The input is not modified: the work runs in one Fortran-ordered copy
-    of it (see the module docstring). :func:`inplace_cod_factorize` skips
-    that copy.
+    The work runs in one Fortran-ordered float64 array (see the module
+    docstring). By default that is a copy, and ``a`` is not modified. With
+    ``overwrite_a=True`` a Fortran-ordered float64 ``a`` is that array: it
+    is overwritten, the returned factors keep it alive as their reflector
+    storage, and the caller must not read it again. A read-only ``a`` is
+    copied all the same, and any other input is converted once, as by
+    ``np.asfortranarray``, so a caller that holds a C-ordered matrix while
+    the call runs holds two. Either way the factors are the same bits.
     """
-    return _cod_factorize(np.array(_check_real(a, "A"), dtype=np.float64, order="F"), tol)
-
-
-def inplace_cod_factorize(a, tol=None) -> CODFactors:
-    """:func:`cod_factorize` that takes over its argument.
-
-    A Fortran-ordered float64 ``a`` is factored in its own storage,
-    without a copy: it is overwritten, the returned factors keep it alive
-    as their reflector storage, and the caller must not read it again.
-    Any other input is converted once, as by ``np.asfortranarray``, and
-    that copy is factored instead, so a caller that holds a C-ordered
-    matrix while the call runs holds two. The factors are bit-identical
-    to those of :func:`cod_factorize`.
-    """
-    return _cod_factorize(np.asfortranarray(_check_real(a, "A"), dtype=np.float64), tol)
-
-
-def _cod_factorize(work: np.ndarray, tol) -> CODFactors:
-    """The shared core: factors the Fortran-ordered float64 ``work`` in place."""
+    a = _check_real(a, "A")
+    work = np.asfortranarray(a, dtype=np.float64)
+    if np.may_share_memory(work, a) and not (overwrite_a and work.flags.writeable):
+        work = work.copy(order="F")
     work = _as_matrix(work, "A")
     rows, cols = work.shape
     threads = _parallel.workers(rows * cols, _parallel.MIN_QR_ENTRIES, cols)

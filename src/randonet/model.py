@@ -190,8 +190,7 @@ class RandONetModel:
         object.__setattr__(self, "readout", w)
 
 
-def _metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured, factorized,
-              end) -> dict:
+def _metadata(solver, tol, reg, start, featured, factorized, end) -> dict:
     """The ``train_metadata`` entries that both solves record.
 
     ``stages`` holds the seconds of the three training stages between four
@@ -203,8 +202,6 @@ def _metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured, factor
         "solver": solver,
         "tol": tol,
         "reg": reg,
-        "trunk_seed": trunk_spec.seed,
-        "branch_seed": branch_spec.seed,
         "train_seconds": end - start,
         "stages": {
             "features": featured - start,
@@ -248,34 +245,21 @@ def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float,
 def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
     """Factor ``mat`` once; return (apply, rank_facts), ``apply(b) = b @ pinv(mat)``.
 
-    'cod' hands ``mat`` to :func:`linalg.inplace_cod_factorize`, which
-    factors it in its own storage when it is Fortran-ordered, so the
-    caller must not read ``mat`` afterwards. 'tikhonov' takes one SVD,
-    filtered with weight ``reg``; at ``reg = 0`` that is the SVD truncated
-    at the auto tolerance. ``rank_facts`` holds ``{name}_rank`` and
+    'cod' hands ``mat`` to :func:`linalg.cod_factorize` with
+    ``overwrite_a=True``, which factors it in its own storage when it is
+    Fortran-ordered, so the caller must not read ``mat`` afterwards.
+    'tikhonov' takes one SVD, filtered with weight ``reg``; at ``reg = 0``
+    that is the SVD truncated at the auto tolerance. ``rank_facts`` holds ``{name}_rank`` and
     ``{name}_rank_tolerance`` whenever ``reg = 0``, that is, whenever the
     factorization truncates.
     """
     if solver == "cod":
-        factors, apply_ = linalg.inplace_cod_factorize(mat, tol), linalg.cod_pinv_apply
+        factors = linalg.cod_factorize(mat, tol, overwrite_a=True)
+        apply_ = linalg.cod_pinv_apply
     else:
         factors, apply_ = linalg.tsvd_factorize(mat, reg=reg), linalg.tsvd_pinv_apply
     ranks = {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance}
     return (lambda b: apply_(factors, b)), (ranks if reg == 0 else {})
-
-
-def _solve_order(n_feat: int, n: int, s: int, m_feat: int) -> str:
-    """The cheaper association order of ``pinv(T) V pinv(B)``, from shapes alone.
-
-    With N trunk features, n output points, s functions and M branch
-    features, applying the trunk pseudo-inverse first costs
-    ``N n s + N s M`` multiply-adds and the branch one first
-    ``n s M + N n M``. Trunk first wins only when ``1/n + 1/M < 1/s + 1/N``;
-    a tie goes branch first. The counts are exact integers.
-    """
-    trunk_first = n_feat * n * s + n_feat * s * m_feat
-    branch_first = n * s * m_feat + n_feat * n * m_feat
-    return "trunk_first" if trunk_first < branch_first else "branch_first"
 
 
 def _trained_model(trunk: FeatureMap, branch: FeatureMap, w: np.ndarray,
@@ -322,16 +306,10 @@ def train_aligned(
     rejected before any feature is built. The trunk matrix is
     built feature-major, as ``T.T`` (N, n), so both solves are right
     applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
-    each computed once and applied to the (n, s) matrix V in the
-    association order with the smaller matrix-chain cost for N trunk and M
-    branch features: the trunk's first (``N n s + N s M`` multiply-adds)
-    if and only if ``1/n + 1/M < 1/s + 1/N``, else the branch's first
-    (``n s M + N n M``), ties included. The rule reads shapes only, not
-    ranks, for both solvers, and is recorded as
-    ``train_metadata['solve_order']`` (``'trunk_first'`` or
-    ``'branch_first'``). The two orders agree to rounding, so the last bits
-    of W depend on it. Wall time of the solve is recorded in
-    ``train_metadata['train_seconds']`` and split into
+    each computed once and applied to the (n, s) matrix V in one order,
+    the branch's first: ``W = pinv(T) (V pinv(B))``, at ``n s M + N n M``
+    multiply-adds for N trunk and M branch features. Wall time of the
+    solve is recorded in ``train_metadata['train_seconds']`` and split into
     ``train_metadata['stages']``, the seconds of ``features`` (trunk and
     branch matrices), ``factorize`` (the COD or the SVD of each matrix,
     Tikhonov's included) and ``solve`` (applying the pseudo-inverses). A
@@ -359,16 +337,10 @@ def train_aligned(
     branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
     del t_mat, b_mat
     factorized = time.perf_counter()
-    order = _solve_order(trunk_spec.feature_dim, *ds.V.shape, branch_spec.feature_dim)
-    if order == "trunk_first":
-        w = branch_apply(trunk_apply(ds.V.T).T)
-    else:
-        w = trunk_apply(branch_apply(ds.V).T).T
+    w = trunk_apply(branch_apply(ds.V).T).T
     end = time.perf_counter()
-    metadata = {**_metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured,
-                            factorized, end),
-                "n_train_functions": ds.n_functions, "solve_order": order,
-                **trunk_ranks, **branch_ranks}
+    metadata = {**_metadata(solver, tol, reg, start, featured, factorized, end),
+                "n_train_functions": ds.n_functions, **trunk_ranks, **branch_ranks}
     return _trained_model(trunk, branch, w, metadata)
 
 
@@ -438,8 +410,7 @@ def train_unaligned(
     omega = collocation_apply(ds.V[None, :])
     w = omega.reshape(m_feat, n_feat).T
     end = time.perf_counter()
-    metadata = {**_metadata(solver, tol, reg, trunk_spec, branch_spec, start, featured,
-                            factorized, end),
+    metadata = {**_metadata(solver, tol, reg, start, featured, factorized, end),
                 "n_train_samples": n_samples, **collocation_ranks}
     return _trained_model(trunk, branch, w, metadata)
 

@@ -3,12 +3,14 @@
 Each test drives one criterion at its fixed threshold and prints the
 criterion's PASS/FAIL line (visible with ``pytest -s`` or on failure).
 The full run builds all five benchmark datasets; the pendulum case
-dominates and takes a few tens of seconds once per session.
+dominates and takes a few tens of seconds once per session. The last two
+tests check that the criteria's config helper hands every override on.
 """
 
 import pytest
 
 from randonet import acceptance
+from randonet.harness import ExperimentConfig
 
 
 def _run(cid, cache_dir):
@@ -47,3 +49,15 @@ def test_criterion_7_convergence_trend(cache_dir):
 
 def test_criterion_8_property_suite(cache_dir):
     _run("8", cache_dir)
+
+
+def test_cfg_passes_every_override_to_the_config():
+    cfg = acceptance._cfg(1, "jl", [4], solver="tikhonov", reg=1e-3, seed_embed=3)
+    assert isinstance(cfg, ExperimentConfig)
+    assert (cfg.solver, cfg.reg, cfg.seed_embed) == ("tikhonov", 1e-3, 3)
+    assert (cfg.seed_data, cfg.seed_split) == (12, 7)
+
+
+def test_cfg_rejects_a_misspelt_override():
+    with pytest.raises(TypeError, match="bogus"):
+        acceptance._cfg(1, "jl", [4], bogus=3)

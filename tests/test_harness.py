@@ -163,7 +163,7 @@ class TestRunExperiment:
 
     def test_train_time_excludes_dataset_and_metrics(self, monkeypatch, cache_dir):
         cfg = tiny_cfg(cache_dir=cache_dir)
-        real_factorize = model.linalg.inplace_cod_factorize
+        real_factorize = model.linalg.cod_factorize
 
         def slow_dataset(case, cache=None):
             time.sleep(0.2)
@@ -180,11 +180,12 @@ class TestRunExperiment:
 
         # The reported time is the one training records, so the delay goes
         # inside its timed region.
-        def slow_factorize(*args, **kwargs):
+        def slow_factorize(mat, tol=None, overwrite_a=False):
+            assert overwrite_a and mat.flags.f_contiguous
             time.sleep(0.25)
-            return real_factorize(*args, **kwargs)
+            return real_factorize(mat, tol, overwrite_a)
 
-        monkeypatch.setattr(model.linalg, "inplace_cod_factorize", slow_factorize)
+        monkeypatch.setattr(model.linalg, "cod_factorize", slow_factorize)
         slow_report = run_experiment(cfg)
         assert slow_report.rows[0].train_seconds >= 0.25
 

@@ -20,7 +20,6 @@ from randonet.linalg import (
     auto_tolerance,
     cod_factorize,
     cod_pinv_apply,
-    inplace_cod_factorize,
     tsvd_factorize,
     tsvd_pinv_apply,
 )
@@ -435,7 +434,7 @@ class TestCodTwoStage:
         # doubles the largest (0.034x here), and no finiteness mask.
         a = np.asfortranarray(spectrum_matrix(1000, 1200, 600, seed=13))
         nbytes = a.nbytes
-        f, peak = traced_peak(lambda: inplace_cod_factorize(a))
+        f, peak = traced_peak(lambda: cod_factorize(a, overwrite_a=True))
         assert f.rank == 600 and f.z_tau.size == 600
         assert peak <= 0.05 * nbytes
 
@@ -503,10 +502,10 @@ class TestCodTwoStage:
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert not np.isfinite(a.sum())
         with pytest.warns(RuntimeWarning, match="overflow"):
-            f = inplace_cod_factorize(np.asfortranarray(a))
+            f = cod_factorize(np.asfortranarray(a), overwrite_a=True)
         a[2, 1] = bad
         for call in (lambda: cod_factorize(a),
-                     lambda: inplace_cod_factorize(np.asfortranarray(a)),
+                     lambda: cod_factorize(np.asfortranarray(a), overwrite_a=True),
                      lambda: cod_pinv_apply(f, a.copy())):
             # -inf adds an invalid inf - inf to the overflow.
             with pytest.warns(RuntimeWarning), \
@@ -518,7 +517,7 @@ class TestCodTwoStage:
         a = spectrum_matrix(*shape, rank, seed=11)
         want = cod_factorize(a)
         work = np.asfortranarray(a.copy())
-        got = inplace_cod_factorize(work)
+        got = cod_factorize(work, overwrite_a=True)
         # The factors live in the caller's array, which now holds them.
         assert np.shares_memory(got.q_reflectors, work)
         assert not np.array_equal(work, a)
@@ -531,7 +530,7 @@ class TestCodTwoStage:
     def test_inplace_copies_other_layouts_once(self):
         a = spectrum_matrix(6, 11, 2, seed=12)
         keep = a.copy()  # C-ordered, so the call factors a Fortran copy
-        got = inplace_cod_factorize(a)
+        got = cod_factorize(a, overwrite_a=True)
         np.testing.assert_array_equal(a, keep)
         assert not np.shares_memory(got.q_reflectors, a)
         np.testing.assert_array_equal(got.rz, cod_factorize(a).rz)
@@ -542,6 +541,26 @@ class TestCodTwoStage:
         f = cod_factorize(a)
         cod_pinv_apply(f, np.ones((2, 11)))
         np.testing.assert_array_equal(a, keep)
+
+    def test_inplace_copies_a_read_only_input(self, tmp_path):
+        # A read-only memory map would crash the process if LAPACK wrote to it.
+        a = np.asfortranarray(spectrum_matrix(9, 5, 5, seed=10))
+        np.save(tmp_path / "a.npy", a)
+        mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
+        assert mapped.flags.f_contiguous and not mapped.flags.writeable
+        got = cod_factorize(mapped, overwrite_a=True)
+        assert not np.shares_memory(got.q_reflectors, mapped)
+        np.testing.assert_array_equal(mapped, a)
+        np.testing.assert_array_equal(got.rz, cod_factorize(a).rz)
+        del mapped
+
+    def test_default_leaves_a_fortran_input_unchanged(self):
+        # Without overwrite_a even the layout the QR works in is copied.
+        a = np.asfortranarray(spectrum_matrix(9, 5, 5, seed=9))
+        keep = a.copy(order="F")
+        f = cod_factorize(a)
+        assert not np.shares_memory(f.q_reflectors, a)
+        assert a.tobytes(order="A") == keep.tobytes(order="A")
 
 
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9), (7, 7)])
@@ -617,13 +636,15 @@ def test_factorizations_carry_the_traced_attributes():
     # whose class is named CODFactors.
     a = spectrum_matrix(6, 9, 4, seed=17)
     names = [name for name in linalg.__all__ if name.endswith("_factorize")]
-    assert {"tsvd_factorize", "cod_factorize", "inplace_cod_factorize"} <= set(names)
+    assert set(names) == {"tsvd_factorize", "cod_factorize"}
     for name in names:
         out = getattr(linalg, name)(a.copy())
         assert tuple(out.shape) == a.shape
         assert out.rank == 4
-    for factorize in (cod_factorize, inplace_cod_factorize):
-        assert type(factorize(a)).__name__ == "CODFactors"
+    for overwrite_a in (False, True):
+        out = cod_factorize(np.asfortranarray(a), overwrite_a=overwrite_a)
+        assert type(out).__name__ == "CODFactors"
+        assert tuple(out.shape) == a.shape and out.rank == 4
 
 
 class TestTruncationAndAgreement:
@@ -689,7 +710,7 @@ class TestComplexInput:
     """A complex matrix is rejected by name, not cut to its real part."""
 
     @pytest.mark.parametrize("call", [
-        cod_factorize, inplace_cod_factorize, tsvd_factorize,
+        cod_factorize, lambda a: cod_factorize(a, overwrite_a=True), tsvd_factorize,
         lambda a: cod_pinv_apply(cod_factorize(np.eye(3)), a),
         lambda a: tsvd_pinv_apply(tsvd_factorize(np.eye(3)), a),
     ], ids=["cod", "inplace_cod", "tsvd", "cod_pinv_apply", "tsvd_pinv_apply"])

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 import randonet
 from randonet import _parallel, linalg
-from randonet import model as model_module
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
@@ -225,14 +223,15 @@ class TestTrainAligned:
             train_aligned(ds, bad_trunk, branch)
 
     def test_association_orders_agree(self):
-        # N = M = 8 and n = 10: s = 25 functions take the branch
-        # pseudo-inverse first, s = 4 the trunk's.
+        # N = M = 8 and n = 10, with s = 25 and s = 4 functions: the fit
+        # applies the branch pseudo-inverse first, bit for bit, and the
+        # trunk-first order agrees with it to rounding.
         trunk, branch = toy_specs()
         wide = toy_dataset(s=25, seed=6)
         tall = toy_dataset(s=4, seed=7)
-        for ds, order in ((wide, "branch_first"), (tall, "trunk_first")):
+        for ds in (wide, tall):
             model = train_aligned(ds, trunk, branch, solver="tikhonov")
-            assert model.train_metadata["solve_order"] == order
+            assert "solve_order" not in model.train_metadata
             t_mat = features(trunk, ds.y[None, :])  # (N, n): pinv(T) V = (V.T pinv(t_mat)).T
             b_mat = features(branch, ds.U)
             ft = linalg.tsvd_factorize(t_mat)
@@ -240,38 +239,7 @@ class TestTrainAligned:
             w_to = linalg.tsvd_pinv_apply(fb, linalg.tsvd_pinv_apply(ft, ds.V.T).T)
             w_ot = linalg.tsvd_pinv_apply(ft, linalg.tsvd_pinv_apply(fb, ds.V).T).T
             assert np.linalg.norm(w_to - w_ot) / np.linalg.norm(w_to) <= 1e-10
-            assert np.linalg.norm(model.readout - w_to) / np.linalg.norm(w_to) <= 1e-10
-
-    @pytest.mark.parametrize(
-        "n_feat, n, s, m_feat",
-        [(200, 100, 2400, 100), (200, 100, 1600, 2000), (200, 100, 32, 100),
-         (50, 1000, 100, 400), (40, 400, 60, 200), (4, 6, 6, 4), (10, 10, 40, 40)],
-    )
-    def test_solve_order_is_the_matrix_chain_rule(self, n_feat, n, s, m_feat):
-        # Trunk first if and only if 1/n + 1/M < 1/s + 1/N; the last two
-        # shapes tie and go branch first.
-        trunk_first = Fraction(1, n) + Fraction(1, m_feat) < Fraction(1, s) + Fraction(1, n_feat)
-        want = "trunk_first" if trunk_first else "branch_first"
-        assert model_module._solve_order(n_feat, n, s, m_feat) == want
-
-    @pytest.mark.parametrize("solver, reg", [("cod", 0.0), ("tikhonov", 1e-3)])
-    @pytest.mark.parametrize("s, rule", [(20, "branch_first"), (3, "trunk_first")])
-    def test_both_orders_agree_to_rounding(self, monkeypatch, solver, reg, s, rule):
-        # A well-conditioned toy (6 tanh and 6 JL features of 12 points and
-        # s functions): forcing either order moves W by rounding only, and
-        # an unforced fit takes the rule's order bit for bit.
-        ds = toy_dataset(m=10, n=12, s=s, seed=30)
-        trunk, branch = toy_specs(n_feat=6, m_feat=6, seed=31)
-        model = train_aligned(ds, trunk, branch, solver=solver, reg=reg)
-        assert model.train_metadata["solve_order"] == rule
-        forced = {}
-        for order in ("trunk_first", "branch_first"):
-            monkeypatch.setattr(model_module, "_solve_order", lambda *shape, o=order: o)
-            forced[order] = train_aligned(ds, trunk, branch, solver=solver, reg=reg)
-            assert forced[order].train_metadata["solve_order"] == order
-        w_trunk, w_branch = (forced[order].readout for order in ("trunk_first", "branch_first"))
-        assert np.linalg.norm(w_trunk - w_branch) <= 1e-12 * np.linalg.norm(w_branch)
-        np.testing.assert_array_equal(model.readout, forced[rule].readout)
+            np.testing.assert_array_equal(model.readout, w_ot)
 
     def test_non_finite_solve_raises_with_diagnostics(self, monkeypatch):
         # The error quotes the settings and ranks the fit holds; it builds
@@ -354,16 +322,13 @@ class TestTrainAligned:
         assert set(stages) == {"features", "factorize", "solve"}
         assert all(value >= 0.0 for value in stages.values())
         assert sum(stages.values()) <= md["train_seconds"]
-        # Every fit records the Frobenius norm of its readout; aligned fits
-        # record their association order (n = 10 points and s = 5 functions
-        # take the trunk first).
+        # Every fit records the Frobenius norm of its readout.
         assert md["readout_norm"] == np.linalg.norm(model.readout) > 0.0
-        assert md.get("solve_order") == ("trunk_first" if aligned else None)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path).train_metadata
-        for key in ("stages", "readout_norm", "solve_order"):
-            assert loaded.get(key) == md.get(key)
+        for key in ("stages", "readout_norm"):
+            assert loaded[key] == md[key]
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_rank_metadata(self, solver):
@@ -401,8 +366,6 @@ class TestTrainAligned:
         md = model.train_metadata
         assert md["trunk_rank"] == trunk_rank
         assert md["branch_rank"] == branch_rank
-        # 1/n + 1/M > 1/s + 1/N on every paper-size fit.
-        assert md["solve_order"] == "branch_first"
         assert md["readout_norm"] == np.linalg.norm(model.readout)
 
     def test_paper_size_branch_factors_do_not_depend_on_the_callers_blas_count(
@@ -788,17 +751,17 @@ class TestInPlaceCod:
     """The 'cod' route factors the matrices it builds in their own storage."""
 
     @pytest.mark.parametrize(
-        "n, s, n_feat, branch_kind, m_feat, order",
-        [(12, 40, 16, "rffn", 60, "branch_first"), (12, 40, 16, "jl", 8, "branch_first"),
-         (400, 60, 40, "rffn", 200, "trunk_first")],
+        "n, s, n_feat, branch_kind, m_feat",
+        [(12, 40, 16, "rffn", 60), (12, 40, 16, "jl", 8), (400, 60, 40, "rffn", 200)],
         ids=["rffn-60", "jl-8", "rffn-200-trunk-first"],
     )
-    def test_aligned_readout_matches_public_solve(self, n, s, n_feat, branch_kind, m_feat,
-                                                  order):
+    def test_aligned_readout_matches_public_solve(self, n, s, n_feat, branch_kind, m_feat):
         # RFFN(60) on 40 functions and the 16 x 12 trunk matrix have full
         # column rank (no tzrzf), JL(8) is wide (tzrzf runs). The oracle
-        # composes the public applies in the order of the matrix-chain rule:
-        # 1/n + 1/M < 1/s + 1/N holds only for the last shapes.
+        # composes the public applies branch first. The last shapes, many
+        # points and few functions, are those where applying the trunk
+        # first would cost fewer multiply-adds; the fit still goes branch
+        # first.
         ds = toy_dataset(m=10, n=n, s=s, seed=21)
         trunk = EmbeddingSpec("tanh", 1, n_feat, (22, 0), domain=(0.0, 1.0))
         branch = EmbeddingSpec(kind=branch_kind, input_dim=10, feature_dim=m_feat, seed=(22, 1))
@@ -809,11 +772,7 @@ class TestInPlaceCod:
         t_fac = linalg.cod_factorize(features(trunk, ds.y[None, :]))
         b_fac = linalg.cod_factorize(features(branch, ds.U))
         assert model.train_metadata["trunk_rank"] == t_fac.rank == min(n, n_feat)
-        assert model.train_metadata["solve_order"] == order
-        if order == "trunk_first":
-            want = linalg.cod_pinv_apply(b_fac, linalg.cod_pinv_apply(t_fac, ds.V.T).T)
-        else:
-            want = linalg.cod_pinv_apply(t_fac, linalg.cod_pinv_apply(b_fac, ds.V).T).T
+        want = linalg.cod_pinv_apply(t_fac, linalg.cod_pinv_apply(b_fac, ds.V).T).T
         np.testing.assert_array_equal(model.readout, want)
 
     def test_unaligned_readout_matches_public_solve(self):
@@ -833,16 +792,18 @@ class TestInPlaceCod:
 
     def test_factors_through_the_public_in_place_entry(self, monkeypatch):
         # The traced benchmark records every public linalg '*_factorize'
-        # call, so the 'cod' route must reach the QR through one of them.
-        assert "inplace_cod_factorize" in linalg.__all__
+        # call, so the 'cod' route must reach the QR through one of them,
+        # and it hands over each matrix it built to be factored in place.
+        assert "cod_factorize" in linalg.__all__
         seen = []
-        original = linalg.inplace_cod_factorize
+        original = linalg.cod_factorize
 
-        def counting(mat, tol=None):
+        def counting(mat, tol=None, overwrite_a=False):
+            assert overwrite_a
             seen.append((mat.shape, mat.flags.f_contiguous))
-            return original(mat, tol)
+            return original(mat, tol, overwrite_a)
 
-        monkeypatch.setattr(linalg, "inplace_cod_factorize", counting)
+        monkeypatch.setattr(linalg, "cod_factorize", counting)
         ds = toy_dataset(m=10, n=12, s=40, seed=21)
         trunk = EmbeddingSpec("tanh", 1, 16, (22, 0), domain=(0.0, 1.0))
         branch = EmbeddingSpec("jl", 10, 8, (22, 1))
@@ -971,6 +932,19 @@ class TestSaveLoad:
         u = np.random.default_rng(20).standard_normal((10, 3))
         ys = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(evaluate(loaded, u, ys), evaluate(model, u, ys))
+
+    @pytest.mark.parametrize("solver, reg", [("cod", 0.0), ("tikhonov", 0.0),
+                                             ("tikhonov", 1e-3)])
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_train_metadata_roundtrips_equal(self, tmp_path, solver, reg, aligned):
+        # Every entry is a JSON scalar or a dict of them, so the whole
+        # record comes back equal, not just the readout.
+        ds = toy_dataset(seed=25)
+        train, data = (train_aligned, ds) if aligned else (train_unaligned, explode_aligned(ds))
+        model = train(data, *toy_specs(seed=25), solver=solver, reg=reg)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        assert load_model(path).train_metadata == model.train_metadata
 
     def test_roundtrip_through_a_path_without_suffix(self, tmp_path):
         # np.savez appends ".npz" to such a path; the model is written to
