@@ -57,12 +57,12 @@ apply holds numpy's OpenBLAS at one thread (see :mod:`randonet._parallel`).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _parallel, linalg
+from . import _parallel
+from ._checks import check_count, check_seed, real_array
 
 __all__ = [
     "EmbeddingSpec",
@@ -81,26 +81,6 @@ _KINDS = ("jl", "rffn", "tanh")
 # 32 and up to a tenth less at 64, but 64 doubles the cost of a single
 # column. Changing it moves features in their last bits.
 BLOCK_COLUMNS = 32
-
-def _check_seed(seed, name: str) -> None:
-    """Reject a seed that does not fix its draws: ``None``, which draws fresh
-    entropy, or one that ``SeedSequence`` refuses (negative, not integer)."""
-    message = f"{name} must be a non-negative integer or a tuple of them, got {seed!r}"
-    if seed is None:
-        raise ValueError(message)
-    try:
-        np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
-
-
-def _check_count(value, name: str) -> int:
-    """``value`` as an ``int``, or a ``ValueError`` naming ``name`` unless it is
-    an integer >= 1; numpy integers pass, and ``bool`` does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
 
 def default_weight_bound(domain: tuple[float, float]) -> float:
     """Default tanh weight bound ``25 / ((b - a) / 2)`` for domain [a, b].
@@ -135,8 +115,8 @@ class EmbeddingSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         for name in ("input_dim", "feature_dim"):
-            object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        _check_seed(self.seed, "seed")
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        check_seed(self.seed, "seed")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.kind == "tanh":
@@ -221,7 +201,9 @@ class FeatureMap:
         ndarray, shape (feature_dim, k) or (feature_dim,)
             In Fortran order: each input's features are contiguous.
         """
-        x = np.asarray(linalg._check_real(x, "x"), dtype=np.float64)
+        # C order: every full block must reach BLAS with one operand
+        # layout, and a transposed operand rounds differently.
+        x = real_array(x, "x", order="C")
         single = x.ndim == 1
         if single:
             x = x[:, None]
@@ -229,9 +211,6 @@ class FeatureMap:
             raise ValueError(
                 f"expected input of shape ({self.spec.input_dim}, k), got {x.shape}"
             )
-        # Every full block must reach BLAS with one operand layout: a
-        # transposed operand rounds differently.
-        x = np.ascontiguousarray(x)
         rows, k = self.weights.shape[0], x.shape[1]
         z = np.empty((rows, k), order="F")
         blocks = -(-k // BLOCK_COLUMNS)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from . import linalg
-from .embeddings import _check_count, _check_seed
+from ._checks import check_count, check_seed, finite_array, real_array
 
 __all__ = [
     "DEFAULT_TERMS",
@@ -58,18 +57,14 @@ def _param_names(n_terms: int) -> list[str]:
     return [f"{name}_{j}" for name in "wsc" for j in range(n_terms)] + ["a0", "a1", "a2"]
 
 
-def _check_values(table: np.ndarray) -> None:
-    if not np.all(np.isfinite(table)) or np.any(_blocks(table)[1] < 0):
-        raise ValueError("parameters must be finite with shape parameters s >= 0")
-
-
 def _checked_row(row) -> np.ndarray:
-    """``row`` as float64; ``ValueError`` unless it is one finite row of
+    """``row`` as float64; ``ValueError`` unless it is one finite real row of
     3J + 3 values (J >= 1) with every s >= 0."""
-    row = np.asarray(row, dtype=np.float64)
+    row = real_array(row, "row")
     if row.ndim != 1 or row.size < 6 or row.size % 3:
         raise ValueError(f"a parameter row is 1-D with 3J + 3 values (J >= 1), got {row.shape}")
-    _check_values(row)
+    if not np.all(np.isfinite(row)) or np.any(_blocks(row)[1] < 0):
+        raise ValueError("parameters must be finite with shape parameters s >= 0")
     return row
 
 
@@ -100,14 +95,15 @@ class CaseSamplingConfig:
         if not (np.all(np.isfinite(self.domain)) and self.domain[0] < self.domain[1]):
             raise ValueError(f"domain must be finite with a < b, got {self.domain}")
         for name in ("size", "n_terms"):
-            object.__setattr__(self, name, _check_count(getattr(self, name), name))
-        _check_seed(self.seed, "seed")
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        check_seed(self.seed, "seed")
 
 
 def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:
     """Draw the (``cfg.size``, 3 ``n_terms`` + 3) parameter table; row i
     comes from stream ``start_index + i`` (builders draw replacements
     deterministically from indices past ``cfg.size``)."""
+    start_index = check_count(start_index, "start_index", minimum=0)
     table = np.empty((cfg.size, 3 * cfg.n_terms + 3))
     for i, row in enumerate(table):
         np.random.default_rng(np.random.SeedSequence((cfg.seed, start_index + i))).random(out=row)
@@ -115,7 +111,6 @@ def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:
     for block, (lo, hi) in zip(_blocks(table), ranges):
         block *= hi - lo
         block += lo
-    _check_values(table)
     return table
 
 
@@ -167,9 +162,7 @@ def _primitive(row, t, dx, terms, out) -> None:
 
 
 def _evaluate(row, x, order: int) -> np.ndarray:
-    row = _checked_row(row)
-    x = np.asarray(x, dtype=np.float64)
-    linalg._check_finite(x, "x")
+    row, x = _checked_row(row), finite_array(x, "x")
     dx = np.subtract(x.reshape(-1, 1), _blocks(row)[2])
     out = np.empty((order + 1, x.size))
     _derivatives(row, x.reshape(-1), dx, np.empty((3 if order else 1,) + dx.shape), out)
@@ -198,10 +191,7 @@ def eval_antiderivative(row, x, x0: float = 0.0) -> np.ndarray:
     (x - c))``; terms with ``s`` below ``1e-12`` use the limiting slope
     ``w * x``. ``x0`` is evaluated as one more point of the same pass.
     """
-    row = _checked_row(row)
-    x, x0 = np.asarray(x, dtype=np.float64), np.asarray(x0, dtype=np.float64)
-    linalg._check_finite(x, "x")
-    linalg._check_finite(x0, "x0")
+    row, x, x0 = _checked_row(row), finite_array(x, "x"), finite_array(x0, "x0")
     t = np.append(x.reshape(-1), x0)
     dx = np.subtract(t[:, None], _blocks(row)[2])
     out = np.empty(t.size)

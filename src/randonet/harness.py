@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
-from .embeddings import EmbeddingSpec, _check_count, _check_seed
+from ._checks import check_count, check_seed, real_array
+from .embeddings import EmbeddingSpec
 from .model import AlignedDataset, _check_solver, evaluate, train_aligned
 from .problems import build_case, case_config
 
@@ -96,16 +96,16 @@ class ExperimentConfig:
             raise ValueError(f"branch must be 'jl' or 'rffn', got {self.branch!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        sizes = tuple(_check_count(m, "each of branch_sizes") for m in self.branch_sizes)
+        sizes = tuple(check_count(m, "each of branch_sizes") for m in self.branch_sizes)
         if not sizes:
             raise ValueError("branch_sizes must hold at least one size")
-        object.__setattr__(self, "trunk_size", _check_count(self.trunk_size, "trunk_size"))
+        object.__setattr__(self, "trunk_size", check_count(self.trunk_size, "trunk_size"))
         if self.dataset_size is not None:
-            size = _check_count(self.dataset_size, "dataset_size")
+            size = check_count(self.dataset_size, "dataset_size")
             object.__setattr__(self, "dataset_size", size)
         _check_solver(self.solver, self.tol, self.reg)
         for name in ("seed_data", "seed_embed", "seed_split"):
-            _check_seed(getattr(self, name), name)
+            check_seed(getattr(self, name), name)
         object.__setattr__(self, "branch_sizes", sizes)
 
 
@@ -150,12 +150,17 @@ def split(ds: AlignedDataset, fraction: float, seed: int) -> tuple[AlignedDatase
     return take(train_idx), take(test_idx)
 
 
-def mse(pred, truth) -> float:
-    """Mean squared error over all grid values of all functions."""
-    pred = np.asarray(linalg._check_real(pred, "pred"), dtype=np.float64)
-    truth = np.asarray(linalg._check_real(truth, "truth"), dtype=np.float64)
+def _pred_truth(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float64 arrays of one shape; a NaN passes, so a failed prediction scores NaN."""
+    pred, truth = real_array(pred, "pred"), real_array(truth, "truth")
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    return pred, truth
+
+
+def mse(pred, truth) -> float:
+    """Mean squared error over all grid values of all functions."""
+    pred, truth = _pred_truth(pred, truth)
     if pred.size == 0:
         raise ValueError(f"mse of empty arrays, got shape {pred.shape}")
     diff = pred - truth
@@ -169,10 +174,7 @@ def l2_percentiles(pred, truth) -> tuple[float, float, float]:
     over the output grid (unnormalized); percentiles interpolate linearly
     between closest ranks.
     """
-    pred = np.asarray(linalg._check_real(pred, "pred"), dtype=np.float64)
-    truth = np.asarray(linalg._check_real(truth, "truth"), dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    pred, truth = _pred_truth(pred, truth)
     if pred.ndim != 2 or pred.shape[1] < 1:
         raise ValueError("expected (n, s) matrices with s >= 1")
     norms = np.linalg.norm(pred - truth, axis=0)

@@ -69,6 +69,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from . import _parallel
+from ._checks import check_reg, check_tol, finite_array
 
 __all__ = [
     "TruncatedSVDFactors",
@@ -83,38 +84,13 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _check_real(a, name: str) -> np.ndarray:
-    """``a`` as an array, rejected when it is complex: a float64 cast would
-    keep only its real part, with a ComplexWarning at most."""
-    arr = np.asarray(a)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
-    return arr
-
-
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(_check_real(a, name), dtype=np.float64)
+def _as_matrix(a, name: str, order: str = "K") -> np.ndarray:
+    arr = finite_array(a, name, order)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column, got {arr.shape}")
-    _check_finite(arr, name)
     return arr
-
-
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    """Reject an array holding a NaN or an infinity, reading it once when it is finite.
-
-    A finite sum proves every entry finite, in one pass with no boolean
-    temporary. A NaN or an infinity makes the sum non-finite, but so can
-    finite entries whose sum overflows, so only a non-finite sum takes the
-    exact check: min and max propagate NaN and reach +-inf. Such a sum
-    draws numpy's RuntimeWarning (overflow, or an invalid ``inf - inf``);
-    silencing it with ``np.errstate`` would cost about as much as the
-    second pass it saves on small inputs.
-    """
-    if not np.isfinite(arr.sum()) and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(f"{name} contains non-finite entries")
 
 
 def auto_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
@@ -129,21 +105,8 @@ def auto_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * _EPS * sigma_max
 
 
-def _check_tol(tol) -> None:
-    """Reject a rank tolerance that is not positive and finite, NaN included:
-    an infinite one cuts every value and trains an all-zero readout."""
-    if tol is not None and not 0.0 < float(tol) < np.inf:
-        raise ValueError(f"tolerance must be positive and finite or None (auto), got {tol}")
-
-
-def _check_reg(reg) -> None:
-    """Reject a Tikhonov weight that is negative or not finite, NaN included."""
-    if not 0 <= reg < np.inf:
-        raise ValueError(f"regularization weight must be >= 0 and finite, got {reg}")
-
-
 def _resolve_tol(tol, shape, sigma_max) -> float:
-    _check_tol(tol)
+    check_tol(tol)
     return auto_tolerance(shape, sigma_max) if tol is None else float(tol)
 
 
@@ -325,7 +288,7 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
         An all-zero matrix is no error: at ``reg = 0`` it yields rank 0.
     """
     a = _as_matrix(a, "A")
-    _check_reg(reg)
+    check_reg(reg)
     if reg > 0 and tol is not None:
         raise ValueError(f"tol cuts no singular value at reg > 0, got tol={tol} with reg={reg}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -340,13 +303,15 @@ def tsvd_factorize(a, tol=None, reg=0.0) -> TruncatedSVDFactors:
     return TruncatedSVDFactors(u, s, v, tol, float(reg))
 
 
-def _check_pinv_shapes(factors, b: np.ndarray) -> None:
+def _rhs_matrix(factors, b) -> np.ndarray:
+    b = _as_matrix(b, "B")
     rows, cols = factors.shape
     if b.shape[1] != cols:
         raise ValueError(
             f"pseudo-inverse apply needs B with {cols} columns to match "
             f"factors of shape {(rows, cols)}, got B of shape {b.shape}"
         )
+    return b
 
 
 def tsvd_pinv_apply(factors: TruncatedSVDFactors, b) -> np.ndarray:
@@ -356,8 +321,7 @@ def tsvd_pinv_apply(factors: TruncatedSVDFactors, b) -> np.ndarray:
     of the factors (see :func:`tsvd_factorize`); rank-0 factors return the
     least-norm solution of an all-zero system, i.e. zeros.
     """
-    b = _as_matrix(b, "B")
-    _check_pinv_shapes(factors, b)
+    b = _rhs_matrix(factors, b)
     if factors.rank == 0:
         return np.zeros((b.shape[0], factors.shape[0]))
     s, reg = factors.singular_values, factors.regularization
@@ -387,11 +351,9 @@ def cod_factorize(a, tol=None, overwrite_a=False) -> CODFactors:
     ``np.asfortranarray``, so a caller that holds a C-ordered matrix while
     the call runs holds two. Either way the factors are the same bits.
     """
-    a = _check_real(a, "A")
-    work = np.asfortranarray(a, dtype=np.float64)
+    work = _as_matrix(a, "A", order="F")
     if np.may_share_memory(work, a) and not (overwrite_a and work.flags.writeable):
         work = work.copy(order="F")
-    work = _as_matrix(work, "A")
     rows, cols = work.shape
     threads = _parallel.workers(rows * cols, _parallel.MIN_QR_ENTRIES, cols)
     start = time.perf_counter()
@@ -432,8 +394,7 @@ def cod_pinv_apply(factors: CODFactors, b) -> np.ndarray:
     Fortran-ordered (max(rows, cols), k) buffer, and ``ormrz``, ``trtrs``
     and ``ormqr`` work in it, reading the factors where they lie.
     """
-    b = _as_matrix(b, "B")
-    _check_pinv_shapes(factors, b)
+    b = _rhs_matrix(factors, b)
     rows, cols = factors.shape
     r = factors.rank
     nrhs = b.shape[0]

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel, linalg
+from ._checks import check_reg, check_tol, finite_array
 from .embeddings import EmbeddingSpec, FeatureMap, build_feature_map
 
 __all__ = [
@@ -97,12 +98,11 @@ class AlignedDataset:
     V: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(linalg._check_real(self.x, "x"), dtype=np.float64)
-        y = np.asarray(linalg._check_real(self.y, "y"), dtype=np.float64)
+        x, y = finite_array(self.x, "x"), finite_array(self.y, "y")
         # C order is the layout feature maps read, so applying one to U (a
         # column subset from split included) copies nothing.
-        u = np.ascontiguousarray(linalg._check_real(self.U, "U"), dtype=np.float64)
-        v = np.asarray(linalg._check_real(self.V, "V"), dtype=np.float64)
+        u = finite_array(self.U, "U", order="C")
+        v = finite_array(self.V, "V")
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("grids must be 1-D")
         if u.ndim != 2 or v.ndim != 2:
@@ -117,8 +117,6 @@ class AlignedDataset:
             if arr.size == 0:
                 raise ValueError(f"a dataset needs at least one {what}, got {name} of shape "
                                  f"{arr.shape}")
-        for name, arr in (("x", x), ("y", y), ("U", u), ("V", v)):
-            linalg._check_finite(arr, name)
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
             raise ValueError("grids must be strictly increasing")
         object.__setattr__(self, "x", x)
@@ -145,9 +143,9 @@ class UnalignedDataset:
 
     def __post_init__(self):
         # C order, as in AlignedDataset: applying the branch copies nothing.
-        u = np.ascontiguousarray(linalg._check_real(self.U, "U"), dtype=np.float64)
-        y = np.atleast_2d(np.asarray(linalg._check_real(self.Y, "Y"), dtype=np.float64))
-        v = np.asarray(linalg._check_real(self.V, "V"), dtype=np.float64).ravel()
+        u = finite_array(self.U, "U", order="C")
+        y = np.atleast_2d(finite_array(self.Y, "Y"))
+        v = finite_array(self.V, "V").ravel()
         if u.ndim != 2:
             raise ValueError("U must be 2-D (samples in columns)")
         if not (u.shape[1] == y.shape[1] == v.size):
@@ -160,8 +158,6 @@ class UnalignedDataset:
             if arr.shape[0] == 0:
                 raise ValueError(f"a dataset needs at least one {what}, got {name} of shape "
                                  f"{arr.shape}")
-        for name, arr in (("U", u), ("Y", y), ("V", v)):
-            linalg._check_finite(arr, name)
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Y", y)
         object.__setattr__(self, "V", v)
@@ -181,11 +177,10 @@ class RandONetModel:
     train_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        w = np.asarray(linalg._check_real(self.readout, "readout"), dtype=np.float64)
+        w = finite_array(self.readout, "readout")
         expected = (self.trunk.spec.feature_dim, self.branch.spec.feature_dim)
         if w.shape != expected:
             raise ValueError(f"readout must have shape {expected}, got {w.shape}")
-        linalg._check_finite(w, "readout")
         w.setflags(write=False)
         object.__setattr__(self, "readout", w)
 
@@ -216,12 +211,12 @@ def _check_solver(solver: str, tol, reg: float) -> None:
     solver would ignore."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    linalg._check_reg(reg)
+    check_reg(reg)
     if solver == "tikhonov" and tol is not None:
         raise ValueError(f"solver 'tikhonov' takes no tol, got {tol}")
     if solver == "cod" and reg != 0:
         raise ValueError(f"solver 'cod' takes no regularization weight, got {reg}")
-    linalg._check_tol(tol)
+    check_tol(tol)
 
 
 def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float,
@@ -445,12 +440,9 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     ``_READOUT_ROWS`` trunk rows by the rule of ``FeatureMap.apply``, with
     the branch feature entries as its work.
     """
-    u = np.asarray(linalg._check_real(u_samples, "u_samples"), dtype=np.float64)
-    y = np.asarray(linalg._check_real(y_points, "y_points"), dtype=np.float64)
+    u, y = finite_array(u_samples, "u_samples"), finite_array(y_points, "y_points")
     if y.ndim > 1:
         raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
-    for name, arr in (("u_samples", u), ("y_points", y)):
-        linalg._check_finite(arr, name)
     single = u.ndim == 1
     if single:
         u = u[:, None]

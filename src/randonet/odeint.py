@@ -14,7 +14,8 @@ the others move up in place. The right-hand side thus reads plain row
 prefixes, and they change only when the batch shrinks.
 
 The embedded 4th-order error estimate drives a standard PI-free step
-controller (safety 0.9, exponent -1/5, growth clamped to [0.2, 5]). The
+controller (safety 0.9, exponent -1/5, growth clamped to [0.2, 5]); a NaN
+estimate shrinks the step by 0.2, so the sample fails by step underflow. The
 first-same-as-last property of the pair is exploited, so an accepted step
 costs six right-hand-side evaluations. Output values are read from a cubic
 Hermite interpolant over each accepted step rather than forcing the
@@ -24,6 +25,8 @@ integrator through the output times.
 from __future__ import annotations
 
 import numpy as np
+
+from ._checks import finite_array
 
 __all__ = ["dopri5_batch"]
 
@@ -122,11 +125,11 @@ def dopri5_batch(
         repeats the sixth stage's bit for bit (c6 = 1), except on a final
         step clipped to ``t1``, where it is ``t1``.
     t_span : (float, float)
-        Common integration interval (t0 < t1).
+        Common integration interval (t0 < t1) of finite length.
     y0 : ndarray, shape (batch, dim)
-        Initial states.
+        Initial states, real and finite.
     t_eval : ndarray, shape (n_eval,)
-        Non-decreasing output times inside ``t_span``.
+        Finite, non-decreasing output times inside ``t_span``.
     rtol, atol : float
         Relative/absolute error tolerances of the embedded estimate: finite,
         >= 0 and not both 0.
@@ -142,11 +145,17 @@ def dopri5_batch(
         Dense-output states at ``t_eval`` (garbage rows for failed samples).
     ok : ndarray of bool, shape (batch,)
         False where the sample hit step underflow or the step budget.
+
+    Raises
+    ------
+    ValueError
+        Before any right-hand-side call, naming the argument, when one
+        other than ``f`` breaks its description above.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     span = t1 - t0
-    if span <= 0:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
+    if not 0 < span < np.inf:
+        raise ValueError(f"t_span must be increasing with a finite length, got {t_span}")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not 0 <= tol < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {tol}")
@@ -154,11 +163,11 @@ def dopri5_batch(
         raise ValueError("rtol and atol must not both be 0")
     if not max_steps >= 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
+    y0 = np.atleast_2d(finite_array(y0, "y0"))
     batch, dim = y0.shape
     if any(len(a) != batch for a in args):
         raise ValueError(f"every array in args needs one row per sample ({batch})")
-    t_eval = np.asarray(t_eval, dtype=np.float64)
+    t_eval = finite_array(t_eval, "t_eval")
     if t_eval.size and (t_eval[0] < t0 - 1e-12 * span or t_eval[-1] > t1 + 1e-12 * span):
         raise ValueError("t_eval must lie inside t_span")
     if np.any(np.diff(t_eval) < 0):
@@ -214,7 +223,8 @@ def dopri5_batch(
         accept = err_norm <= 1.0
         with np.errstate(divide="ignore"):
             factor = _SAFETY * err_norm**_ORDER_EXPONENT
-        factor = np.clip(np.where(np.isfinite(factor), factor, _MAX_FACTOR), _MIN_FACTOR, _MAX_FACTOR)
+        # fmax takes the bound over a NaN: a NaN error shrinks the step.
+        factor = np.fmin(np.fmax(factor, _MIN_FACTOR), _MAX_FACTOR)
 
         # Dense output: emit every pending output time inside an accepted step.
         while True:
@@ -234,7 +244,7 @@ def dopri5_batch(
         np.copyto(k1a, k7, where=accept[:, None])
 
         steps += 1
-        failed = (h[:live] < h_min) | (steps >= max_steps)
+        failed = ~(h[:live] >= h_min) | (steps >= max_steps)
         ok[sample[:live][failed]] = False
 
         running = ta < t1 - 1e-14 * span

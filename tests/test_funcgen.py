@@ -88,6 +88,15 @@ class TestSampleParams:
         with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer .* {seed}$"):
             case_config(3, seed=seed)
 
+    @pytest.mark.parametrize("start_index", [-1, 1.5])
+    def test_rejects_a_start_index_that_names_no_stream(self, start_index):
+        # -1 once failed with numpy's bare "expected non-negative integer"
+        # and 1.5 with "seed must be integer".
+        cfg = case_config(1, size=2).sampling
+        message = rf"^start_index must be an integer >= 0, got {start_index}$"
+        with pytest.raises(ValueError, match=message):
+            sample_params(cfg, start_index)
+
     def test_param_validation(self):
         # Every evaluator takes one finite 1-D row of 3J + 3 values (J >= 1)
         # with every s >= 0, and rejects anything else before evaluating.
@@ -118,6 +127,21 @@ class TestSampleParams:
         for value in (bad, np.array([0.0, bad, 1.0])):
             with pytest.raises(ValueError, match=rf"^{name} contains non-finite entries"):
                 evaluate(row, **{"x": 0.5, name: value})
+
+    @pytest.mark.parametrize("evaluate, name", [
+        (eval_u, "row"), (eval_u, "x"), (eval_du, "row"), (eval_du, "x"), (eval_d2u, "row"),
+        (eval_d2u, "x"), (eval_antiderivative, "row"), (eval_antiderivative, "x"),
+        (eval_antiderivative, "x0"),
+    ])
+    def test_rows_and_points_must_be_real(self, evaluate, name):
+        # A complex row or x once lost its imaginary part with a
+        # ComplexWarning, and a complex x0 raised a bare TypeError.
+        args = {"row": make_row(w=[1.0], s=[1.0], c=[0.5]), "x": 0.5}
+        if name == "x0":
+            args["x0"] = 0.0
+        args[name] = args[name] + 1.0j
+        with pytest.raises(ValueError, match=rf"^{name} must be real, got dtype complex128"):
+            evaluate(**args)
 
 
 class TestEvalU:

@@ -498,7 +498,7 @@ class TestCodTwoStage:
     def test_non_finite_entries_rejected(self, bad):
         a = np.full((3, 4), 1e308)
         a[0, 0] = -1e308  # finite extremes pass, although their sum overflows
-        # The overflowing sum draws numpy's RuntimeWarning (see _check_finite).
+        # The overflowing sum draws numpy's RuntimeWarning (see _checks.finite_array).
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert not np.isfinite(a.sum())
         with pytest.warns(RuntimeWarning, match="overflow"):

@@ -148,15 +148,59 @@ def test_rejects_zero_rtol_and_atol():
     assert ok[0] and values[0, 0, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
 
 
+def no_call(t, y):
+    raise AssertionError("the right-hand side was called")
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_rejects_a_step_budget_below_one(max_steps):
     # max_steps=0 once returned ok=False with no message.
-    def no_call(t, y):
-        raise AssertionError("the right-hand side was called")
-
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
         dopri5_batch(no_call, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]),
                      max_steps=max_steps)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)],
+                         ids=["0-nan", "0-inf", "nan-1", "-inf-0"])
+def test_rejects_a_non_finite_time_span(t_span):
+    # y' = y on (0, inf) once came back ok with the values [1, 1].
+    with pytest.raises(ValueError, match=r"^t_span must be increasing with a finite length"):
+        dopri5_batch(no_call, t_span, np.ones((1, 1)), np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("y0, message", [
+    (np.array([[1.0 + 1.0j]]), "y0 must be real, got dtype complex128"),
+    (np.array([[np.nan]]), "y0 contains non-finite entries"),
+    (np.array([[0.0], [np.inf]]), "y0 contains non-finite entries"),
+], ids=["complex", "nan", "inf"])
+def test_rejects_a_complex_or_non_finite_initial_state(y0, message):
+    # A NaN y0 once used up the step budget: six calls per step.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        dopri5_batch(no_call, (0.0, 1.0), y0, np.array([1.0]))
+
+
+def test_rejects_a_nan_output_time():
+    # A NaN output time once passed both the range and the order check.
+    with pytest.raises(ValueError, match="^t_eval contains non-finite entries"):
+        dopri5_batch(no_call, (0.0, 1.0), np.ones((1, 1)), np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("t_nan", [0.0, 0.5])
+def test_a_nan_right_hand_side_fails_the_sample_within_a_few_hundred_calls(t_nan):
+    # A NaN error estimate once grew the step's factor to its maximum and a
+    # rejected step kept its size, so the sample ran out its whole default
+    # budget: six calls per step, 6e6 calls.
+    late_calls = []
+
+    def turns_nan(t, y):
+        if not t[0] < t_nan:  # a NaN time counts as late
+            late_calls.append(t[0])
+            assert len(late_calls) <= 500, "the step budget is being used up"
+            return np.full_like(y, np.nan)
+        return -y
+
+    _, ok = dopri5_batch(turns_nan, (0.0, 1.0), np.ones((1, 1)), np.array([1.0]))
+    assert not ok[0]
 
 
 def test_no_right_hand_side_evaluation_repeats_the_one_before():

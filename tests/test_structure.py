@@ -4,8 +4,10 @@ Only that module starts threads or processes, reads the affinity mask,
 names the thread-count symbols of numpy's and scipy's bundled OpenBLAS or
 calls the setter that ``numpy_blas_threads()`` or ``scipy_blas_threads()``
 returns. Other modules call it and
-take no private name of ``embeddings`` or ``problems`` for parallel work:
-the only private names they reach there are the input checks (``_check_*``).
+take no private name of ``embeddings``, ``problems`` or ``linalg``.
+
+Input checks have one home, ``randonet._checks``: it imports nothing from
+the package, and no other module tests an array for complex values.
 
 LAPACK has one calling convention: no module imports scipy's f2py
 wrappers, ``scipy.linalg.lapack``, and only ``linalg`` reaches the
@@ -74,8 +76,9 @@ def parallel_work(tree) -> list:
 
 
 def private_names_reached(tree) -> list:
-    """``module.name`` of every private name ``tree`` takes from embeddings or problems."""
-    owners = ("embeddings", "problems")
+    """``module.name`` of every private name ``tree`` takes from embeddings,
+    problems or linalg."""
+    owners = ("embeddings", "problems", "linalg")
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in owners:
@@ -84,6 +87,17 @@ def private_names_reached(tree) -> list:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in owners and node.attr.startswith("_"):
             found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def imported_modules(tree) -> set:
+    """The top-level name of every module ``tree`` imports; "." for a relative import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." if node.level else node.module.split(".")[0])
     return found
 
 
@@ -150,10 +164,31 @@ _parallel.scipy_blas_threads()[0]()
 
 
 def test_no_module_reaches_private_names_of_embeddings_or_problems():
-    found = {name: [reached for reached in private_names_reached(tree)
-                    if not reached.split(".")[1].startswith("_check_")]
-             for name, tree in SOURCES.items()}
+    found = {name: private_names_reached(tree) for name, tree in SOURCES.items()}
     assert {name: reached for name, reached in found.items() if reached} == {}
+
+
+def test_the_scan_sees_a_private_name_of_linalg():
+    planted = """
+from .linalg import _check_real
+from randonet.linalg import _as_matrix, cod_factorize
+linalg._check_finite(x, "x")
+"""
+    assert private_names_reached(ast.parse(planted)) == [
+        "linalg._check_real", "linalg._as_matrix", "linalg._check_finite"]
+
+
+def test_input_checks_import_only_numpy():
+    assert imported_modules(SOURCES["_checks"]) == {"__future__", "numpy"}
+    # The scan sees the package, imported relatively or by name.
+    assert "." in imported_modules(SOURCES["model"])
+    assert imported_modules(ast.parse("import randonet.linalg")) == {"randonet"}
+
+
+def test_only_the_input_checks_test_for_complex_values():
+    found = {name for name, tree in SOURCES.items() for node in ast.walk(tree)
+             if getattr(node, "attr", getattr(node, "id", None)) == "iscomplexobj"}
+    assert found == {"_checks"}
 
 
 def test_one_lapack_calling_convention():
