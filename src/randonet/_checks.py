@@ -43,8 +43,10 @@ def check_reg(reg) -> None:
         raise ValueError(f"regularization weight must be >= 0 and finite, got {reg}")
 
 
-def check_seed(seed, name: str) -> None:
-    """Reject a seed that does not fix its draws: ``None``, which draws fresh
+def check_seed(seed, name: str):
+    """``seed`` with every integer a Python ``int`` and every sequence a
+    tuple, nested as given, so ``SeedSequence`` reads the same entropy from
+    it; rejected when it does not fix its draws: ``None``, which draws fresh
     entropy, or one that ``SeedSequence`` refuses (negative, not integer)."""
     message = f"{name} must be a non-negative integer or a tuple of them, got {seed!r}"
     if seed is None:
@@ -53,6 +55,9 @@ def check_seed(seed, name: str) -> None:
         np.random.SeedSequence(seed)
     except (TypeError, ValueError):
         raise ValueError(message) from None
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return tuple(check_seed(v, name) for v in seed)
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:

@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _parallel
-from ._checks import check_count, check_seed, real_array
+from ._checks import check_count, check_seed, finite_array, real_array
 
 __all__ = [
     "EmbeddingSpec",
@@ -98,7 +98,8 @@ def default_weight_bound(domain: tuple[float, float]) -> float:
 class EmbeddingSpec:
     """Frozen description of a random feature map.
 
-    ``seed`` may be an int or a tuple of ints (fed to ``SeedSequence``).
+    ``seed`` is an int or a sequence of them, nested as ``SeedSequence``
+    allows, and is stored with plain ints and tuples.
     ``weight_bound`` and ``domain`` apply to ``tanh`` maps only;
     ``bandwidth`` applies to ``rffn`` only.
     """
@@ -116,7 +117,7 @@ class EmbeddingSpec:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         for name in ("input_dim", "feature_dim"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
-        check_seed(self.seed, "seed")
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.kind == "tanh":
@@ -138,15 +139,12 @@ class EmbeddingSpec:
         ``input_scale``, which must be true."""
         if not d.get("input_scale", True):
             raise ValueError("input_scale: false is not supported: rffn maps scale by 1/input_dim")
-        seed = d["seed"]
-        if isinstance(seed, list):
-            seed = tuple(int(v) for v in seed)
         domain = d.get("domain")
         return cls(
             kind=d["kind"],
             input_dim=d["input_dim"],
             feature_dim=d["feature_dim"],
-            seed=seed,
+            seed=d["seed"],
             weight_bound=d.get("weight_bound"),
             domain=tuple(domain) if domain is not None else None,
             bandwidth=float(d.get("bandwidth", 1.0)),
@@ -161,8 +159,10 @@ class FeatureMap:
     or ``None`` for the bias-free JL map; ``scale`` multiplies the
     activation output. Fields are plain data so tests can build variants
     with ``dataclasses.replace`` (e.g. forcing biases to zero). The map
-    keeps read-only private copies of the arrays it is given, so the
-    caller's arrays stay writable and later edits to them do not reach it.
+    keeps read-only private float64 copies of the arrays it is given, so
+    the caller's arrays stay writable and later edits to them do not reach
+    it; arrays that are complex, not finite or not of the spec's shape
+    raise ``ValueError``.
     """
 
     spec: EmbeddingSpec
@@ -171,10 +171,14 @@ class FeatureMap:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("weights", "biases"):
+        shapes = {"weights": (self.spec.feature_dim, self.spec.input_dim),
+                  "biases": (self.spec.feature_dim,)}
+        for name, shape in shapes.items():
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.array(arr)
+                arr = np.array(finite_array(arr, name))
+                if arr.shape != shape:
+                    raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

@@ -96,7 +96,7 @@ class CaseSamplingConfig:
             raise ValueError(f"domain must be finite with a < b, got {self.domain}")
         for name in ("size", "n_terms"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
-        check_seed(self.seed, "seed")
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
 
 
 def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:

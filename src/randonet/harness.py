@@ -17,6 +17,14 @@ Conventions (recorded in every report header):
   only -- never dataset generation or metric evaluation -- and is
   informational, not asserted by any check.
 
+Datasets are cached in memory and, under a ``cache_dir``, on disk (see
+:func:`dataset_for`). The cache key hashes the case configuration with a
+digest of what makes the bits: the source files of ``funcgen``,
+``problems``, ``odeint`` and ``_parallel``, and the numpy and scipy
+versions. An edit to one of those modules, or a numpy or scipy upgrade,
+rebuilds each cached dataset once (case 2 takes about 2-3 s). The JSON
+report names the digest.
+
 All randomness is derived from the three config seeds, so identical
 configurations reproduce identical metrics bit-for-bit on one platform:
 the same numpy, scipy and BLAS builds and the same BLAS thread count.
@@ -27,6 +35,7 @@ and features do not.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -39,7 +48,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import _parallel, funcgen, odeint, problems
 from ._checks import check_count, check_seed, real_array
 from .embeddings import EmbeddingSpec
 from .model import AlignedDataset, _check_solver, evaluate, train_aligned
@@ -56,15 +67,9 @@ __all__ = [
     "write_report_csv",
     "write_report_json",
     "REPORT_CSV_VERSION",
-    "GENERATOR_VERSION",
 ]
 
 REPORT_CSV_VERSION = 1
-
-# Part of every dataset cache key. Bump it whenever a change to the dataset
-# builders or to the integrator changes the generated bits, so no cache
-# serves the old ones.
-GENERATOR_VERSION = 1
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +97,7 @@ class ExperimentConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "case", case_config(self.case).id)
         if self.branch not in ("jl", "rffn"):
             raise ValueError(f"branch must be 'jl' or 'rffn', got {self.branch!r}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -105,7 +111,7 @@ class ExperimentConfig:
             object.__setattr__(self, "dataset_size", size)
         _check_solver(self.solver, self.tol, self.reg)
         for name in ("seed_data", "seed_embed", "seed_split"):
-            check_seed(getattr(self, name), name)
+            object.__setattr__(self, name, check_seed(getattr(self, name), name))
         object.__setattr__(self, "branch_sizes", sizes)
 
 
@@ -182,16 +188,23 @@ def l2_percentiles(pred, truth) -> tuple[float, float, float]:
     return float(p5), float(p50), float(p95)
 
 
+@functools.cache
+def _generator_digest() -> str:
+    """SHA-256 of what makes the dataset bits: the source files of the
+    modules that compute them and the numpy and scipy versions.
+
+    Computed on first use, once per process. ``tests/test_structure.py``
+    checks that those modules import no other package module that could
+    change a value.
+    """
+    h = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    for module in (funcgen, problems, odeint, _parallel):
+        h.update(Path(module.__file__).read_bytes())
+    return h.hexdigest()
+
+
 def _dataset_key(case) -> str:
-    payload = {
-        "generator_version": GENERATOR_VERSION,
-        "id": case.id,
-        "m": case.m,
-        "n": case.n,
-        "constants": sorted(case.constants.items()),
-        "sampling": asdict(case.sampling),
-    }
-    blob = json.dumps(payload, sort_keys=True)
+    blob = json.dumps({"generator": _generator_digest(), "case": asdict(case)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
@@ -237,10 +250,14 @@ def _store_cached(path: Path, ds: AlignedDataset) -> None:
 def dataset_for(case, cache_dir=None) -> AlignedDataset:
     """Build a case dataset, memoized in memory and optionally on disk.
 
-    Disk entries are keyed by :data:`GENERATOR_VERSION` and the case
-    configuration, and carry the content fingerprint of the dataset; an
-    entry that cannot be read or fails its fingerprint is rebuilt and
-    rewritten. Each call logs at DEBUG which path served it.
+    Both caches key an entry on the case configuration and on the digest
+    of the generator: the source of ``funcgen``, ``problems``, ``odeint``
+    and ``_parallel`` and the numpy and scipy versions. An edit to one of
+    those modules, or a numpy or scipy upgrade, misses every old entry once
+    and rebuilds it (case 2 takes about 2-3 s). Disk entries carry
+    the content fingerprint of the dataset; an entry that cannot be read
+    or fails its fingerprint is rebuilt and rewritten. Each call logs at
+    DEBUG which path served it.
     """
     key = _dataset_key(case)
     if key in _DATASET_CACHE:
@@ -360,10 +377,13 @@ def write_report_csv(report: BenchmarkReport, path) -> None:
 
 
 def write_report_json(report: BenchmarkReport, path) -> None:
+    """Write the report as JSON, with the digest of the generator that made
+    this process's datasets (see :func:`dataset_for`)."""
     payload = {
         "format_version": REPORT_CSV_VERSION,
         "config": report.config,
         "dataset_fingerprint": report.dataset_fingerprint,
+        "generator_digest": _generator_digest(),
         "rows": [asdict(row) for row in report.rows],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")

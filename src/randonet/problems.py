@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _parallel
+from ._checks import check_count
 from .funcgen import CaseSamplingConfig, sample_params
 from .funcgen import _blocks, _derivatives, _param_names, _primitive
 from .model import AlignedDataset
@@ -160,7 +161,12 @@ _CASE_DEFAULTS = {
 
 
 def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStudy:
-    """Benchmark configuration for ``case_id`` with optional size override."""
+    """Benchmark configuration for ``case_id`` with optional size override.
+
+    The id is stored as an ``int``: ``bool``, float and ids outside
+    :data:`CASE_IDS` raise ``ValueError``.
+    """
+    case_id = check_count(case_id, "case id")
     if case_id not in _CASE_DEFAULTS:
         raise ValueError(f"case id must be one of {CASE_IDS}, got {case_id}")
     defaults = _CASE_DEFAULTS[case_id]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -441,6 +442,17 @@ class TestApply:
         mine_b[0] = 1.0
         np.testing.assert_array_equal(variant.apply(np.ones(3)), before)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", np.ones((4, 3)) + 1j, r"^weights must be real, got dtype complex128$"),
+        ("weights", np.full((4, 3), np.nan), r"^weights contains non-finite entries$"),
+        ("weights", np.ones((5, 3)), r"^weights must have shape \(4, 3\), got \(5, 3\)$"),
+        ("biases", np.zeros(5), r"^biases must have shape \(4,\), got \(5,\)$"),
+    ], ids=["complex", "nan", "weights-shape", "biases-shape"])
+    def test_a_map_rejects_arrays_its_spec_cannot_apply(self, field, value, message):
+        fmap = make_map("rffn", 3, 4, 27)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(fmap, **{field: value})
+
 
 class FakeBlas:
     """Thread-count getter and setter that stand in for numpy's OpenBLAS."""
@@ -577,6 +589,14 @@ class TestSpecAndSerialization:
             weight_bound=12.0, domain=(-1.0, 1.0),
         )
         assert EmbeddingSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("seed, stored", [(np.int64(3), 3),
+                                              ((np.int64(3), np.uint8(1)), (3, 1)),
+                                              (((np.int64(3), 0), 1), ((3, 0), 1))])
+    def test_numpy_integer_seeds_are_stored_as_ints(self, seed, stored):
+        spec = EmbeddingSpec("jl", 3, 4, seed)
+        assert spec == EmbeddingSpec("jl", 3, 4, stored)
+        assert EmbeddingSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_from_dict_rejects_unscaled_rffn(self):
         # Older files record input_scale; only true (the one map built) loads,

@@ -2,16 +2,21 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randonet import harness, model
+import randonet
+from randonet import _parallel, funcgen, harness, model, odeint, problems
 from randonet.embeddings import EmbeddingSpec
 from randonet.harness import (
     BenchmarkReport,
@@ -28,6 +33,37 @@ from randonet.model import AlignedDataset
 from randonet.problems import case_config
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
+
+# What the generator digest reads: the source of these modules and the versions.
+HASHED_MODULES = {m.__name__.split(".")[-1]: m for m in (funcgen, problems, odeint, _parallel)}
+GENERATOR_INPUTS = [*HASHED_MODULES, "numpy", "scipy"]
+
+
+@pytest.fixture
+def fresh_digest(monkeypatch):
+    """Compute the generator digest anew in the test and after it, so inputs
+    the test patches reach it and do not outlast the test."""
+    harness._generator_digest.cache_clear()
+    yield
+    harness._generator_digest.cache_clear()
+
+
+def change_generator_input(monkeypatch, tmp_path, name):
+    """Change one input of the generator digest: a numpy or scipy version, or
+    one byte of a hashed module's source, which the digest then reads from a
+    changed copy. Needs ``fresh_digest``."""
+    harness._generator_digest.cache_clear()
+    if name in ("numpy", "scipy"):
+        package = {"numpy": np, "scipy": scipy}[name]
+        monkeypatch.setattr(package, "__version__", package.__version__ + ".post1")
+        return
+    module = HASHED_MODULES[name]
+    source = bytearray(Path(module.__file__).read_bytes())
+    source[len(source) // 2] ^= 1
+    copy = tmp_path / "changed" / f"{name}.py"
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(source)
+    monkeypatch.setattr(module, "__file__", str(copy))
 
 
 def tiny_cfg(**overrides):
@@ -210,6 +246,11 @@ class TestRunExperiment:
             ExperimentConfig(case=1, solver="tsvd")
         with pytest.raises(ValueError, match="'tikhonov' takes no tol"):
             ExperimentConfig(case=1, solver="tikhonov", tol=1e-3)
+        with pytest.raises(ValueError, match="^case id must be one of"):
+            ExperimentConfig(case=9)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="^case id must be an integer >= 1"):
+                ExperimentConfig(case=bad)
 
     @pytest.mark.parametrize("make, field", [
         (lambda v: EmbeddingSpec("jl", v, 5), "input_dim"),
@@ -290,12 +331,64 @@ class TestDatasetCache:
         assert len(debug) == 1
         assert re.fullmatch(rf"case 1 dataset [0-9a-f]{{32}}: {message}", debug[0]), debug[0]
 
-    def test_key_covers_case_config_and_generator_version(self, monkeypatch):
+    def test_key_covers_case_config_and_generator_version(self, tmp_path, monkeypatch,
+                                                           fresh_digest):
         key = harness._dataset_key(self.case)
         assert key == harness._dataset_key(case_config(1, size=12, seed=54))
         assert key != harness._dataset_key(case_config(1, size=12, seed=55))
-        monkeypatch.setattr(harness, "GENERATOR_VERSION", harness.GENERATOR_VERSION + 1)
-        assert key != harness._dataset_key(self.case)
+        keys = {key}
+        for name in GENERATOR_INPUTS:
+            with monkeypatch.context() as patch:
+                change_generator_input(patch, tmp_path, name)
+                keys.add(harness._dataset_key(self.case))
+            harness._generator_digest.cache_clear()
+        assert len(keys) == 1 + len(GENERATOR_INPUTS)
+        assert harness._dataset_key(self.case) == key
+
+    def test_numpy_integers_name_a_case_like_python_ints(self):
+        key = harness._dataset_key(self.case)
+        assert harness._dataset_key(case_config(np.int64(1), size=12, seed=54)) == key
+        assert harness._dataset_key(case_config(1, size=np.int64(12), seed=np.int64(54))) == key
+        # The config stores plain ints, so the report's config echo stays JSON.
+        cfg = ExperimentConfig(case=np.int64(1), seed_data=np.int64(54), seed_embed=np.int64(3))
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(
+            dataclasses.asdict(ExperimentConfig(case=1, seed_data=54, seed_embed=3)))
+
+    @pytest.mark.parametrize("name", GENERATOR_INPUTS)
+    def test_a_changed_generator_input_misses_the_disk_once(
+        self, tmp_path, caplog, monkeypatch, fresh_digest, name
+    ):
+        ds, path = self.cached_file(tmp_path, monkeypatch)
+        change_generator_input(monkeypatch, tmp_path, name)
+        with caplog.at_level(logging.DEBUG, logger="randonet.harness"):
+            again = dataset_for(self.case, str(tmp_path))
+        assert "built on a miss" in caplog.text
+        np.testing.assert_array_equal(again.U, ds.U)
+        np.testing.assert_array_equal(again.V, ds.V)
+        # The miss wrote an entry under the new key, and the next lookup hits it.
+        new_path = tmp_path / f"dataset-{harness._dataset_key(self.case)}.npz"
+        assert sorted(tmp_path.glob("dataset-*.npz")) == sorted([path, new_path])
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="randonet.harness"):
+            dataset_for(self.case, str(tmp_path))
+        assert "disk hit" in caplog.text
+
+    def test_the_digest_is_computed_once_on_first_use(self):
+        script = """
+from randonet import harness, problems
+assert harness._generator_digest.cache_info().misses == 0
+for seed in (1, 2):
+    harness.dataset_for(problems.case_config(1, size=5, seed=seed))
+info = harness._generator_digest.cache_info()
+assert (info.misses, info.hits) == (1, 1), info
+"""
+        src = str(Path(randonet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         self.cached_file(tmp_path, monkeypatch)
@@ -333,6 +426,8 @@ class TestReports:
         payload = json.loads(path.read_text())
         assert payload["rows"][0]["m_branch"] == 8
         assert payload["dataset_fingerprint"] == report.dataset_fingerprint
+        assert payload["generator_digest"] == harness._generator_digest()
+        assert re.fullmatch("[0-9a-f]{64}", payload["generator_digest"])
 
     def test_sweep_golden_file(self, tmp_path):
         """Compare a seeded tiny sweep against the frozen first verified run.

@@ -3,6 +3,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -125,6 +126,18 @@ class TestCaseConfig:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="case id"):
             case_config(6)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, np.float64(1.0), "1", 0],
+                             ids=["bool", "float", "numpy-float", "str", "zero"])
+    def test_case_id_must_be_an_integer(self, bad):
+        message = f"^case id must be an integer >= 1, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            case_config(bad)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        case = case_config(np.int64(2), size=np.int64(7), seed=np.int64(3))
+        assert case == case_config(2, size=7, seed=3)
+        assert [type(v) for v in (case.id, case.sampling.size, case.sampling.seed)] == [int] * 3
 
 
 class TestCase1:

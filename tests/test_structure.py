@@ -13,15 +13,24 @@ LAPACK has one calling convention: no module imports scipy's f2py
 wrappers, ``scipy.linalg.lapack``, and only ``linalg`` reaches the
 ``cython_lapack`` capsules. Every routine that ``linalg`` binds there is
 called.
+
+The dataset cache key hashes the source of the modules that make the
+dataset bits. They import no package module beyond each other but the
+value-neutral ``model`` (for ``AlignedDataset``) and ``_checks``, so a new
+generator module cannot be left out of the key.
 """
 
 import ast
 from pathlib import Path
 
 import randonet
+from randonet import harness
 
 SOURCES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(Path(randonet.__file__).parent.glob("*.py"))}
+
+# Package modules the generator may import unhashed: they change no value.
+VALUE_NEUTRAL = {"model", "_checks"}
 
 
 def reads_blas_threads(node) -> bool:
@@ -99,6 +108,28 @@ def imported_modules(tree) -> set:
         elif isinstance(node, ast.ImportFrom):
             found.add("." if node.level else node.module.split(".")[0])
     return found
+
+
+def package_imports(tree) -> set:
+    """The package modules ``tree`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("randonet.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "randonet"):
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            found |= {parts[0]} if parts and parts[0] else {alias.name for alias in node.names}
+    return found
+
+
+def hashed_modules(monkeypatch) -> set:
+    """The modules whose source the generator digest reads, seen by running it."""
+    read = []
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path.stem) or b"")
+    harness._generator_digest.__wrapped__()
+    return set(read)
 
 
 def lapack_use(tree) -> list:
@@ -183,6 +214,30 @@ def test_input_checks_import_only_numpy():
     # The scan sees the package, imported relatively or by name.
     assert "." in imported_modules(SOURCES["model"])
     assert imported_modules(ast.parse("import randonet.linalg")) == {"randonet"}
+
+
+def test_the_generator_imports_no_unhashed_module_that_could_change_a_value(monkeypatch):
+    hashed = hashed_modules(monkeypatch)
+    assert {"problems", "funcgen"} <= hashed  # the digest reads what it hashes
+    found = {name: package_imports(SOURCES[name]) - hashed - VALUE_NEUTRAL for name in hashed}
+    assert {name: unhashed for name, unhashed in found.items() if unhashed} == {}
+
+
+def test_the_scan_sees_every_way_to_import_a_package_module(monkeypatch):
+    planted = {
+        "from . import _parallel, linalg": {"_parallel", "linalg"},
+        "from .linalg import cod_factorize": {"linalg"},
+        "from randonet import embeddings": {"embeddings"},
+        "from randonet.linalg import cod_factorize": {"linalg"},
+        "import randonet.linalg as la": {"linalg"},
+        "import randonet\nimport numpy\nfrom scipy import linalg": set(),
+    }
+    for source, modules in planted.items():
+        assert package_imports(ast.parse(source)) == modules, source
+    # A planted import of an unhashed module that can change a value is caught.
+    planted = SOURCES["problems"].body + ast.parse("from .linalg import cod_factorize").body
+    unhashed = package_imports(ast.Module(planted, [])) - hashed_modules(monkeypatch)
+    assert unhashed - VALUE_NEUTRAL == {"linalg"}
 
 
 def test_only_the_input_checks_test_for_complex_values():
