@@ -40,8 +40,6 @@ import hashlib
 import io
 import json
 import logging
-import os
-import tempfile
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -53,7 +51,7 @@ import scipy
 from . import _parallel, funcgen, odeint, problems
 from ._checks import check_count, check_seed, real_array
 from .embeddings import EmbeddingSpec
-from .model import AlignedDataset, _check_solver, evaluate, train_aligned
+from .model import AlignedDataset, _check_solver, _write_replacing, evaluate, train_aligned
 from .problems import build_case, case_config
 
 __all__ = [
@@ -233,18 +231,19 @@ def _load_cached(path: Path) -> AlignedDataset | None:
 
 
 def _store_cached(path: Path, ds: AlignedDataset) -> None:
-    """Write ``ds`` with its fingerprint to a temporary file next to
-    ``path``, then move it into place, so readers never see a partial file."""
+    """Write ``ds`` with its fingerprint to ``path``; readers never see a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, x=ds.x, y=ds.y, U=ds.U, V=ds.V,
-                     fingerprint=np.array(_dataset_fingerprint(ds)))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write_replacing(path, lambda fh: np.savez(fh, x=ds.x, y=ds.y, U=ds.U, V=ds.V,
+                                               fingerprint=np.array(_dataset_fingerprint(ds))))
+
+
+def _cache(key: str, ds: AlignedDataset) -> AlignedDataset:
+    """Keep ``ds`` in the memory cache, its arrays read-only: every later
+    call for its case gets this object, so a caller's write must not reach it."""
+    for arr in (ds.x, ds.y, ds.U, ds.V):
+        arr.setflags(write=False)
+    _DATASET_CACHE[key] = ds
+    return ds
 
 
 def dataset_for(case, cache_dir=None) -> AlignedDataset:
@@ -257,7 +256,8 @@ def dataset_for(case, cache_dir=None) -> AlignedDataset:
     and rebuilds it (case 2 takes about 2-3 s). Disk entries carry
     the content fingerprint of the dataset; an entry that cannot be read
     or fails its fingerprint is rebuilt and rewritten. Each call logs at
-    DEBUG which path served it.
+    DEBUG which path served it. Every call for a case returns the same
+    object, so its ``x``, ``y``, ``U`` and ``V`` are read-only.
     """
     key = _dataset_key(case)
     if key in _DATASET_CACHE:
@@ -269,14 +269,13 @@ def dataset_for(case, cache_dir=None) -> AlignedDataset:
         if disk_path.exists():
             ds = _load_cached(disk_path)
             if ds is not None:
-                _DATASET_CACHE[key] = ds
                 logger.debug("case %d dataset %s: disk hit", case.id, key)
-                return ds
+                return _cache(key, ds)
             served = "rebuilt after a bad entry"
     t0 = time.perf_counter()
     ds = build_case(case)
     logger.debug("case %d dataset %s: %s in %.3f s", case.id, key, served, time.perf_counter() - t0)
-    _DATASET_CACHE[key] = ds
+    _cache(key, ds)
     if disk_path is not None:
         _store_cached(disk_path, ds)
     return ds

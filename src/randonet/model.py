@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import time
+import uuid
 import zipfile
 from dataclasses import dataclass, field
 
@@ -366,11 +368,11 @@ def train_unaligned(
     elementwise product of trunk feature row k and branch feature row i,
     solves ``omega = V pinv(Z)``, and reshapes ``omega`` back into W.
 
-    The dense collocation solve scales quadratically in both N*M and S, so
-    the build refuses instances with ``N*M*S`` above
-    :data:`MAX_COLLOCATION_ENTRIES` rather than thrash memory. A truncating
-    fit records the numerical rank and rank tolerance of ``Z`` in
-    ``train_metadata`` as ``collocation_rank`` and
+    ``Z`` holds ``N*M*S`` doubles and its pivoted QR costs
+    ``O(N*M*S * min(N*M, S))``, so the build refuses instances with
+    ``N*M*S`` above :data:`MAX_COLLOCATION_ENTRIES` rather than thrash
+    memory. A truncating fit records the numerical rank and rank
+    tolerance of ``Z`` in ``train_metadata`` as ``collocation_rank`` and
     ``collocation_rank_tolerance``. ``train_metadata['stages']`` splits
     ``train_seconds`` as in :func:`train_aligned`, with the build of ``Z``
     counted under ``features``, and ``readout_norm`` is recorded as there.
@@ -390,8 +392,8 @@ def train_unaligned(
         raise ValueError(
             f"collocation matrix would hold {entries} entries "
             f"(N={n_feat}, M={m_feat}, S={n_samples}), above the budget of "
-            f"{MAX_COLLOCATION_ENTRIES}; the unaligned solve costs "
-            "O((N S)^2 M N + (M N)^2 N S) and is meant for sparse outputs only"
+            f"{MAX_COLLOCATION_ENTRIES}; Z holds N*M*S doubles, its pivoted QR costs "
+            "O(N M S min(N M, S)), and the unaligned solve is meant for sparse outputs only"
         )
 
     trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
@@ -418,8 +420,9 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     model : RandONetModel
     u_samples : array_like, shape (m,) or (m, k)
         One or more discretized input functions (columns).
-    y_points : array_like, shape (q,)
-        Output locations.
+    y_points : array_like, shape (q,) or (d, q)
+        Output locations: shape (q,) for a trunk of ``input_dim`` 1, and
+        (d, q), one location per column, for a trunk of ``input_dim`` d > 1.
 
     Returns
     -------
@@ -429,7 +432,7 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``y_points`` has more than one dimension, or either argument
+        If ``y_points`` does not have the shape above, or either argument
         is complex or holds a NaN or an infinity; checked before any
         feature is built.
 
@@ -441,14 +444,19 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     the branch feature entries as its work.
     """
     u, y = finite_array(u_samples, "u_samples"), finite_array(y_points, "y_points")
-    if y.ndim > 1:
-        raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
+    dim = model.trunk.spec.input_dim
+    if dim == 1:
+        if y.ndim > 1:
+            raise ValueError(f"y_points must be 1-D, got shape {y.shape}")
+        y = np.atleast_1d(y)[None, :]
+    elif y.ndim != 2 or y.shape[0] != dim:
+        raise ValueError(f"y_points must have shape ({dim}, q) for a trunk of input_dim "
+                         f"{dim}, got shape {y.shape}")
     single = u.ndim == 1
     if single:
         u = u[:, None]
-    y = np.atleast_1d(y)
     with _parallel.one_blas_thread:
-        t_mat = model.trunk.apply(y[None, :]).T  # (q, N), C-ordered
+        t_mat = model.trunk.apply(y).T  # (q, N), C-ordered
         b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
         out = _readout_product(t_mat, model.readout, b_mat)
     return out[:, 0] if single else out
@@ -484,21 +492,43 @@ def explode_aligned(ds: AlignedDataset) -> UnalignedDataset:
     )
 
 
+def _write_replacing(path, write) -> None:
+    """Call ``write`` on a new file next to ``path``, then move that file onto
+    ``path``, so readers never see a partial file and a failed write leaves
+    the file it was replacing whole. The new file has the mode a plain
+    ``open(path, "wb")`` gives a new file (``mkstemp`` would make it 0600).
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_model(model: RandONetModel, path) -> None:
     """Serialize a trained model (embedding specs, training metadata, W).
 
-    A path is written as given: ``np.savez`` would append ``.npz`` to a
-    path without that suffix, so it gets an open file instead.
+    The whole payload is built before any file is touched, so metadata that
+    is not JSON raises with the file at ``path`` as it was. A path is written
+    through :func:`_write_replacing`, under the name given: ``np.savez``
+    would append ``.npz`` to a path without that suffix. An open file is
+    written directly.
     """
-    with (contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb")) as fh:
-        np.savez(
-            fh,
-            format_version=MODEL_FORMAT_VERSION,
-            trunk_spec=json.dumps(model.trunk.spec.to_dict()),
-            branch_spec=json.dumps(model.branch.spec.to_dict()),
-            readout=model.readout,
-            metadata=json.dumps(model.train_metadata),
-        )
+    payload = dict(
+        format_version=MODEL_FORMAT_VERSION,
+        trunk_spec=json.dumps(model.trunk.spec.to_dict()),
+        branch_spec=json.dumps(model.branch.spec.to_dict()),
+        readout=model.readout,
+        metadata=json.dumps(model.train_metadata),
+    )
+    if hasattr(path, "write"):
+        np.savez(path, **payload)
+    else:
+        _write_replacing(path, lambda fh: np.savez(fh, **payload))
 
 
 def load_model(path) -> RandONetModel:

@@ -90,6 +90,17 @@ class CaseStudy:
     sampling: CaseSamplingConfig
     constants: dict
 
+    def __post_init__(self):
+        """Store ``id``, ``m`` and ``n`` as ``int``; ``bool``, float, an id
+        outside :data:`CASE_IDS` and a grid below one point raise
+        ``ValueError`` naming the field."""
+        case_id = check_count(self.id, "case id")
+        if case_id not in CASE_IDS:
+            raise ValueError(f"case id must be one of {CASE_IDS}, got {case_id}")
+        object.__setattr__(self, "id", case_id)
+        object.__setattr__(self, "m", check_count(self.m, "m"))
+        object.__setattr__(self, "n", check_count(self.n, "n"))
+
     @property
     def domain(self) -> tuple[float, float]:
         return self.sampling.domain
@@ -163,25 +174,14 @@ _CASE_DEFAULTS = {
 def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStudy:
     """Benchmark configuration for ``case_id`` with optional size override.
 
-    The id is stored as an ``int``: ``bool``, float and ids outside
-    :data:`CASE_IDS` raise ``ValueError``.
+    :class:`CaseStudy` checks the id.
     """
-    case_id = check_count(case_id, "case id")
-    if case_id not in _CASE_DEFAULTS:
-        raise ValueError(f"case id must be one of {CASE_IDS}, got {case_id}")
-    defaults = _CASE_DEFAULTS[case_id]
-    sampling = replace(
-        defaults["sampling"],
-        seed=seed,
-        size=defaults["sampling"].size if size is None else size,
-    )
-    return CaseStudy(
-        id=case_id,
-        m=_GRID_POINTS,
-        n=_GRID_POINTS,
-        sampling=sampling,
-        constants=dict(defaults["constants"]),
-    )
+    # CaseStudy checks the id before it keys the defaults.
+    case = CaseStudy(id=case_id, m=_GRID_POINTS, n=_GRID_POINTS, sampling=None, constants={})
+    defaults = _CASE_DEFAULTS[case.id]
+    size = defaults["sampling"].size if size is None else size
+    return replace(case, sampling=replace(defaults["sampling"], seed=seed, size=size),
+                   constants=dict(defaults["constants"]))
 
 
 def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:

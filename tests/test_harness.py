@@ -349,6 +349,9 @@ class TestDatasetCache:
         key = harness._dataset_key(self.case)
         assert harness._dataset_key(case_config(np.int64(1), size=12, seed=54)) == key
         assert harness._dataset_key(case_config(1, size=np.int64(12), seed=np.int64(54))) == key
+        # CaseStudy stores its own fields as ints, however it is made.
+        for field, value in (("id", np.int64(1)), ("m", np.int64(100))):
+            assert harness._dataset_key(dataclasses.replace(self.case, **{field: value})) == key
         # The config stores plain ints, so the report's config echo stays JSON.
         cfg = ExperimentConfig(case=np.int64(1), seed_data=np.int64(54), seed_embed=np.int64(3))
         assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(
@@ -389,6 +392,22 @@ assert (info.misses, info.hits) == (1, 1), info
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("served", ["built", "disk"])
+    def test_the_cached_arrays_are_read_only(self, tmp_path, monkeypatch, served):
+        # Every later call returns the cached object, so a write through one
+        # caller's reference would reach them all.
+        monkeypatch.setattr(harness, "_DATASET_CACHE", {})
+        if served == "disk":
+            self.cached_file(tmp_path, monkeypatch)
+        ds = dataset_for(self.case, str(tmp_path))
+        fingerprint = harness._dataset_fingerprint(ds)
+        for name in ("x", "y", "U", "V"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ds, name)[:] = 0.0
+        again = dataset_for(self.case, str(tmp_path))
+        assert again is ds
+        assert harness._dataset_fingerprint(again) == fingerprint
 
     def test_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         self.cached_file(tmp_path, monkeypatch)

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -494,6 +496,36 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"y_points must be 1-D, got shape \(1, 4\)"):
             evaluate(model, np.ones(10), np.linspace(0.0, 1.0, 4)[None, :])
 
+    @staticmethod
+    def planar_model(seed=31):
+        """A model trained by train_unaligned on 2-D output locations."""
+        rng = np.random.default_rng(seed)
+        ds = UnalignedDataset(U=rng.standard_normal((10, 40)), Y=rng.uniform(0.0, 1.0, (2, 40)),
+                              V=rng.standard_normal(40))
+        trunk = EmbeddingSpec("tanh", 2, 6, (seed, 0), domain=(0.0, 1.0))
+        return train_unaligned(ds, trunk, EmbeddingSpec("jl", 10, 5, (seed, 1)))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_a_planar_trunk_reads_one_location_per_column(self, k):
+        model = self.planar_model()
+        rng = np.random.default_rng(32)
+        u = rng.standard_normal(10 if k is None else (10, k))
+        ys = rng.uniform(0.0, 1.0, (2, 7))
+        pred = evaluate(model, u, ys)
+        assert pred.shape == ((7,) if k is None else (7, k))
+        expected = model.trunk.apply(ys).T @ model.readout @ model.branch.apply(u.reshape(10, -1))
+        np.testing.assert_allclose(pred, expected.reshape(pred.shape), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 1), (3, 5), (1, 5)],
+                             ids=["1-D", "3-D", "3-rows", "1-row"])
+    def test_a_planar_trunk_rejects_other_shapes_before_features(self, monkeypatch, shape):
+        model = self.planar_model()
+        fail_on_features(monkeypatch)
+        message = (r"^y_points must have shape \(2, q\) for a trunk of input_dim 2, "
+                   rf"got shape {re.escape(str(shape))}$")
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, np.ones(10), np.full(shape, 0.5))
+
     def test_batched_matches_single(self):
         model = train_aligned(toy_dataset(), *toy_specs())
         u = np.random.default_rng(10).standard_normal((10, 4))
@@ -980,6 +1012,35 @@ class TestSaveLoad:
         save_model(model, buf)
         buf.seek(0)
         np.testing.assert_array_equal(evaluate(load_model(buf), u, ys), pred)
+
+    @pytest.mark.parametrize("failure", ["metadata", "write"])
+    def test_a_failed_save_keeps_the_file_it_was_replacing(self, tmp_path, monkeypatch,
+                                                           failure):
+        model = train_aligned(toy_dataset(seed=26), *toy_specs(seed=26))
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        bad = model
+        if failure == "metadata":
+            bad = dataclasses.replace(model, train_metadata={**model.train_metadata,
+                                                             "n": np.int64(3)})
+        else:
+            def savez_then_fail(fh, **arrays):
+                fh.write(b"partial")
+                raise OSError("disk full")
+
+            monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(TypeError if failure == "metadata" else OSError):
+            save_model(bad, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        np.testing.assert_array_equal(load_model(path).readout, model.readout)
+
+    def test_a_saved_model_has_the_mode_of_a_plain_open(self, tmp_path):
+        model = train_aligned(toy_dataset(seed=27), *toy_specs(seed=27))
+        with open(tmp_path / "plain", "wb"):
+            pass
+        save_model(model, tmp_path / "model.npz")
+        assert (tmp_path / "model.npz").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
     def test_version_check(self, tmp_path):
         ds = toy_dataset(seed=21)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 import randonet
 import reference_build
-from randonet import _parallel, funcgen, odeint, problems
+from randonet import _parallel, funcgen, harness, odeint, problems
 from randonet.acceptance import _fd_rhs_reference
 from randonet.funcgen import (
     CaseSamplingConfig,
@@ -133,6 +133,22 @@ class TestCaseConfig:
         message = f"^case id must be an integer >= 1, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             case_config(bad)
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("id", 7, r"case id must be one of \(1, 2, 3, 4, 5\), got 7"),
+        ("m", 0, "m must be an integer >= 1, got 0"),
+        ("n", -3, "n must be an integer >= 1, got -3"),
+    ], ids=["id", "m", "n"])
+    def test_a_case_study_checks_its_fields(self, monkeypatch, field, bad, message):
+        # replace skips case_config, so CaseStudy itself must reject the field.
+        base = case_config(1, size=5)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("parameters were drawn")
+
+        monkeypatch.setattr(problems, "sample_params", no_draws)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            harness.dataset_for(replace(base, **{field: bad}))
 
     def test_numpy_integers_are_stored_as_ints(self):
         case = case_config(np.int64(2), size=np.int64(7), seed=np.int64(3))

@@ -2,6 +2,9 @@
 
     python3 tools/src_lines.py [package-dir]
 
+It prints the package's four counts and their total, then one line per
+module with its four counts.
+
 A line of whitespace alone is blank, inside a docstring too. Of the others,
 a line of a module, class or function docstring (found by ``ast``) counts
 as docstring; a line that holds any ``tokenize`` token but a comment counts
@@ -49,13 +52,16 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def count_modules(root: Path) -> dict[str, dict[str, int]]:
+    """The counts of every ``*.py`` file under ``root``, by its path below ``root``."""
+    return {path.relative_to(root).as_posix(): count(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
+
+
 def count_package(root: Path) -> dict[str, int]:
     """The summed counts of every ``*.py`` file under ``root``."""
-    totals = dict.fromkeys(KINDS, 0)
-    for path in sorted(root.rglob("*.py")):
-        for kind, n in count(path.read_text()).items():
-            totals[kind] += n
-    return totals
+    modules = count_modules(root).values()
+    return {kind: sum(counts[kind] for counts in modules) for kind in KINDS}
 
 
 def main() -> None:
@@ -65,6 +71,8 @@ def main() -> None:
     for kind in KINDS:
         print(f"{kind:9} {counts[kind]}")
     print(f"{'total':9} {sum(counts.values())}")
+    for name, module in count_modules(root).items():
+        print(f"{name:15} " + " ".join(f"{kind} {module[kind]}" for kind in KINDS))
 
 
 if __name__ == "__main__":
