@@ -189,9 +189,12 @@ def eval_antiderivative(row, x, x0: float = 0.0) -> np.ndarray:
 
     Each RBF term integrates to ``w * sqrt(pi) / (2 sqrt(s)) * erf(sqrt(s)
     (x - c))``; terms with ``s`` below ``1e-12`` use the limiting slope
-    ``w * x``. ``x0`` is evaluated as one more point of the same pass.
+    ``w * x``. ``x0`` is evaluated as one more point of the same pass; it
+    must be a scalar.
     """
     row, x, x0 = _checked_row(row), finite_array(x, "x"), finite_array(x0, "x0")
+    if x0.ndim != 0:
+        raise ValueError(f"x0 must be a scalar, got shape {x0.shape}")
     t = np.append(x.reshape(-1), x0)
     dx = np.subtract(t[:, None], _blocks(row)[2])
     out = np.empty(t.size)

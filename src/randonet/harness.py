@@ -41,17 +41,16 @@ import io
 import json
 import logging
 import time
-import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import _parallel, funcgen, odeint, problems
+from . import _npz, _parallel, funcgen, odeint, problems
 from ._checks import check_count, check_seed, real_array
 from .embeddings import EmbeddingSpec
-from .model import AlignedDataset, _check_solver, _write_replacing, evaluate, train_aligned
+from .model import AlignedDataset, _check_solver, evaluate, train_aligned
 from .problems import build_case, case_config
 
 __all__ = [
@@ -98,6 +97,8 @@ class ExperimentConfig:
         object.__setattr__(self, "case", case_config(self.case).id)
         if self.branch not in ("jl", "rffn"):
             raise ValueError(f"branch must be 'jl' or 'rffn', got {self.branch!r}")
+        if self.branch == "jl" and self.rffn_bandwidth is not None:
+            raise ValueError(f"branch 'jl' takes no rffn_bandwidth, got {self.rffn_bandwidth}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         sizes = tuple(check_count(m, "each of branch_sizes") for m in self.branch_sizes)
@@ -217,11 +218,10 @@ def _load_cached(path: Path) -> AlignedDataset | None:
     """The dataset stored at ``path``, or None when it is unreadable or
     does not match the fingerprint stored with it."""
     try:
-        # Our own handle: np.load leaks its file when a truncated zip makes it raise.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            ds = AlignedDataset(x=data["x"], y=data["y"], U=data["U"], V=data["V"])
-            stored = str(data["fingerprint"])
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        with _npz.entries(path, "dataset cache file") as entry:
+            ds = AlignedDataset(**{name: entry(name) for name in ("x", "y", "U", "V")})
+            stored = entry("fingerprint", str)
+    except (OSError, ValueError) as exc:
         logger.warning("dataset cache file %s is unreadable (%s); rebuilding", path, exc)
         return None
     if _dataset_fingerprint(ds) != stored:
@@ -233,8 +233,8 @@ def _load_cached(path: Path) -> AlignedDataset | None:
 def _store_cached(path: Path, ds: AlignedDataset) -> None:
     """Write ``ds`` with its fingerprint to ``path``; readers never see a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_replacing(path, lambda fh: np.savez(fh, x=ds.x, y=ds.y, U=ds.U, V=ds.V,
-                                               fingerprint=np.array(_dataset_fingerprint(ds))))
+    _npz.write_replacing(path, lambda fh: np.savez(fh, x=ds.x, y=ds.y, U=ds.U, V=ds.V,
+                                                   fingerprint=np.array(_dataset_fingerprint(ds))))
 
 
 def _cache(key: str, ds: AlignedDataset) -> AlignedDataset:

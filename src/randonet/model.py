@@ -17,9 +17,13 @@ output location per sample) the same unknowns are solved through a
 collocation matrix whose rows are elementwise products of trunk and
 branch feature rows.
 
-Every matrix that training factors is feature-major, features x samples
-(the trunk is built as ``T.T``), and every solve applies a pseudo-inverse
-from the right, ``X @ pinv(A)``.
+Both fits run one routine: check the settings and specs, build the
+feature matrices, factor each one once, apply the pseudo-inverses and
+record the same ``train_metadata``. They differ only in the matrices they
+build (trunk and branch, or the collocation matrix) and in how W comes out
+of the applies. Every matrix that training factors is feature-major,
+features x samples (the trunk is built as ``T.T``), and every solve applies
+a pseudo-inverse from the right, ``X @ pinv(A)``.
 
 A fit is reproducible bit for bit with the same numpy, scipy and BLAS
 builds, the same usable CPUs and the same BLAS thread count. The COD's
@@ -35,17 +39,14 @@ readout product into row ranges on threads (see :mod:`randonet._parallel`).
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
-import os
 import time
-import uuid
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _parallel, linalg
+from . import _npz, _parallel, linalg
 from ._checks import check_reg, check_tol, finite_array
 from .embeddings import EmbeddingSpec, FeatureMap, build_feature_map
 
@@ -187,27 +188,6 @@ class RandONetModel:
         object.__setattr__(self, "readout", w)
 
 
-def _metadata(solver, tol, reg, start, featured, factorized, end) -> dict:
-    """The ``train_metadata`` entries that both solves record.
-
-    ``stages`` holds the seconds of the three training stages between four
-    clock readings. The readings come from one ``perf_counter`` run and lie
-    close together, so each difference is exact and the stages sum to
-    ``train_seconds``.
-    """
-    return {
-        "solver": solver,
-        "tol": tol,
-        "reg": reg,
-        "train_seconds": end - start,
-        "stages": {
-            "features": featured - start,
-            "factorize": factorized - featured,
-            "solve": end - factorized,
-        },
-    }
-
-
 def _check_solver(solver: str, tol, reg: float) -> None:
     """Reject an unknown solver, a bad ``reg`` or ``tol`` and a setting the
     solver would ignore."""
@@ -221,15 +201,33 @@ def _check_solver(solver: str, tol, reg: float) -> None:
     check_tol(tol)
 
 
-def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float,
-                  sensors: int, location_dim: int) -> None:
-    """:func:`_check_solver`, and reject a map given as anything but an
-    :class:`EmbeddingSpec` or one whose input dimension is not the data's:
-    ``sensors`` for the branch, ``location_dim`` for the trunk."""
+def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim: int,
+         count: dict, matrices, solve) -> RandONetModel:
+    """The one training routine behind :func:`train_aligned` and
+    :func:`train_unaligned`.
+
+    It runs :func:`_check_solver`, rejects a map given as anything but an
+    :class:`EmbeddingSpec` and one whose input dimension is not the data's
+    (the row count of ``ds.U`` for the branch, ``location_dim`` for the
+    trunk), builds both maps and calls ``matrices(trunk, branch)`` for the
+    named matrices to factor. Each is factored once and dropped: 'cod' by
+    :func:`linalg.cod_factorize` in its own storage, 'tikhonov' by one SVD
+    filtered with weight ``reg``. ``solve(pinv)`` returns W from the applies
+    ``pinv[name](b) = b @ pinv(matrix)``.
+
+    ``train_metadata`` holds the settings, ``train_seconds`` and ``stages``
+    (the differences of four ``perf_counter`` readings, which lie close
+    together, so each difference is exact and the stages sum to
+    ``train_seconds``), ``count``, the ``{name}_rank`` and
+    ``{name}_rank_tolerance`` of each matrix when ``reg = 0`` (when the
+    factorization truncates) and ``readout_norm``. A W that is not finite
+    raises :class:`TrainingError` quoting the settings and rank facts.
+    """
     _check_solver(solver, tol, reg)
     for spec in (trunk_spec, branch_spec):
         if not isinstance(spec, EmbeddingSpec):
             raise TypeError(f"expected an EmbeddingSpec, got {type(spec).__name__}")
+    sensors = ds.U.shape[0]
     if branch_spec.input_dim != sensors:
         raise ValueError(
             f"branch input_dim {branch_spec.input_dim} does not match sensor count {sensors}"
@@ -237,38 +235,33 @@ def _check_inputs(trunk_spec, branch_spec, solver: str, tol, reg: float,
     if trunk_spec.input_dim != location_dim:
         where = "scalar" if location_dim == 1 else f"{location_dim}-D"
         raise ValueError(f"trunk input_dim must be {location_dim} for {where} output locations")
+    trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
 
-
-def _pinv_pair(mat: np.ndarray, solver: str, tol, reg: float, name: str):
-    """Factor ``mat`` once; return (apply, rank_facts), ``apply(b) = b @ pinv(mat)``.
-
-    'cod' hands ``mat`` to :func:`linalg.cod_factorize` with
-    ``overwrite_a=True``, which factors it in its own storage when it is
-    Fortran-ordered, so the caller must not read ``mat`` afterwards.
-    'tikhonov' takes one SVD, filtered with weight ``reg``; at ``reg = 0``
-    that is the SVD truncated at the auto tolerance. ``rank_facts`` holds ``{name}_rank`` and
-    ``{name}_rank_tolerance`` whenever ``reg = 0``, that is, whenever the
-    factorization truncates.
-    """
-    if solver == "cod":
-        factors = linalg.cod_factorize(mat, tol, overwrite_a=True)
-        apply_ = linalg.cod_pinv_apply
-    else:
-        factors, apply_ = linalg.tsvd_factorize(mat, reg=reg), linalg.tsvd_pinv_apply
-    ranks = {f"{name}_rank": factors.rank, f"{name}_rank_tolerance": factors.rank_tolerance}
-    return (lambda b: apply_(factors, b)), (ranks if reg == 0 else {})
-
-
-def _trained_model(trunk: FeatureMap, branch: FeatureMap, w: np.ndarray,
-                   metadata: dict) -> RandONetModel:
-    """The model, with ``readout_norm`` (the Frobenius norm of ``w``) added
-    to ``metadata``, or a :class:`TrainingError` quoting the solver
-    settings and rank facts of ``metadata`` when ``w`` is not finite."""
+    start = time.perf_counter()
+    mats = matrices(trunk, branch)
+    featured = time.perf_counter()
+    pinv, ranks = {}, {}
+    for name in list(mats):
+        if solver == "cod":
+            factors = linalg.cod_factorize(mats.pop(name), tol, overwrite_a=True)
+            pinv[name] = functools.partial(linalg.cod_pinv_apply, factors)
+        else:
+            factors = linalg.tsvd_factorize(mats.pop(name), reg=reg)
+            pinv[name] = functools.partial(linalg.tsvd_pinv_apply, factors)
+        if reg == 0:
+            ranks.update({f"{name}_rank": factors.rank,
+                          f"{name}_rank_tolerance": factors.rank_tolerance})
+    factorized = time.perf_counter()
+    w = solve(pinv)
+    end = time.perf_counter()
+    settings = {"solver": solver, "tol": tol, "reg": reg}
     if not np.all(np.isfinite(w)):
-        facts = ", ".join(f"{key}={value!r}" for key, value in metadata.items()
-                          if key in ("solver", "tol", "reg") or "_rank" in key)
+        facts = ", ".join(f"{key}={value!r}" for key, value in {**settings, **ranks}.items())
         raise TrainingError(f"solver produced non-finite weights ({facts})")
-    metadata["readout_norm"] = float(np.linalg.norm(w))
+    metadata = {**settings, "train_seconds": end - start,
+                "stages": {"features": featured - start, "factorize": factorized - featured,
+                           "solve": end - factorized},
+                **count, **ranks, "readout_norm": float(np.linalg.norm(w))}
     return RandONetModel(trunk=trunk, branch=branch, readout=w, train_metadata=metadata)
 
 
@@ -319,39 +312,17 @@ def train_aligned(
 
     The 'cod' route consumes the trunk and branch matrices it builds: both
     are built in Fortran order and factored in their own storage, so the
-    fit holds each once.
+    fit holds each once. The checks, factorizations, timings and metadata
+    are those of :func:`train_unaligned`: one routine serves both fits.
     """
-    _check_inputs(trunk_spec, branch_spec, solver, tol, reg, ds.x.size, 1)
-    trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
+    def matrices(trunk, branch):
+        # (N, n) and (M, s), Fortran-ordered as apply returns them: the
+        # in-place COD factors them where they lie.
+        return {"trunk": trunk.apply(ds.y[None, :]), "branch": branch.apply(ds.U)}
 
-    start = time.perf_counter()
-    # (N, n) and (M, s), Fortran-ordered as apply returns them: the in-place
-    # COD factors them where they lie.
-    t_mat = trunk.apply(ds.y[None, :])
-    b_mat = branch.apply(ds.U)
-    featured = time.perf_counter()
-    trunk_apply, trunk_ranks = _pinv_pair(t_mat, solver, tol, reg, "trunk")
-    branch_apply, branch_ranks = _pinv_pair(b_mat, solver, tol, reg, "branch")
-    del t_mat, b_mat
-    factorized = time.perf_counter()
-    w = trunk_apply(branch_apply(ds.V).T).T
-    end = time.perf_counter()
-    metadata = {**_metadata(solver, tol, reg, start, featured, factorized, end),
-                "n_train_functions": ds.n_functions, **trunk_ranks, **branch_ranks}
-    return _trained_model(trunk, branch, w, metadata)
-
-
-def _collocation_matrix(trunk: FeatureMap, branch: FeatureMap, ds: UnalignedDataset):
-    """The (M*N, S) collocation matrix ``Z``, Fortran-ordered.
-
-    Row ``k + i*N`` is the elementwise product of trunk feature row k and
-    branch feature row i.
-    """
-    # (N, S) and (M, S) in Fortran order, so their transposes are C-ordered.
-    t_mat = trunk.apply(ds.Y)
-    b_mat = branch.apply(ds.U)
-    product = np.multiply(b_mat.T[:, :, None], t_mat.T[:, None, :], order="C")  # (S, M, N)
-    return product.reshape(ds.n_samples, -1).T
+    return _fit(ds, trunk_spec, branch_spec, solver, tol, reg, 1,
+                {"n_train_functions": ds.n_functions}, matrices,
+                lambda pinv: pinv["trunk"](pinv["branch"](ds.V).T).T)
 
 
 def train_unaligned(
@@ -379,37 +350,30 @@ def train_unaligned(
 
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage.
-    Bad maps and solver settings are rejected first, as by
-    :func:`train_aligned`: the branch input dimension must equal the row
-    count of ``U`` and the trunk's that of ``Y``.
+    Bad maps and solver settings are rejected first, by the routine that
+    :func:`train_aligned` runs too: the branch input dimension must equal
+    the row count of ``U`` and the trunk's that of ``Y``. The budget is
+    checked after them and before any feature is built.
     """
-    _check_inputs(trunk_spec, branch_spec, solver, tol, reg, ds.U.shape[0], ds.Y.shape[0])
-    n_feat = trunk_spec.feature_dim
-    m_feat = branch_spec.feature_dim
-    n_samples = ds.n_samples
-    entries = n_feat * m_feat * n_samples
-    if entries > MAX_COLLOCATION_ENTRIES:
-        raise ValueError(
-            f"collocation matrix would hold {entries} entries "
-            f"(N={n_feat}, M={m_feat}, S={n_samples}), above the budget of "
-            f"{MAX_COLLOCATION_ENTRIES}; Z holds N*M*S doubles, its pivoted QR costs "
-            "O(N M S min(N M, S)), and the unaligned solve is meant for sparse outputs only"
-        )
+    def matrices(trunk, branch):
+        n_feat, m_feat = trunk_spec.feature_dim, branch_spec.feature_dim
+        entries = n_feat * m_feat * ds.n_samples
+        if entries > MAX_COLLOCATION_ENTRIES:
+            raise ValueError(
+                f"collocation matrix would hold {entries} entries "
+                f"(N={n_feat}, M={m_feat}, S={ds.n_samples}), above the budget of "
+                f"{MAX_COLLOCATION_ENTRIES}; Z holds N*M*S doubles, its pivoted QR costs "
+                "O(N M S min(N M, S)), and the unaligned solve is meant for sparse outputs only"
+            )
+        # (N, S) and (M, S) in Fortran order, so their transposes are C-ordered.
+        t_mat, b_mat = trunk.apply(ds.Y), branch.apply(ds.U)
+        product = np.multiply(b_mat.T[:, :, None], t_mat.T[:, None, :], order="C")  # (S, M, N)
+        return {"collocation": product.reshape(ds.n_samples, -1).T}
 
-    trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
-
-    start = time.perf_counter()
-    z = _collocation_matrix(trunk, branch, ds)
-    featured = time.perf_counter()
-    collocation_apply, collocation_ranks = _pinv_pair(z, solver, tol, reg, "collocation")
-    del z
-    factorized = time.perf_counter()
-    omega = collocation_apply(ds.V[None, :])
-    w = omega.reshape(m_feat, n_feat).T
-    end = time.perf_counter()
-    metadata = {**_metadata(solver, tol, reg, start, featured, factorized, end),
-                "n_train_samples": n_samples, **collocation_ranks}
-    return _trained_model(trunk, branch, w, metadata)
+    return _fit(ds, trunk_spec, branch_spec, solver, tol, reg, ds.Y.shape[0],
+                {"n_train_samples": ds.n_samples}, matrices,
+                lambda pinv: pinv["collocation"](ds.V[None, :]).reshape(
+                    branch_spec.feature_dim, trunk_spec.feature_dim).T)
 
 
 def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
@@ -492,29 +456,12 @@ def explode_aligned(ds: AlignedDataset) -> UnalignedDataset:
     )
 
 
-def _write_replacing(path, write) -> None:
-    """Call ``write`` on a new file next to ``path``, then move that file onto
-    ``path``, so readers never see a partial file and a failed write leaves
-    the file it was replacing whole. The new file has the mode a plain
-    ``open(path, "wb")`` gives a new file (``mkstemp`` would make it 0600).
-    """
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def save_model(model: RandONetModel, path) -> None:
     """Serialize a trained model (embedding specs, training metadata, W).
 
     The whole payload is built before any file is touched, so metadata that
     is not JSON raises with the file at ``path`` as it was. A path is written
-    through :func:`_write_replacing`, under the name given: ``np.savez``
+    through :func:`randonet._npz.write_replacing`, under the name given: ``np.savez``
     would append ``.npz`` to a path without that suffix. An open file is
     written directly.
     """
@@ -528,7 +475,20 @@ def save_model(model: RandONetModel, path) -> None:
     if hasattr(path, "write"):
         np.savez(path, **payload)
     else:
-        _write_replacing(path, lambda fh: np.savez(fh, **payload))
+        _npz.write_replacing(path, lambda fh: np.savez(fh, **payload))
+
+
+def _integer(arr: np.ndarray) -> int:
+    if arr.shape != () or arr.dtype.kind not in "iu":
+        raise ValueError(f"expected an integer, got a {arr.dtype} array of shape {arr.shape}")
+    return int(arr)
+
+
+def _json_object(arr: np.ndarray) -> dict:
+    value = json.loads(str(arr))
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got a {type(value).__name__}")
+    return value
 
 
 def load_model(path) -> RandONetModel:
@@ -538,28 +498,17 @@ def load_model(path) -> RandONetModel:
     which reproduces the saved model's predictions bit-for-bit on the same
     platform. The ``solver_used`` entry of older files repeats
     ``train_metadata['solver']`` and is not read. A file that is not an
-    ``.npz`` archive with a ``format_version`` entry raises ``ValueError``.
+    ``.npz`` archive, or lacks an entry or holds one that does not parse
+    (``format_version`` an integer; the specs and ``metadata`` JSON
+    objects; ``readout`` a finite matrix of the maps' shape), raises
+    ``ValueError`` naming the entry.
     """
-    def not_a_model(reason) -> ValueError:
-        return ValueError(f"{path} is not a randonet model file: {reason}")
-
-    # Our own handle for a path: np.load leaks its file when a truncated zip makes it raise.
-    with (contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb")) as fh:
-        try:
-            data = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise not_a_model(exc) from None
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise not_a_model("a single array, not an .npz archive")
-        with data:
-            if "format_version" not in data.files:
-                raise not_a_model("no format_version entry")
-            version = int(data["format_version"])
-            if version != MODEL_FORMAT_VERSION:
-                raise ValueError(f"unsupported model format version {version}")
-            trunk = build_feature_map(EmbeddingSpec.from_dict(json.loads(str(data["trunk_spec"]))))
-            branch = build_feature_map(
-                EmbeddingSpec.from_dict(json.loads(str(data["branch_spec"]))))
-            readout = data["readout"]
-            metadata = json.loads(str(data["metadata"]))
-    return RandONetModel(trunk=trunk, branch=branch, readout=readout, train_metadata=metadata)
+    with _npz.entries(path, "model file") as entry:
+        version = entry("format_version", _integer)
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version}")
+        trunk, branch = (build_feature_map(entry(name, lambda arr: EmbeddingSpec.from_dict(
+            _json_object(arr)))) for name in ("trunk_spec", "branch_spec"))
+        metadata = entry("metadata", _json_object)
+        return entry("readout", lambda readout: RandONetModel(
+            trunk=trunk, branch=branch, readout=readout, train_metadata=metadata))

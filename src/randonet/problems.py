@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +82,14 @@ _GRID_POINTS = 100
 _FORCING_CHUNK = 128
 
 
+def _case_id(value) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` unless it is one of :data:`CASE_IDS`."""
+    case_id = check_count(value, "case id")
+    if case_id not in CASE_IDS:
+        raise ValueError(f"case id must be one of {CASE_IDS}, got {case_id}")
+    return case_id
+
+
 @dataclass(frozen=True)
 class CaseStudy:
     """One benchmark operator: grids, sampling ranges, physics constants."""
@@ -91,15 +101,27 @@ class CaseStudy:
     constants: dict
 
     def __post_init__(self):
-        """Store ``id``, ``m`` and ``n`` as ``int``; ``bool``, float, an id
-        outside :data:`CASE_IDS` and a grid below one point raise
-        ``ValueError`` naming the field."""
-        case_id = check_count(self.id, "case id")
-        if case_id not in CASE_IDS:
-            raise ValueError(f"case id must be one of {CASE_IDS}, got {case_id}")
-        object.__setattr__(self, "id", case_id)
+        """Store ``id``, ``m`` and ``n`` as ``int`` and each constant as a
+        ``float``; ``bool``, float, an id outside :data:`CASE_IDS`, a grid
+        below one point, ``sampling`` that is not a
+        :class:`~randonet.funcgen.CaseSamplingConfig`, and ``constants``
+        whose keys are not those of the case or whose values are not finite
+        real numbers raise ``ValueError`` naming the field."""
+        object.__setattr__(self, "id", _case_id(self.id))
         object.__setattr__(self, "m", check_count(self.m, "m"))
         object.__setattr__(self, "n", check_count(self.n, "n"))
+        if not isinstance(self.sampling, CaseSamplingConfig):
+            raise ValueError(f"sampling must be a CaseSamplingConfig, got "
+                             f"{type(self.sampling).__name__}")
+        keys = sorted(_CASE_DEFAULTS[self.id]["constants"])
+        if not isinstance(self.constants, dict) or sorted(self.constants) != keys:
+            raise ValueError(f"constants of case {self.id} must hold exactly the keys {keys}, "
+                             f"got {self.constants!r}")
+        for key, value in self.constants.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"constants[{key!r}] must be a finite real number, got {value!r}")
+        object.__setattr__(self, "constants", {k: float(v) for k, v in self.constants.items()})
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -172,16 +194,12 @@ _CASE_DEFAULTS = {
 
 
 def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStudy:
-    """Benchmark configuration for ``case_id`` with optional size override.
-
-    :class:`CaseStudy` checks the id.
-    """
-    # CaseStudy checks the id before it keys the defaults.
-    case = CaseStudy(id=case_id, m=_GRID_POINTS, n=_GRID_POINTS, sampling=None, constants={})
-    defaults = _CASE_DEFAULTS[case.id]
+    """Benchmark configuration for ``case_id`` with optional size override."""
+    defaults = _CASE_DEFAULTS[_case_id(case_id)]
     size = defaults["sampling"].size if size is None else size
-    return replace(case, sampling=replace(defaults["sampling"], seed=seed, size=size),
-                   constants=dict(defaults["constants"]))
+    return CaseStudy(id=case_id, m=_GRID_POINTS, n=_GRID_POINTS,
+                     sampling=replace(defaults["sampling"], seed=seed, size=size),
+                     constants=defaults["constants"])
 
 
 def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:

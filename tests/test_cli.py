@@ -110,6 +110,7 @@ def test_negative_data_seed_fails_before_any_draw(capsys, tmp_path):
     (("--trunk-bound", "nan"), "weight_bound must be finite"),
     (("--seed-embed", "-1"), "seed_embed must be a non-negative integer"),
     (("--seed-split", "-1"), "seed_split must be a non-negative integer"),
+    (("--branch", "jl", "--bandwidth", "5"), "branch 'jl' takes no rffn_bandwidth, got 5.0"),
 ])
 def test_solver_settings_fail_before_the_dataset_build(capsys, monkeypatch, flags, message):
     def no_build(*args, **kwargs):

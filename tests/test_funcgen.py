@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -236,6 +238,16 @@ class TestAntiderivative:
         row = make_row(w=[3.0], s=[0.0], c=[0.2])
         # s -> 0 term contributes w * x to the primitive.
         assert eval_antiderivative(row, 0.5, 0.0) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("x0", [np.array([0.0, 0.1]), np.array([0.0]), [[0.0]]],
+                             ids=["two", "one-element", "nested"])
+    def test_x0_must_be_a_scalar(self, x0):
+        # Two base points once failed with "cannot reshape array of size 3
+        # into shape (2,)".
+        row = make_row(w=[1.0], s=[1.0], c=[0.5])
+        message = re.escape(f"x0 must be a scalar, got shape {np.shape(x0)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_antiderivative(row, np.array([0.5, 0.6]), x0=x0)
 
     @pytest.mark.parametrize("s_hi", [500.0, 2 * _DEGENERATE_SHAPE])
     def test_equals_reference_bitwise(self, s_hi):

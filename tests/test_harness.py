@@ -251,6 +251,9 @@ class TestRunExperiment:
         for bad in (True, 1.0):
             with pytest.raises(ValueError, match="^case id must be an integer >= 1"):
                 ExperimentConfig(case=bad)
+        # The jl branch never reads it: a bandwidth of -1 once ran to completion.
+        with pytest.raises(ValueError, match="^branch 'jl' takes no rffn_bandwidth, got -1.0$"):
+            ExperimentConfig(case=1, rffn_bandwidth=-1.0)
 
     @pytest.mark.parametrize("make, field", [
         (lambda v: EmbeddingSpec("jl", v, 5), "input_dim"),
@@ -298,6 +301,23 @@ class TestDatasetCache:
         ds, path = self.cached_file(tmp_path, monkeypatch)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
+        self.assert_rebuilt(tmp_path, ds, caplog, monkeypatch)
+
+    @pytest.mark.parametrize("drop, replace, reason", [
+        ("fingerprint", {}, "is not a randonet dataset cache file: no fingerprint entry"),
+        ("U", {}, "is not a randonet dataset cache file: no U entry"),
+        (None, {"x": "abc"}, "could not convert string to float"),
+    ], ids=["no-fingerprint", "no-U", "string-x"])
+    def test_a_file_with_a_bad_entry_is_rebuilt(self, tmp_path, caplog, monkeypatch, drop,
+                                                 replace, reason):
+        ds, path = self.cached_file(tmp_path, monkeypatch)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files if name != drop}
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**arrays, **replace})
+        with caplog.at_level(logging.WARNING, logger="randonet.harness"):
+            assert harness._load_cached(path) is None
+        assert reason in caplog.text
         self.assert_rebuilt(tmp_path, ds, caplog, monkeypatch)
 
     def test_tampered_file_is_rebuilt(self, tmp_path, caplog, monkeypatch):

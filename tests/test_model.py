@@ -1069,6 +1069,30 @@ class TestSaveLoad:
                                              "no format_version entry"):
             load_model(path)
 
+    @pytest.mark.parametrize("entries, reason", [
+        ({"format_version": 1}, "no trunk_spec entry"),
+        ({"format_version": [1, 2]},
+         "format_version: expected an integer, got a int64 array of shape (2,)"),
+        ({"format_version": "abc"},
+         "format_version: expected an integer, got a <U3 array of shape ()"),
+        ({"metadata": "{"}, "metadata: Expecting property name enclosed in double quotes"),
+        ({"metadata": "[]"}, "metadata: expected a JSON object, got a list"),
+        ({"readout": np.zeros((2, 2))}, "readout: readout must have shape (8, 8), got (2, 2)"),
+    ], ids=["version-only", "version-array", "version-str", "metadata-bad-json",
+            "metadata-list", "readout-shape"])
+    def test_a_bad_entry_is_not_a_model_file(self, tmp_path, entries, reason):
+        # Each once raised KeyError, TypeError, or a ValueError or
+        # JSONDecodeError without the path, or loaded a list as the metadata.
+        path = tmp_path / "model.npz"
+        save_model(train_aligned(toy_dataset(seed=28), *toy_specs(seed=28)), path)
+        # format_version is read first, so its cases need no other entry.
+        with np.load(path) as data:
+            payload = {} if "format_version" in entries else dict(data)
+        np.savez(path, **{**payload, **entries})
+        message = re.escape(f"{path} is not a randonet model file: {reason}")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_model(path)
+
     def test_loads_files_that_carry_solver_used(self, tmp_path):
         # Files written before the entry was dropped repeat the solver in a
         # 'solver_used' entry; it is ignored.

@@ -134,14 +134,29 @@ class TestCaseConfig:
         with pytest.raises(ValueError, match=message):
             case_config(bad)
 
-    @pytest.mark.parametrize("field, bad, message", [
-        ("id", 7, r"case id must be one of \(1, 2, 3, 4, 5\), got 7"),
-        ("m", 0, "m must be an integer >= 1, got 0"),
-        ("n", -3, "n must be an integer >= 1, got -3"),
-    ], ids=["id", "m", "n"])
-    def test_a_case_study_checks_its_fields(self, monkeypatch, field, bad, message):
+    @pytest.mark.parametrize("case_id, field, bad, message", [
+        (1, "id", 7, r"case id must be one of \(1, 2, 3, 4, 5\), got 7"),
+        (1, "m", 0, "m must be an integer >= 1, got 0"),
+        (1, "n", -3, "n must be an integer >= 1, got -3"),
+        (2, "sampling", None, "sampling must be a CaseSamplingConfig, got NoneType"),
+        # Each of these once failed only inside the build: a bare KeyError
+        # from the pendulum solve, numpy's UFuncTypeError, and "V contains
+        # non-finite entries" after the whole case-3 build.
+        (2, "constants", {}, re.escape("constants of case 2 must hold exactly the keys ['k'], "
+                                       "got {}")),
+        (4, "constants", {"nu": "0.01"},
+         re.escape("constants['nu'] must be a finite real number, got '0.01'")),
+        (3, "constants", {"nu": np.nan, "gamma": 0.4, "zeta": -1.0},
+         re.escape("constants['nu'] must be a finite real number, got nan")),
+        (5, "constants", {"nu": True}, re.escape("constants['nu'] must be a finite real number, "
+                                                 "got True")),
+        (1, "constants", None, re.escape("constants of case 1 must hold exactly the keys [], "
+                                         "got None")),
+    ], ids=["id", "m", "n", "sampling", "constants-missing-key", "constants-str",
+            "constants-nan", "constants-bool", "constants-none"])
+    def test_a_case_study_checks_its_fields(self, monkeypatch, case_id, field, bad, message):
         # replace skips case_config, so CaseStudy itself must reject the field.
-        base = case_config(1, size=5)
+        base = case_config(case_id, size=5)
 
         def no_draws(*args, **kwargs):
             raise AssertionError("parameters were drawn")
@@ -149,6 +164,11 @@ class TestCaseConfig:
         monkeypatch.setattr(problems, "sample_params", no_draws)
         with pytest.raises(ValueError, match=f"^{message}$"):
             harness.dataset_for(replace(base, **{field: bad}))
+
+    def test_constants_are_stored_as_floats(self):
+        case = replace(case_config(2, size=5), constants={"k": np.int64(10)})
+        assert case.constants == {"k": 10.0} and type(case.constants["k"]) is float
+        assert case_config(2).constants is not case_config(2).constants
 
     def test_numpy_integers_are_stored_as_ints(self):
         case = case_config(np.int64(2), size=np.int64(7), seed=np.int64(3))
