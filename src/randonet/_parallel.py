@@ -3,8 +3,10 @@
 ``FeatureMap.apply`` fills column ranges of its result on threads,
 :func:`randonet.model.evaluate` computes row ranges of its readout product
 on threads, :func:`randonet.problems.build_case` computes row blocks of
-its parameter table in forked processes, and the COD runs its LAPACK calls
-on scipy's bundled OpenBLAS at one thread per worker. Each takes its count
+its functions in forked processes (each block draws its own rows of the
+parameter table, so the caller holds only its own block's), and the COD
+runs its LAPACK calls on scipy's bundled OpenBLAS at one thread per
+worker. Each takes its count
 from :func:`workers`; the splits take their cuts from :func:`ranges` and
 hand them to :func:`in_threads` or :func:`in_processes`, which run a single
 range in the caller before any other bookkeeping. Both join every worker

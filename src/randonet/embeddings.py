@@ -51,6 +51,12 @@ for a 2000 x 100 RFFN map on one core of a 2-core x86-64 Xeon, against
 0.2 ms for a fixed-order ``einsum`` contraction), while a large batch runs
 at GEMM speed.
 
+A map of input dimension 1, such as the trunk of every case, skips the GEMM
+blocks: with one input row each entry is one product, so ``np.multiply(weights,
+x)`` gives the GEMM's bits. A GEMM accumulates into +0.0, so a product of
+-0.0 comes out as +0.0 there; adding 0.0 once after the product does the
+same, and bias, activation and scale then run as above.
+
 Large applies run on threads, with the bits of one thread, and every
 apply holds numpy's OpenBLAS at one thread (see :mod:`randonet._parallel`).
 """
@@ -192,8 +198,10 @@ class FeatureMap:
         reads all full blocks from ``x`` and writes them into the result in
         place; one zero-padded block takes a partial tail, so a single
         column still costs one full block. Bias, activation and scale then
-        act in place on the result. Column ranges that start on blocks
-        split a large call across threads (see :mod:`randonet._parallel`).
+        act in place on the result. A map of input dimension 1 writes its
+        products with one ``np.multiply`` instead, with the same bits.
+        Column ranges that start on blocks split a large call across
+        threads (see :mod:`randonet._parallel`).
 
         Parameters
         ----------
@@ -229,9 +237,33 @@ class FeatureMap:
 
         ``lo`` is a multiple of ``BLOCK_COLUMNS``, so a partial block can
         only end the range. Bias, activation and scale run once over the
-        real columns, so a single column pays one padded GEMM block but no
-        padded cosines.
+        real columns, so a single column pays at most one padded GEMM block
+        but no padded cosines.
         """
+        products = self._one_row_products if x.shape[0] == 1 else self._gemm_products
+        products(x, z, lo, hi)
+        part = z[:, lo:hi]
+        if self.biases is not None:
+            part += self.biases[:, None]
+        if self.spec.kind == "tanh":
+            np.tanh(part, out=part)
+        else:
+            if self.spec.kind == "rffn":
+                np.cos(part, out=part)
+            part *= self.scale
+
+    def _one_row_products(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> None:
+        """:meth:`_gemm_products` of a one-row ``x`` without the GEMM.
+
+        With one input row an entry is one product, which the GEMM rounds
+        the same way; its accumulator starts at +0.0, so adding 0.0 turns a
+        product of -0.0 into the GEMM's +0.0 and leaves every other entry.
+        """
+        part = np.multiply(self.weights, x[:, lo:hi], out=z[:, lo:hi])
+        part += 0.0
+
+    def _gemm_products(self, x: np.ndarray, z: np.ndarray, lo: int, hi: int) -> None:
+        """Write ``weights @ x[:, lo:hi]`` into ``z[:, lo:hi]`` in fixed-shape GEMM blocks."""
         rows, full = z.shape[0], hi - (hi - lo) % BLOCK_COLUMNS
         # All full blocks in one stacked matmul over (blocks, ., BLOCK_COLUMNS)
         # views of x and z. Into the Fortran-ordered z numpy runs the
@@ -248,15 +280,6 @@ class FeatureMap:
             product = np.empty((rows, BLOCK_COLUMNS), order="F")
             np.matmul(self.weights, block, out=product)
             z[:, full:hi] = product[:, :hi - full]
-        part = z[:, lo:hi]
-        if self.biases is not None:
-            part += self.biases[:, None]
-        if self.spec.kind == "tanh":
-            np.tanh(part, out=part)
-        else:
-            if self.spec.kind == "rffn":
-                np.cos(part, out=part)
-            part *= self.scale
 
 
 def build_feature_map(spec: EmbeddingSpec) -> FeatureMap:

@@ -99,6 +99,10 @@ class ExperimentConfig:
             raise ValueError(f"branch must be 'jl' or 'rffn', got {self.branch!r}")
         if self.branch == "jl" and self.rffn_bandwidth is not None:
             raise ValueError(f"branch 'jl' takes no rffn_bandwidth, got {self.rffn_bandwidth}")
+        for name in ("rffn_bandwidth", "trunk_weight_bound"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         sizes = tuple(check_count(m, "each of branch_sizes") for m in self.branch_sizes)

@@ -26,20 +26,25 @@ change only when the batch shrinks, and then the times do too. Each row's
 terms go through the same operations in the same order as a whole-batch
 evaluation, so none of this changes an output bit.
 
-The build draws one :func:`~randonet.funcgen.sample_params` table and
-walks its rows through buffers allocated once per block (a grid tile and a
-few points x terms arrays) with the in-place funcgen kernels; case 1 adds
-the base point x0 as one more row and shares ``x - c`` between U and V.
+Each row block of a build draws its own rows of the
+:func:`~randonet.funcgen.sample_params` table, in the process that builds
+them: row i is stream ``(seed, i)`` wherever it is drawn, so the blocks
+join into the table one draw gives, and the calling process never holds
+more than its own block's rows. A block walks its rows through buffers
+allocated once per block (a grid tile and a few points x terms arrays)
+with the in-place funcgen kernels; case 1 adds the base point x0 as one
+more row and shares ``x - c`` between U and V.
 
 One row kernel computes the U rows, the V rows and the success mask of any
 case: case 1's U and V, case 2's pendulum solve and its U, and the
 derivatives of cases 3-5, whose right-hand side is applied in the block.
 When the sensors are the output points, U is the u already computed for V.
-The kernel runs once per build, over row blocks of the table in forked
-processes (see :mod:`randonet._parallel`); it calls elementwise numpy,
-``erf`` and row reductions, no BLAS, and every row goes through the same
-operations in whatever block it lands. Case 2's replacement draws for
-failed samples go through the same kernel in this process.
+The kernel runs once per build, over the row blocks in forked processes
+(see :mod:`randonet._parallel`); it calls elementwise numpy, ``erf`` and
+row reductions, no BLAS, and every row goes through the same operations
+in whatever block it lands. Where the build runs in one process, that
+process draws all rows. Case 2's replacement draws for failed samples go
+through the same kernel in the calling process.
 """
 
 from __future__ import annotations
@@ -90,6 +95,21 @@ def _case_id(value) -> int:
     return case_id
 
 
+class _Constants(dict):
+    """A dict that refuses every change once made, so a case's constants
+    stay the ones its checks passed and its dataset key hashed. It copies,
+    pickles and converts (``dataclasses.asdict``, JSON) as a plain dict."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("case constants are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class CaseStudy:
     """One benchmark operator: grids, sampling ranges, physics constants."""
@@ -102,8 +122,9 @@ class CaseStudy:
 
     def __post_init__(self):
         """Store ``id``, ``m`` and ``n`` as ``int`` and each constant as a
-        ``float``; ``bool``, float, an id outside :data:`CASE_IDS`, a grid
-        below one point, ``sampling`` that is not a
+        ``float``, in a dict that refuses changes with ``TypeError``;
+        ``bool``, float, an id outside :data:`CASE_IDS`, a grid below one
+        point, ``sampling`` that is not a
         :class:`~randonet.funcgen.CaseSamplingConfig`, and ``constants``
         whose keys are not those of the case or whose values are not finite
         real numbers raise ``ValueError`` naming the field."""
@@ -121,7 +142,8 @@ class CaseStudy:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value):
                 raise ValueError(f"constants[{key!r}] must be a finite real number, got {value!r}")
-        object.__setattr__(self, "constants", {k: float(v) for k, v in self.constants.items()})
+        object.__setattr__(self, "constants",
+                           _Constants({k: float(v) for k, v in self.constants.items()}))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -316,14 +338,23 @@ def build_case(case: CaseStudy, with_params: bool = False):
     Returns the dataset, or ``(dataset, table)`` when ``with_params`` is
     true (needed by the CSV export): ``table`` is the
     :func:`~randonet.funcgen.sample_params` table of the functions in the
-    dataset's columns, with any case-2 replacement draws in place.
+    dataset's columns, with any case-2 replacement draws in place. Each
+    row block draws its own rows where it is built; only with
+    ``with_params`` do the blocks send them back to be joined.
     """
-    table = sample_params(case.sampling)
     x, y = case.input_grid(), case.output_grid()
-    count = _parallel.workers(len(table), _parallel.MIN_BLOCK_ROWS, len(table))
-    u_t, v_t, ok = _parallel.in_processes(lambda lo, hi: _case_rows(case, table[lo:hi], x, y),
-                                          _parallel.ranges(len(table), 1, count, len(table)),
-                                          f"case {case.id}")
+    size = case.sampling.size
+
+    def block(lo, hi):
+        # Row i is stream (seed, i) in whichever process draws it.
+        rows = sample_params(replace(case.sampling, size=hi - lo), start_index=lo)
+        return _case_rows(case, rows, x, y) + ((rows,) if with_params else ())
+
+    count = _parallel.workers(size, _parallel.MIN_BLOCK_ROWS, size)
+    parts = _parallel.in_processes(block, _parallel.ranges(size, 1, count, size),
+                                   f"case {case.id}")
+    u_t, v_t, ok = parts[:3]
+    table = parts[3] if with_params else None
     retries = 0
     max_retries = 100
     while not ok.all():
@@ -341,7 +372,8 @@ def build_case(case: CaseStudy, with_params: bool = False):
         )
         retries += failed.size
         u_t[failed], v_t[failed], ok[failed] = _case_rows(case, replacements, x, y)
-        table[failed] = replacements
+        if with_params:
+            table[failed] = replacements
     ds = AlignedDataset(x=x, y=y, U=u_t.T, V=np.ascontiguousarray(v_t.T))
     return (ds, table) if with_params else ds
 

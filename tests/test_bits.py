@@ -1,12 +1,15 @@
 """``tools/bits.py``, the manifest of dataset fingerprints and model bits.
 
-Building a manifest takes seconds, so these tests check the comparison on
-canned manifests only.
+The comparison is tested on canned manifests; one test rebuilds the
+committed ``tests/data/bits.json`` in a subprocess, which takes seconds.
 """
 
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,12 @@ spec = importlib.util.spec_from_file_location("bits", TOOL)
 bits = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bits)
 
+COMMITTED = Path(__file__).resolve().parent / "data" / "bits.json"
+
+MACHINE = {"numpy": "2.4.6", "usable_cpus": 2, "OPENBLAS_NUM_THREADS": "1"}
+
 CANNED = {
+    "machine": MACHINE,
     "datasets": {"case1": "05ad0c7a", "case2": "0732a541"},
     "models": {
         "case2_jl": {"branch_rank": 79, "readout_sha256": "aa", "predictions_sha256": "bb",
@@ -51,6 +59,7 @@ def test_check_exits_1_on_a_difference(tmp_path, monkeypatch, capsys, changed):
     if changed:
         got["models"]["case2_jl"]["test_mse"] = (1.853566e-13).hex()
     monkeypatch.setattr(bits, "manifest", lambda: got)
+    monkeypatch.setattr(bits, "machine", lambda: dict(MACHINE))
     path = tmp_path / "bits.json"
     path.write_text(json.dumps(CANNED))
     assert bits.main(["--check", str(path)]) == int(changed)
@@ -62,3 +71,43 @@ def test_without_check_it_prints_the_manifest(monkeypatch, capsys):
     monkeypatch.setattr(bits, "manifest", lambda: CANNED)
     assert bits.main([]) == 0
     assert json.loads(capsys.readouterr().out) == CANNED
+
+
+def test_another_machine_exits_2_naming_each_field_before_any_build(tmp_path, monkeypatch,
+                                                                    capsys):
+    def no_build():
+        raise AssertionError("the manifest was built")
+
+    monkeypatch.setattr(bits, "manifest", no_build)
+    monkeypatch.setattr(bits, "machine", lambda: dict(MACHINE, numpy="2.5.0", usable_cpus=4))
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps(CANNED))
+    assert bits.main(["--check", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "machine.numpy: want '2.4.6', got '2.5.0'",
+        "machine.usable_cpus: want 2, got 4",
+        f"bits: the machine differs from {path}'s in 2 fields; nothing compared",
+    ]
+
+
+def test_the_machine_entry_names_what_the_bits_depend_on(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    facts = bits.machine()
+    assert set(facts) == {"numpy", "scipy", "numpy_blas", "scipy_blas", "numpy_cpu_features",
+                          "usable_cpus", "cpu_model", "OPENBLAS_NUM_THREADS"}
+    assert facts["OPENBLAS_NUM_THREADS"] == "1" and facts["usable_cpus"] >= 1
+    assert facts["numpy_cpu_features"] == sorted(facts["numpy_cpu_features"])
+    json.dumps(facts)
+
+
+def test_the_committed_manifest_holds_on_this_tree():
+    """Rebuild ``tests/data/bits.json`` at its thread setting: every dataset
+    fingerprint and model bit must match. Skipped on a machine whose facts
+    differ from the file's, where the bits are not comparable."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(TOOL), "--check", str(COMMITTED)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode == 2:
+        pytest.skip("bits.json was made on another machine: " + "; ".join(
+            line for line in proc.stdout.splitlines() if line.startswith("machine.")))
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -125,6 +125,20 @@ def test_solver_settings_fail_before_the_dataset_build(capsys, monkeypatch, flag
     assert message in record["error"]["message"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--branch", "rffn", "--bandwidth", "nan"), "rffn_bandwidth must be finite and > 0, got nan"),
+    (("--trunk-bound", "nan"), "trunk_weight_bound must be finite and > 0, got nan"),
+])
+def test_embedding_settings_fail_when_the_config_is_made(capsys, monkeypatch, flags, message):
+    def no_run(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    code, _, err = run_cli(capsys, "run", "--case", "2", *flags)
+    assert code == 2
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
 def test_unset_flags_keep_the_config_defaults(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "run", "--case", "1", "--size", "30", "--m", "4",

@@ -231,6 +231,31 @@ class TestApply:
         for order in "CF":
             np.testing.assert_array_equal(got, per_block_apply(fmap, x, order))
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("k", [1, BLOCK_COLUMNS + 1, 3 * BLOCK_COLUMNS + 5])
+    @pytest.mark.parametrize("variant", ["tanh", "tanh-negative-zero-bias", "jl"])
+    def test_one_input_row_gives_the_bits_of_the_gemm_blocks(self, variant, k, cpus,
+                                                             split_applies, monkeypatch):
+        # A product of -0.0 must come out as the +0.0 that a GEMM gives,
+        # which a bias of -0.0 or the JL scale would otherwise keep negative.
+        kind = variant.split("-")[0]
+        fmap = make_map(kind, 1, 37, 44, domain=(0.0, 1.0) if kind == "tanh" else None)
+        if variant == "tanh-negative-zero-bias":
+            fmap = dataclasses.replace(fmap, biases=np.full(37, -0.0))
+        x = np.random.default_rng(45).uniform(-1.0, 1.0, (1, k))
+        x[0, ::3], x[0, 1::3] = 0.0, -0.0
+        ranges = split_applies(cpus)
+        got = fmap.apply(x)
+        assert len(ranges) == min(cpus, -(-k // BLOCK_COLUMNS))
+        monkeypatch.setattr(embeddings.FeatureMap, "_one_row_products",
+                            embeddings.FeatureMap._gemm_products)
+        expected = fmap.apply(x)
+        assert got.flags.f_contiguous
+        assert got.tobytes(order="F") == expected.tobytes(order="F")
+        if variant != "tanh":  # zero inputs give +0.0 features
+            zeros = got[:, x[0] == 0.0]
+            assert zeros.size and not zeros.any() and not np.signbit(zeros).any()
+
     @settings(max_examples=30, deadline=None)
     @given(
         kind=st.sampled_from(["jl", "rffn", "tanh"]),

@@ -255,6 +255,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^branch 'jl' takes no rffn_bandwidth, got -1.0$"):
             ExperimentConfig(case=1, rffn_bandwidth=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field, fields", [
+        ("rffn_bandwidth", {"branch": "rffn"}),
+        ("trunk_weight_bound", {}),
+    ])
+    def test_embedding_settings_are_checked_when_the_config_is_made(self, field, fields, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got {bad}$"):
+            ExperimentConfig(case=1, **fields, **{field: bad})
+
     @pytest.mark.parametrize("make, field", [
         (lambda v: EmbeddingSpec("jl", v, 5), "input_dim"),
         (lambda v: EmbeddingSpec("jl", 3, v), "feature_dim"),
@@ -364,6 +373,12 @@ class TestDatasetCache:
             harness._generator_digest.cache_clear()
         assert len(keys) == 1 + len(GENERATOR_INPUTS)
         assert harness._dataset_key(self.case) == key
+
+    def test_read_only_constants_hash_as_the_json_of_a_dict(self, monkeypatch):
+        # The hex of this key before the constants became read-only, so disk
+        # entries made then keep their names under one generator digest.
+        monkeypatch.setattr(harness, "_generator_digest", lambda: "pinned")
+        assert harness._dataset_key(case_config(2, size=5)) == "5cb07634cba8318e69e4823b8bc5cbba"
 
     def test_numpy_integers_name_a_case_like_python_ints(self):
         key = harness._dataset_key(self.case)

@@ -170,6 +170,16 @@ class TestCaseConfig:
         assert case.constants == {"k": 10.0} and type(case.constants["k"]) is float
         assert case_config(2).constants is not case_config(2).constants
 
+    def test_constants_are_read_only(self):
+        # A change would skip the checks and move the dataset key.
+        case = case_config(2, size=5)
+        for change in (lambda c: c.__setitem__("k", "x"), lambda c: c.update(k=1.0),
+                       lambda c: c.pop("k"), lambda c: c.__delitem__("k")):
+            with pytest.raises(TypeError, match="^case constants are read-only$"):
+                change(case.constants)
+        assert case.constants == {"k": 9.81}
+        assert replace(case, constants=case.constants) == case
+
     def test_numpy_integers_are_stored_as_ints(self):
         case = case_config(np.int64(2), size=np.int64(7), seed=np.int64(3))
         assert case == case_config(2, size=7, seed=3)
@@ -558,6 +568,30 @@ class TestRowBlocks:
         # The sleeping worker was terminated, not waited for.
         assert time.perf_counter() - start < 30
         assert multiprocessing.active_children() == []
+
+    def test_the_parent_draws_only_its_own_block(self, split_into, monkeypatch):
+        case = case_config(3, size=7, seed=96)
+        parent, draws = os.getpid(), []
+
+        def recorded(cfg, start_index=0):
+            if os.getpid() == parent:
+                draws.append((start_index, cfg.size))
+            return sample_params(cfg, start_index)
+
+        monkeypatch.setattr(problems, "sample_params", recorded)
+        split_into(2)
+        _, table = build_case(case, with_params=True)
+        # Blocks 0-2 and 3-6: the worker draws rows 3-6 itself.
+        assert draws == [(0, 3)]
+        np.testing.assert_array_equal(table, sample_params(case.sampling))
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("case_id", [1, 2])
+    def test_the_table_is_the_whole_draw(self, case_id, blocks, split_into):
+        case = case_config(case_id, size=7, seed=97)
+        split_into(blocks)
+        _, table = build_case(case, with_params=True)
+        assert table.tobytes() == sample_params(case.sampling).tobytes()
 
     def test_one_usable_cpu_starts_no_process(self, split_into, monkeypatch):
         def no_context(method=None):

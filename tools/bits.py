@@ -5,6 +5,9 @@
 
 The manifest holds:
 
+* ``machine``: what else the bits depend on: the numpy and scipy versions,
+  each one's BLAS name and version, numpy's enabled CPU features, the
+  usable-CPU count, the CPU model and ``OPENBLAS_NUM_THREADS``;
 * ``datasets``: the fingerprint of each seed-12 paper-size case dataset,
   cases 1-5, as the harness reports it;
 * ``models``: the six models that ``perfbench/workloads.py`` fits at seed 0
@@ -12,13 +15,14 @@ The manifest holds:
   numerical ranks, rank tolerances as ``float.hex``, the SHA-256 of the
   readout and of the test predictions, and the test MSE as ``float.hex``.
 
-``--check FILE`` builds a fresh manifest, prints one line for each entry
-that differs from FILE's, and exits 1 if any does. Trained bits depend on
-the numpy, scipy and BLAS builds, the usable CPUs and the BLAS thread
-count, so compare manifests made on one machine at one setting, for
-example ``OPENBLAS_NUM_THREADS=1``. The whole run took about 6 s at that
-setting on a 2-core x86-64 Xeon. randonet is imported from ``src/`` next
-to this script.
+``--check FILE`` first compares the machine entry: if a field differs from
+FILE's it names each such field and exits 2 without building anything,
+since the bits of another machine say nothing about the code. Otherwise it
+builds a fresh manifest, prints one line for each entry that differs from
+FILE's, and exits 1 if any does, 0 if none does. ``tests/data/bits.json``
+is the committed manifest, made at ``OPENBLAS_NUM_THREADS=1``; check it at
+that setting. The whole run took about 6 s there on a 2-core x86-64 Xeon.
+randonet is imported from ``src/`` next to this script.
 """
 
 from __future__ import annotations
@@ -26,14 +30,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import randonet  # noqa: E402
+from randonet._parallel import usable_cpus  # noqa: E402
 from randonet.harness import _dataset_fingerprint  # noqa: E402
 
 DATA_SEED = 12
@@ -56,6 +64,41 @@ SCATTERED = dict(trunk=50, branch=40, functions=500, points=5)
 
 def sha256(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def cpu_model() -> str:
+    """The CPU's model name where Linux tells it, else the platform's word."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def machine() -> dict:
+    """The facts besides the code that the manifest's bits depend on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    def blas(package) -> str:
+        info = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info.get('name')} {info.get('version')}"
+
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": blas(np),
+        "scipy_blas": blas(scipy),
+        "numpy_cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
+        "usable_cpus": usable_cpus(),
+        "cpu_model": cpu_model(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
 
 def specs(case, kind: str, width: int, trunk_width: int = TRUNK_WIDTH):
@@ -108,7 +151,8 @@ def manifest() -> dict:
     model = randonet.train_unaligned(scattered_samples(train), *specs(
         cases[1], "jl", SCATTERED["branch"], SCATTERED["trunk"]))
     models["case1_scattered"] = model_entry(model, test)
-    return {"datasets": {f"case{case_id}": _dataset_fingerprint(ds)
+    return {"machine": machine(),
+            "datasets": {f"case{case_id}": _dataset_fingerprint(ds)
                          for case_id, ds in datasets.items()},
             "models": models}
 
@@ -134,11 +178,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", metavar="FILE", help="compare with this manifest")
     args = parser.parse_args(argv)
-    got = manifest()
     if args.check is None:
-        print(json.dumps(got, indent=2, sort_keys=True))
+        print(json.dumps(manifest(), indent=2, sort_keys=True))
         return 0
-    lines = differences(json.loads(Path(args.check).read_text()), got)
+    want = json.loads(Path(args.check).read_text())
+    lines = differences(want.get("machine", {}), machine(), "machine.")
+    for line in lines:
+        print(line)
+    if lines:
+        print(f"bits: the machine differs from {args.check}'s in {len(lines)} fields; "
+              "nothing compared")
+        return 2
+    lines = differences(want, manifest())
     for line in lines:
         print(line)
     print(f"bits: {len(lines)} entries differ from {args.check}" if lines
