@@ -74,6 +74,7 @@ class CaseSamplingConfig:
 
     ``a_range`` applies to each of a0, a1, a2. ``domain`` is the interval
     the functions are evaluated on (the grids of the dataset builders).
+    Every drawn function has :data:`DEFAULT_TERMS` Gaussian terms.
     """
 
     w_range: tuple[float, float]
@@ -83,7 +84,6 @@ class CaseSamplingConfig:
     domain: tuple[float, float]
     size: int
     seed: int = 0
-    n_terms: int = DEFAULT_TERMS
 
     def __post_init__(self):
         for name in ("w_range", "s_range", "c_range", "a_range"):
@@ -94,17 +94,16 @@ class CaseSamplingConfig:
             raise ValueError(f"s_range must have a lower bound >= 0, got {self.s_range}")
         if not (np.all(np.isfinite(self.domain)) and self.domain[0] < self.domain[1]):
             raise ValueError(f"domain must be finite with a < b, got {self.domain}")
-        for name in ("size", "n_terms"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        object.__setattr__(self, "size", check_count(self.size, "size"))
         object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
 
 
 def sample_params(cfg: CaseSamplingConfig, start_index: int = 0) -> np.ndarray:
-    """Draw the (``cfg.size``, 3 ``n_terms`` + 3) parameter table; row i
+    """Draw the (``cfg.size``, 3 :data:`DEFAULT_TERMS` + 3) parameter table; row i
     comes from stream ``start_index + i`` (builders draw replacements
     deterministically from indices past ``cfg.size``)."""
     start_index = check_count(start_index, "start_index", minimum=0)
-    table = np.empty((cfg.size, 3 * cfg.n_terms + 3))
+    table = np.empty((cfg.size, 3 * DEFAULT_TERMS + 3))
     for i, row in enumerate(table):
         np.random.default_rng(np.random.SeedSequence((cfg.seed, start_index + i))).random(out=row)
     ranges = (cfg.w_range, cfg.s_range, cfg.c_range, *[cfg.a_range] * 3)

@@ -18,12 +18,13 @@ Conventions (recorded in every report header):
   informational, not asserted by any check.
 
 Datasets are cached in memory and, under a ``cache_dir``, on disk (see
-:func:`dataset_for`). The cache key hashes the case configuration with a
-digest of what makes the bits: the source files of ``funcgen``,
-``problems``, ``odeint`` and ``_parallel``, and the numpy and scipy
-versions. An edit to one of those modules, or a numpy or scipy upgrade,
-rebuilds each cached dataset once (case 2 takes about 2-3 s). The JSON
-report names the digest.
+:func:`dataset_for`). The cache key hashes the case's id, grids and
+sampling with a digest of what makes the bits: the source files of
+``funcgen``, ``problems``, ``odeint`` and ``_parallel``, and the numpy and
+scipy versions. The physics constants follow from the id and live in the
+``problems`` source, so the digest covers them. An edit to one of those
+modules, or a numpy or scipy upgrade, rebuilds each cached dataset once
+(case 2 takes about 2-3 s). The JSON report names the digest.
 
 All randomness is derived from the three config seeds, so identical
 configurations reproduce identical metrics bit-for-bit on one platform:
@@ -253,11 +254,13 @@ def _cache(key: str, ds: AlignedDataset) -> AlignedDataset:
 def dataset_for(case, cache_dir=None) -> AlignedDataset:
     """Build a case dataset, memoized in memory and optionally on disk.
 
-    Both caches key an entry on the case configuration and on the digest
-    of the generator: the source of ``funcgen``, ``problems``, ``odeint``
-    and ``_parallel`` and the numpy and scipy versions. An edit to one of
-    those modules, or a numpy or scipy upgrade, misses every old entry once
-    and rebuilds it (case 2 takes about 2-3 s). Disk entries carry
+    Both caches key an entry on the case's fields (id, grids and
+    sampling) and on the digest of the generator: the source of
+    ``funcgen``, ``problems``, ``odeint`` and ``_parallel`` and the numpy
+    and scipy versions. The physics constants follow from the id and live
+    in the ``problems`` source, so the digest covers them. An edit to one
+    of those modules, or a numpy or scipy upgrade, misses every old entry
+    once and rebuilds it (case 2 takes about 2-3 s). Disk entries carry
     the content fingerprint of the dataset; an entry that cannot be read
     or fails its fingerprint is rebuilt and rewritten. Each call logs at
     DEBUG which path served it. Every call for a case returns the same

@@ -201,6 +201,12 @@ def _check_solver(solver: str, tol, reg: float) -> None:
     check_tol(tol)
 
 
+def _check_dataset(ds, kind) -> None:
+    """``TypeError`` naming both types unless ``ds`` is a ``kind``."""
+    if not isinstance(ds, kind):
+        raise TypeError(f"expected an {kind.__name__}, got {type(ds).__name__}")
+
+
 def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim: int,
          count: dict, matrices, solve) -> RandONetModel:
     """The one training routine behind :func:`train_aligned` and
@@ -291,9 +297,10 @@ def train_aligned(
 
     Notes
     -----
-    A map that is not an :class:`EmbeddingSpec`, an unknown solver, a
-    negative or non-finite ``reg`` or a setting the solver would ignore is
-    rejected before any feature is built. The trunk matrix is
+    A dataset that is not an :class:`AlignedDataset` or a map that is not
+    an :class:`EmbeddingSpec` raises ``TypeError``; these, an unknown
+    solver, a negative or non-finite ``reg`` and a setting the solver would
+    ignore are rejected before any feature is built. The trunk matrix is
     built feature-major, as ``T.T`` (N, n), so both solves are right
     applies: ``pinv(T) V = (V.T pinv(T.T)).T``. The two pseudo-inverses are
     each computed once and applied to the (n, s) matrix V in one order,
@@ -315,6 +322,8 @@ def train_aligned(
     fit holds each once. The checks, factorizations, timings and metadata
     are those of :func:`train_unaligned`: one routine serves both fits.
     """
+    _check_dataset(ds, AlignedDataset)
+
     def matrices(trunk, branch):
         # (N, n) and (M, s), Fortran-ordered as apply returns them: the
         # in-place COD factors them where they lie.
@@ -350,11 +359,15 @@ def train_unaligned(
 
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage.
-    Bad maps and solver settings are rejected first, by the routine that
-    :func:`train_aligned` runs too: the branch input dimension must equal
-    the row count of ``U`` and the trunk's that of ``Y``. The budget is
+    A dataset that is not an :class:`UnalignedDataset` raises
+    ``TypeError`` first. Bad maps and solver settings are rejected next, by
+    the routine that :func:`train_aligned` runs too: the branch input
+    dimension must equal the row count of ``U`` and the trunk's that of
+    ``Y``. The budget is
     checked after them and before any feature is built.
     """
+    _check_dataset(ds, UnalignedDataset)
+
     def matrices(trunk, branch):
         n_feat, m_feat = trunk_spec.feature_dim, branch_spec.feature_dim
         entries = n_feat * m_feat * ds.n_samples

@@ -4,7 +4,9 @@ Case 1 maps a function to its antiderivative on [0, 1]; case 2 maps a
 forcing term to the resulting pendulum angle (single zero initial
 condition, gravity constant 9.81); cases 3-5 map a state profile on
 [-1, 1] to the right-hand side of a linear diffusion-advection-reaction
-PDE, the viscous Burgers PDE, and the Allen-Cahn PDE respectively.
+PDE, the viscous Burgers PDE, and the Allen-Cahn PDE respectively. A
+case's id fixes its physics constants; :attr:`CaseStudy.constants` returns
+a new dict of them on each access.
 
 Each build samples input functions (see :mod:`randonet.funcgen`),
 evaluates them on an equispaced 100-point sensor grid, and computes the
@@ -51,15 +53,13 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _parallel
 from ._checks import check_count
-from .funcgen import CaseSamplingConfig, sample_params
+from .funcgen import DEFAULT_TERMS, CaseSamplingConfig, sample_params
 from .funcgen import _blocks, _derivatives, _param_names, _primitive
 from .model import AlignedDataset
 from .odeint import dopri5_batch
@@ -95,55 +95,45 @@ def _case_id(value) -> int:
     return case_id
 
 
-class _Constants(dict):
-    """A dict that refuses every change once made, so a case's constants
-    stay the ones its checks passed and its dataset key hashed. It copies,
-    pickles and converts (``dataclasses.asdict``, JSON) as a plain dict."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("case constants are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
+# The physics constants of each case: gravity for the pendulum, the
+# diffusion, advection and reaction coefficients of case 3, and the
+# viscosity of Burgers and Allen-Cahn.
+_CONSTANTS = {
+    1: {},
+    2: {"k": 9.81},
+    3: {"nu": 0.1, "gamma": 0.4, "zeta": -1.0},
+    4: {"nu": 0.01},
+    5: {"nu": 0.01},
+}
 
 
 @dataclass(frozen=True)
 class CaseStudy:
-    """One benchmark operator: grids, sampling ranges, physics constants."""
+    """One benchmark operator: grids and sampling ranges. The id fixes the
+    physics constants (see :attr:`constants`)."""
 
     id: int
     m: int
     n: int
     sampling: CaseSamplingConfig
-    constants: dict
 
     def __post_init__(self):
-        """Store ``id``, ``m`` and ``n`` as ``int`` and each constant as a
-        ``float``, in a dict that refuses changes with ``TypeError``;
-        ``bool``, float, an id outside :data:`CASE_IDS`, a grid below one
-        point, ``sampling`` that is not a
-        :class:`~randonet.funcgen.CaseSamplingConfig`, and ``constants``
-        whose keys are not those of the case or whose values are not finite
-        real numbers raise ``ValueError`` naming the field."""
+        """Store ``id``, ``m`` and ``n`` as ``int``; ``bool``, float, an id
+        outside :data:`CASE_IDS`, a grid below one point and ``sampling``
+        that is not a :class:`~randonet.funcgen.CaseSamplingConfig` raise
+        ``ValueError`` naming the field."""
         object.__setattr__(self, "id", _case_id(self.id))
         object.__setattr__(self, "m", check_count(self.m, "m"))
         object.__setattr__(self, "n", check_count(self.n, "n"))
         if not isinstance(self.sampling, CaseSamplingConfig):
             raise ValueError(f"sampling must be a CaseSamplingConfig, got "
                              f"{type(self.sampling).__name__}")
-        keys = sorted(_CASE_DEFAULTS[self.id]["constants"])
-        if not isinstance(self.constants, dict) or sorted(self.constants) != keys:
-            raise ValueError(f"constants of case {self.id} must hold exactly the keys {keys}, "
-                             f"got {self.constants!r}")
-        for key, value in self.constants.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"constants[{key!r}] must be a finite real number, got {value!r}")
-        object.__setattr__(self, "constants",
-                           _Constants({k: float(v) for k, v in self.constants.items()}))
+
+    @property
+    def constants(self) -> dict:
+        """The case's physics constants by name, as a new dict on each
+        access, so a change to it reaches neither the case nor a build."""
+        return dict(_CONSTANTS[self.id])
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -156,72 +146,57 @@ class CaseStudy:
         return np.linspace(self.domain[0], self.domain[1], self.n)
 
 
-_CASE_DEFAULTS = {
-    1: dict(
-        sampling=CaseSamplingConfig(
-            w_range=(-1.0, 1.0),
-            s_range=(0.0, 500.0),
-            c_range=(0.0, 1.0),
-            a_range=(-1.0, 1.0),
-            domain=(0.0, 1.0),
-            size=1000,
-        ),
-        constants={},
+# The sampling of each case's input functions at the paper's dataset size.
+_SAMPLING = {
+    1: CaseSamplingConfig(
+        w_range=(-1.0, 1.0),
+        s_range=(0.0, 500.0),
+        c_range=(0.0, 1.0),
+        a_range=(-1.0, 1.0),
+        domain=(0.0, 1.0),
+        size=1000,
     ),
-    2: dict(
-        sampling=CaseSamplingConfig(
-            w_range=(-0.05, 0.05),
-            s_range=(0.0, 500.0),
-            c_range=(0.0, 1.0),
-            a_range=(-0.05, 0.05),
-            domain=(0.0, 1.0),
-            size=3000,
-        ),
-        constants={"k": 9.81},
+    2: CaseSamplingConfig(
+        w_range=(-0.05, 0.05),
+        s_range=(0.0, 500.0),
+        c_range=(0.0, 1.0),
+        a_range=(-0.05, 0.05),
+        domain=(0.0, 1.0),
+        size=3000,
     ),
-    3: dict(
-        sampling=CaseSamplingConfig(
-            w_range=(-1.0, 1.0),
-            s_range=(0.0, 50.0),
-            c_range=(0.0, 1.0),
-            a_range=(-1.0, 1.0),
-            domain=(-1.0, 1.0),
-            size=2000,
-        ),
-        constants={"nu": 0.1, "gamma": 0.4, "zeta": -1.0},
+    3: CaseSamplingConfig(
+        w_range=(-1.0, 1.0),
+        s_range=(0.0, 50.0),
+        c_range=(0.0, 1.0),
+        a_range=(-1.0, 1.0),
+        domain=(-1.0, 1.0),
+        size=2000,
     ),
-    4: dict(
-        sampling=CaseSamplingConfig(
-            w_range=(-0.05, 0.05),
-            s_range=(0.0, 50.0),
-            c_range=(-1.0, 1.0),
-            a_range=(-0.05, 0.05),
-            domain=(-1.0, 1.0),
-            size=2000,
-        ),
-        constants={"nu": 0.01},
+    4: CaseSamplingConfig(
+        w_range=(-0.05, 0.05),
+        s_range=(0.0, 50.0),
+        c_range=(-1.0, 1.0),
+        a_range=(-0.05, 0.05),
+        domain=(-1.0, 1.0),
+        size=2000,
     ),
-    5: dict(
-        sampling=CaseSamplingConfig(
-            w_range=(-0.05, 0.05),
-            s_range=(0.0, 50.0),
-            c_range=(-1.0, 1.0),
-            a_range=(-0.05, 0.05),
-            domain=(-1.0, 1.0),
-            size=3000,
-        ),
-        constants={"nu": 0.01},
+    5: CaseSamplingConfig(
+        w_range=(-0.05, 0.05),
+        s_range=(0.0, 50.0),
+        c_range=(-1.0, 1.0),
+        a_range=(-0.05, 0.05),
+        domain=(-1.0, 1.0),
+        size=3000,
     ),
 }
 
 
 def case_config(case_id: int, size: int | None = None, seed: int = 0) -> CaseStudy:
     """Benchmark configuration for ``case_id`` with optional size override."""
-    defaults = _CASE_DEFAULTS[_case_id(case_id)]
-    size = defaults["sampling"].size if size is None else size
+    sampling = _SAMPLING[_case_id(case_id)]
+    size = sampling.size if size is None else size
     return CaseStudy(id=case_id, m=_GRID_POINTS, n=_GRID_POINTS,
-                     sampling=replace(defaults["sampling"], seed=seed, size=size),
-                     constants=defaults["constants"])
+                     sampling=replace(sampling, seed=seed, size=size))
 
 
 def _workspace(x: np.ndarray, table: np.ndarray, count: int) -> np.ndarray:
@@ -397,7 +372,7 @@ def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None
         fh.write("# output_grid: " + " ".join(repr(v) for v in ds.y) + "\n")
         writer = csv.writer(fh)
         writer.writerow(
-            _param_names(case.sampling.n_terms)
+            _param_names(DEFAULT_TERMS)
             + [f"u_{j}" for j in range(case.m)]
             + [f"v_{j}" for j in range(case.n)]
         )

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from randonet.funcgen import _DEGENERATE_SHAPE, _blocks
+from randonet.funcgen import _DEGENERATE_SHAPE, DEFAULT_TERMS, _blocks
 from randonet.model import AlignedDataset
 from randonet.odeint import dopri5_batch
 
@@ -31,9 +31,9 @@ class Params(NamedTuple):
 
 def draw_one(cfg, index):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
-    w = rng.uniform(cfg.w_range[0], cfg.w_range[1], cfg.n_terms)
-    s = rng.uniform(cfg.s_range[0], cfg.s_range[1], cfg.n_terms)
-    c = rng.uniform(cfg.c_range[0], cfg.c_range[1], cfg.n_terms)
+    w = rng.uniform(cfg.w_range[0], cfg.w_range[1], DEFAULT_TERMS)
+    s = rng.uniform(cfg.s_range[0], cfg.s_range[1], DEFAULT_TERMS)
+    c = rng.uniform(cfg.c_range[0], cfg.c_range[1], DEFAULT_TERMS)
     a0, a1, a2 = rng.uniform(cfg.a_range[0], cfg.a_range[1], 3)
     return Params(w=w, s=s, c=c, a0=float(a0), a1=float(a1), a2=float(a2))
 

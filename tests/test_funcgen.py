@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import reference_build
 from randonet.funcgen import (
     _DEGENERATE_SHAPE,
+    DEFAULT_TERMS,
     CaseSamplingConfig,
     _blocks,
     eval_antiderivative,
@@ -37,7 +38,7 @@ class TestSampleParams:
             domain=(0, 1), size=1, seed=0,
         )
         table = sample_params(cfg)
-        assert table.shape == (1, 3 * cfg.n_terms + 3)
+        assert table.shape == (1, 3 * DEFAULT_TERMS + 3)
         assert np.all(table == 0.0)
 
     def test_deterministic(self):

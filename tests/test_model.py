@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import randonet
 from randonet import _parallel, linalg
+from randonet import model as model_module
 from randonet.embeddings import (
     BLOCK_COLUMNS,
     EmbeddingSpec,
@@ -213,6 +214,26 @@ class TestTrainAligned:
             for maps in ((built[0], branch), (trunk, built[1]), ("trunk", branch)):
                 with pytest.raises(TypeError, match="expected an EmbeddingSpec"):
                     train(data, *maps)
+
+    def test_takes_its_own_dataset_kind_only(self, monkeypatch):
+        # Rejected before any map is built, naming both types, where the
+        # wrong kind once failed on a missing attribute.
+        ds = toy_dataset()
+        specs = toy_specs()
+
+        def no_maps(*args, **kwargs):
+            raise AssertionError("a feature map was built")
+
+        monkeypatch.setattr(model_module, "build_feature_map", no_maps)
+        for train, data, want in (
+            (train_aligned, explode_aligned(ds), "AlignedDataset"),
+            (train_unaligned, ds, "UnalignedDataset"),
+            (train_aligned, {"U": ds.U, "V": ds.V}, "AlignedDataset"),
+            (train_unaligned, {"U": ds.U, "V": ds.V}, "UnalignedDataset"),
+        ):
+            message = f"^expected an {want}, got {type(data).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                train(data, *specs)
 
     def test_input_dim_checks(self):
         ds = toy_dataset()

@@ -11,9 +11,12 @@ The manifest holds:
 * ``datasets``: the fingerprint of each seed-12 paper-size case dataset,
   cases 1-5, as the harness reports it;
 * ``models``: the six models that ``perfbench/workloads.py`` fits at seed 0
-  (data seed 12, embedding seed 1, split seed 7, solver 'cod'): their
-  numerical ranks, rank tolerances as ``float.hex``, the SHA-256 of the
-  readout and of the test predictions, and the test MSE as ``float.hex``.
+  and the fits of acceptance criteria 1-6 that those lack (case 1 JL(100)
+  at train fraction 0.8 and 0.15, case 2 RFFN(2000), case 3 JL(100) and
+  case 4 JL(40)), all at data seed 12, embedding seed 1, split seed 7 and
+  solver 'cod': their numerical ranks, rank tolerances as ``float.hex``,
+  the SHA-256 of the readout and of the test predictions, and the test
+  MSE as ``float.hex``.
 
 ``--check FILE`` first compares the machine entry: if a field differs from
 FILE's it names each such field and exits 2 without building anything,
@@ -21,7 +24,7 @@ since the bits of another machine say nothing about the code. Otherwise it
 builds a fresh manifest, prints one line for each entry that differs from
 FILE's, and exits 1 if any does, 0 if none does. ``tests/data/bits.json``
 is the committed manifest, made at ``OPENBLAS_NUM_THREADS=1``; check it at
-that setting. The whole run took about 6 s there on a 2-core x86-64 Xeon.
+that setting. The whole run took about 7.5 s there on a 2-core x86-64 Xeon.
 randonet is imported from ``src/`` next to this script.
 """
 
@@ -49,13 +52,19 @@ EMBED_SEED = 1
 SPLIT_SEED = 7
 TRAIN_FRACTION = 0.8
 TRUNK_WIDTH = 200
-# Label, case, branch kind and branch width of each aligned benchmark model.
+# Label, case, branch kind, branch width and train fraction of each aligned
+# model: the benchmark's, then the acceptance criteria's that it lacks.
 ALIGNED_MODELS = (
-    ("case4_rffn", 4, "rffn", 2000),
-    ("case4_jl", 4, "jl", 100),
-    ("case5_rffn", 5, "rffn", 2000),
-    ("case5_jl", 5, "jl", 100),
-    ("case2_jl", 2, "jl", 100),
+    ("case4_rffn", 4, "rffn", 2000, TRAIN_FRACTION),
+    ("case4_jl", 4, "jl", 100, TRAIN_FRACTION),
+    ("case5_rffn", 5, "rffn", 2000, TRAIN_FRACTION),
+    ("case5_jl", 5, "jl", 100, TRAIN_FRACTION),
+    ("case2_jl", 2, "jl", 100, TRAIN_FRACTION),
+    ("case1_jl", 1, "jl", 100, TRAIN_FRACTION),
+    ("case1_jl_limited", 1, "jl", 100, 0.15),
+    ("case2_rffn", 2, "rffn", 2000, TRAIN_FRACTION),
+    ("case3_jl", 3, "jl", 100, TRAIN_FRACTION),
+    ("case4_jl40", 4, "jl", 40, TRAIN_FRACTION),
 )
 # The unaligned benchmark model: trunk and JL branch widths, training
 # functions and output points drawn per function.
@@ -135,19 +144,17 @@ def scattered_samples(train, seed: int = 0):
 
 
 def manifest() -> dict:
-    """Build the five datasets and fit the six models."""
+    """Build the five datasets and fit the models."""
     cases, datasets = {}, {}
     for case_id in randonet.CASE_IDS:
         cases[case_id] = randonet.case_config(case_id, seed=DATA_SEED)
         datasets[case_id] = randonet.build_case(cases[case_id])
-    splits = {case_id: randonet.split(ds, TRAIN_FRACTION, SPLIT_SEED)
-              for case_id, ds in datasets.items()}
     models = {}
-    for label, case_id, kind, width in ALIGNED_MODELS:
-        train, test = splits[case_id]
+    for label, case_id, kind, width, fraction in ALIGNED_MODELS:
+        train, test = randonet.split(datasets[case_id], fraction, SPLIT_SEED)
         model = randonet.train_aligned(train, *specs(cases[case_id], kind, width))
         models[label] = model_entry(model, test)
-    train, test = splits[1]
+    train, test = randonet.split(datasets[1], TRAIN_FRACTION, SPLIT_SEED)
     model = randonet.train_unaligned(scattered_samples(train), *specs(
         cases[1], "jl", SCATTERED["branch"], SCATTERED["trunk"]))
     models["case1_scattered"] = model_entry(model, test)
