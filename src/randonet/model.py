@@ -25,6 +25,13 @@ of the applies. Every matrix that training factors is feature-major,
 features x samples (the trunk is built as ``T.T``), and every solve applies
 a pseudo-inverse from the right, ``X @ pinv(A)``.
 
+A fit whose largest matrix holds more than 2^22 float64 entries (32 MiB)
+first calls glibc's ``malloc_trim(0)``. glibc maps a block that large
+afresh, so it cannot reuse the free pages that earlier frees left resident
+in the heap; handing those back first makes the fit's peak its live data
+plus that matrix. Smaller fits skip the call, and so does a process whose
+C library has no ``malloc_trim``; the call moves no bits.
+
 A fit is reproducible bit for bit with the same numpy, scipy and BLAS
 builds, the same usable CPUs and the same BLAS thread count. The COD's
 factors do not depend on the caller's thread count (see
@@ -39,6 +46,7 @@ readout product into row ranges on threads (see :mod:`randonet._parallel`).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import time
@@ -80,6 +88,34 @@ MAX_COLLOCATION_ENTRIES = 5_000_000
 # Xeon ranges starting at multiples of 12, 24 or 48 rows kept the bits of
 # one product, and those starting at multiples of 4, 8, 16 or 32 did not.
 _READOUT_ROWS = 48
+
+
+# A fit whose largest matrix holds more float64 entries than this first hands
+# the C heap's free pages back to the OS. 2^22 entries are 32 MiB, glibc's
+# ceiling for its dynamic mmap threshold (DEFAULT_MMAP_THRESHOLD_MAX in
+# mallopt(3)): a larger block is always mapped afresh and cannot reuse the
+# pages that earlier frees left resident in the heap.
+_TRIM_ENTRIES = 1 << 22
+
+
+def _find_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _trim_heap(entries: int) -> None:
+    """``malloc_trim(0)`` if ``entries`` exceeds :data:`_TRIM_ENTRIES`."""
+    if entries > _TRIM_ENTRIES and _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class TrainingError(RuntimeError):
@@ -208,18 +244,20 @@ def _check_dataset(ds, kind) -> None:
 
 
 def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim: int,
-         count: dict, matrices, solve) -> RandONetModel:
+         count: dict, largest, matrices, solve) -> RandONetModel:
     """The one training routine behind :func:`train_aligned` and
     :func:`train_unaligned`.
 
     It runs :func:`_check_solver`, rejects a map given as anything but an
     :class:`EmbeddingSpec` and one whose input dimension is not the data's
     (the row count of ``ds.U`` for the branch, ``location_dim`` for the
-    trunk), builds both maps and calls ``matrices(trunk, branch)`` for the
-    named matrices to factor. Each is factored once and dropped: 'cod' by
-    :func:`linalg.cod_factorize` in its own storage, 'tikhonov' by one SVD
-    filtered with weight ``reg``. ``solve(pinv)`` returns W from the applies
-    ``pinv[name](b) = b @ pinv(matrix)``.
+    trunk) and builds both maps. It then runs :func:`_trim_heap` on
+    ``largest(N, M)``, the entries of the largest matrix the fit builds for
+    N trunk and M branch features, and calls ``matrices(trunk, branch)``
+    for the named matrices to factor. Each is factored once and dropped:
+    'cod' by :func:`linalg.cod_factorize` in its own storage, 'tikhonov' by
+    one SVD filtered with weight ``reg``. ``solve(pinv)`` returns W from the
+    applies ``pinv[name](b) = b @ pinv(matrix)``.
 
     ``train_metadata`` holds the settings, ``train_seconds`` and ``stages``
     (the differences of four ``perf_counter`` readings, which lie close
@@ -242,6 +280,7 @@ def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim
         where = "scalar" if location_dim == 1 else f"{location_dim}-D"
         raise ValueError(f"trunk input_dim must be {location_dim} for {where} output locations")
     trunk, branch = build_feature_map(trunk_spec), build_feature_map(branch_spec)
+    _trim_heap(largest(trunk_spec.feature_dim, branch_spec.feature_dim))
 
     start = time.perf_counter()
     mats = matrices(trunk, branch)
@@ -319,8 +358,12 @@ def train_aligned(
 
     The 'cod' route consumes the trunk and branch matrices it builds: both
     are built in Fortran order and factored in their own storage, so the
-    fit holds each once. The checks, factorizations, timings and metadata
-    are those of :func:`train_unaligned`: one routine serves both fits.
+    fit holds each once. When the larger of the two holds more than
+    ``2^22`` entries (32 MiB, the paper-size RFFN(2000) branches of cases 2
+    and 5), glibc's ``malloc_trim(0)`` runs once before either is built,
+    so the fit's peak memory is its live data plus that matrix. The checks,
+    factorizations, timings and metadata are those of
+    :func:`train_unaligned`: one routine serves both fits.
     """
     _check_dataset(ds, AlignedDataset)
 
@@ -330,7 +373,9 @@ def train_aligned(
         return {"trunk": trunk.apply(ds.y[None, :]), "branch": branch.apply(ds.U)}
 
     return _fit(ds, trunk_spec, branch_spec, solver, tol, reg, 1,
-                {"n_train_functions": ds.n_functions}, matrices,
+                {"n_train_functions": ds.n_functions},
+                lambda n_feat, m_feat: max(n_feat * ds.y.size, m_feat * ds.n_functions),
+                matrices,
                 lambda pinv: pinv["trunk"](pinv["branch"](ds.V).T).T)
 
 
@@ -359,6 +404,8 @@ def train_unaligned(
 
     ``Z`` is built in Fortran order, as the transpose of a C-ordered
     (S, M*N) product, and the 'cod' route factors it in its own storage.
+    A ``Z`` of more than ``2^22`` entries (32 MiB) is preceded by one call
+    of glibc's ``malloc_trim(0)``, as in :func:`train_aligned`.
     A dataset that is not an :class:`UnalignedDataset` raises
     ``TypeError`` first. Bad maps and solver settings are rejected next, by
     the routine that :func:`train_aligned` runs too: the branch input
@@ -384,7 +431,8 @@ def train_unaligned(
         return {"collocation": product.reshape(ds.n_samples, -1).T}
 
     return _fit(ds, trunk_spec, branch_spec, solver, tol, reg, ds.Y.shape[0],
-                {"n_train_samples": ds.n_samples}, matrices,
+                {"n_train_samples": ds.n_samples},
+                lambda n_feat, m_feat: n_feat * m_feat * ds.n_samples, matrices,
                 lambda pinv: pinv["collocation"](ds.V[None, :]).reshape(
                     branch_spec.feature_dim, trunk_spec.feature_dim).T)
 

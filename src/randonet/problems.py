@@ -368,8 +368,8 @@ def export_dataset_csv(path, case: CaseStudy, ds: AlignedDataset, table) -> None
         fh.write(f"# case={case.id} seed={case.sampling.seed} size={case.sampling.size}\n")
         consts = " ".join(f"{k}={v!r}" for k, v in sorted(case.constants.items()))
         fh.write(f"# constants: {consts}\n")
-        fh.write("# input_grid: " + " ".join(repr(v) for v in ds.x) + "\n")
-        fh.write("# output_grid: " + " ".join(repr(v) for v in ds.y) + "\n")
+        fh.write("# input_grid: " + " ".join(repr(float(v)) for v in ds.x) + "\n")
+        fh.write("# output_grid: " + " ".join(repr(float(v)) for v in ds.y) + "\n")
         writer = csv.writer(fh)
         writer.writerow(
             _param_names(DEFAULT_TERMS)

@@ -90,6 +90,51 @@ def test_another_machine_exits_2_naming_each_field_before_any_build(tmp_path, mo
     ]
 
 
+@pytest.mark.parametrize("fingerprint", ["0732a541", "ffffffff"])
+def test_another_cpu_compares_the_fingerprints_and_names_the_skipped_models(
+        tmp_path, monkeypatch, capsys, fingerprint):
+    # The CPU model, usable CPUs and thread setting move model bits only.
+    def datasets_only(fit_models=True):
+        assert not fit_models, "the models were fitted"
+        return {"machine": {}, "datasets": dict(CANNED["datasets"], case2=fingerprint)}
+
+    monkeypatch.setattr(bits, "manifest", datasets_only)
+    monkeypatch.setattr(bits, "machine", lambda: dict(
+        MACHINE, cpu_model="Other CPU", usable_cpus=4, OPENBLAS_NUM_THREADS=None))
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps(CANNED))
+    changed = fingerprint != CANNED["datasets"]["case2"]
+    assert bits.main(["--check", str(path)]) == int(changed)
+    assert capsys.readouterr().out.splitlines() == [
+        "machine.OPENBLAS_NUM_THREADS: want '1', got None",
+        "machine.cpu_model: new (got 'Other CPU')",
+        "machine.usable_cpus: want 2, got 4",
+        f"bits: the machine differs from {path}'s in OPENBLAS_NUM_THREADS, cpu_model, "
+        "usable_cpus; skipped 2 model entries: case1_scattered, case2_jl",
+    ] + ([f"datasets.case2: want '0732a541', got '{fingerprint}'",
+          f"bits: 1 entries differ from {path}"] if changed
+         else [f"bits: every entry matches {path}"])
+
+
+@pytest.mark.parametrize("field, value", [("scipy", "1.18.0"),
+                                          ("numpy_cpu_features", ["SSE", "SSE2"])])
+def test_a_dataset_key_field_exits_2_before_any_build(tmp_path, monkeypatch, capsys, field,
+                                                     value):
+    def no_build(fit_models=True):
+        raise AssertionError("the manifest was built")
+
+    want = dict(CANNED, machine=dict(MACHINE, scipy="1.17.1", numpy_cpu_features=["SSE"]))
+    monkeypatch.setattr(bits, "manifest", no_build)
+    monkeypatch.setattr(bits, "machine", lambda: dict(want["machine"], usable_cpus=4,
+                                                      **{field: value}))
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps(want))
+    assert bits.main(["--check", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"machine.{field}: want") and out[1].startswith("machine.usable")
+    assert out[2] == f"bits: the machine differs from {path}'s in 2 fields; nothing compared"
+
+
 def test_the_machine_entry_names_what_the_bits_depend_on(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     facts = bits.machine()
@@ -97,13 +142,16 @@ def test_the_machine_entry_names_what_the_bits_depend_on(monkeypatch):
                           "usable_cpus", "cpu_model", "OPENBLAS_NUM_THREADS"}
     assert facts["OPENBLAS_NUM_THREADS"] == "1" and facts["usable_cpus"] >= 1
     assert facts["numpy_cpu_features"] == sorted(facts["numpy_cpu_features"])
+    assert set(bits.DATASET_KEY) < set(facts)
     json.dumps(facts)
 
 
 def test_the_committed_manifest_holds_on_this_tree():
     """Rebuild ``tests/data/bits.json`` at its thread setting: every dataset
-    fingerprint and model bit must match. Skipped on a machine whose facts
-    differ from the file's, where the bits are not comparable."""
+    fingerprint and model bit must match. On a machine whose CPU, usable
+    CPUs or BLAS differ from the file's only the fingerprints are compared;
+    skipped where numpy, scipy or numpy's CPU features differ, since then
+    no bits are comparable."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, str(TOOL), "--check", str(COMMITTED)], env=env,
                           capture_output=True, text=True, timeout=600)

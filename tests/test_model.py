@@ -905,6 +905,101 @@ class TestInPlaceCod:
         assert peak <= 1.3 * 1000 * 1200 * 8
 
 
+# Two toy fits and the entry count of the largest matrix each builds: the
+# aligned branch matrix is 8 x 40 (the trunk's 16 x 12), the collocation
+# matrix 30 x 40.
+TRIM_FITS = {
+    "aligned": (lambda: train_aligned(toy_dataset(m=10, n=12, s=40, seed=21),
+                                      *toy_specs(n_feat=16, m_feat=8, seed=22)), 8 * 40),
+    "unaligned": (lambda: train_unaligned(scattered_dataset(),
+                                          *toy_specs(n_feat=6, m_feat=5, seed=23)), 30 * 40),
+}
+
+
+class TestHeapTrim:
+    """A fit whose largest matrix crosses the ceiling trims the C heap once,
+    before it builds any feature matrix."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Record each trim and each feature matrix build, in order."""
+        seen = []
+        original = FeatureMap.apply
+
+        def recording(self, x):
+            seen.append(self.spec.kind)
+            return original(self, x)
+
+        def trim(pad):
+            seen.append(("trim", pad))
+            return 1
+
+        monkeypatch.setattr(FeatureMap, "apply", recording)
+        monkeypatch.setattr(model_module, "_MALLOC_TRIM", trim)
+        return seen
+
+    @pytest.mark.parametrize("kind", sorted(TRIM_FITS))
+    def test_a_fit_over_the_ceiling_trims_once_before_any_feature(self, monkeypatch, events,
+                                                                  kind):
+        fit, entries = TRIM_FITS[kind]
+        monkeypatch.setattr(model_module, "_TRIM_ENTRIES", entries - 1)
+        fit()
+        assert events == [("trim", 0), "tanh", "jl"]
+
+    @pytest.mark.parametrize("kind", sorted(TRIM_FITS))
+    def test_a_fit_at_or_under_the_ceiling_never_trims(self, monkeypatch, events, kind):
+        fit, entries = TRIM_FITS[kind]
+        fit()
+        monkeypatch.setattr(model_module, "_TRIM_ENTRIES", entries)
+        fit()
+        assert events == ["tanh", "jl"] * 2
+
+    @pytest.mark.parametrize("kind", sorted(TRIM_FITS))
+    def test_without_malloc_trim_a_fit_keeps_its_bits(self, monkeypatch, kind):
+        fit, _ = TRIM_FITS[kind]
+        want = fit().readout
+        monkeypatch.setattr(model_module, "_TRIM_ENTRIES", 0)
+        monkeypatch.setattr(model_module, "_MALLOC_TRIM", None)
+        assert fit().readout.tobytes() == want.tobytes()
+
+    def test_a_c_library_without_malloc_trim_gives_no_trim(self, monkeypatch):
+        monkeypatch.setattr(model_module.ctypes, "CDLL", lambda name: object())
+        assert model_module._find_malloc_trim() is None
+
+    @pytest.mark.skipif(model_module._MALLOC_TRIM is None
+                        or not os.path.exists("/proc/self/status"),
+                        reason="needs glibc's malloc_trim and /proc")
+    def test_trimming_hands_free_heap_pages_back(self):
+        # Freeing a 25 MB mapped block raises glibc's mmap threshold above
+        # 8 MB, so the six 8 MB arrays come from the heap; the small arrays
+        # between them stay alive, so their pages stay resident when freed.
+        script = textwrap.dedent("""
+            import numpy as np
+            from randonet import model
+
+            def rss_kb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS"))
+
+            big = np.ones(25 * 2**20 // 8)
+            del big
+            arrays, keep = [], []
+            for _ in range(6):
+                arrays.append(np.ones(2**20))
+                keep.append(np.ones(4096))
+            del arrays
+            before = rss_kb()
+            model._trim_heap(model._TRIM_ENTRIES + 1)
+            print(before, rss_kb())
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(model_module.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert before - after >= 4 * 1024, (before, after)
+
+
 class TestExplodeAligned:
     def test_single_function_three_locations(self):
         x = np.linspace(0, 1, 2)

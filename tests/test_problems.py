@@ -665,6 +665,20 @@ class TestExport:
             row = np.array([float(v) for v in line.split(",")])
             np.testing.assert_array_equal(row, np.concatenate([table[i], ds.U[:, i], ds.V[:, i]]))
 
+    def test_header_grids_parse_back_bitwise(self, tmp_path):
+        case = case_config(3, size=2, seed=79)
+        ds, table = build_case(case, with_params=True)
+        path = tmp_path / "ds.csv"
+        export_dataset_csv(path, case, ds, table)
+        lines = path.read_text().splitlines()
+        for line, prefix, grid in ((lines[3], "# input_grid: ", ds.x),
+                                   (lines[4], "# output_grid: ", ds.y)):
+            assert line.startswith(prefix)
+            # Plain float reprs: float() parses each, and none reads np.float64(...).
+            values = np.array([float(v) for v in line[len(prefix):].split(" ")])
+            np.testing.assert_array_equal(values, grid, strict=True)
+            assert values.tobytes() == grid.tobytes()
+
 
 def test_build_case_dispatcher():
     for cid in (1, 3):

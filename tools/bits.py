@@ -18,14 +18,19 @@ The manifest holds:
   the SHA-256 of the readout and of the test predictions, and the test
   MSE as ``float.hex``.
 
-``--check FILE`` first compares the machine entry: if a field differs from
-FILE's it names each such field and exits 2 without building anything,
-since the bits of another machine say nothing about the code. Otherwise it
-builds a fresh manifest, prints one line for each entry that differs from
-FILE's, and exits 1 if any does, 0 if none does. ``tests/data/bits.json``
-is the committed manifest, made at ``OPENBLAS_NUM_THREADS=1``; check it at
-that setting. The whole run took about 7.5 s there on a 2-core x86-64 Xeon.
-randonet is imported from ``src/`` next to this script.
+``--check FILE`` first compares the machine entry and names each field
+that differs from FILE's. The dataset builds call no BLAS, so their
+fingerprints depend on the numpy and scipy versions and numpy's CPU
+features alone (``DATASET_KEY``): if one of those differs, it exits 2
+without building anything, since the bits of another machine say nothing
+about the code. If only other fields differ, it builds the datasets,
+compares their fingerprints and names the model entries it skips.
+Otherwise it builds a fresh manifest. It prints one line for each compared
+entry that differs from FILE's, and exits 1 if any does, 0 if none does.
+``tests/data/bits.json`` is the committed manifest, made at
+``OPENBLAS_NUM_THREADS=1``; check it at that setting. The whole run took
+about 7.5 s there on a 2-core x86-64 Xeon. randonet is imported from
+``src/`` next to this script.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ ALIGNED_MODELS = (
 # The unaligned benchmark model: trunk and JL branch widths, training
 # functions and output points drawn per function.
 SCATTERED = dict(trunk=50, branch=40, functions=500, points=5)
+# The machine fields the dataset fingerprints depend on; the models depend
+# on every field.
+DATASET_KEY = ("numpy", "scipy", "numpy_cpu_features")
 
 
 def sha256(arr: np.ndarray) -> str:
@@ -143,12 +151,17 @@ def scattered_samples(train, seed: int = 0):
                                      V=train.V[rows, cols])
 
 
-def manifest() -> dict:
-    """Build the five datasets and fit the models."""
+def manifest(fit_models: bool = True) -> dict:
+    """Build the five datasets and, unless ``fit_models`` is false, fit the
+    models."""
     cases, datasets = {}, {}
     for case_id in randonet.CASE_IDS:
         cases[case_id] = randonet.case_config(case_id, seed=DATA_SEED)
         datasets[case_id] = randonet.build_case(cases[case_id])
+    fingerprints = {f"case{case_id}": _dataset_fingerprint(ds)
+                    for case_id, ds in datasets.items()}
+    if not fit_models:
+        return {"machine": machine(), "datasets": fingerprints}
     models = {}
     for label, case_id, kind, width, fraction in ALIGNED_MODELS:
         train, test = randonet.split(datasets[case_id], fraction, SPLIT_SEED)
@@ -158,10 +171,7 @@ def manifest() -> dict:
     model = randonet.train_unaligned(scattered_samples(train), *specs(
         cases[1], "jl", SCATTERED["branch"], SCATTERED["trunk"]))
     models["case1_scattered"] = model_entry(model, test)
-    return {"machine": machine(),
-            "datasets": {f"case{case_id}": _dataset_fingerprint(ds)
-                         for case_id, ds in datasets.items()},
-            "models": models}
+    return {"machine": machine(), "datasets": fingerprints, "models": models}
 
 
 def differences(want: dict, got: dict, prefix: str = "") -> list[str]:
@@ -189,14 +199,25 @@ def main(argv=None) -> int:
         print(json.dumps(manifest(), indent=2, sort_keys=True))
         return 0
     want = json.loads(Path(args.check).read_text())
-    lines = differences(want.get("machine", {}), machine(), "machine.")
-    for line in lines:
+    want_machine, got_machine = want.get("machine", {}), machine()
+    fields = [key for key in sorted(set(want_machine) | set(got_machine))
+              if want_machine.get(key) != got_machine.get(key)]
+    for line in differences(want_machine, got_machine, "machine."):
         print(line)
-    if lines:
-        print(f"bits: the machine differs from {args.check}'s in {len(lines)} fields; "
+    if set(fields) & set(DATASET_KEY):
+        print(f"bits: the machine differs from {args.check}'s in {len(fields)} fields; "
               "nothing compared")
         return 2
-    lines = differences(want, manifest())
+    if fields:
+        # Fingerprints only: the models' bits depend on the fields that differ.
+        skipped = sorted(want.get("models", {}))
+        print(f"bits: the machine differs from {args.check}'s in {', '.join(fields)}; "
+              f"skipped {len(skipped)} model entries: {', '.join(skipped)}")
+        want = {"datasets": want.get("datasets", {})}
+        got = {"datasets": manifest(fit_models=False)["datasets"]}
+    else:
+        got = manifest()
+    lines = differences(want, got)
     for line in lines:
         print(line)
     print(f"bits: {len(lines)} entries differ from {args.check}" if lines
