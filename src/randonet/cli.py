@@ -166,8 +166,10 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_verify(args) -> int:
     cids = None
-    if args.criteria:
+    if args.criteria is not None:
         cids = [c.strip() for c in args.criteria.split(",") if c.strip()]
+        if not cids:
+            raise ValueError(f"--criteria {args.criteria!r} names no criterion")
         for cid in cids:
             if cid not in acceptance.CRITERIA:
                 raise ValueError(f"unknown criterion {cid!r}")

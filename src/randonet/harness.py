@@ -129,6 +129,9 @@ class ReportRow:
     l2_median: float
     l2_p95: float
     train_seconds: float
+    # The fit's *_rank and *_rank_tolerance training entries and the
+    # SHA-256 of its readout and test predictions; not in the CSV.
+    trace: dict
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,22 @@ def _dataset_key(case) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
-def _dataset_fingerprint(ds: AlignedDataset) -> str:
+def _sha256(*arrays) -> str:
     h = hashlib.sha256()
-    for arr in (ds.x, ds.y, ds.U, ds.V):
+    for arr in arrays:
         h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:32]
+    return h.hexdigest()
+
+
+def _dataset_fingerprint(ds: AlignedDataset) -> str:
+    return _sha256(ds.x, ds.y, ds.U, ds.V)[:32]
+
+
+def _trace(model, pred) -> dict:
+    """The rank entries of ``model.train_metadata`` and the SHA-256 of the
+    readout and of ``pred``, the model's predictions."""
+    trace = {key: value for key, value in model.train_metadata.items() if "_rank" in key}
+    return {**trace, "readout_sha256": _sha256(model.readout), "predictions_sha256": _sha256(pred)}
 
 
 def _load_cached(path: Path) -> AlignedDataset | None:
@@ -328,7 +342,9 @@ def run_experiment(cfg: ExperimentConfig) -> BenchmarkReport:
     Builds the dataset (cached by its configuration fingerprint), splits
     it, trains one model per entry of ``cfg.branch_sizes``, and evaluates
     on the held-out test functions. Each row reports the training time that
-    :func:`train_aligned` records.
+    :func:`train_aligned` records, and its ``trace``: the numerical rank and
+    rank tolerance of the trunk and branch matrices and the SHA-256 of the
+    readout and of the test predictions.
     """
     case = case_config(cfg.case, size=cfg.dataset_size, seed=cfg.seed_data)
     # The specs first, so a bad embedding setting fails before the build.
@@ -355,6 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> BenchmarkReport:
                 l2_median=p50,
                 l2_p95=p95,
                 train_seconds=model.train_metadata["train_seconds"],
+                trace=_trace(model, pred),
             )
         )
     config_echo = asdict(cfg)

@@ -4,6 +4,7 @@ The comparison is tested on canned manifests; one test rebuilds the
 committed ``tests/data/bits.json`` in a subprocess, which takes seconds.
 """
 
+import ast
 import copy
 import importlib.util
 import json
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from randonet import acceptance
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bits.py"
 spec = importlib.util.spec_from_file_location("bits", TOOL)
@@ -159,3 +162,16 @@ def test_the_committed_manifest_holds_on_this_tree():
         pytest.skip("bits.json was made on another machine: " + "; ".join(
             line for line in proc.stdout.splitlines() if line.startswith("machine.")))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_the_manifest_holds_each_fit_of_the_criteria_table():
+    """``tools/bits.py`` hashes the criteria's own fits: each row of their
+    table is a committed model entry, and the tool builds no spec itself."""
+    models = json.loads(COMMITTED.read_text())["models"]
+    labels = [fit.label for fit in acceptance._FITS]
+    assert len(set(labels)) == len(labels) == 8
+    assert set(labels) < set(models)
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(ast.parse(TOOL.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "EmbeddingSpec" not in names

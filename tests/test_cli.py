@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from randonet import harness
+from randonet import acceptance, harness
 from randonet.cli import main
 from randonet.harness import ExperimentConfig
 
@@ -256,3 +256,14 @@ def test_verify_rejects_unknown_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--criteria", "9")
     assert code == 2
     assert "unknown criterion" in json.loads(err.strip())["error"]["message"]
+
+
+@pytest.mark.parametrize("criteria", [",", "", " , "])
+def test_verify_rejects_criteria_that_name_none(capsys, monkeypatch, criteria):
+    def not_run(cache_dir=None):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {cid: not_run for cid in acceptance.CRITERIA})
+    code, out, err = run_cli(capsys, "verify", "--criteria", criteria)
+    assert (code, out) == (2, "")
+    assert "names no criterion" in json.loads(err.strip())["error"]["message"]

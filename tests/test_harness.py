@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -475,6 +476,24 @@ class TestReports:
         assert payload["dataset_fingerprint"] == report.dataset_fingerprint
         assert payload["generator_digest"] == harness._generator_digest()
         assert re.fullmatch("[0-9a-f]{64}", payload["generator_digest"])
+
+    def test_json_rows_carry_the_trace_of_the_fit(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "report.json"
+        write_report_json(run_experiment(cfg), path)
+        (trace,) = [row["trace"] for row in json.loads(path.read_text())["rows"]]
+        assert set(trace) == {"trunk_rank", "trunk_rank_tolerance", "branch_rank",
+                              "branch_rank_tolerance", "readout_sha256", "predictions_sha256"}
+        # The same fit trained directly has the hashed bits.
+        case = case_config(cfg.case, size=cfg.dataset_size, seed=cfg.seed_data)
+        train, test = split(dataset_for(case), cfg.train_fraction, cfg.seed_split)
+        fit = model.train_aligned(train, harness.trunk_spec_for(cfg, case.domain),
+                                  harness.branch_spec_for(cfg, 8, case.m))
+        pred = model.evaluate(fit, test.U, test.y)
+        for name, arr in (("readout", fit.readout), ("predictions", pred)):
+            assert trace[f"{name}_sha256"] == hashlib.sha256(arr.tobytes()).hexdigest()
+        assert (trace["trunk_rank"], trace["branch_rank"]) == (
+            fit.train_metadata["trunk_rank"], fit.train_metadata["branch_rank"])
 
     def test_sweep_golden_file(self, tmp_path):
         """Compare a seeded tiny sweep against the frozen first verified run.

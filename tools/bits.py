@@ -10,13 +10,18 @@ The manifest holds:
   usable-CPU count, the CPU model and ``OPENBLAS_NUM_THREADS``;
 * ``datasets``: the fingerprint of each seed-12 paper-size case dataset,
   cases 1-5, as the harness reports it;
-* ``models``: the six models that ``perfbench/workloads.py`` fits at seed 0
-  and the fits of acceptance criteria 1-6 that those lack (case 1 JL(100)
-  at train fraction 0.8 and 0.15, case 2 RFFN(2000), case 3 JL(100) and
-  case 4 JL(40)), all at data seed 12, embedding seed 1, split seed 7 and
-  solver 'cod': their numerical ranks, rank tolerances as ``float.hex``,
-  the SHA-256 of the readout and of the test predictions, and the test
-  MSE as ``float.hex``.
+* ``models``: the fits of acceptance criteria 1-6 and three more, all at
+  data seed 12, embedding seed 1, split seed 7 and solver 'cod'. It runs
+  each row of the criteria's table (``case1_jl``, ``case1_jl_limited`` at
+  train fraction 0.15, ``case2_rffn``, ``case2_jl``, ``case3_jl``,
+  ``case4_rffn``, ``case4_jl40`` and ``case5_rffn``) through
+  ``randonet.harness.run_experiment``, and ``case4_jl`` and ``case5_jl``,
+  JL(100) at train fraction 0.8, the same way. ``case1_scattered`` is the
+  unaligned model of ``perfbench``'s scattered workload, with the
+  harness's specs. An entry holds the numerical ranks, the rank
+  tolerances as ``float.hex``, the SHA-256 of the readout and of the test
+  predictions (a report row's ``trace``) and the test MSE as
+  ``float.hex``.
 
 ``--check FILE`` first compares the machine entry and names each field
 that differs from FILE's. The dataset builds call no BLAS, so their
@@ -29,14 +34,13 @@ Otherwise it builds a fresh manifest. It prints one line for each compared
 entry that differs from FILE's, and exits 1 if any does, 0 if none does.
 ``tests/data/bits.json`` is the committed manifest, made at
 ``OPENBLAS_NUM_THREADS=1``; check it at that setting. The whole run took
-about 7.5 s there on a 2-core x86-64 Xeon. randonet is imported from
+9.4-11 s there on a 2-core x86-64 Xeon. randonet is imported from
 ``src/`` next to this script.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -49,38 +53,17 @@ import scipy
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import randonet  # noqa: E402
+from randonet import acceptance  # noqa: E402
 from randonet._parallel import usable_cpus  # noqa: E402
-from randonet.harness import _dataset_fingerprint  # noqa: E402
+from randonet.harness import (  # noqa: E402
+    _dataset_fingerprint, _trace, branch_spec_for, dataset_for, run_experiment, trunk_spec_for)
 
-DATA_SEED = 12
-EMBED_SEED = 1
-SPLIT_SEED = 7
-TRAIN_FRACTION = 0.8
-TRUNK_WIDTH = 200
-# Label, case, branch kind, branch width and train fraction of each aligned
-# model: the benchmark's, then the acceptance criteria's that it lacks.
-ALIGNED_MODELS = (
-    ("case4_rffn", 4, "rffn", 2000, TRAIN_FRACTION),
-    ("case4_jl", 4, "jl", 100, TRAIN_FRACTION),
-    ("case5_rffn", 5, "rffn", 2000, TRAIN_FRACTION),
-    ("case5_jl", 5, "jl", 100, TRAIN_FRACTION),
-    ("case2_jl", 2, "jl", 100, TRAIN_FRACTION),
-    ("case1_jl", 1, "jl", 100, TRAIN_FRACTION),
-    ("case1_jl_limited", 1, "jl", 100, 0.15),
-    ("case2_rffn", 2, "rffn", 2000, TRAIN_FRACTION),
-    ("case3_jl", 3, "jl", 100, TRAIN_FRACTION),
-    ("case4_jl40", 4, "jl", 40, TRAIN_FRACTION),
-)
 # The unaligned benchmark model: trunk and JL branch widths, training
 # functions and output points drawn per function.
 SCATTERED = dict(trunk=50, branch=40, functions=500, points=5)
 # The machine fields the dataset fingerprints depend on; the models depend
 # on every field.
 DATASET_KEY = ("numpy", "scipy", "numpy_cpu_features")
-
-
-def sha256(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 def cpu_model() -> str:
@@ -118,23 +101,11 @@ def machine() -> dict:
     }
 
 
-def specs(case, kind: str, width: int, trunk_width: int = TRUNK_WIDTH):
-    trunk = randonet.EmbeddingSpec(kind="tanh", input_dim=1, feature_dim=trunk_width,
-                                   seed=(EMBED_SEED, 0), domain=case.domain)
-    branch = randonet.EmbeddingSpec(kind=kind, input_dim=case.m, feature_dim=width,
-                                    seed=(EMBED_SEED, 1),
-                                    bandwidth=5.0 * case.m if kind == "rffn" else 1.0)
-    return trunk, branch
-
-
-def model_entry(model, test) -> dict:
-    """Rank facts, readout and prediction hashes and test MSE of ``model``."""
-    pred = randonet.evaluate(model, test.U, test.y)
+def model_entry(trace: dict, test_mse: float) -> dict:
+    """A model's manifest entry: its trace, floats as ``float.hex``, and its test MSE."""
     entry = {key: (value.hex() if isinstance(value, float) else value)
-             for key, value in model.train_metadata.items() if "_rank" in key}
-    entry.update(readout_sha256=sha256(model.readout), predictions_sha256=sha256(pred),
-                 test_mse=randonet.mse(pred, test.V).hex())
-    return entry
+             for key, value in trace.items()}
+    return {**entry, "test_mse": test_mse.hex()}
 
 
 def scattered_samples(train, seed: int = 0):
@@ -154,23 +125,27 @@ def scattered_samples(train, seed: int = 0):
 def manifest(fit_models: bool = True) -> dict:
     """Build the five datasets and, unless ``fit_models`` is false, fit the
     models."""
-    cases, datasets = {}, {}
-    for case_id in randonet.CASE_IDS:
-        cases[case_id] = randonet.case_config(case_id, seed=DATA_SEED)
-        datasets[case_id] = randonet.build_case(cases[case_id])
-    fingerprints = {f"case{case_id}": _dataset_fingerprint(ds)
-                    for case_id, ds in datasets.items()}
+    seed = acceptance._SEEDS["seed_data"]
+    cases = {case_id: randonet.case_config(case_id, seed=seed) for case_id in randonet.CASE_IDS}
+    fingerprints = {f"case{case_id}": _dataset_fingerprint(dataset_for(case))
+                    for case_id, case in cases.items()}
     if not fit_models:
         return {"machine": machine(), "datasets": fingerprints}
+    fits = {fit.label: acceptance._cfg(fit.case, fit.branch, [fit.width], fit.fraction)
+            for fit in acceptance._FITS}
+    # The benchmark models the table lacks: cases 4 and 5 JL(100).
+    fits.update({f"case{case_id}_jl": acceptance._cfg(case_id, "jl", [100]) for case_id in (4, 5)})
     models = {}
-    for label, case_id, kind, width, fraction in ALIGNED_MODELS:
-        train, test = randonet.split(datasets[case_id], fraction, SPLIT_SEED)
-        model = randonet.train_aligned(train, *specs(cases[case_id], kind, width))
-        models[label] = model_entry(model, test)
-    train, test = randonet.split(datasets[1], TRAIN_FRACTION, SPLIT_SEED)
-    model = randonet.train_unaligned(scattered_samples(train), *specs(
-        cases[1], "jl", SCATTERED["branch"], SCATTERED["trunk"]))
-    models["case1_scattered"] = model_entry(model, test)
+    for label, cfg in fits.items():
+        row = run_experiment(cfg).rows[0]
+        models[label] = model_entry(row.trace, row.mse)
+    case, width = cases[1], SCATTERED["branch"]
+    cfg = acceptance._cfg(1, "jl", [width], trunk_size=SCATTERED["trunk"])
+    train, test = randonet.split(dataset_for(case), cfg.train_fraction, cfg.seed_split)
+    model = randonet.train_unaligned(scattered_samples(train), trunk_spec_for(cfg, case.domain),
+                                     branch_spec_for(cfg, width, case.m))
+    pred = randonet.evaluate(model, test.U, test.y)
+    models["case1_scattered"] = model_entry(_trace(model, pred), randonet.mse(pred, test.V))
     return {"machine": machine(), "datasets": fingerprints, "models": models}
 
 
