@@ -53,7 +53,9 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      help="dataset size override (default per case)")
     sub.add_argument("--cache-dir", help="directory for cached datasets")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--json", action="store_true", help="write JSON instead of CSV")
+    sub.add_argument("--json", action="store_true", help="write JSON instead of CSV (needs --out)")
+    sub.add_argument("--trace", action="store_true",
+                     help="print each row's trace as one JSON line after the table")
     sub.add_argument("--config", help="JSON file with defaults for these flags")
 
 
@@ -147,10 +149,15 @@ def _emit_report(report, args) -> None:
             f"{row.mse:>12.4e} {row.l2_median:>12.4e} {row.train_seconds:>9.3f}"
         )
     print(f"dataset fingerprint: {report.dataset_fingerprint}")
+    if args.trace:
+        for row in report.rows:
+            print(json.dumps(row.trace, sort_keys=True))
 
 
 def _cmd_run(args) -> int:
     _merge_config_file(args)
+    if args.json and not args.out:
+        raise ValueError("--json needs --out")
     report = harness.run_experiment(_experiment_config(args))
     _emit_report(report, args)
     return 0

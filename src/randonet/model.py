@@ -257,7 +257,9 @@ def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim
     for the named matrices to factor. Each is factored once and dropped:
     'cod' by :func:`linalg.cod_factorize` in its own storage, 'tikhonov' by
     one SVD filtered with weight ``reg``. ``solve(pinv)`` returns W from the
-    applies ``pinv[name](b) = b @ pinv(matrix)``.
+    applies ``pinv[name](b) = b @ pinv(matrix)``. ``pinv`` holds the only
+    reference to each matrix's factors, so a ``solve`` that pops an apply
+    from it frees those factors as soon as that apply returns.
 
     ``train_metadata`` holds the settings, ``train_seconds`` and ``stages``
     (the differences of four ``perf_counter`` readings, which lie close
@@ -296,6 +298,7 @@ def _fit(ds, trunk_spec, branch_spec, solver: str, tol, reg: float, location_dim
         if reg == 0:
             ranks.update({f"{name}_rank": factors.rank,
                           f"{name}_rank_tolerance": factors.rank_tolerance})
+    del factors  # solve releases each apply, and with it its factors
     factorized = time.perf_counter()
     w = solve(pinv)
     end = time.perf_counter()
@@ -358,10 +361,13 @@ def train_aligned(
 
     The 'cod' route consumes the trunk and branch matrices it builds: both
     are built in Fortran order and factored in their own storage, so the
-    fit holds each once. When the larger of the two holds more than
-    ``2^22`` entries (32 MiB, the paper-size RFFN(2000) branches of cases 2
-    and 5), glibc's ``malloc_trim(0)`` runs once before either is built,
-    so the fit's peak memory is its live data plus that matrix. The checks,
+    fit holds each once. The solve applies the branch's pseudo-inverse
+    first and frees the branch factors as soon as that apply returns, so
+    the trunk apply allocates its result beside the trunk factors alone.
+    When the larger of the two holds more than ``2^22`` entries (32 MiB,
+    the paper-size RFFN(2000) branches of cases 2 and 5), glibc's
+    ``malloc_trim(0)`` runs once before either is built, so the fit's
+    peak memory is its live data plus that matrix. The checks,
     factorizations, timings and metadata are those of
     :func:`train_unaligned`: one routine serves both fits.
     """
@@ -376,7 +382,7 @@ def train_aligned(
                 {"n_train_functions": ds.n_functions},
                 lambda n_feat, m_feat: max(n_feat * ds.y.size, m_feat * ds.n_functions),
                 matrices,
-                lambda pinv: pinv["trunk"](pinv["branch"](ds.V).T).T)
+                lambda pinv: pinv["trunk"](pinv.pop("branch")(ds.V).T).T)
 
 
 def train_unaligned(

@@ -58,6 +58,43 @@ def test_sweep_json_writes_the_report_once(capsys, tmp_path, monkeypatch):
     assert [row["m_branch"] for row in json.loads(out_path.read_text())["rows"]] == [4, 8]
 
 
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_json_without_out_fails_with_error_record(capsys, tmp_path, monkeypatch, route):
+    # It once printed the table and wrote no JSON, with no message.
+    def no_run(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    if route == "flags":
+        argv = ("run", "--case", "1", "--size", "30", "--json")
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"case": 1, "size": 30, "json": True}))
+        argv = ("run", "--config", str(cfg_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "--json needs --out"}
+
+
+def test_trace_prints_each_rows_trace_after_the_table(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    argv = ("run", "--case", "1", "--m", "4,8", "--size", "30", "--out", str(out_path), "--json")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    # The table is printed as without --trace (but for the seconds in its
+    # last column), then one JSON line per row.
+    assert [line.rsplit(None, 1)[0] for line in lines[:-2]] == [
+        line.rsplit(None, 1)[0] for line in plain.splitlines()]
+    rows = json.loads(out_path.read_text())["rows"]
+    assert [json.loads(line) for line in lines[-2:]] == [row["trace"] for row in rows]
+    assert set(rows[0]["trace"]) == {"trunk_rank", "trunk_rank_tolerance", "branch_rank",
+                                     "branch_rank_tolerance", "readout_sha256",
+                                     "predictions_sha256"}
+
+
 def test_setting_the_solver_ignores_fails_with_error_record(capsys):
     code, _, err = run_cli(
         capsys, "run", "--case", "1", "--size", "30", "--solver", "cod", "--lambda", "0.5"

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -903,6 +904,30 @@ class TestInPlaceCod:
         model, peak = traced_peak(lambda: train_unaligned(ds, trunk, branch, solver="cod"))
         assert model.train_metadata["collocation_rank"] == 1000
         assert peak <= 1.3 * 1000 * 1200 * 8
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_each_factorization_goes_once_it_is_applied(self, monkeypatch, solver):
+        # The branch factors are freed before the trunk apply is entered, so
+        # a paper-size fit never holds the branch's work array beside the
+        # trunk apply's arrays; the fit keeps no factors when it returns.
+        ds = toy_dataset(m=10, n=12, s=40, seed=21)
+        specs = toy_specs(n_feat=16, m_feat=8, seed=22)
+        want = train_aligned(ds, *specs, solver=solver).readout
+        refs, seen = [], []
+
+        def recording(apply):
+            def applied(factors, b):
+                seen.append((factors.shape, [ref() is not None for ref in refs]))
+                refs.append(weakref.ref(factors))
+                return apply(factors, b)
+            return applied
+
+        for name in ("cod_pinv_apply", "tsvd_pinv_apply"):
+            monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
+        got = train_aligned(ds, *specs, solver=solver).readout
+        assert seen == [((8, 40), []), ((16, 12), [False])]
+        assert [ref() for ref in refs] == [None, None]
+        assert got.tobytes() == want.tobytes()
 
 
 # Two toy fits and the entry count of the largest matrix each builds: the

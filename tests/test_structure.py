@@ -14,6 +14,11 @@ wrappers, ``scipy.linalg.lapack``, and only ``linalg`` reaches the
 ``cython_lapack`` capsules. Every routine that ``linalg`` binds there is
 called.
 
+scipy's submodules are imported where they are called, never at module
+level, so ``import randonet`` loads neither ``scipy.linalg`` nor
+``scipy.special``: a process that builds or evaluates without factoring
+pays for neither.
+
 The dataset cache key hashes the source of the modules that make the
 dataset bits. They import no package module beyond each other but the
 value-neutral ``model`` (for ``AlignedDataset``) and ``_checks``, so a new
@@ -21,6 +26,11 @@ generator module cannot be left out of the key.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import randonet
@@ -172,6 +182,29 @@ def lapack_bindings(tree) -> tuple[set, set]:
     return bound, called
 
 
+# scipy submodules that cost import time and memory a process may not need.
+LAZY_SCIPY = ("scipy.linalg", "scipy.special", "scipy.integrate")
+
+
+def module_level_scipy_imports(tree) -> list:
+    """Each import of a :data:`LAZY_SCIPY` module in ``tree`` outside a function body."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            paths = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            paths = []
+        found += [path for path in paths if any(
+            path == lazy or path.startswith(lazy + ".") for lazy in LAZY_SCIPY)][:1]
+        todo += list(ast.iter_child_nodes(node))
+    return found
+
+
 def test_only_parallel_starts_workers_or_sets_blas_threads():
     found = {name: parallel_work(tree) for name, tree in SOURCES.items() if name != "_parallel"}
     assert {name: work for name, work in found.items() if work} == {}
@@ -282,3 +315,67 @@ _lapack(name, *args)
 """
     bound, called = lapack_bindings(ast.parse(planted))
     assert bound - called == {"dorgqr"}
+
+
+def test_no_module_imports_a_scipy_submodule_at_module_level():
+    found = {name: module_level_scipy_imports(tree) for name, tree in SOURCES.items()}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_the_scan_sees_a_module_level_scipy_submodule_import():
+    planted = {
+        "from scipy.special import erf": ["scipy.special"],
+        "import scipy.linalg": ["scipy.linalg"],
+        "from scipy import integrate": ["scipy.integrate"],
+        "import scipy.linalg.cython_lapack as capsules": ["scipy.linalg.cython_lapack"],
+        "if True:\n    from scipy.special import erf": ["scipy.special"],
+        "class C:\n    from scipy import linalg": ["scipy.linalg"],
+        "def f():\n    from scipy.special import erf": [],
+        "class C:\n    def f(self):\n        import scipy.linalg": [],
+        "import scipy\nfrom scipy import sparse": [],
+    }
+    for source, found in planted.items():
+        assert module_level_scipy_imports(ast.parse(source)) == found, source
+
+
+def test_a_fresh_interpreter_loads_scipy_submodules_only_where_they_are_called(tmp_path):
+    # Importing, building case 4 and evaluating a saved model load neither
+    # scipy.linalg nor scipy.special; the first COD loads the LAPACK
+    # capsules, and the first case-1 build loads erf.
+    from randonet import harness, model, problems
+
+    case = problems.case_config(4, size=20)
+    ds = problems.build_case(case)
+    cfg = harness.ExperimentConfig(case=4, branch="jl", branch_sizes=(8,), trunk_size=16)
+    specs = harness.trunk_spec_for(cfg, case.domain), harness.branch_spec_for(cfg, 8, ds.x.size)
+    model.save_model(model.train_aligned(ds, *specs), tmp_path / "model.npz")
+    script = textwrap.dedent("""
+        import json, sys
+        import randonet
+        import randonet.cli
+        from randonet import model, problems
+
+        def loaded():
+            return [name for name in ("scipy.linalg", "scipy.linalg.cython_lapack",
+                                      "scipy.special") if name in sys.modules]
+
+        states = [loaded()]
+        ds = problems.build_case(problems.case_config(4, size=20))
+        fitted = model.load_model(sys.argv[1])
+        model.evaluate(fitted, ds.U, ds.y)
+        states.append(loaded())
+        model.train_aligned(ds, fitted.trunk.spec, fitted.branch.spec)
+        states.append(loaded())
+        problems.build_case(problems.case_config(1, size=20))
+        states.append(loaded())
+        print(json.dumps(states))
+    """)
+    src = str(Path(randonet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "model.npz")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [], [], ["scipy.linalg", "scipy.linalg.cython_lapack"],
+        ["scipy.linalg", "scipy.linalg.cython_lapack", "scipy.special"]]
