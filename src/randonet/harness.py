@@ -106,6 +106,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if isinstance(self.branch_sizes, (str, bytes)) or not np.iterable(self.branch_sizes):
+            raise ValueError(f"branch_sizes must be a sequence of integers, got "
+                             f"{self.branch_sizes!r}")
         sizes = tuple(check_count(m, "each of branch_sizes") for m in self.branch_sizes)
         if not sizes:
             raise ValueError("branch_sizes must hold at least one size")

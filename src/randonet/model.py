@@ -39,9 +39,14 @@ factors do not depend on the caller's thread count (see
 do not, and the numerical ranks of the paper-size fits did not at one and
 two OpenBLAS threads.
 
-:func:`evaluate` holds numpy's OpenBLAS at one thread, so a model's
-predictions do not depend on the BLAS thread count, and splits a large
-readout product into row ranges on threads (see :mod:`randonet._parallel`).
+:func:`evaluate` predicts ``(T(y) W) B(u)``. A model keeps the rows of
+``T(y) W`` for the last output grid it was evaluated at, up to 2^20
+entries (8 MiB), so a further call at that grid skips the trunk map and
+its product with W; a call at another grid computes them inside the
+readout product, as a model that keeps none would. evaluate holds
+numpy's OpenBLAS at one thread, so a model's predictions do not depend on
+the BLAS thread count, and splits a large readout product into row ranges
+on threads (see :mod:`randonet._parallel`).
 """
 
 from __future__ import annotations
@@ -88,6 +93,12 @@ MAX_COLLOCATION_ENTRIES = 5_000_000
 # Xeon ranges starting at multiples of 12, 24 or 48 rows kept the bits of
 # one product, and those starting at multiples of 4, 8, 16 or 32 did not.
 _READOUT_ROWS = 48
+
+# Most entries of T(y) W that evaluate keeps on a model for its last grid:
+# 2^20 doubles are 8 MiB, five times the rows of an RFFN(2000) branch at 100
+# points. The rows of a larger grid are not kept, so a call at it holds one
+# range's rows of T W at a time and leaves the model nothing to hold.
+_MEMO_ENTRIES = 1 << 20
 
 
 # A fit whose largest matrix holds more float64 entries than this first hands
@@ -208,15 +219,30 @@ class UnalignedDataset:
 
 @dataclass(frozen=True)
 class RandONetModel:
-    """Trained operator network: trunk and branch maps plus readout W."""
+    """Trained operator network: trunk and branch maps plus readout W.
+
+    The model keeps a read-only private float64 copy of the readout it is
+    given, as :class:`FeatureMap` does of its arrays, so the caller's array
+    stays writable and later writes to it, or to the array it views, do not
+    reach the model. A readout that is complex, not finite or not of shape
+    (N, M) for N trunk and M branch features raises ``ValueError``.
+
+    :func:`evaluate` keeps in the private ``_memo`` the last output grid it
+    saw with that grid's rows of ``T(y) W``, q x M doubles, when they hold
+    at most 2^20 entries. They live as long as the model; a new model, from
+    ``dataclasses.replace`` or :func:`load_model` too, starts with none.
+    """
 
     trunk: FeatureMap
     branch: FeatureMap
     readout: np.ndarray
     train_metadata: dict = field(default_factory=dict)
+    # ((grid shape, grid bytes), rows of T W) of the last grid evaluated;
+    # replaced whole, never edited, so a reader sees one grid's pair.
+    _memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        w = finite_array(self.readout, "readout")
+        w = np.array(finite_array(self.readout, "readout"))
         expected = (self.trunk.spec.feature_dim, self.branch.spec.feature_dim)
         if w.shape != expected:
             raise ValueError(f"readout must have shape {expected}, got {w.shape}")
@@ -450,7 +476,8 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     ----------
     model : RandONetModel
     u_samples : array_like, shape (m,) or (m, k)
-        One or more discretized input functions (columns).
+        One or more discretized input functions (columns), m the branch
+        ``input_dim``.
     y_points : array_like, shape (q,) or (d, q)
         Output locations: shape (q,) for a trunk of ``input_dim`` 1, and
         (d, q), one location per column, for a trunk of ``input_dim`` d > 1.
@@ -463,16 +490,28 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``y_points`` does not have the shape above, or either argument
-        is complex or holds a NaN or an infinity; checked before any
-        feature is built.
+        If ``u_samples`` or ``y_points`` does not have the shape above, or
+        either argument is complex or holds a NaN or an infinity; checked
+        before any feature is built.
 
     Notes
     -----
+    The prediction is ``(T(y) W) B(u)``. The model keeps the rows of
+    ``T(y) W`` for the last grid it was evaluated at, keyed by the checked
+    float64 grid's shape and bytes, when they hold at most
+    ``_MEMO_ENTRIES`` (2^20) entries; q x M doubles then stay with the
+    model after the call. A call at that grid applies only the branch map.
+    A call at another grid, or at the same array edited in place, applies
+    the trunk map, computes each range's rows of ``T W`` right before its
+    product with ``B`` and replaces the kept rows with them.
+
     numpy's OpenBLAS runs at one thread for the whole call, and the
-    caller's count is restored afterwards. ``T W B`` splits into ranges of
-    ``_READOUT_ROWS`` trunk rows by the rule of ``FeatureMap.apply``, with
-    the branch feature entries as its work.
+    caller's count is restored afterwards. The readout product splits into
+    ranges of ``_READOUT_ROWS`` rows by the rule of ``FeatureMap.apply``,
+    with the branch feature entries as its work. Ranges that start on a
+    row block give the bits of one product (see ``_READOUT_ROWS``), so the
+    kept rows, and a later call that reads them, do not depend on the
+    number of functions or workers of the call that computed them.
     """
     u, y = finite_array(u_samples, "u_samples"), finite_array(y_points, "y_points")
     dim = model.trunk.spec.input_dim
@@ -483,26 +522,46 @@ def evaluate(model: RandONetModel, u_samples, y_points) -> np.ndarray:
     elif y.ndim != 2 or y.shape[0] != dim:
         raise ValueError(f"y_points must have shape ({dim}, q) for a trunk of input_dim "
                          f"{dim}, got shape {y.shape}")
+    sensors = model.branch.spec.input_dim
+    if u.ndim not in (1, 2) or u.shape[0] != sensors:
+        raise ValueError(f"u_samples must have shape ({sensors},) or ({sensors}, k), "
+                         f"got shape {u.shape}")
     single = u.ndim == 1
     if single:
         u = u[:, None]
+    key = (y.shape, y.tobytes())
+    memo = model._memo
     with _parallel.one_blas_thread:
-        t_mat = model.trunk.apply(y).T  # (q, N), C-ordered
+        if memo is not None and memo[0] == key:
+            t_mat, rows = None, memo[1]
+        else:
+            t_mat = model.trunk.apply(y).T  # (q, N), C-ordered
+            shape = (len(t_mat), model.readout.shape[1])
+            rows = np.empty(shape) if shape[0] * shape[1] <= _MEMO_ENTRIES else None
         b_mat = model.branch.apply(u)  # (M, k), Fortran-ordered
-        out = _readout_product(t_mat, model.readout, b_mat)
+        out = _readout_product(t_mat, model.readout, rows, b_mat)
+    if t_mat is not None and rows is not None:
+        rows.setflags(write=False)
+        object.__setattr__(model, "_memo", (key, rows))
     return out[:, 0] if single else out
 
 
-def _readout_product(t_mat: np.ndarray, w: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """``t_mat @ w @ b_mat``, in ranges of whole ``_READOUT_ROWS`` row blocks,
-    the last one holding the partial block, one on each worker thread."""
-    q, (m_feat, k) = t_mat.shape[0], b_mat.shape
+def _readout_product(t_mat, w: np.ndarray, rows, b_mat: np.ndarray) -> np.ndarray:
+    """``(t_mat @ w) @ b_mat``, in ranges of whole ``_READOUT_ROWS`` row
+    blocks, the last one holding the partial block, one on each worker
+    thread. Each range writes its rows of ``t_mat @ w`` into ``rows`` when
+    that is given; with ``t_mat`` None it reads them from ``rows``."""
+    q, (m_feat, k) = len(rows if t_mat is None else t_mat), b_mat.shape
     blocks = max(q // _READOUT_ROWS, 1)
     count = _parallel.workers(m_feat * k, _parallel.MIN_RANGE_ENTRIES, blocks)
     out = np.empty((q, k))
 
     def product(lo, hi):
-        np.matmul(t_mat[lo:hi] @ w, b_mat, out=out[lo:hi])
+        if t_mat is None:
+            part = rows[lo:hi]
+        else:
+            part = np.matmul(t_mat[lo:hi], w, out=None if rows is None else rows[lo:hi])
+        np.matmul(part, b_mat, out=out[lo:hi])
 
     _parallel.in_threads(product, _parallel.ranges(blocks, _READOUT_ROWS, count, q))
     return out

@@ -256,6 +256,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^branch 'jl' takes no rffn_bandwidth, got -1.0$"):
             ExperimentConfig(case=1, rffn_bandwidth=-1.0)
 
+    @pytest.mark.parametrize("bad", [100, "100"], ids=["int", "str"])
+    def test_branch_sizes_must_be_a_sequence(self, bad):
+        # An int once raised a bare TypeError, and a string complained about '1'.
+        message = f"^branch_sizes must be a sequence of integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(case=1, branch_sizes=bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("field, fields", [
         ("rffn_bandwidth", {"branch": "rffn"}),

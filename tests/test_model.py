@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from pathlib import Path
 
@@ -548,6 +549,28 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=message):
             evaluate(model, np.ones(10), np.full(shape, 0.5))
 
+    @pytest.mark.parametrize("shape", [(50,), (50, 3), (1, 100, 6)])
+    def test_rejects_u_samples_of_another_shape_before_features(self, monkeypatch, shape):
+        model = train_aligned(toy_dataset(m=100), *toy_specs(m=100))
+        fail_on_features(monkeypatch)
+        message = (r"^u_samples must have shape \(100,\) or \(100, k\), "
+                   rf"got shape {re.escape(str(shape))}$")
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, np.ones(shape), np.linspace(0.0, 1.0, 4))
+
+    def test_the_model_keeps_a_private_copy_of_its_readout(self):
+        model, u, ys = readout_model()
+        big = np.random.default_rng(15).standard_normal((40, 120))
+        w = big[:, :60]
+        held = RandONetModel(model.trunk, model.branch, w)
+        assert held.readout is not w and w.flags.writeable and big.flags.writeable
+        before = evaluate(held, u, ys)
+        w[:] = 3.0
+        big[:] = 2.0
+        assert not np.shares_memory(held.readout, big)
+        np.testing.assert_array_equal(evaluate(held, u, ys), before)
+        np.testing.assert_array_equal(evaluate(dataclasses.replace(held), u, ys), before)
+
     def test_batched_matches_single(self):
         model = train_aligned(toy_dataset(), *toy_specs())
         u = np.random.default_rng(10).standard_normal((10, 4))
@@ -689,7 +712,8 @@ class TestSplitReadoutProduct:
                 return in_threads(task, spans)
             _parallel.in_threads = record_round
             pred = evaluate(model, u, y)
-            # The trunk apply, the branch apply and the readout product.
+            # The branch apply and the readout product: the rows of T W
+            # for this grid are kept from the calls above.
             assert rounds[-1] == [(0, 48), (48, 96), (96, 155)], rounds
             print(before, hashlib.sha256(pred.tobytes()).hexdigest())
         """)
@@ -704,6 +728,115 @@ class TestSplitReadoutProduct:
             count, hashes[threads] = proc.stdout.split()
             assert count == "1" if threads == "1" else int(count) >= 1
         assert hashes["2"] == hashes["1"]
+
+
+class TestTrunkReadoutMemo:
+    """evaluate keeps the rows of T(y) W for the last grid a model saw."""
+
+    @staticmethod
+    def fresh(model, u, ys):
+        """The predictions of a copy of ``model`` that has evaluated nothing."""
+        return evaluate(dataclasses.replace(model), u, ys)
+
+    def test_hits_and_misses_give_equal_bits_across_grids(self, split_applies):
+        model, u, ys = readout_model()
+        split_applies(3)
+        grids = {"A": ys, "B": np.linspace(0.1, 0.9, 130)}
+        expected = {name: one_product(model, u, grid) for name, grid in grids.items()}
+        for name in "AABAA":
+            np.testing.assert_array_equal(evaluate(model, u, grids[name]), expected[name])
+
+    def test_a_single_function_after_a_split_batch_matches_a_fresh_model(self, monkeypatch):
+        # 701 functions split the readout product in three; one does not.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        monkeypatch.setattr(_parallel, "MIN_RANGE_ENTRIES", 1000)
+        model, u, ys = readout_model()
+        evaluate(model, u, ys)
+        np.testing.assert_array_equal(evaluate(model, u[:, 0], ys),
+                                      self.fresh(model, u[:, 0], ys))
+
+    def test_an_unaligned_model_with_planar_locations(self):
+        model = TestEvaluate.planar_model()
+        rng = np.random.default_rng(33)
+        u = rng.standard_normal((10, 4))
+        grids = [rng.uniform(0.0, 1.0, (2, 7)), rng.uniform(0.0, 1.0, (2, 9))]
+        for grid in (grids[0], grids[0], grids[1], grids[0]):
+            np.testing.assert_array_equal(evaluate(model, u, grid), self.fresh(model, u, grid))
+
+    def test_an_in_place_edit_of_the_grid_is_a_new_grid(self):
+        model, u, ys = readout_model()
+        y = ys.copy()
+        before = evaluate(model, u, y)
+        y *= 0.5
+        after = evaluate(model, u, y)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, self.fresh(model, u, y))
+
+    def test_replace_and_load_model_start_with_an_empty_memo(self, monkeypatch, tmp_path):
+        model, u, ys = readout_model()
+        before = evaluate(model, u, ys)
+        # Doubling W doubles every product exactly, so a reused memo would show.
+        doubled = dataclasses.replace(model, readout=2.0 * model.readout)
+        np.testing.assert_array_equal(evaluate(doubled, u, ys), 2.0 * before)
+        save_model(model, tmp_path / "model.npz")
+        loaded = load_model(tmp_path / "model.npz")
+        calls = count_feature_builds_without_svd(monkeypatch)
+        np.testing.assert_array_equal(evaluate(loaded, u, ys), before)
+        assert calls == ["tanh", "rffn"]
+
+    def test_threads_at_two_grids_each_get_their_own_grids_bits(self):
+        # More threads than the CPUs of a small host, switching every
+        # microsecond: a memo that paired one grid's key with the other's
+        # rows would hand a thread the wrong grid's predictions.
+        model, u, ys = readout_model()
+        u = u[:, :40]
+        grids = [ys, np.linspace(0.2, 0.8, 100)]
+        expected = [self.fresh(model, u, grid) for grid in grids]
+        start, results = threading.Barrier(4), [[] for _ in range(4)]
+
+        def evaluate_often(i):
+            start.wait()
+            for _ in range(30):
+                results[i].append(evaluate(model, u, grids[i % 2]))
+
+        threads = [threading.Thread(target=evaluate_often, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, preds in enumerate(results):
+            assert len(preds) == 30
+            for pred in preds:
+                np.testing.assert_array_equal(pred, expected[i % 2])
+
+    def test_a_hit_does_not_apply_the_trunk(self, monkeypatch):
+        model, u, ys = readout_model()
+        calls = count_feature_builds_without_svd(monkeypatch)
+        first = evaluate(model, u, ys)
+        assert calls == ["tanh", "rffn"]
+        np.testing.assert_array_equal(evaluate(model, u, ys.copy()), first)
+        assert calls == ["tanh", "rffn", "rffn"]
+
+    @pytest.mark.parametrize("limit, kept", [(155 * 60 - 1, False), (155 * 60, True)])
+    def test_only_rows_within_the_limit_are_kept(self, monkeypatch, split_applies, limit,
+                                                 kept):
+        # 155 points x 60 branch features; a grid above the limit costs a
+        # trunk apply on every call and leaves the model nothing to hold.
+        monkeypatch.setattr(model_module, "_MEMO_ENTRIES", limit)
+        model, u, ys = readout_model()
+        split_applies(3)
+        expected = one_product(model, u, ys)
+        calls = count_feature_builds_without_svd(monkeypatch)
+        np.testing.assert_array_equal(evaluate(model, u, ys), expected)
+        np.testing.assert_array_equal(evaluate(model, u, ys), expected)
+        assert calls == (["tanh", "rffn", "rffn"] if kept else ["tanh", "rffn"] * 2)
+        assert (model._memo is not None) == kept
 
 
 class TestUnaligned:
